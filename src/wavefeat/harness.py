@@ -356,9 +356,10 @@ class CvReport:
     stds: dict
     runtime_seconds: float
     warnings: list = field(default_factory=list)
+    lr_fits: list = field(default_factory=list)  # (converged, n_iter) per LR fit
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "config": self.config.to_dict(),
             "label": self.config.label(),
             "task": self.task,
@@ -368,11 +369,19 @@ class CvReport:
             "per_fold": self.per_fold,
             "means": self.means,
             "stds": self.stds,
+            "runtime_seconds": self.runtime_seconds,
             "warnings": self.warnings,
         }
+        if self.config.model.kind == "lr":
+            out["solver"] = {
+                "fits_attempted": len(self.lr_fits),
+                "fits_converged": sum(conv for conv, _ in self.lr_fits),
+                "max_n_iter": max((n_it for _, n_it in self.lr_fits), default=0),
+            }
+        return out
 
 
-def _aggregate(config, task, seed, n_folds, rows, t0, warns) -> CvReport:
+def _aggregate(config, task, seed, n_folds, rows, t0, warns, lr_fits) -> CvReport:
     keys = rows[0].keys()
     means = {k: float(np.mean([r[k] for r in rows])) for k in keys}
     stds = {k: float(np.std([r[k] for r in rows])) for k in keys}
@@ -380,6 +389,7 @@ def _aggregate(config, task, seed, n_folds, rows, t0, warns) -> CvReport:
         config=config, task=task, seed=seed, n_folds=n_folds,
         n_runs=len(rows), per_fold=rows, means=means, stds=stds,
         runtime_seconds=time.perf_counter() - t0, warnings=warns,
+        lr_fits=lr_fits,
     )
 
 
@@ -427,18 +437,20 @@ def evaluate_config(config: PipelineConfig, data: LabeledDataset,
     t0 = time.perf_counter()
     n = data.n_samples
     all_idx = np.arange(n)
-    rows, warns = [], []
+    rows, warns, lr_fits = [], [], []
     for fold in folds:
         rest = np.setdiff1d(all_idx, fold)
         if config.task == "classification":
             fitted = fit_pipeline(config, data, rest)
             rows.append(_score_classification(fitted, data, rest, fold))
-            warns.extend(fitted.warnings)
+            if isinstance(fitted.model, models.LrModel):
+                lr_fits.append((fitted.model.converged, fitted.model.n_iter))
         else:
             scores, fitted, _, _ = _cluster_and_score(config, data, rest)
             rows.append(scores)
-            warns.extend(fitted.warnings)
-    return _aggregate(config, config.task, seed, len(folds), rows, t0, warns)
+        warns.extend(fitted.warnings)
+    return _aggregate(config, config.task, seed, len(folds), rows, t0, warns,
+                      lr_fits)
 
 
 SELECTION_METRIC = {"classification": "test_accuracy", "clustering": "ari"}
@@ -495,14 +507,16 @@ def repeated_cv(config: PipelineConfig, data: LabeledDataset, seed: int,
     if config.task != "classification":
         raise InvalidConfigError("repeated_cv applies to classification configs")
     t0 = time.perf_counter()
-    rows, warns = [], []
+    rows, warns, lr_fits = [], [], []
     for rep in range(repeats):
         folds = kfold_split(data.n_samples, k, seed + rep,
                             labels=data.labels, stratify=stratify)
         rep_report = evaluate_config(config, data, folds, seed=seed + rep)
         rows.extend(rep_report.per_fold)
         warns.extend(rep_report.warnings)
-    return _aggregate(config, "classification", seed, k, rows, t0, warns)
+        lr_fits.extend(rep_report.lr_fits)
+    return _aggregate(config, "classification", seed, k, rows, t0, warns,
+                      lr_fits)
 
 
 def final_clustering(config: PipelineConfig, data: LabeledDataset):

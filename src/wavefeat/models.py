@@ -6,9 +6,13 @@ raised to a floor of rel_tol times the largest, so it stays usable when
 features outnumber samples: the directions in which no class spreads get the
 floor variance and weigh most, instead of being ignored.  Logistic regression
 minimizes mean logistic loss plus a ridge (solved by L-BFGS) or a lasso
-penalty (solved by proximal gradient with acceleration, which yields exact
-zeros).  Clustering is classic Lance-Williams agglomeration with a
-variance-increase criterion for ward linkage.
+penalty (solved by accelerated proximal gradient, FISTA, which yields exact
+zeros).  The lasso solver picks its step by backtracking on a
+sufficient-decrease test, starting from the global Lipschitz bound, and stops
+when the KKT residual of the full objective (the largest entry of its
+minimum-norm subgradient) is at most the tolerance.  Clustering is classic
+Lance-Williams agglomeration with a variance-increase criterion for ward
+linkage.
 """
 from __future__ import annotations
 
@@ -77,6 +81,23 @@ def _plain_labels(labels) -> list:
     return [v.item() if isinstance(v, np.generic) else v for v in labels]
 
 
+def _check_fit_inputs(x, labels) -> tuple[np.ndarray, list, list]:
+    """(x as a float array, plain labels, sorted classes) after checking that
+    x is a finite 2-D array with one label per row and at least 2 classes."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise InvalidInputError("expected (n_samples, n_features)")
+    labels = _plain_labels(labels)
+    if len(labels) != x.shape[0]:
+        raise InvalidInputError("one label per sample required")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("features must be finite")
+    classes = sorted(set(labels))
+    if len(classes) < 2:
+        raise InvalidInputError("need at least 2 classes")
+    return x, labels, classes
+
+
 def lda_fit(x: np.ndarray, labels, rel_tol: float = 1e-10) -> LdaModel:
     """Fit class means, priors, and the inverse of the floored pooled covariance.
 
@@ -101,15 +122,7 @@ def lda_fit(x: np.ndarray, labels, rel_tol: float = 1e-10) -> LdaModel:
     """
     if not 0.0 < rel_tol < 1.0:
         raise InvalidConfigError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise InvalidInputError("expected (n_samples, n_features)")
-    labels = _plain_labels(labels)
-    if len(labels) != x.shape[0]:
-        raise InvalidInputError("one label per sample required")
-    classes = sorted(set(labels))
-    if len(classes) < 2:
-        raise InvalidInputError("need at least 2 classes")
+    x, labels, classes = _check_fit_inputs(x, labels)
     m, n = x.shape
     s_cnt = len(classes)
     means = np.empty((s_cnt, n))
@@ -200,36 +213,65 @@ def _fit_binary_l2(x, y, lam, grad_tol, max_iter, x0):
     return res.x, converged, int(res.nit)
 
 
-def _fit_binary_l1(x, y, lam, grad_tol, max_iter, x0):
-    """FISTA with adaptive restart on smooth logistic loss + lam * ||w||_1
-    (intercept unpenalized).  The proximal step yields exact zeros."""
-    m, n = x.shape
-    # Lipschitz bound of the smooth part: sigma_max([x, 1])^2 / (4 m)
-    aug_norm = np.linalg.norm(np.column_stack([x, np.ones(m)]), 2)
-    lip = aug_norm * aug_norm / (4.0 * m)
-    step = 1.0 / max(lip, 1e-12)
-    wb = x0.copy()
-    zb = wb.copy()
+def _kkt_residual(wb: np.ndarray, grad: np.ndarray, lam: float) -> float:
+    """Largest entry of the minimum-norm subgradient of f + lam ||w||_1 at wb,
+    given grad = grad f(wb); the last entry of both is the intercept."""
+    w, g = wb[:-1], grad[:-1]
+    sub = np.where(w != 0.0, np.abs(g + lam * np.sign(w)),
+                   np.maximum(np.abs(g) - lam, 0.0))
+    return max(float(np.max(sub, initial=0.0)), abs(float(grad[-1])))
+
+
+def _fit_binary_l1(xa, y, lam, grad_tol, max_iter, x0, lip):
+    """FISTA with backtracking and adaptive restart on the smooth logistic
+    loss + lam * ||w||_1 (intercept unpenalized); xa is the data with a
+    trailing column of ones.  The proximal step yields exact zeros.
+
+    Step size: each iteration first tries L/2, then doubles L until the
+    sufficient-decrease test f(p) <= f(z) + <grad f(z), p - z> + L/2 ||p - z||^2
+    holds at the proximal point p of the extrapolated point z.  ``lip`` is
+    the global bound sigma_max(xa)^2 / (4 m): it is the first L, and since
+    the test holds at or above it, L is never raised past it.
+
+    Stopping rule: the KKT residual at z (the largest entry of the
+    minimum-norm subgradient of the full objective) is at most grad_tol; z is
+    then returned.  The residual does not depend on the step, and it is never
+    smaller than the gradient-mapping residual |prox step| * L.
+    """
+    m = xa.shape[0]
+    lip_max = lip
+    wb = zb = x0.copy()
+    xw = xz = xa @ wb  # margins before the labels: X w + b and X z + b
     t_acc = 1.0
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        _, grad = _logistic_loss_grad(zb, x, y, 0.0, "none")
-        cand = zb - step * grad
-        new = np.empty_like(cand)
-        new[:-1] = _soft_threshold(cand[:-1], step * lam)
-        new[-1] = cand[-1]
-        residual = np.max(np.abs(new - zb)) / step
-        if residual <= grad_tol:
-            wb = new
+        margin = y * xz
+        loss_z = np.mean(np.logaddexp(0.0, -margin))
+        grad = xa.T @ (-y / (1.0 + np.exp(np.clip(margin, -500, 500))) / m)
+        if _kkt_residual(zb, grad, lam) <= grad_tol:
+            wb = zb
             converged = True
             break
+        lip /= 2.0
+        while True:
+            new = zb - grad / lip
+            new[:-1] = _soft_threshold(new[:-1], lam / lip)
+            step = new - zb
+            xnew = xa @ new
+            loss_new = np.mean(np.logaddexp(0.0, -y * xnew))
+            if (lip >= lip_max or loss_new
+                    <= loss_z + grad @ step + 0.5 * lip * (step @ step)):
+                break
+            lip *= 2.0
         # restart the momentum when it points against the step direction
         if np.dot(zb - new, new - wb) > 0:
             t_acc = 1.0
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        zb = new + ((t_acc - 1.0) / t_next) * (new - wb)
-        wb = new
+        beta = (t_acc - 1.0) / t_next
+        zb = new + beta * (new - wb)
+        xz = (1.0 + beta) * xnew - beta * xw  # X z without a mat-vec
+        wb, xw = new, xnew
         t_acc = t_next
     return wb, converged, it
 
@@ -240,20 +282,26 @@ def lr_fit(x: np.ndarray, labels, penalty: str = "l2", inverse_reg: float = 1.0,
     """One-vs-rest regularized logistic regression.
 
     The objective per class is mean log(1 + exp(-y (w.x + b))) plus
-    lambda ||w||_2^2 or lambda ||w||_1 with lambda = 1/inverse_reg.  A class
-    that fails to converge produces a warning; the model is still returned.
+    lambda ||w||_2^2 or lambda ||w||_1 with lambda = 1/inverse_reg.  The l2
+    problem is solved by L-BFGS and stops when the largest gradient entry is
+    at most grad_tol.  The l1 problem is solved by backtracking FISTA (see
+    _fit_binary_l1), which starts from the Lipschitz bound
+    sigma_max([x, 1])^2 / (4 m), computed once per fit and shared by the
+    classes, and stops when the largest entry of the minimum-norm
+    subgradient (the KKT residual) is at most grad_tol.  ``x0`` is the start
+    (w, b) of every class.  A class that fails to converge within max_iter
+    iterations produces a warning; the model is still returned.
     """
     if penalty not in PENALTIES:
         raise InvalidConfigError(f"penalty must be one of {PENALTIES}")
     if inverse_reg <= 0:
         raise InvalidConfigError("inverse_reg must be positive")
-    x = np.asarray(x, dtype=float)
-    labels = _plain_labels(labels)
-    classes = sorted(set(labels))
-    if len(classes) < 2:
-        raise InvalidInputError("need at least 2 classes")
+    x, labels, classes = _check_fit_inputs(x, labels)
     lam = 1.0 / inverse_reg
-    n = x.shape[1]
+    m, n = x.shape
+    if penalty == "l1":
+        xa = np.column_stack([x, np.ones(m)])
+        lip = np.linalg.norm(xa, 2) ** 2 / (4.0 * m)
     weights = np.empty((len(classes), n))
     intercepts = np.empty(len(classes))
     all_converged = True
@@ -264,7 +312,8 @@ def lr_fit(x: np.ndarray, labels, penalty: str = "l2", inverse_reg: float = 1.0,
         if penalty == "l2":
             wb, conv, n_it = _fit_binary_l2(x, y, lam, grad_tol, max_iter, start)
         else:
-            wb, conv, n_it = _fit_binary_l1(x, y, lam, grad_tol, max_iter, start)
+            wb, conv, n_it = _fit_binary_l1(xa, y, lam, grad_tol, max_iter,
+                                            start, lip)
         weights[i] = wb[:-1]
         intercepts[i] = wb[-1]
         all_converged &= conv

@@ -9,6 +9,7 @@ from wavefeat import models as M
 from wavefeat.metrics import adjusted_rand
 from wavefeat.models import _logistic_loss_grad
 from wavefeat.numerics import pseudo_inverse
+from wavefeat.synth import SyntheticSpec, synth_dataset
 
 
 class TestLda:
@@ -211,6 +212,85 @@ class TestLr:
             M.lr_fit(np.eye(2), [0, 1], "elastic", 1.0)
         with pytest.raises(InvalidConfigError):
             M.lr_fit(np.eye(2), [0, 1], "l2", -1.0)
+
+    def test_label_count_mismatch(self):
+        with pytest.raises(InvalidInputError):
+            M.lr_fit(np.eye(4), [0, 1, 0], "l2", 1.0)
+
+    def test_one_dimensional_features(self):
+        with pytest.raises(InvalidInputError):
+            M.lr_fit(np.arange(4.0), [0, 1, 0, 1], "l1", 1.0)
+
+    def test_non_finite_features(self):
+        x = np.eye(4)
+        x[2, 1] = np.nan
+        with pytest.raises(InvalidInputError):
+            M.lr_fit(x, [0, 1, 0, 1], "l1", 1.0)
+
+
+def _l1_objective_and_kkt(x, y, wb, lam):
+    """Objective and KKT residual (largest entry of the minimum-norm
+    subgradient) of mean logistic loss + lam ||w||_1 at wb = (w, b)."""
+    loss, grad = _logistic_loss_grad(wb, x, y, 0.0, "none")
+    w, g = wb[:-1], grad[:-1]
+    sub = np.where(w > 0, np.abs(g + lam), np.where(
+        w < 0, np.abs(g - lam), np.maximum(np.abs(g) - lam, 0.0)))
+    return loss + lam * np.sum(np.abs(w)), max(np.max(sub), abs(grad[-1]))
+
+
+def _binary_targets(labels, cls):
+    return np.where(np.asarray(labels, dtype=object) == cls, 1.0, -1.0)
+
+
+class TestLrL1:
+    @pytest.fixture(scope="class")
+    def sparse_problem(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((60, 8))
+        y = list(np.where(x[:, 0] + 0.5 * x[:, 1]
+                          + 0.5 * rng.standard_normal(60) > 0, 1, 0))
+        return x, y
+
+    def test_raw_spectra_converge_to_kkt_tolerance(self):
+        # p >> n raw spectra, centred per feature: a fixed 1/L step stops
+        # at the iteration cap here
+        data = synth_dataset(SyntheticSpec())
+        x = data.intensities[::2]
+        x = x - x.mean(axis=0)
+        labels = data.labels[::2]
+        model = M.lr_fit(x, labels, "l1", 100.0)
+        assert model.converged and model.n_iter < 5000
+        for i, cls in enumerate(model.classes):
+            wb = np.append(model.weights[i], model.intercepts[i])
+            _, kkt = _l1_objective_and_kkt(x, _binary_targets(labels, cls),
+                                           wb, 0.01)
+            assert kkt <= 1e-6
+
+    def test_two_initializations_agree(self, sparse_problem):
+        x, y = sparse_problem
+        a = M.lr_fit(x, y, "l1", 10.0)
+        b = M.lr_fit(x, y, "l1", 10.0,
+                     x0=np.random.default_rng(13).standard_normal(9))
+        assert a.converged and b.converged
+        assert np.any(a.weights == 0.0) and np.any(a.weights != 0.0)
+        for i, cls in enumerate(a.classes):
+            yy = _binary_targets(y, cls)
+            obj_a, _ = _l1_objective_and_kkt(
+                x, yy, np.append(a.weights[i], a.intercepts[i]), 0.1)
+            obj_b, _ = _l1_objective_and_kkt(
+                x, yy, np.append(b.weights[i], b.intercepts[i]), 0.1)
+            assert abs(obj_a - obj_b) <= 1e-8
+
+    def test_warm_start_from_solution_stops_at_first_iteration(self, sparse_problem):
+        x, y = sparse_problem
+        xa = np.column_stack([x, np.ones(len(y))])
+        lip = np.linalg.norm(xa, 2) ** 2 / (4.0 * len(y))
+        yy = _binary_targets(y, 1)
+        wb, conv, _ = M._fit_binary_l1(xa, yy, 0.1, 1e-6, 5000, np.zeros(9), lip)
+        assert conv
+        again, conv, n_it = M._fit_binary_l1(xa, yy, 0.1, 1e-6, 5000, wb, lip)
+        assert conv and n_it == 1
+        assert np.array_equal(again, wb)
 
 
 class TestPairwiseDistances:

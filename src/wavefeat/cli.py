@@ -23,8 +23,8 @@ from . import __version__, dataio, dwt, models, synth, wtt
 from .errors import (DataFormatError, InvalidConfigError, InvalidInputError,
                      NumericalError)
 from .grids import grid_for_task, load_grid_document
-from .harness import (DwtSpec, PipelineConfig, WttSpec, final_clustering,
-                      fit_pipeline, grid_search, repeated_cv)
+from .harness import (DwtSpec, FoldMemo, PipelineConfig, WttSpec,
+                      final_clustering, fit_pipeline, grid_search, repeated_cv)
 
 DERIV_NAMES = {0: "f", 1: "f'", 2: "f''"}
 
@@ -176,6 +176,8 @@ def cmd_gridsearch(args) -> int:
         "stratify": args.stratify,
         "data": {"path": os.path.abspath(args.data), "sha256": _digest(args.data)},
         "grid_size": len(grid),
+        "grid_skipped": grid.skipped,
+        "counters": {"fits": result.fits, "memo_hits": result.memo_hits},
         "selection_metric": result.selection_metric,
         "best": result.best.to_dict(),
         "winners": {f"{k[0]}|{k[1]}|d{k[2]}": rep.to_dict()
@@ -259,6 +261,8 @@ def cmd_cluster(args) -> int:
         "stratify": args.stratify,
         "data": {"path": os.path.abspath(args.data), "sha256": _digest(args.data)},
         "grid_size": len(grid),
+        "grid_skipped": grid.skipped,
+        "counters": {"fits": result.fits, "memo_hits": result.memo_hits},
         "selection_metric": result.selection_metric,
         "winners": {f"{s}|d{d}": cell for (s, d), cell in finals.items()},
         "ari_ordering_wtt_dwt_original": ordering_flag,
@@ -290,7 +294,7 @@ def cmd_train(args) -> int:
             },
         }, fh)
         fh.write("\n")
-    if fitted.model is not None:
+    if config.task == "classification":
         models.save_model(os.path.join(args.out_dir, "model.npz"), fitted.model)
         saved["model"] = "model.npz"
     if isinstance(config.decomposition, WttSpec):
@@ -342,6 +346,14 @@ def cmd_report(args) -> int:
             print(f"  {key}: ARI={s['ari']:.4f} AMI={s['ami']:.4f} "
                   f"FM={s['fm']:.4f} ({entry.get('label')})")
             series_rows.append((key, s["ari"]))
+    if "counters" in manifest:
+        counters = manifest["counters"]
+        print("stage fits / memo hits (grid search): " + ", ".join(
+            f"{stage} {counters['fits'][stage]}/{counters['memo_hits'][stage]}"
+            for stage in FoldMemo.NAMES if stage in counters["fits"]))
+    if manifest.get("grid_skipped"):
+        for rule, n in sorted(manifest["grid_skipped"].items()):
+            print(f"grid points skipped: {n} ({rule})")
     if "ari_ordering_wtt_dwt_original" in manifest:
         print(f"ARI ordering WTT>=DWT>=original: "
               f"{manifest['ari_ordering_wtt_dwt_original']}")

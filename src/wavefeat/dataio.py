@@ -7,6 +7,9 @@ intensity row per sample):
   sample; floats are written with repr so a round trip is lossless.
 * structured (.json): ``{"schema": "wavefeat-dataset", "version": 1,
   "wavenumbers": [...], "samples": [{"label": ..., "intensities": [...]}]}``.
+
+Every wavenumber and intensity must be a finite number; NaN or infinity is
+a ParseError naming the row (delimited) or the sample index (structured).
 """
 from __future__ import annotations
 
@@ -73,6 +76,8 @@ def _load_delimited(path: str) -> LabeledDataset:
         wn = np.array([float(v) for v in header[1:]])
     except ValueError as exc:
         raise ParseError(f"{path}: non-numeric wavenumber in header: {exc}") from exc
+    if not np.all(np.isfinite(wn)):
+        raise ParseError(f"{path}:1: non-finite wavenumber in header")
     labels, rows = [], []
     for i, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
@@ -86,6 +91,8 @@ def _load_delimited(path: str) -> LabeledDataset:
             rows.append([float(v) for v in fields[1:]])
         except ValueError as exc:
             raise ParseError(f"{path}:{i}: non-numeric intensity: {exc}") from exc
+        if not np.all(np.isfinite(rows[-1])):
+            raise ParseError(f"{path}:{i}: non-finite intensity")
     return LabeledDataset(wn, np.array(rows), labels)
 
 
@@ -102,6 +109,8 @@ def _load_structured(path: str) -> LabeledDataset:
         samples = doc["samples"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed document: {exc}") from exc
+    if not np.all(np.isfinite(wn)):
+        raise ParseError(f"{path}: non-finite wavenumber")
     labels, rows = [], []
     for i, sample in enumerate(samples):
         if "label" not in sample:
@@ -112,5 +121,10 @@ def _load_structured(path: str) -> LabeledDataset:
                 f"{path}: sample {i} has {0 if vals is None else len(vals)} "
                 f"values, grid has {wn.size}")
         labels.append(sample["label"])
-        rows.append([float(v) for v in vals])
+        try:
+            rows.append([float(v) for v in vals])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: sample {i}: non-numeric intensity: {exc}") from exc
+        if not np.all(np.isfinite(rows[-1])):
+            raise ParseError(f"{path}: sample {i} has a non-finite intensity")
     return LabeledDataset(wn, np.array(rows), labels)

@@ -110,16 +110,18 @@ class WttTransform:
         return wtt.wtt_inverse(wtt.unflatten_wtt(vec, self.bank), self.bank)
 
 
-def contrast(x: np.ndarray, transform, tau: float) -> np.ndarray:
+def contrast(x: np.ndarray, transform, tau: float,
+             coeffs: np.ndarray | None = None) -> np.ndarray:
     """Remove the soft-thresholded reconstruction from the signal.
 
     The residual's coefficients under the same transform are exactly the
     part the soft threshold clipped, so every entry of W(result) lies in
-    [-tau, tau].
+    [-tau, tau].  ``coeffs``, when given, is ``transform.forward(x)``.
     """
     if tau < 0:
         raise InvalidInputError("tau must be non-negative")
-    coeffs = transform.forward(x)
+    if coeffs is None:
+        coeffs = transform.forward(x)
     kept = threshold(coeffs, ThresholdRule("soft", tau))
     return np.asarray(x, dtype=float) - transform.inverse(kept)
 
@@ -154,14 +156,20 @@ class FeatureMap:
             raise InvalidConfigError("contrasting uses a soft threshold")
 
 
-def extract_features(x: np.ndarray, fm: FeatureMap) -> np.ndarray:
-    """Apply a fitted feature map to one signal (or a batch on axis 0)."""
+def extract_features(x: np.ndarray, fm: FeatureMap,
+                     coeffs: np.ndarray | None = None) -> np.ndarray:
+    """Apply a fitted feature map to one signal (or a batch on axis 0).
+
+    ``coeffs``, when given, is ``fm.transform.forward(x)``, computed once by
+    a caller that needs it too.
+    """
     x = np.asarray(x, dtype=float)
     if fm.kind == "identity":
         return x
-    if fm.kind == "coeffs":
+    if coeffs is None:
         coeffs = fm.transform.forward(x)
+    if fm.kind == "coeffs":
         return threshold(coeffs, fm.rule) if fm.rule is not None else coeffs
     if fm.kind == "sign":
-        return sign_quantize(fm.transform.forward(x), fm.rule.tau)
-    return contrast(x, fm.transform, fm.rule.tau)
+        return sign_quantize(coeffs, fm.rule.tau)
+    return contrast(x, fm.transform, fm.rule.tau, coeffs)

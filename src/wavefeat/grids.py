@@ -3,19 +3,23 @@
 A grid document has one section per pipeline stage; list-valued fields are
 crossed in declared order, and the stages combine as
 preprocess x decomposition x transform x model (preprocess slowest).
-Cross-stage combinations that violate pipeline rules (a transform without a
-decomposition, sign quantization with clustering, contrasting with a
-classifier, ward with a non-euclidean affinity) are skipped; anything else
-invalid (an unknown wavelet, say) raises.
+Each stage's specs are built first, so an invalid value raises: an unknown
+wavelet, a parameter a model does not take, or ward linkage crossed with a
+non-euclidean affinity (list such pairs as separate entries).  Combinations
+that break a cross-stage rule (a transform without a decomposition, sign
+quantization with clustering, contrasting with a classifier) are skipped
+and counted by rule.
 """
 from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from importlib import resources
 
 from .errors import InvalidConfigError
-from .harness import PipelineConfig
+from .harness import (ModelSpec, PipelineConfig, PreprocessConfig, TransformSpec,
+                      decomposition_from_dict, spec_from_dict)
 
 GRID_SCHEMA = "wavefeat-grid"
 
@@ -43,26 +47,33 @@ def _expand_section(section) -> list[dict]:
     return out
 
 
-def expand_grid(doc: dict) -> list[PipelineConfig]:
+class ConfigGrid(list):
+    """Configs in grid order; ``skipped`` maps each cross-stage rule to the
+    number of grid points it removed."""
+
+    def __init__(self, configs, skipped: dict):
+        super().__init__(configs)
+        self.skipped = skipped
+
+
+def expand_grid(doc: dict) -> ConfigGrid:
     """Expand one task section ({preprocess, decomposition, transform, model})."""
-    preps = _expand_section(doc["preprocess"])
-    decs = _expand_section(doc.get("decomposition", {"kind": "none"}))
-    transforms = _expand_section(doc.get("transform", {"kind": "none"}))
-    mdls = _expand_section(doc["model"])
-    configs = []
-    for prep, dec, tr, mdl in itertools.product(preps, decs, transforms, mdls):
+    preps = [spec_from_dict(PreprocessConfig, e)
+             for e in _expand_section(doc["preprocess"])]
+    decs = [decomposition_from_dict(e)
+            for e in _expand_section(doc.get("decomposition", {"kind": "none"}))]
+    transforms = [spec_from_dict(TransformSpec, e)
+                  for e in _expand_section(doc.get("transform", {"kind": "none"}))]
+    mdls = [spec_from_dict(ModelSpec, e) for e in _expand_section(doc["model"])]
+    configs, skipped = [], Counter()
+    for parts in itertools.product(preps, decs, transforms, mdls):
         try:
-            configs.append(PipelineConfig.from_dict({
-                "preprocess": prep,
-                "decomposition": dec,
-                "transform": tr,
-                "model": mdl,
-            }))
-        except InvalidConfigError:
-            continue
+            configs.append(PipelineConfig(*parts))
+        except InvalidConfigError as exc:  # only cross-stage rules remain
+            skipped[str(exc)] += 1
     if not configs:
         raise InvalidConfigError("grid expands to no valid configurations")
-    return configs
+    return ConfigGrid(configs, dict(skipped))
 
 
 def load_grid_document(path: str | None = None) -> dict:
@@ -78,7 +89,7 @@ def load_grid_document(path: str | None = None) -> dict:
     return doc
 
 
-def grid_for_task(doc: dict, task: str) -> list[PipelineConfig]:
+def grid_for_task(doc: dict, task: str) -> ConfigGrid:
     if task not in doc:
         raise InvalidConfigError(f"grid document has no {task!r} section")
     return expand_grid(doc[task])

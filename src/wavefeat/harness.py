@@ -1,17 +1,43 @@
-"""Cross-validated evaluation: seeded splits, pipeline fitting without
-train/test leakage, grid search, repeated CV, and full-dataset clustering.
+"""Cross-validated evaluation of feature pipelines: seeded splits, the stage
+list, grid search over shared prefixes, repeated CV, and full-dataset
+clustering.
 
-A pipeline is preprocess -> optional decomposition -> optional coefficient
-transform -> model.  Everything stateful (feature-axis scaler, adaptive
-filter bank, threshold level) is fitted on the training portion only; for
-clustering there is no held-out portion and the set being clustered is the
-fitting set.
+A pipeline is the ordered list ``STAGES`` of four stages:
+
+1. preprocess: derivative -> power-of-two spline resample (WTT only) ->
+   feature-axis scaler -> abs;
+2. decompose: a fixed DWT, or a WTT filter bank trained on the block, plus
+   the coefficients of the block;
+3. features: tau from a quantile of the coefficient magnitudes, then
+   threshold, sign or contrast (the signal itself without a decomposition);
+4. model: LDA, one-vs-rest LR, or HAC.
+
+Each stage has ``fit`` (fitting block -> state, and its output on that
+block) and ``apply(state, block)``.  ``fit_pipeline`` fits the list on the
+training rows of a fold only; ``FittedPipeline.features`` and ``predict``
+apply the same list to any block, so train and test cannot diverge.  For
+clustering there is no held-out part: the block being clustered is the
+fitting block.
+
+A stage's key is the key of the stage before it plus the config fields the
+stage reads, so two configs with equal keys share everything up to that
+stage.  A ``FoldMemo`` holds one fold's fitting rows and, per stage, only
+the last key fitted with its result.  ``grid_search`` runs folds in the
+outer loop and configs in grid order inside it.  Grids expand with
+preprocessing slowest, so grid order is a depth-first walk of the prefix
+tree: one live entry per stage catches every repeat, and memory stays at
+one fitted prefix per fold.  A hit returns the arrays the fit computed, so
+no result depends on whether a stage was shared.  HAC configs that differ
+only in linkage also share one distance matrix per (features key,
+affinity).
 """
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, asdict
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, asdict, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -107,8 +133,34 @@ class ModelSpec:
             raise InvalidConfigError(f"unknown model kind {self.kind!r}")
 
 
+def spec_from_dict(cls, fields: dict):
+    """One stage's spec from a document entry; a field the spec does not
+    have raises InvalidConfigError like an invalid value does."""
+    try:
+        return cls(**fields)
+    except TypeError as exc:
+        raise InvalidConfigError(f"{cls.__name__}: {exc}") from exc
+
+
+def decomposition_from_dict(d: dict | None) -> DwtSpec | WttSpec | None:
+    dec = dict(d or {"kind": "none"})
+    kind = dec.pop("kind", "none")
+    if kind == "none":
+        if dec:
+            raise InvalidConfigError("decomposition 'none' takes no parameters")
+        return None
+    if kind == "wtt":
+        return spec_from_dict(WttSpec, dec)
+    if kind == "dwt":
+        return spec_from_dict(DwtSpec, dec)
+    raise InvalidConfigError(f"unknown decomposition kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A full pipeline.  Each spec validates its own values; the rules here
+    are the cross-stage ones, which grid expansion counts as skips."""
+
     preprocess: PreprocessConfig
     decomposition: DwtSpec | WttSpec | None
     transform: TransformSpec
@@ -144,21 +196,11 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        dec = dict(d.get("decomposition") or {"kind": "none"})
-        kind = dec.pop("kind", "none")
-        if kind == "none":
-            decomposition = None
-        elif kind == "wtt":
-            decomposition = WttSpec(**dec)
-        elif kind == "dwt":
-            decomposition = DwtSpec(**dec)
-        else:
-            raise InvalidConfigError(f"unknown decomposition kind {kind!r}")
         return cls(
-            preprocess=PreprocessConfig(**d["preprocess"]),
-            decomposition=decomposition,
-            transform=TransformSpec(**d.get("transform", {})),
-            model=ModelSpec(**d["model"]),
+            preprocess=spec_from_dict(PreprocessConfig, d["preprocess"]),
+            decomposition=decomposition_from_dict(d.get("decomposition")),
+            transform=spec_from_dict(TransformSpec, d.get("transform", {})),
+            model=spec_from_dict(ModelSpec, d["model"]),
         )
 
     def label(self) -> str:
@@ -223,121 +265,235 @@ def kfold_split(n: int, k: int, seed: int, labels=None,
 
 
 # ----------------------------------------------------------------------
-# pipeline fitting
+# the stage list
 # ----------------------------------------------------------------------
 
-@dataclass
-class FittedPipeline:
-    """Everything learned from a training block, applicable to new signals."""
+class FoldMemo:
+    """The fitting rows of one fold and a last-key memo of its stage fits.
 
-    config: PipelineConfig
+    ``fits`` and ``hits`` count computed and reused entries per name.
+    """
+
+    # a miss on one name drops the entries of every later name: their keys
+    # extend the old prefix, so they cannot hit again
+    NAMES = ("preprocess", "decompose", "features", "distances", "model")
+
+    def __init__(self, data: LabeledDataset, train_idx):
+        self.data = data
+        self.train_idx = np.asarray(train_idx, dtype=int)
+        self.labels = [data.labels[i] for i in self.train_idx]
+        self.fits = dict.fromkeys(self.NAMES, 0)
+        self.hits = dict.fromkeys(self.NAMES, 0)
+        self._last: dict = {}  # name -> (key, value, [(category, message)])
+
+    def get(self, name: str, key, compute: Callable):
+        """``compute()``, or its stored value when ``key`` was the last key
+        of ``name``.  Warnings raised while computing are stored with the
+        value and raised again on every use, so each caller sees them."""
+        last = self._last.get(name)
+        if last is not None and last[0] == key:
+            self.hits[name] += 1
+        else:
+            for later in self.NAMES[self.NAMES.index(name):]:
+                self._last.pop(later, None)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                value = compute()
+            self.fits[name] += 1
+            last = self._last[name] = (
+                key, value, [(w.category, str(w.message)) for w in caught])
+        for category, message in last[2]:
+            warnings.warn(message, category)
+        return last[1]
+
+
+@dataclass(frozen=True, eq=False)
+class Preprocessor:
+    """Fitted preprocessing: derivative -> resample -> scaler -> abs."""
+
     wavenumbers: np.ndarray
-    scaler: ScalerStats | None
-    feature_map: FeatureMap
-    tau: float | None
-    model: object | None          # LdaModel / LrModel; None for clustering
-    train_features: np.ndarray    # features of the fitting block
-    warnings: list = field(default_factory=list)
+    config: PreprocessConfig
+    target: np.ndarray | None        # power-of-two grid; None keeps the input grid
+    scaler: ScalerStats | None = None
 
-    def features(self, block: np.ndarray) -> np.ndarray:
-        y = _prepare_block(self.wavenumbers, block, self.config, self.scaler)
-        return extract_features(y, self.feature_map)
+    def resampled(self, block) -> np.ndarray:
+        """The stateless part: derivative, then the resample."""
+        y = derivative_matrix(self.wavenumbers, np.asarray(block, dtype=float),
+                              self.config.derivative_order)
+        if self.target is None:
+            return y
+        return resample_matrix(self.wavenumbers, y, self.target)
 
-    def predict(self, block: np.ndarray) -> list:
-        if self.model is None:
-            raise InvalidConfigError("clustering pipelines have no predictor")
-        feats = self.features(block)
-        if self.config.model.kind == "lda":
-            return models.lda_predict(self.model, feats)
-        return models.lr_predict(self.model, feats)
+    def scaled(self, y: np.ndarray) -> np.ndarray:
+        y = apply_scaler(y, self.config, self.scaler)
+        return np.abs(y) if self.config.take_abs else y
 
 
 def _needs_pow2(config: PipelineConfig) -> bool:
     return isinstance(config.decomposition, WttSpec)
 
 
-def _prepare_block(wn: np.ndarray, block: np.ndarray, config: PipelineConfig,
-                   scaler: ScalerStats | None) -> np.ndarray:
-    """Stateless preprocessing + fitted scaling, in the fixed order
-    derivative -> resample (adaptive banks only) -> center/scale -> abs."""
-    y = derivative_matrix(wn, np.asarray(block, dtype=float),
-                          config.preprocess.derivative_order)
+def _fit_preprocess(config, fold, key, prev, x):
+    """The first stage reads the fold's rows itself; ``x`` is None."""
+    wn = fold.data.wavenumbers
+    target = None
     if _needs_pow2(config):
         target = pow2_grid(wn)
-        if target.size != wn.size or not np.allclose(target, wn):
-            y = resample_matrix(wn, y, target)
-    y = apply_scaler(y, config.preprocess, scaler)
-    if config.preprocess.take_abs:
-        y = np.abs(y)
-    return y
+        if target.size == wn.size and np.allclose(target, wn):
+            target = None
+    pre = Preprocessor(wn, config.preprocess, target)
+    y = pre.resampled(fold.data.intensities[fold.train_idx])
+    pre = replace(pre, scaler=fit_scaler(y, config.preprocess))
+    return pre, pre.scaled(y)
 
 
-def fit_pipeline(config: PipelineConfig, data: LabeledDataset,
-                 train_idx, collect_warnings: bool = True) -> FittedPipeline:
-    """Fit scaler, decomposition, threshold level, and model on train_idx only."""
-    train_idx = np.asarray(train_idx, dtype=int)
-    wn = data.wavenumbers
-    raw = data.intensities[train_idx]
-    labels = [data.labels[i] for i in train_idx]
+def _apply_preprocess(pre: Preprocessor, block) -> np.ndarray:
+    return pre.scaled(pre.resampled(block))
 
-    pre = derivative_matrix(wn, raw, config.preprocess.derivative_order)
-    if _needs_pow2(config):
-        pre = resample_matrix(wn, pre, pow2_grid(wn))
-    scaler = fit_scaler(pre, config.preprocess)
-    y = apply_scaler(pre, config.preprocess, scaler)
-    if config.preprocess.take_abs:
-        y = np.abs(y)
 
-    n_points = y.shape[-1]
-    transform_obj = None
-    if isinstance(config.decomposition, DwtSpec):
-        spec = config.decomposition
-        transform_obj = DwtTransform(
-            dwt_mod.lookup_wavelet(spec.family, spec.order),
-            spec.mode, spec.level, n_points)
-    elif isinstance(config.decomposition, WttSpec):
-        bank = wtt.train_group_filters(y, config.decomposition.rank)
-        transform_obj = WttTransform(bank)
-
-    t = config.transform
-    tau = None
-    if t.kind != "none":
-        coeffs = transform_obj.forward(y)
-        tau = float(np.quantile(np.abs(coeffs), t.tau_quantile))
-
-    if t.kind == "none":
-        fm = (FeatureMap("identity") if transform_obj is None
-              else FeatureMap("coeffs", transform_obj))
-    elif t.kind == "threshold":
-        fm = FeatureMap("coeffs", transform_obj, ThresholdRule(t.threshold_kind, tau))
-    elif t.kind == "sign":
-        fm = FeatureMap("sign", transform_obj, ThresholdRule("hard", tau))
+def _fit_decompose(config, fold, key, prev, y):
+    spec = config.decomposition
+    if spec is None:
+        transform = None
+    elif isinstance(spec, DwtSpec):
+        transform = DwtTransform(dwt_mod.lookup_wavelet(spec.family, spec.order),
+                                 spec.mode, spec.level, y.shape[-1])
     else:
-        fm = FeatureMap("contrast", transform_obj, ThresholdRule("soft", tau))
+        transform = WttTransform(wtt.train_group_filters(y, spec.rank))
+    return transform, _apply_decompose(transform, y)
 
-    feats = extract_features(y, fm)
 
-    model = None
-    caught: list = []
-    if config.model.kind == "lda":
-        model = models.lda_fit(feats, labels)
-    elif config.model.kind == "lr":
-        with warnings.catch_warnings(record=True) as wlist:
-            warnings.simplefilter("always" if collect_warnings else "ignore")
-            model = models.lr_fit(feats, labels, config.model.penalty,
-                                  config.model.inverse_reg)
-        caught = [str(w.message) for w in wlist]
+def _apply_decompose(transform, y: np.ndarray) -> tuple:
+    """(signal, its coefficients or None)."""
+    return y, (None if transform is None else transform.forward(y))
 
-    return FittedPipeline(
-        config=config,
-        wavenumbers=wn,
-        scaler=scaler,
-        feature_map=fm,
-        tau=tau,
-        model=model,
-        train_features=feats,
-        warnings=caught,
-    )
+
+def _fit_features(config, fold, key, transform, signal_coeffs):
+    t = config.transform
+    if transform is None:
+        fm = FeatureMap("identity")
+    elif t.kind == "none":
+        fm = FeatureMap("coeffs", transform)
+    else:
+        tau = float(np.quantile(np.abs(signal_coeffs[1]), t.tau_quantile))
+        if t.kind == "threshold":
+            fm = FeatureMap("coeffs", transform, ThresholdRule(t.threshold_kind, tau))
+        elif t.kind == "sign":
+            fm = FeatureMap("sign", transform, ThresholdRule("hard", tau))
+        else:
+            fm = FeatureMap("contrast", transform, ThresholdRule("soft", tau))
+    return fm, _apply_features(fm, signal_coeffs)
+
+
+def _apply_features(fm: FeatureMap, signal_coeffs: tuple) -> np.ndarray:
+    return extract_features(signal_coeffs[0], fm, signal_coeffs[1])
+
+
+def _fit_model(config, fold, key, fm, feats):
+    m = config.model
+    if m.kind == "lda":
+        return models.lda_fit(feats, fold.labels), None
+    if m.kind == "lr":
+        return models.lr_fit(feats, fold.labels, m.penalty, m.inverse_reg), None
+    # key[0] is the features key: linkages on one affinity share the matrix
+    distances = fold.get("distances", (key[0], m.affinity),
+                         lambda: models.pairwise_distances(feats, m.affinity))
+    return models.hac_fit(feats, m.linkage, m.affinity, distances=distances), None
+
+
+def _apply_model(model, feats: np.ndarray) -> list:
+    if isinstance(model, models.LdaModel):
+        return models.lda_predict(model, feats)
+    if isinstance(model, models.LrModel):
+        return models.lr_predict(model, feats)
+    raise InvalidConfigError("clustering pipelines have no predictor")
+
+
+class Stage(NamedTuple):
+    """One pipeline step.
+
+    ``part(config)`` is what the stage reads of the config.
+    ``fit(config, fold, key, prev_state, x)`` returns the stage's state and
+    its output on the fitting block ``x`` (None for the model);
+    ``apply(state, x)`` maps any block the same way.
+    """
+
+    name: str
+    part: Callable
+    fit: Callable
+    apply: Callable
+
+
+STAGES = (
+    Stage("preprocess", lambda c: (c.preprocess, _needs_pow2(c)),
+          _fit_preprocess, _apply_preprocess),
+    Stage("decompose", lambda c: c.decomposition, _fit_decompose, _apply_decompose),
+    Stage("features", lambda c: c.transform, _fit_features, _apply_features),
+    Stage("model", lambda c: c.model, _fit_model, _apply_model),
+)
+
+
+@dataclass
+class FittedPipeline:
+    """One fitted state per stage of ``STAGES``, applicable to new signals."""
+
+    config: PipelineConfig
+    states: tuple
+    train_features: np.ndarray    # features of the fitting block
+    warnings: list = field(default_factory=list)
+
+    @property
+    def scaler(self) -> ScalerStats | None:
+        return self.states[0].scaler
+
+    @property
+    def feature_map(self) -> FeatureMap:
+        return self.states[2]
+
+    @property
+    def tau(self) -> float | None:
+        rule = self.feature_map.rule
+        return None if rule is None else rule.tau
+
+    @property
+    def model(self):
+        """LdaModel, LrModel, or the LinkageTree of the fitting block."""
+        return self.states[3]
+
+    def features(self, block: np.ndarray) -> np.ndarray:
+        x = block
+        for stage, state in zip(STAGES[:-1], self.states):
+            x = stage.apply(state, x)
+        return x
+
+    def predict(self, block: np.ndarray) -> list:
+        return STAGES[-1].apply(self.model, self.features(block))
+
+
+def fit_pipeline(config: PipelineConfig, data: LabeledDataset, train_idx,
+                 memo: FoldMemo | None = None) -> FittedPipeline:
+    """Fit the stage list on the rows ``train_idx`` only.
+
+    ``memo`` is the FoldMemo of those rows, shared by the configs of one
+    fold; None fits every stage afresh.
+    """
+    if memo is None:
+        memo = FoldMemo(data, train_idx)
+    elif memo.data is not data or not np.array_equal(memo.train_idx, train_idx):
+        raise InvalidInputError("the memo belongs to other fitting rows")
+    states, outputs, key, x = [], [], (), None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for stage in STAGES:
+            key = (key, stage.part(config))
+            prev = states[-1] if states else None
+            state, x = memo.get(stage.name, key,
+                                lambda: stage.fit(config, memo, key, prev, x))
+            states.append(state)
+            outputs.append(x)
+    return FittedPipeline(config=config, states=tuple(states),
+                          train_features=outputs[2],
+                          warnings=[str(w.message) for w in caught])
 
 
 # ----------------------------------------------------------------------
@@ -381,15 +537,14 @@ class CvReport:
         return out
 
 
-def _aggregate(config, task, seed, n_folds, rows, t0, warns, lr_fits) -> CvReport:
+def _aggregate(config, task, seed, n_folds, rows, runtime, warns, lr_fits) -> CvReport:
     keys = rows[0].keys()
     means = {k: float(np.mean([r[k] for r in rows])) for k in keys}
     stds = {k: float(np.std([r[k] for r in rows])) for k in keys}
     return CvReport(
         config=config, task=task, seed=seed, n_folds=n_folds,
         n_runs=len(rows), per_fold=rows, means=means, stds=stds,
-        runtime_seconds=time.perf_counter() - t0, warnings=warns,
-        lr_fits=lr_fits,
+        runtime_seconds=runtime, warnings=warns, lr_fits=lr_fits,
     )
 
 
@@ -397,10 +552,7 @@ def _score_classification(fitted: FittedPipeline, data, train_idx, test_idx) -> 
     labels = data.labels
     train_true = [labels[i] for i in train_idx]
     test_true = [labels[i] for i in test_idx]
-    if fitted.config.model.kind == "lda":
-        train_pred = models.lda_predict(fitted.model, fitted.train_features)
-    else:
-        train_pred = models.lr_predict(fitted.model, fitted.train_features)
+    train_pred = _apply_model(fitted.model, fitted.train_features)
     test_pred = fitted.predict(data.intensities[test_idx])
     return {
         "train_accuracy": accuracy(train_true, train_pred),
@@ -410,47 +562,80 @@ def _score_classification(fitted: FittedPipeline, data, train_idx, test_idx) -> 
     }
 
 
-def _cluster_and_score(config: PipelineConfig, data: LabeledDataset,
-                       subset_idx) -> tuple[dict, FittedPipeline, models.LinkageTree, list]:
-    fitted = fit_pipeline(config, data, subset_idx)
-    feats = fitted.train_features
-    tree = models.hac_fit(feats, config.model.linkage, config.model.affinity)
+def _cluster_and_score(config: PipelineConfig, data: LabeledDataset, subset_idx,
+                       memo: FoldMemo | None = None) -> tuple[dict, FittedPipeline, list]:
+    fitted = fit_pipeline(config, data, subset_idx, memo)
     true = [data.labels[i] for i in subset_idx]
-    k = len(set(true))
-    pred = models.cut_tree(tree, k)
+    pred = models.cut_tree(fitted.model, len(set(true)))
     scores = {
         "ari": adjusted_rand(true, pred),
         "ami": adjusted_mutual_info(true, pred),
         "fm": fowlkes_mallows(true, pred),
     }
-    return scores, fitted, tree, pred
+    return scores, fitted, pred
+
+
+def _fit_and_score(config: PipelineConfig, data: LabeledDataset, rest, fold,
+                   memo: FoldMemo) -> tuple:
+    """(scores, seconds, warnings, LR outcome or None) of one config on one
+    fold.  Classification fits on the complement and scores both sides;
+    clustering clusters the complement and scores it against the known
+    labels at the true class count."""
+    t0 = time.perf_counter()
+    if config.task == "classification":
+        fitted = fit_pipeline(config, data, rest, memo)
+        scores = _score_classification(fitted, data, rest, fold)
+    else:
+        scores, fitted, _ = _cluster_and_score(config, data, rest, memo)
+    model = fitted.model
+    lr_fit = ((model.converged, model.n_iter)
+              if isinstance(model, models.LrModel) else None)
+    return scores, time.perf_counter() - t0, fitted.warnings, lr_fit
+
+
+def _run_fold(grid: list[PipelineConfig], data: LabeledDataset,
+              fold: np.ndarray) -> tuple[list, tuple[dict, dict]]:
+    """Every config on one fold, in grid order, with one memo; returns the
+    per-config results and the memo's (fits, hits) counts."""
+    rest = np.setdiff1d(np.arange(data.n_samples), fold)
+    memo = FoldMemo(data, rest)
+    cells = [_fit_and_score(config, data, rest, fold, memo) for config in grid]
+    return cells, (memo.fits, memo.hits)
+
+
+def _cross_validate(grid: list[PipelineConfig], data: LabeledDataset,
+                    folds: list[np.ndarray], seed: int | None,
+                    jobs: int = 1) -> tuple[list[CvReport], list[tuple]]:
+    """One CvReport per config, in grid order, and the (fits, hits) counts
+    of each fold's memo.
+
+    With jobs > 1 the folds run on a thread pool, each with its own memo;
+    results are reduced in fold order and grid order, so they do not depend
+    on scheduling.  A config's runtime is the sum of its per-fold times; a
+    shared stage counts towards the config that fitted it first.
+    """
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            runs = list(pool.map(lambda fold: _run_fold(grid, data, fold), folds))
+    else:
+        runs = [_run_fold(grid, data, fold) for fold in folds]
+    reports = []
+    for i, config in enumerate(grid):
+        cells = [fold_cells[i] for fold_cells, _ in runs]
+        reports.append(_aggregate(
+            config, config.task, seed, len(folds),
+            rows=[c[0] for c in cells],
+            runtime=sum(c[1] for c in cells),
+            warns=[w for c in cells for w in c[2]],
+            lr_fits=[c[3] for c in cells if c[3] is not None]))
+    return reports, [counts for _, counts in runs]
 
 
 def evaluate_config(config: PipelineConfig, data: LabeledDataset,
                     folds: list[np.ndarray], seed: int | None = None) -> CvReport:
-    """Cross-validate one configuration over pre-computed folds.
-
-    Classification: per fold, fit on the complement and score both sides.
-    Clustering: per fold, cluster the complement subset and score it against
-    the known labels at the true class count.
-    """
-    t0 = time.perf_counter()
-    n = data.n_samples
-    all_idx = np.arange(n)
-    rows, warns, lr_fits = [], [], []
-    for fold in folds:
-        rest = np.setdiff1d(all_idx, fold)
-        if config.task == "classification":
-            fitted = fit_pipeline(config, data, rest)
-            rows.append(_score_classification(fitted, data, rest, fold))
-            if isinstance(fitted.model, models.LrModel):
-                lr_fits.append((fitted.model.converged, fitted.model.n_iter))
-        else:
-            scores, fitted, _, _ = _cluster_and_score(config, data, rest)
-            rows.append(scores)
-        warns.extend(fitted.warnings)
-    return _aggregate(config, config.task, seed, len(folds), rows, t0, warns,
-                      lr_fits)
+    """Cross-validate one configuration over pre-computed folds, with a
+    fresh memo per fold."""
+    return _cross_validate([config], data, folds, seed)[0][0]
 
 
 SELECTION_METRIC = {"classification": "test_accuracy", "clustering": "ari"}
@@ -462,6 +647,8 @@ class GridSearchResult:
     leaderboard: list  # CvReports sorted by selection metric desc, ties by grid order
     selection_metric: str
     seed: int
+    fits: dict = field(default_factory=dict)       # stage -> entries computed
+    memo_hits: dict = field(default_factory=dict)  # stage -> entries reused
 
 
 def grid_search(grid: list[PipelineConfig], data: LabeledDataset, seed: int,
@@ -469,8 +656,8 @@ def grid_search(grid: list[PipelineConfig], data: LabeledDataset, seed: int,
                 jobs: int = 1) -> GridSearchResult:
     """Exhaustively evaluate a config lattice with one fixed seeded split.
 
-    Evaluations are independent; with jobs > 1 they run on a thread pool and
-    are reduced in grid order, so the result does not depend on scheduling.
+    Folds run in the outer loop, configs in grid order inside it, sharing
+    each fold's FoldMemo; with jobs > 1 folds run on a thread pool.
     """
     grid = list(grid)
     if not grid:
@@ -482,22 +669,16 @@ def grid_search(grid: list[PipelineConfig], data: LabeledDataset, seed: int,
     metric = SELECTION_METRIC[task]
     folds = kfold_split(data.n_samples, k, seed,
                         labels=data.labels, stratify=stratify)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(evaluate_config, config, data, folds, seed)
-                       for config in grid]
-            reports = [(idx, f.result()) for idx, f in enumerate(futures)]
-    else:
-        reports = [(idx, evaluate_config(config, data, folds, seed=seed))
-                   for idx, config in enumerate(grid)]
-    order = sorted(reports, key=lambda t: (-t[1].means[metric], t[0]))
-    leaderboard = [r for _, r in order]
+    reports, counts = _cross_validate(grid, data, folds, seed, jobs)
+    order = sorted(range(len(grid)), key=lambda i: (-reports[i].means[metric], i))
+    leaderboard = [reports[i] for i in order]
     return GridSearchResult(
         best=leaderboard[0],
         leaderboard=leaderboard,
         selection_metric=metric,
         seed=seed,
+        fits={n: sum(fits[n] for fits, _ in counts) for n in FoldMemo.NAMES},
+        memo_hits={n: sum(hits[n] for _, hits in counts) for n in FoldMemo.NAMES},
     )
 
 
@@ -515,17 +696,16 @@ def repeated_cv(config: PipelineConfig, data: LabeledDataset, seed: int,
         rows.extend(rep_report.per_fold)
         warns.extend(rep_report.warnings)
         lr_fits.extend(rep_report.lr_fits)
-    return _aggregate(config, "classification", seed, k, rows, t0, warns,
-                      lr_fits)
+    return _aggregate(config, "classification", seed, k, rows,
+                      time.perf_counter() - t0, warns, lr_fits)
 
 
 def final_clustering(config: PipelineConfig, data: LabeledDataset):
-    """Cluster the full dataset at the true class count.
+    """Cluster the full dataset at the true class count, with a fresh memo.
 
     Returns (labels, LinkageTree, scores dict, FittedPipeline).
     """
     if config.task != "clustering":
         raise InvalidConfigError("final_clustering requires a clustering config")
-    scores, fitted, tree, pred = _cluster_and_score(
-        config, data, np.arange(data.n_samples))
-    return pred, tree, scores, fitted
+    scores, fitted, pred = _cluster_and_score(config, data, np.arange(data.n_samples))
+    return pred, fitted.model, scores, fitted

@@ -1,6 +1,8 @@
 """Tests for the command-line entry points."""
 import json
 
+import pytest
+
 from wavefeat import cli
 
 
@@ -32,3 +34,82 @@ def test_gridsearch_manifest_records_runtime_and_solver_outcome(tmp_path):
     assert solver["fits_attempted"] == 4
     assert solver["fits_converged"] == 4
     assert 0 < solver["max_n_iter"] < 5000
+
+
+def _tiny_dataset(tmp_path, name="data.csv"):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"class_count": 3, "samples_per_class": [5, 5, 5], "grid_points": 100}))
+    data = tmp_path / name
+    assert cli.main(["synth", "--config", str(spec), "--seed", "3",
+                     "--out", str(data)]) == 0
+    return data
+
+
+CLUSTER_GRID = {"schema": "wavefeat-grid", "clustering": {
+    "preprocess": {"derivative_order": 0, "center": True},
+    "decomposition": [{"kind": "none"}, {"kind": "wtt", "rank": 2}],
+    "transform": [{"kind": "none"}, {"kind": "contrast", "tau_quantile": [0.9, 0.95]}],
+    "model": [{"kind": "hac", "affinity": "euclidean", "linkage": ["ward", "average"]}],
+}}
+
+
+def test_nan_in_csv_dataset_exits_3(tmp_path, capsys):
+    data = _tiny_dataset(tmp_path)
+    lines = data.read_text().splitlines()
+    fields = lines[4].split(",")
+    fields[17] = "nan"
+    lines[4] = ",".join(fields)
+    data.write_text("\n".join(lines) + "\n")
+    assert cli.main(["cluster", "--data", str(data), "--folds", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    assert f"{data}:5: non-finite intensity" in capsys.readouterr().err
+
+
+def test_nan_in_json_dataset_exits_3(tmp_path, capsys):
+    data = _tiny_dataset(tmp_path, "data.json")
+    doc = json.loads(data.read_text())
+    doc["samples"][6]["intensities"][3] = float("inf")
+    data.write_text(json.dumps(doc))
+    assert cli.main(["cluster", "--data", str(data), "--folds", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    assert "sample 6 has a non-finite intensity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [
+    {"kind": "hac", "affinity": "cosine", "linkage": "wardx"},
+    {"kind": "hac", "affinity": "cosine", "linkage": "average", "metric": "l1"},
+])
+def test_invalid_grid_value_exits_2(tmp_path, capsys, entry):
+    data = _tiny_dataset(tmp_path)
+    grid = tmp_path / "grid.json"
+    doc = json.loads(json.dumps(CLUSTER_GRID))
+    doc["clustering"]["model"].append(entry)
+    grid.write_text(json.dumps(doc))
+    assert cli.main(["cluster", "--data", str(data), "--config", str(grid),
+                     "--folds", "2", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_cluster_manifest_records_stage_counters_and_skips(tmp_path, capsys):
+    data = _tiny_dataset(tmp_path)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(CLUSTER_GRID))
+    out = tmp_path / "out"
+    assert cli.main(["cluster", "--data", str(data), "--config", str(grid),
+                     "--seed", "1", "--folds", "2", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["grid_size"] == 8
+    assert manifest["grid_skipped"] == {"transform 'contrast' requires a decomposition": 4}
+    fits, hits = manifest["counters"]["fits"], manifest["counters"]["memo_hits"]
+    # per fold: 8 configs; preprocess with and without the resample; one
+    # bank; raw + three wtt feature maps, each with one distance matrix
+    assert fits == {"preprocess": 4, "decompose": 4, "features": 8,
+                    "distances": 8, "model": 16}
+    assert hits == {"preprocess": 12, "decompose": 12, "features": 8,
+                    "distances": 8, "model": 0}
+    capsys.readouterr()
+    assert cli.main(["report", "--run-dir", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "preprocess 4/12" in printed and "model 16/0" in printed
+    assert "grid points skipped: 4 (transform 'contrast' requires a decomposition)" in printed

@@ -1,0 +1,266 @@
+"""Tests for the pipeline stage list, its per-fold memo, grid search and
+the seeded splits."""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from wavefeat import harness, wtt
+from wavefeat.errors import InvalidConfigError, InvalidInputError
+from wavefeat.grids import expand_grid, grid_for_task, load_grid_document
+from wavefeat.harness import (FoldMemo, PipelineConfig, evaluate_config,
+                              fit_pipeline, grid_search, kfold_split)
+from wavefeat.preprocess import LabeledDataset
+from wavefeat.synth import SyntheticSpec, synth_dataset
+
+# 100 points: not a power of two, so WTT configs resample to 128
+SPEC = SyntheticSpec(class_count=3, samples_per_class=(6, 5, 6), grid_points=100,
+                     seed=5)
+
+CLASSIFICATION_GRID = {
+    "preprocess": {"derivative_order": [0, 1], "center": True},
+    "decomposition": [
+        {"kind": "none"},
+        {"kind": "dwt", "family": "daubechies", "order": 4, "mode": "periodization"},
+        {"kind": "wtt", "rank": [1, 3]},
+    ],
+    "transform": [
+        {"kind": "none"},
+        {"kind": "threshold", "threshold_kind": "hard", "tau_quantile": 0.9},
+        {"kind": "sign", "tau_quantile": 0.9},
+    ],
+    "model": [
+        {"kind": "lda"},
+        {"kind": "lr", "penalty": ["l2", "l1"], "inverse_reg": 10.0},
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def data():
+    return synth_dataset(SPEC)
+
+
+@pytest.fixture(scope="module")
+def clustering_grid():
+    return grid_for_task(load_grid_document(), "clustering")
+
+
+def _config(decomposition, transform, model, derivative_order=0):
+    return PipelineConfig.from_dict({
+        "preprocess": {"derivative_order": derivative_order, "center": True},
+        "decomposition": decomposition, "transform": transform, "model": model})
+
+
+# ----------------------------------------------------------------------
+# grid search against per-config evaluation
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("grid_name", ["clustering", "classification"])
+def test_grid_search_equals_fresh_memo_per_config(data, clustering_grid, grid_name):
+    grid = (clustering_grid if grid_name == "clustering"
+            else expand_grid(CLASSIFICATION_GRID))
+    result = grid_search(grid, data, seed=2, k=3)
+    folds = kfold_split(data.n_samples, 3, 2)
+    by_label = {r.config.label(): r for r in result.leaderboard}
+    assert len(by_label) == len(grid)
+    for config in grid:
+        alone = evaluate_config(config, data, folds, seed=2)
+        shared = by_label[config.label()]
+        assert shared.per_fold == alone.per_fold, config.label()
+        assert shared.lr_fits == alone.lr_fits
+
+
+def test_wtt_trainings_equal_distinct_fold_preprocess_rank_keys(
+        data, clustering_grid, monkeypatch):
+    calls = []
+    original = wtt.train_group_filters
+
+    def counted(signals, rank):
+        calls.append(rank)
+        return original(signals, rank)
+
+    monkeypatch.setattr(wtt, "train_group_filters", counted)
+    k = 3
+    result = grid_search(clustering_grid, data, seed=2, k=k)
+    keys = {(c.preprocess, c.decomposition.rank) for c in clustering_grid
+            if isinstance(c.decomposition, harness.WttSpec)}
+    assert len(calls) == k * len(keys) == 18
+    # every config fits its own model; every other stage is mostly shared
+    assert result.fits["model"] == k * len(clustering_grid)
+    assert result.memo_hits["model"] == 0
+    for stage in ("preprocess", "decompose", "features", "distances"):
+        assert result.fits[stage] + result.memo_hits[stage] > result.fits[stage] > 0
+    # each (preprocess, pow2) key once per fold: three derivative orders,
+    # with and without the WTT resample
+    assert result.fits["preprocess"] == k * 3 * 2
+
+
+def test_jobs_two_matches_jobs_one(data, clustering_grid):
+    one = grid_search(clustering_grid, data, seed=4, k=3, jobs=1)
+    two = grid_search(clustering_grid, data, seed=4, k=3, jobs=2)
+    assert ([r.config for r in one.leaderboard]
+            == [r.config for r in two.leaderboard])
+    assert ([r.per_fold for r in one.leaderboard]
+            == [r.per_fold for r in two.leaderboard])
+    assert (one.fits, one.memo_hits) == (two.fits, two.memo_hits)
+
+
+# ----------------------------------------------------------------------
+# the stage list
+# ----------------------------------------------------------------------
+
+LEAKAGE_CONFIGS = [
+    _config({"kind": "wtt", "rank": 3},
+            {"kind": "threshold", "threshold_kind": "soft", "tau_quantile": 0.9},
+            {"kind": "lr", "penalty": "l2", "inverse_reg": 10.0}),
+    _config({"kind": "dwt", "family": "daubechies", "order": 4,
+             "mode": "periodization"},
+            {"kind": "sign", "tau_quantile": 0.9}, {"kind": "lda"},
+            derivative_order=1),
+    _config({"kind": "wtt", "rank": 2}, {"kind": "contrast", "tau_quantile": 0.95},
+            {"kind": "hac", "affinity": "cosine", "linkage": "average"}),
+]
+
+
+def _assert_identical(a, b, path="state"):
+    """Bit-identical arrays, equal scalars, recursively through containers,
+    dataclasses and plain objects."""
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), path
+        assert a.tobytes() == b.tobytes(), path
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_identical(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_identical(x, y, f"{path}[{i}]")
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            _assert_identical(a[key], b[key], f"{path}[{key!r}]")
+    elif hasattr(a, "__dict__"):
+        _assert_identical(vars(a), vars(b), path)
+    else:
+        assert a == b, path
+
+
+@pytest.mark.parametrize("config", LEAKAGE_CONFIGS, ids=lambda c: c.label())
+def test_held_out_rows_do_not_reach_the_fitted_state(data, config):
+    test_idx = kfold_split(data.n_samples, 4, 1)[0]
+    train_idx = np.setdiff1d(np.arange(data.n_samples), test_idx)
+    perturbed = data.intensities.copy()
+    rng = np.random.default_rng(0)
+    perturbed[test_idx] += rng.normal(0.0, 5.0, size=perturbed[test_idx].shape)
+    other = LabeledDataset(data.wavenumbers, perturbed, data.labels)
+    a = fit_pipeline(config, data, train_idx)
+    b = fit_pipeline(config, other, train_idx)
+    _assert_identical(a.states, b.states)
+    _assert_identical(a.train_features, b.train_features)
+    assert a.scaler is not None and a.feature_map.rule is not None
+    if config.task == "classification":
+        block = data.intensities[test_idx]
+        assert a.predict(block) == b.predict(block)
+
+
+@pytest.mark.parametrize("config", LEAKAGE_CONFIGS, ids=lambda c: c.label())
+def test_applying_the_stages_to_the_fitting_rows_repeats_the_fit(data, config):
+    rows = np.arange(1, data.n_samples)
+    fitted = fit_pipeline(config, data, rows)
+    again = fitted.features(data.intensities[rows])
+    assert again.tobytes() == fitted.train_features.tobytes()
+
+
+def test_memo_hit_returns_the_same_arrays(data):
+    rows = np.arange(0, data.n_samples, 2)
+    memo = FoldMemo(data, rows)
+    thresholded = LEAKAGE_CONFIGS[0]
+    plain = dataclasses.replace(thresholded, transform=harness.TransformSpec("none"))
+    first = fit_pipeline(thresholded, data, rows, memo)
+    second = fit_pipeline(plain, data, rows, memo)
+    assert memo.hits["preprocess"] == memo.hits["decompose"] == 1
+    assert memo.fits["features"] == 2
+    assert first.states[0] is second.states[0]
+    assert first.states[1] is second.states[1]   # one trained bank
+    fresh = fit_pipeline(plain, data, rows)
+    assert fresh.train_features.tobytes() == second.train_features.tobytes()
+
+
+def test_memo_of_other_rows_is_rejected(data):
+    memo = FoldMemo(data, np.arange(0, 10))
+    with pytest.raises(InvalidInputError):
+        fit_pipeline(LEAKAGE_CONFIGS[0], data, np.arange(1, 11), memo)
+
+
+def test_clustering_pipeline_has_no_predictor(data):
+    fitted = fit_pipeline(LEAKAGE_CONFIGS[2], data, np.arange(data.n_samples))
+    assert fitted.model.n_leaves == data.n_samples
+    with pytest.raises(InvalidConfigError):
+        fitted.predict(data.intensities[:2])
+
+
+# ----------------------------------------------------------------------
+# seeded splits
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("n,k", [(17, 4), (20, 5), (7, 7), (9, 2)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_kfold_split_partitions_with_near_equal_sizes(n, k, seed):
+    folds = kfold_split(n, k, seed)
+    assert len(folds) == k
+    assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(n))
+    sizes = [f.size for f in folds]
+    assert max(sizes) - min(sizes) <= 1
+    assert all(np.all(np.diff(f) > 0) for f in folds)
+    assert all(np.array_equal(a, b) for a, b in zip(folds, kfold_split(n, k, seed)))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_kfold_split_stratified_gives_each_fold_its_class_share(data, seed):
+    k = 4
+    folds = kfold_split(data.n_samples, k, seed, labels=data.labels, stratify=True)
+    assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(data.n_samples))
+    sizes = [f.size for f in folds]
+    assert max(sizes) - min(sizes) <= 1
+    labels = np.asarray(data.labels, dtype=object)
+    for cls in set(data.labels):
+        total = int(np.sum(labels == cls))
+        shares = [int(np.sum(labels[f] == cls)) for f in folds]
+        assert sum(shares) == total
+        assert set(shares) <= {total // k, -(-total // k)}
+
+
+def test_kfold_split_rejects_bad_k():
+    with pytest.raises(InvalidInputError):
+        kfold_split(5, 6, 0)
+    with pytest.raises(InvalidInputError):
+        kfold_split(5, 2, 0, stratify=True)
+
+
+# ----------------------------------------------------------------------
+# grid expansion
+# ----------------------------------------------------------------------
+
+def test_grid_counts_cross_stage_skips():
+    grid = expand_grid(CLASSIFICATION_GRID)
+    # 2 preprocess x (1 raw x 1 transform + 3 decompositions x 3 transforms) x 3 models
+    assert len(grid) == 2 * (1 + 3 * 3) * 3
+    assert grid.skipped == {"transform 'threshold' requires a decomposition": 6,
+                            "transform 'sign' requires a decomposition": 6}
+
+
+@pytest.mark.parametrize("section,value", [
+    ("model", {"kind": "lda", "penalty": "l2x"}),
+    ("model", {"kind": "lr", "penalty": "l2x", "inverse_reg": 1.0}),
+    ("model", {"kind": "hac", "affinity": "cosine", "linkage": "ward"}),
+    ("model", {"kind": "lda", "shrinkage": 0.1}),
+    ("transform", {"kind": "threshold", "threshold_kind": "medium", "tau_quantile": 0.9}),
+    ("decomposition", {"kind": "wtt", "rank": 0}),
+    ("decomposition", {"kind": "none", "rank": 2}),
+])
+def test_grid_invalid_value_raises(section, value):
+    doc = dict(CLASSIFICATION_GRID)
+    doc[section] = [value]
+    with pytest.raises(InvalidConfigError):
+        expand_grid(doc)

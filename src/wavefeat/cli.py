@@ -24,7 +24,8 @@ from .errors import (DataFormatError, InvalidConfigError, InvalidInputError,
                      NumericalError)
 from .grids import grid_for_task, load_grid_document
 from .harness import (DwtSpec, FoldMemo, PipelineConfig, WttSpec,
-                      final_clustering, fit_pipeline, grid_search, repeated_cv)
+                      final_clustering, fit_pipeline, grid_search, repeated_cv,
+                      spec_from_dict)
 
 DERIV_NAMES = {0: "f", 1: "f'", 2: "f''"}
 
@@ -86,6 +87,8 @@ def cmd_synth(args) -> int:
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise InvalidConfigError("synth config must be a JSON object")
         doc.pop("comment", None)
         if args.seed is not None:
             doc["seed"] = args.seed
@@ -93,7 +96,7 @@ def cmd_synth(args) -> int:
             if key in doc:
                 doc[key] = tuple(tuple(v) if isinstance(v, list) else v
                                  for v in doc[key])
-        spec = synth.SyntheticSpec(**doc)
+        spec = spec_from_dict(synth.SyntheticSpec, doc)
     else:
         spec = synth.SyntheticSpec(seed=7 if args.seed is None else args.seed)
     data = synth.synth_dataset(spec)

@@ -151,12 +151,6 @@ def _even_extend(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _analysis_lengths(n: int, filter_length: int, mode: str) -> int:
-    if mode == "periodization":
-        return (n + 1) // 2
-    return (n + filter_length - 1) // 2
-
-
 def dwt_single(x: np.ndarray, w: WaveletSpec, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """One analysis step: filter + downsample along the last axis."""
     if mode not in PADDING_MODES:

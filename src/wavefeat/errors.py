@@ -33,5 +33,10 @@ class MissingLabelError(DataFormatError):
     """Dataset rows lack class labels."""
 
 
+class InvalidDatasetError(DataFormatError):
+    """Dataset values break the schema: a non-finite wavenumber or intensity,
+    or a wavenumber grid that is not strictly monotone."""
+
+
 class NumericalError(WavefeatError, RuntimeError):
     """A numerical routine failed to produce a usable result."""

@@ -19,17 +19,9 @@ from importlib import resources
 
 from .errors import InvalidConfigError
 from .harness import (ModelSpec, PipelineConfig, PreprocessConfig, TransformSpec,
-                      decomposition_from_dict, spec_from_dict)
+                      check_stage_keys, decomposition_from_dict, spec_from_dict)
 
 GRID_SCHEMA = "wavefeat-grid"
-
-
-def default_tau_quantiles(count: int = 8, lo: float = 0.50, hi: float = 0.99) -> list[float]:
-    """Geometric grid of quantile levels for the threshold search."""
-    if count < 2:
-        return [hi]
-    ratio = (hi / lo) ** (1.0 / (count - 1))
-    return [round(lo * ratio ** i, 6) for i in range(count)]
 
 
 def _expand_mapping(entry: dict) -> list[dict]:
@@ -58,6 +50,7 @@ class ConfigGrid(list):
 
 def expand_grid(doc: dict) -> ConfigGrid:
     """Expand one task section ({preprocess, decomposition, transform, model})."""
+    check_stage_keys(doc, "grid section")
     preps = [spec_from_dict(PreprocessConfig, e)
              for e in _expand_section(doc["preprocess"])]
     decs = [decomposition_from_dict(e)

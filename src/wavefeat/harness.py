@@ -53,6 +53,7 @@ from .preprocess import (LabeledDataset, PreprocessConfig, ScalerStats,
                          pow2_grid, resample_matrix)
 
 CLASSIFIER_KINDS = ("lda", "lr")
+STAGE_KEYS = ("preprocess", "decomposition", "transform", "model")
 
 
 # ----------------------------------------------------------------------
@@ -142,6 +143,21 @@ def spec_from_dict(cls, fields: dict):
         raise InvalidConfigError(f"{cls.__name__}: {exc}") from exc
 
 
+def check_stage_keys(doc, what: str) -> None:
+    """A pipeline document (a pipeline config, or a task section of a grid)
+    is a mapping of the stage keys, of which preprocess and model are
+    required; anything else raises InvalidConfigError."""
+    if not isinstance(doc, dict):
+        raise InvalidConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(doc) - set(STAGE_KEYS))
+    if unknown:
+        raise InvalidConfigError(
+            f"{what}: unknown keys {unknown}; expected {list(STAGE_KEYS)}")
+    missing = [k for k in ("preprocess", "model") if k not in doc]
+    if missing:
+        raise InvalidConfigError(f"{what}: missing {missing}")
+
+
 def decomposition_from_dict(d: dict | None) -> DwtSpec | WttSpec | None:
     dec = dict(d or {"kind": "none"})
     kind = dec.pop("kind", "none")
@@ -196,6 +212,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
+        check_stage_keys(d, "pipeline config")
         return cls(
             preprocess=spec_from_dict(PreprocessConfig, d["preprocess"]),
             decomposition=decomposition_from_dict(d.get("decomposition")),

@@ -10,9 +10,10 @@ penalty (solved by accelerated proximal gradient, FISTA, which yields exact
 zeros).  The lasso solver picks its step by backtracking on a
 sufficient-decrease test, starting from the global Lipschitz bound, and stops
 when the KKT residual of the full objective (the largest entry of its
-minimum-norm subgradient) is at most the tolerance.  Clustering is classic
-Lance-Williams agglomeration with a variance-increase criterion for ward
-linkage.
+minimum-norm subgradient) is at most the tolerance.  Clustering is
+agglomerative: scipy ``linkage`` (Muellner's algorithms) merges on the
+distance matrix of ``pairwise_distances``, and ``cut_tree`` and
+``dendrogram_export`` read the merge list it returns.
 """
 from __future__ import annotations
 
@@ -21,7 +22,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.cluster.hierarchy import linkage as scipy_linkage
 from scipy.optimize import minimize
+from scipy.spatial.distance import squareform
 
 from .errors import InvalidConfigError, InvalidInputError
 
@@ -42,17 +45,6 @@ class LdaModel:
     cov_basis: np.ndarray      # (n_features, r) orthonormal
     cov_inv_eigs: np.ndarray   # (r,) inverse eigenvalues of the pooled covariance
     complement_inv_var: float  # inverse variance of every direction outside cov_basis
-
-    def pooled_covariance_pinv(self) -> np.ndarray:
-        """Materialized inverse of the floored pooled covariance (kept factored
-        internally).  When the pooled covariance has full rank, with no
-        eigenvalue below the floor, this is its Moore-Penrose inverse."""
-        inv = (self.cov_basis * self.cov_inv_eigs) @ self.cov_basis.T
-        if self.complement_inv_var:
-            n = self.cov_basis.shape[0]
-            inv += self.complement_inv_var * (
-                np.eye(n) - self.cov_basis @ self.cov_basis.T)
-        return inv
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -386,10 +378,12 @@ class LinkageTree:
 
 def hac_fit(x: np.ndarray, linkage: str, affinity: str = "euclidean",
             distances: np.ndarray | None = None) -> LinkageTree:
-    """Agglomerate with the requested linkage; deterministic tie-breaking.
+    """Agglomerate with the requested linkage by scipy ``linkage``; the tree
+    is deterministic for a given input.
 
-    Ties on the merge distance pick the pair with the lexicographically
-    smallest (min cluster id, max cluster id).
+    ``distances`` is a precomputed ``pairwise_distances(x, affinity)``.
+    Ward runs on euclidean distances and its heights are the scipy ward
+    distances, sqrt(2 * increase in within-cluster sum of squares).
     """
     if linkage not in LINKAGES:
         raise InvalidConfigError(f"linkage must be one of {LINKAGES}")
@@ -402,53 +396,9 @@ def hac_fit(x: np.ndarray, linkage: str, affinity: str = "euclidean",
     m = d.shape[0]
     if m < 2:
         raise InvalidInputError("need at least 2 samples")
-    # ward recurrence runs on squared distances; heights take the square root
-    w = d * d if linkage == "ward" else d.copy()
-    size = {i: 1 for i in range(m)}
-    # rows indexed by slot; ids maps slot -> current cluster id
-    ids = list(range(m))
-    merges = []
-    next_id = m
-    masked = w.copy()
-    np.fill_diagonal(masked, np.inf)
-    for _ in range(m - 1):
-        dist = float(masked.min())
-        cand = np.argwhere(masked == dist)
-        ai = bi = None
-        best_key = None
-        for ci, cj in cand:
-            if ci >= cj:
-                continue
-            key = (min(ids[ci], ids[cj]), max(ids[ci], ids[cj]))
-            if best_key is None or key < best_key:
-                best_key = key
-                ai, bi = int(ci), int(cj)
-        ia, ib = ids[ai], ids[bi]
-        na, nb = size[ia], size[ib]
-        height = float(np.sqrt(max(dist, 0.0))) if linkage == "ward" else float(dist)
-        merges.append((min(ia, ib), max(ia, ib), height, na + nb))
-        # Lance-Williams update into slot ai, retire slot bi
-        others = np.isfinite(masked[ai]) | np.isfinite(masked[bi])
-        others[ai] = others[bi] = False
-        dac = masked[ai, others]
-        dbc = masked[bi, others]
-        if linkage == "single":
-            new = np.minimum(dac, dbc)
-        elif linkage == "complete":
-            new = np.maximum(dac, dbc)
-        elif linkage == "average":
-            new = (na * dac + nb * dbc) / (na + nb)
-        else:  # ward on squared distances
-            nc = np.array([size[ids[ci]] for ci in np.flatnonzero(others)], dtype=float)
-            new = ((na + nc) * dac + (nb + nc) * dbc - nc * dist) / (na + nb + nc)
-        masked[ai, others] = new
-        masked[others, ai] = new
-        masked[bi, :] = np.inf
-        masked[:, bi] = np.inf
-        masked[ai, ai] = np.inf
-        ids[ai] = next_id
-        size[next_id] = na + nb
-        next_id += 1
+    z = scipy_linkage(squareform(d, checks=False), method=linkage)
+    merges = [(int(min(a, b)), int(max(a, b)), h, int(c))
+              for a, b, h, c in z.tolist()]
     return LinkageTree(merges=merges, n_leaves=m, affinity=affinity, linkage=linkage)
 
 

@@ -1,42 +1,23 @@
-"""Dense linear-algebra kernels with deterministic, sign-canonical output.
+"""Left singular factor with deterministic, sign-canonical output.
 
-Factorizations here are thin wrappers over LAPACK (via numpy) plus two
-conventions that make repeated runs on identical input bit-reproducible,
-which downstream filter-bank training relies on:
+``svd_left`` is a thin wrapper over LAPACK (via numpy) plus two conventions
+that make repeated runs on identical input bit-reproducible, which
+filter-bank training relies on:
 
 * sign canonicalization: the largest-magnitude entry of every left singular
   vector is non-negative (ties broken by lowest row index);
 * directions with singular value below 1e-12 of the largest (including the
-  no-singular-value completion of a rectangular factor) are rebuilt by a
-  deterministic orthonormal completion instead of whatever basis LAPACK
-  happened to return for the null space.
+  no-singular-value completion of a wide or rank-deficient factor) are
+  rebuilt by a deterministic orthonormal completion instead of whatever
+  basis LAPACK happened to return for the null space.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
 
 _NULLSPACE_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Full (square-factor) singular value decomposition a = u @ diag(s) @ v.T.
-
-    u is m x m, v is n x n, singular_values has length min(m, n) and is
-    sorted non-increasing.
-    """
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        k = self.singular_values.size
-        return (self.u[:, :k] * self.singular_values) @ self.v[:, :k].T
 
 
 def _require_finite_matrix(a: np.ndarray) -> np.ndarray:
@@ -59,8 +40,8 @@ def _canonical_completion(q: np.ndarray, m: int) -> np.ndarray:
     return basis[:, k:m]
 
 
-def _flip_column_signs(mat: np.ndarray, start: int = 0) -> np.ndarray:
-    for j in range(start, mat.shape[1]):
+def _flip_column_signs(mat: np.ndarray) -> np.ndarray:
+    for j in range(mat.shape[1]):
         col = mat[:, j]
         pivot = int(np.argmax(np.abs(col)))
         if col[pivot] < 0:
@@ -68,60 +49,22 @@ def _flip_column_signs(mat: np.ndarray, start: int = 0) -> np.ndarray:
     return mat
 
 
-def _full_left_factor(u_thin: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, int]:
+def _full_left_factor(u_thin: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Square U from the economy factor: keep data-determined columns,
-    complete the rest canonically.  Returns (U, k_eff)."""
+    complete the rest canonically."""
     m = u_thin.shape[0]
     k_eff = int(np.sum(s >= _NULLSPACE_RTOL * s[0])) if s.size and s[0] > 0 else 0
     kept = u_thin[:, :k_eff]
-    return np.concatenate([kept, _canonical_completion(kept, m)], axis=1), k_eff
-
-
-def svd(a: np.ndarray) -> SvdResult:
-    """SVD with full square orthogonal factors on both sides.
-
-    Materializes an n x n right factor; for very wide inputs where only the
-    left factor is needed, use :func:`svd_left`.
-    """
-    a = _require_finite_matrix(a)
-    u_thin, s, vt_thin = np.linalg.svd(a, full_matrices=False)
-    u, k_eff = _full_left_factor(u_thin, s)
-    v, _ = _full_left_factor(vt_thin.T, s)
-    # flip paired (u column, v column) together so the product is unchanged
-    for j in range(k_eff):
-        col = u[:, j]
-        pivot = int(np.argmax(np.abs(col)))
-        if col[pivot] < 0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
-    _flip_column_signs(u, k_eff)
-    _flip_column_signs(v, k_eff)
-    return SvdResult(u=u, singular_values=s, v=v)
+    return np.concatenate([kept, _canonical_completion(kept, m)], axis=1)
 
 
 def svd_left(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Square left singular factor and singular values only.
+    """Square (m x m) left singular factor and the min(m, n) singular values,
+    sorted non-increasing, of an m x n matrix.
 
-    Identical canonicalization to :func:`svd` but never materializes the
-    right factor, so arbitrarily wide matrices are fine.
+    The right factor is never materialized, so arbitrarily wide matrices are
+    fine.  Non-finite entries raise InvalidInputError.
     """
     a = _require_finite_matrix(a)
     u_thin, s, _ = np.linalg.svd(a, full_matrices=False)
-    u, _ = _full_left_factor(u_thin, s)
-    return _flip_column_signs(u), s
-
-
-def pseudo_inverse(a: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose inverse via SVD, zeroing singular values below
-    rel_tol * sigma_max."""
-    if not 0.0 < rel_tol < 1.0:
-        raise InvalidInputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    res = svd(a)
-    s = res.singular_values
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    keep = s >= rel_tol * s[0]
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    k = s.size
-    return (res.v[:, :k] * inv_s) @ res.u[:, :k].T
+    return _flip_column_signs(_full_left_factor(u_thin, s)), s

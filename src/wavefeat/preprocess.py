@@ -1,9 +1,13 @@
-"""Spectrum containers and the initial preprocessing steps.
+"""The dataset container and the block preprocessing steps.
 
-Operations here are stateless per-spectrum transforms (derivatives,
-power-of-two resampling, absolute value) plus dataset-level centering and
-scaling.  All of them work on the intensity axis; wavenumber grids may run
-in either direction as long as they are strictly monotone.
+``LabeledDataset`` holds spectra that share one strictly monotone
+wavenumber grid (ascending or descending), with one label per sample.  The
+steps work along the intensity axis of (n_samples, n_points) blocks:
+finite-difference derivatives, natural cubic-spline resampling onto a
+power-of-two grid, and centering and scaling along the feature axis (with
+statistics fitted on a training block) or the sample axis.  The pipeline
+runs them in that order, then the optional absolute value
+(``harness.Preprocessor``).
 """
 from __future__ import annotations
 
@@ -12,36 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import InvalidInputError
+from .errors import InvalidDatasetError, InvalidInputError
 
 DERIVATIVE_ORDERS = (0, 1, 2)
 SCALE_AXES = ("feature", "sample")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """A sampled 1-D signal on a strictly monotone wavenumber grid."""
-
-    wavenumbers: np.ndarray
-    intensities: np.ndarray
-
-    def __post_init__(self):
-        wn = np.asarray(self.wavenumbers, dtype=float)
-        y = np.asarray(self.intensities, dtype=float)
-        object.__setattr__(self, "wavenumbers", wn)
-        object.__setattr__(self, "intensities", y)
-        if wn.ndim != 1 or y.ndim != 1 or wn.size != y.size:
-            raise InvalidInputError("wavenumbers and intensities must be 1-D and equal length")
-        if wn.size < 4:
-            raise InvalidInputError("spectrum needs at least 4 points")
-        if not (np.all(np.isfinite(wn)) and np.all(np.isfinite(y))):
-            raise InvalidInputError("spectrum contains non-finite values")
-        d = np.diff(wn)
-        if not (np.all(d > 0) or np.all(d < 0)):
-            raise InvalidInputError("wavenumber grid must be strictly monotone")
-
-    def __len__(self) -> int:
-        return self.wavenumbers.size
 
 
 @dataclass
@@ -64,37 +42,16 @@ class LabeledDataset:
             raise InvalidInputError("grid length does not match sample length")
         if len(self.labels) != self.intensities.shape[0]:
             raise InvalidInputError("one label per sample required")
-        if len(set(self.labels)) < 1:
-            raise InvalidInputError("at least one class required")
+        if not (np.all(np.isfinite(self.wavenumbers))
+                and np.all(np.isfinite(self.intensities))):
+            raise InvalidDatasetError("dataset contains non-finite values")
+        d = np.diff(self.wavenumbers)
+        if not (np.all(d > 0) or np.all(d < 0)):
+            raise InvalidDatasetError("wavenumber grid must be strictly monotone")
 
     @property
     def n_samples(self) -> int:
         return self.intensities.shape[0]
-
-    @property
-    def classes(self) -> list:
-        return sorted(set(self.labels))
-
-    def spectrum(self, i: int) -> Spectrum:
-        return Spectrum(self.wavenumbers, self.intensities[i])
-
-    def subset(self, indices) -> "LabeledDataset":
-        idx = np.asarray(indices, dtype=int)
-        return LabeledDataset(
-            self.wavenumbers,
-            self.intensities[idx],
-            [self.labels[i] for i in idx],
-        )
-
-    @classmethod
-    def from_spectra(cls, samples: list[Spectrum], labels: list) -> "LabeledDataset":
-        if not samples:
-            raise InvalidInputError("empty sample list")
-        grid = samples[0].wavenumbers
-        for s in samples[1:]:
-            if s.wavenumbers.shape != grid.shape or not np.array_equal(s.wavenumbers, grid):
-                raise InvalidInputError("samples do not share one wavenumber grid")
-        return cls(grid, np.stack([s.intensities for s in samples]), labels)
 
 
 @dataclass(frozen=True)
@@ -120,33 +77,14 @@ def _uniform_spacing(wn: np.ndarray) -> float:
     return float(h)
 
 
-def derivative(x: Spectrum, order: int) -> Spectrum:
-    """Finite-difference derivative of a spectrum, second-order accurate.
+def derivative_matrix(wavenumbers: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
+    """Finite-difference derivative of every row of an (n_samples, n_points)
+    block on a uniform grid, second-order accurate.
 
     Central stencils on interior points, one-sided second-order stencils at
-    the two endpoints; output has the same length and grid as the input.
+    the two endpoints; the output has the shape of the input.  Order 0
+    returns the block itself.
     """
-    if order not in (1, 2):
-        raise InvalidInputError("order must be 1 or 2")
-    if len(x) < 5:
-        raise InvalidInputError("derivative needs at least 5 points")
-    h = _uniform_spacing(x.wavenumbers)
-    y = x.intensities
-    out = np.empty_like(y)
-    if order == 1:
-        out[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
-        out[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
-        out[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
-    else:
-        h2 = h * h
-        out[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / h2
-        out[0] = (2.0 * y[0] - 5.0 * y[1] + 4.0 * y[2] - y[3]) / h2
-        out[-1] = (2.0 * y[-1] - 5.0 * y[-2] + 4.0 * y[-3] - y[-4]) / h2
-    return Spectrum(x.wavenumbers, out)
-
-
-def derivative_matrix(wavenumbers: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
-    """Row-wise version of :func:`derivative` for an (n_samples, n_points) block."""
     if order == 0:
         return y
     if order not in (1, 2):
@@ -209,44 +147,12 @@ def apply_scaler(y: np.ndarray, cfg: PreprocessConfig, stats: ScalerStats | None
     return out
 
 
-def standard_scale(data: LabeledDataset, cfg: PreprocessConfig) -> LabeledDataset:
-    """Center/scale a whole dataset (fit and apply on the same block)."""
-    stats = fit_scaler(data.intensities, cfg)
-    scaled = apply_scaler(data.intensities, cfg, stats)
-    return LabeledDataset(data.wavenumbers, scaled, data.labels)
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def _is_uniform(wn: np.ndarray) -> bool:
-    d = np.diff(wn)
-    h = d.mean()
-    return bool(np.max(np.abs(d - h)) <= 1e-9 * abs(h))
-
-
 def pow2_grid(wavenumbers: np.ndarray) -> np.ndarray:
     """Uniform grid of 2^ceil(log2 n) points spanning the input range."""
     wn = np.asarray(wavenumbers, dtype=float)
     n = wn.size
     target = 1 << int(np.ceil(np.log2(n)))
     return np.linspace(wn[0], wn[-1], target)
-
-
-def resample_pow2(x: Spectrum) -> Spectrum:
-    """Resample to a power-of-two length with a natural cubic spline.
-
-    The spline interpolates the original samples exactly; the output grid is
-    uniform over the original wavenumber range.  Inputs that are already
-    uniform with power-of-two length are returned unchanged.
-    """
-    n = len(x)
-    if _is_pow2(n) and _is_uniform(x.wavenumbers):
-        return x
-    new_wn = pow2_grid(x.wavenumbers)
-    new_y = resample_matrix(x.wavenumbers, x.intensities[None, :], new_wn)[0]
-    return Spectrum(new_wn, new_y)
 
 
 def resample_matrix(wavenumbers: np.ndarray, y: np.ndarray, new_wn: np.ndarray) -> np.ndarray:
@@ -257,7 +163,3 @@ def resample_matrix(wavenumbers: np.ndarray, y: np.ndarray, new_wn: np.ndarray) 
         y = y[..., ::-1]
     spline = CubicSpline(wn, y, axis=-1, bc_type="natural")
     return spline(np.asarray(new_wn, dtype=float))
-
-
-def take_abs(x: Spectrum) -> Spectrum:
-    return Spectrum(x.wavenumbers, np.abs(x.intensities))

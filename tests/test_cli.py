@@ -113,3 +113,83 @@ def test_cluster_manifest_records_stage_counters_and_skips(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "preprocess 4/12" in printed and "model 16/0" in printed
     assert "grid points skipped: 4 (transform 'contrast' requires a decomposition)" in printed
+
+
+@pytest.mark.parametrize("kind", ["swapped", "repeated"])
+def test_unordered_grid_in_csv_dataset_exits_3(tmp_path, capsys, kind):
+    data = _tiny_dataset(tmp_path)
+    lines = data.read_text().splitlines()
+    header = lines[0].split(",")
+    if kind == "swapped":
+        header[5], header[6] = header[6], header[5]
+    else:
+        header[6] = header[5]
+    lines[0] = ",".join(header)
+    data.write_text("\n".join(lines) + "\n")
+    assert cli.main(["cluster", "--data", str(data), "--folds", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    assert "wavenumber grid must be strictly monotone" in capsys.readouterr().err
+
+
+def test_unordered_grid_in_json_dataset_exits_3(tmp_path, capsys):
+    data = _tiny_dataset(tmp_path, "data.json")
+    doc = json.loads(data.read_text())
+    wn = doc["wavenumbers"]
+    wn[10], wn[11] = wn[11], wn[10]
+    data.write_text(json.dumps(doc))
+    assert cli.main(["cluster", "--data", str(data), "--folds", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    assert "wavenumber grid must be strictly monotone" in capsys.readouterr().err
+
+
+def test_synth_config_unknown_key_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"class_count": 3, "samples_per_class": [5, 5, 5],
+                                "grid_pionts": 100}))
+    assert cli.main(["synth", "--config", str(spec),
+                     "--out", str(tmp_path / "data.csv")]) == 2
+    assert "grid_pionts" in capsys.readouterr().err
+
+
+PIPELINE = {"preprocess": {"derivative_order": 0, "center": True},
+            "model": {"kind": "lda"}}
+
+
+@pytest.mark.parametrize("change", [
+    {"drop": "preprocess"},
+    {"drop": "model"},
+    {"add": {"tranform": {"kind": "none"}}},
+], ids=["no-preprocess", "no-model", "unknown-key"])
+def test_train_config_stage_keys_exit_2(tmp_path, capsys, change):
+    data = _tiny_dataset(tmp_path)
+    doc = {k: v for k, v in PIPELINE.items() if k != change.get("drop")}
+    doc.update(change.get("add", {}))
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["train", "--data", str(data), "--config", str(config),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "usage error: pipeline config" in err
+    assert change.get("drop", "tranform") in err
+
+
+def test_train_config_with_all_stage_keys_runs(tmp_path):
+    data = _tiny_dataset(tmp_path)
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({**PIPELINE, "decomposition": {"kind": "none"},
+                                  "transform": {"kind": "none"}}))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--data", str(data), "--config", str(config),
+                     "--out-dir", str(out)]) == 0
+    assert (out / "model.npz").exists()
+
+
+def test_grid_section_unknown_key_exits_2(tmp_path, capsys):
+    data = _tiny_dataset(tmp_path)
+    grid = tmp_path / "grid.json"
+    doc = json.loads(json.dumps(CLUSTER_GRID))
+    doc["clustering"]["models"] = doc["clustering"].pop("model")
+    grid.write_text(json.dumps(doc))
+    assert cli.main(["cluster", "--data", str(data), "--config", str(grid),
+                     "--folds", "2", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "usage error: grid section: unknown keys ['models']" in capsys.readouterr().err

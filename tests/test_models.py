@@ -8,8 +8,14 @@ from wavefeat.errors import InvalidConfigError, InvalidInputError
 from wavefeat import models as M
 from wavefeat.metrics import adjusted_rand
 from wavefeat.models import _logistic_loss_grad
-from wavefeat.numerics import pseudo_inverse
 from wavefeat.synth import SyntheticSpec, synth_dataset
+
+
+def _factored_inverse(model):
+    """The inverse covariance an LdaModel keeps in factored form, as a matrix."""
+    basis = model.cov_basis
+    inv = (basis * model.cov_inv_eigs) @ basis.T
+    return inv + model.complement_inv_var * (np.eye(basis.shape[0]) - basis @ basis.T)
 
 
 class TestLda:
@@ -51,8 +57,9 @@ class TestLda:
             mask = np.array(y) == c
             centered[mask] -= x[mask].mean(axis=0)
         cov = centered.T @ centered / (20 - 2)
-        assert np.allclose(model.pooled_covariance_pinv(),
-                           pseudo_inverse(cov, 1e-10), atol=1e-10)
+        assert model.complement_inv_var == 0.0
+        assert np.allclose(_factored_inverse(model), np.linalg.pinv(cov, 1e-10),
+                           atol=1e-10)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
@@ -86,7 +93,7 @@ class TestLda:
         floored = np.maximum(eigs, 1e-2 * eigs.max())
         expected = (vecs / floored) @ vecs.T
         assert model.cov_basis.shape[1] < 30
-        assert np.allclose(model.pooled_covariance_pinv(), expected,
+        assert np.allclose(_factored_inverse(model), expected,
                            rtol=0, atol=1e-8 * np.abs(expected).max())
 
     def test_rel_tol_outside_unit_interval(self):
@@ -323,7 +330,43 @@ class TestPairwiseDistances:
             assert np.allclose(np.diag(d), 0.0)
 
 
+def _hac_by_definition(x, linkage):
+    """Reference HAC: merge the pair of clusters closest under the linkage's
+    definition, computed from the members each time, until one is left."""
+    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    clusters = {i: [i] for i in range(len(x))}
+
+    def dist(a, b):
+        block = d[np.ix_(clusters[a], clusters[b])]
+        if linkage == "single":
+            return block.min()
+        if linkage == "complete":
+            return block.max()
+        if linkage == "average":
+            return block.mean()
+        na, nb = len(clusters[a]), len(clusters[b])
+        gap = x[clusters[a]].mean(axis=0) - x[clusters[b]].mean(axis=0)
+        return np.sqrt(2.0 * na * nb / (na + nb)) * np.linalg.norm(gap)
+
+    merges = []
+    for new in range(len(x), 2 * len(x) - 1):
+        h, a, b = min((dist(a, b), a, b) for a in clusters for b in clusters if a < b)
+        merges.append((a, b, h, len(clusters[a]) + len(clusters[b])))
+        clusters[new] = clusters.pop(a) + clusters.pop(b)
+    return merges
+
+
 class TestHac:
+    @pytest.mark.parametrize("linkage", M.LINKAGES)
+    def test_matches_definition_on_random_points(self, linkage):
+        # random points have no tied heights, so the tree is unique
+        for seed in (20, 21, 22):
+            x = np.random.default_rng(seed).standard_normal((14, 3))
+            got = M.hac_fit(x, linkage).merges
+            want = _hac_by_definition(x, linkage)
+            assert [(a, b, c) for a, b, _, c in got] == [(a, b, c) for a, b, _, c in want]
+            assert [m[2] for m in got] == pytest.approx([m[2] for m in want], rel=1e-10)
+
     def test_collinear_single_linkage(self):
         tree = M.hac_fit(np.array([[0.0], [1.0], [10.0]]), "single")
         assert tree.merges[0] == (0, 1, 1.0, 2)
@@ -334,6 +377,23 @@ class TestHac:
             tree = M.hac_fit(np.array([[0.0], [3.0]]), linkage)
             assert len(tree.merges) == 1
             assert tree.merges[0][2] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("linkage, heights", [
+        ("single", [1.0, 2.0, 4.0]),
+        ("complete", [1.0, 3.0, 7.0]),
+        # means of the member distances: (3 + 2) / 2, then (7 + 6 + 4) / 3;
+        # the size-blind "weighted" recurrence would end at (6.5 + 4) / 2
+        ("average", [1.0, 2.5, 17.0 / 3.0]),
+        # sqrt(2 na nb / (na + nb)) * |centroid gap|: sqrt(4/3) * 2.5, then
+        # sqrt(6/4) * (7 - 4/3)
+        ("ward", [1.0, np.sqrt(25.0 / 3.0), np.sqrt(1.5) * 17.0 / 3.0]),
+    ])
+    def test_heights_by_hand(self, linkage, heights):
+        # points 0, 1, 3, 7: {0, 1} first, then 3 joins it, then 7
+        tree = M.hac_fit(np.array([[0.0], [1.0], [3.0], [7.0]]), linkage)
+        assert [m[:2] for m in tree.merges] == [(0, 1), (2, 4), (3, 5)]
+        assert [m[3] for m in tree.merges] == [2, 3, 4]
+        assert [m[2] for m in tree.merges] == pytest.approx(heights, rel=1e-12)
 
     def test_blobs_ward(self):
         rng = np.random.default_rng(13)

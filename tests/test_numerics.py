@@ -1,34 +1,41 @@
-"""Tests for the SVD / pseudo-inverse kernels."""
+"""Tests for the canonical left singular factor."""
 import numpy as np
 import pytest
 
 from wavefeat.errors import InvalidInputError
-from wavefeat.numerics import pseudo_inverse, svd, svd_left
+from wavefeat.numerics import svd_left
+
+
+def _check_left_factor(a, u, s):
+    """u's leading columns and s are a left SVD of a: projecting onto them
+    gives a back, and u_k^T a = diag(s) v^T has orthogonal rows of norm s."""
+    k = s.size
+    b = u[:, :k].T @ a
+    err = np.linalg.norm(u[:, :k] @ b - a) / np.linalg.norm(a)
+    assert err <= 1e-10
+    assert np.allclose(b @ b.T, np.diag(s * s), atol=1e-10 * s[0] ** 2)
 
 
 class TestSvdExamples:
     def test_identity(self):
-        res = svd(np.eye(3))
-        assert np.allclose(res.singular_values, [1.0, 1.0, 1.0])
-        assert np.allclose(res.u, np.eye(3))
-        assert np.allclose(res.v, np.eye(3))
+        u, s = svd_left(np.eye(3))
+        assert np.allclose(s, [1.0, 1.0, 1.0])
+        assert np.allclose(u, np.eye(3))
 
     def test_diagonal(self):
-        res = svd(np.diag([3.0, 1.0]))
-        assert np.allclose(res.singular_values, [3.0, 1.0])
+        _, s = svd_left(np.diag([3.0, 1.0]))
+        assert np.allclose(s, [3.0, 1.0])
 
     def test_reconstruction_oracle(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((4, 3))
-        res = svd(a)
-        err = np.linalg.norm(res.reconstruct() - a) / np.linalg.norm(a)
-        assert err <= 1e-10
+        _check_left_factor(a, *svd_left(a))
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
-            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+            svd_left(np.array([[1.0, np.nan], [0.0, 1.0]]))
         with pytest.raises(InvalidInputError):
-            svd(np.array([[np.inf, 0.0]]))
+            svd_left(np.array([[np.inf, 0.0]]))
 
 
 class TestSvdInvariants:
@@ -36,49 +43,49 @@ class TestSvdInvariants:
     def test_orthogonality(self, shape):
         rng = np.random.default_rng(hash(shape) % 2**32)
         a = rng.standard_normal(shape)
-        res = svd(a)
-        m, n = shape
-        assert np.max(np.abs(res.u.T @ res.u - np.eye(m))) <= 1e-10
-        assert np.max(np.abs(res.v.T @ res.v - np.eye(n))) <= 1e-10
+        u, _ = svd_left(a)
+        m = shape[0]
+        assert u.shape == (m, m)
+        assert np.max(np.abs(u.T @ u - np.eye(m))) <= 1e-10
 
     def test_reconstruction_conditioned(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             a = rng.standard_normal((6, 5))
-            res = svd(a)
-            s = res.singular_values
+            u, s = svd_left(a)
             assert s[0] / s[-1] <= 1e8  # generic matrices are conditioned
-            err = np.linalg.norm(res.reconstruct() - a) / np.linalg.norm(a)
-            assert err <= 1e-10
+            _check_left_factor(a, u, s)
 
     def test_singular_values_sorted(self):
         rng = np.random.default_rng(4)
-        s = svd(rng.standard_normal((8, 6))).singular_values
+        _, s = svd_left(rng.standard_normal((8, 6)))
         assert np.all(np.diff(s) <= 0)
         assert np.all(s >= 0)
 
     def test_sign_canonicalization(self):
         rng = np.random.default_rng(5)
-        res = svd(rng.standard_normal((5, 4)))
-        for j in range(res.u.shape[1]):
-            col = res.u[:, j]
+        u, _ = svd_left(rng.standard_normal((5, 4)))
+        for j in range(u.shape[1]):
+            col = u[:, j]
             assert col[int(np.argmax(np.abs(col)))] >= 0
 
     def test_determinism_bytes(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((5, 3))
-        r1, r2 = svd(a.copy()), svd(a.copy())
-        assert r1.u.tobytes() == r2.u.tobytes()
-        assert r1.singular_values.tobytes() == r2.singular_values.tobytes()
-        assert r1.v.tobytes() == r2.v.tobytes()
+        (u1, s1), (u2, s2) = svd_left(a.copy()), svd_left(a.copy())
+        assert u1.tobytes() == u2.tobytes()
+        assert s1.tobytes() == s2.tobytes()
 
     def test_svd_left_matches_svd(self):
+        # full-rank wide input: every column is LAPACK's, up to its sign
         rng = np.random.default_rng(7)
         a = rng.standard_normal((4, 9))
-        u_full = svd(a).u
+        u_lapack, s_lapack, _ = np.linalg.svd(a, full_matrices=False)
         u_left, s = svd_left(a)
-        assert np.array_equal(u_full, u_left)
-        assert s.shape == (4,)
+        assert np.array_equal(s, s_lapack)
+        for j in range(4):
+            assert (np.array_equal(u_left[:, j], u_lapack[:, j])
+                    or np.array_equal(u_left[:, j], -u_lapack[:, j]))
 
     def test_nullspace_completion_canonical(self):
         # a tall rank-deficient matrix and a widened copy share the
@@ -88,27 +95,3 @@ class TestSvdInvariants:
         u1, _ = svd_left(base)
         u2, _ = svd_left(np.repeat(base, 3, axis=1))
         assert np.allclose(u1, u2, atol=1e-12)
-
-
-class TestPseudoInverse:
-    def test_diagonal(self):
-        assert np.allclose(pseudo_inverse(np.diag([2.0, 4.0])),
-                           np.diag([0.5, 0.25]))
-
-    def test_rank_deficient(self):
-        assert np.allclose(pseudo_inverse(np.diag([1.0, 0.0]), 1e-10),
-                           np.diag([1.0, 0.0]))
-
-    def test_identity_oracle(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((5, 5))
-        assert np.max(np.abs(pseudo_inverse(a) @ a - np.eye(5))) <= 1e-8
-
-    def test_rel_tol_validation(self):
-        with pytest.raises(InvalidInputError):
-            pseudo_inverse(np.eye(2), rel_tol=0.0)
-        with pytest.raises(InvalidInputError):
-            pseudo_inverse(np.eye(2), rel_tol=1.5)
-
-    def test_zero_matrix(self):
-        assert np.array_equal(pseudo_inverse(np.zeros((3, 2))), np.zeros((2, 3)))

@@ -1,71 +1,93 @@
-"""Tests for spectrum containers and preprocessing steps."""
+"""Tests for the dataset container and the block preprocessing steps."""
 import numpy as np
 import pytest
 
-from wavefeat.errors import InvalidInputError
-from wavefeat.preprocess import (LabeledDataset, PreprocessConfig, Spectrum,
-                                 apply_scaler, derivative, derivative_matrix,
-                                 fit_scaler, pow2_grid, resample_pow2,
-                                 standard_scale, take_abs)
+from wavefeat.dataio import load_dataset
+from wavefeat.errors import (DataFormatError, GridMismatchError, InvalidDatasetError,
+                             InvalidInputError)
+from wavefeat.harness import PipelineConfig, Preprocessor, fit_pipeline
+from wavefeat.preprocess import (LabeledDataset, PreprocessConfig, apply_scaler,
+                                 derivative_matrix, fit_scaler, pow2_grid,
+                                 resample_matrix)
 
 
-def _spec(y, wn=None):
-    y = np.asarray(y, dtype=float)
-    if wn is None:
-        wn = np.arange(y.size, dtype=float)
-    return Spectrum(wn, y)
+def _dataset(wn, rows=2):
+    wn = np.asarray(wn, dtype=float)
+    return LabeledDataset(wn, np.ones((rows, wn.size)), ["a"] * rows)
+
+
+def _deriv(wn, y, order):
+    """derivative_matrix of a one-row block."""
+    return derivative_matrix(np.asarray(wn, dtype=float),
+                             np.asarray(y, dtype=float)[None, :], order)[0]
+
+
+def _resample(wn, y):
+    """A one-row block resampled onto its power-of-two grid: (grid, row)."""
+    grid = pow2_grid(wn)
+    return grid, resample_matrix(wn, np.asarray(y, dtype=float)[None, :], grid)[0]
+
+
+def _scale(arr, cfg):
+    arr = np.asarray(arr, dtype=float)
+    return apply_scaler(arr, cfg, fit_scaler(arr, cfg))
 
 
 class TestSpectrumValidation:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
-            Spectrum(np.arange(5.0), np.arange(4.0))
+            LabeledDataset(np.arange(5.0), np.ones((2, 4)), ["a", "b"])
 
     def test_non_monotone(self):
-        with pytest.raises(InvalidInputError):
-            Spectrum(np.array([0.0, 1.0, 1.0, 2.0]), np.zeros(4))
+        for wn in ([0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0], [3.0, 1.0, 2.0, 0.0]):
+            with pytest.raises(InvalidDatasetError):
+                _dataset(wn)
+        assert issubclass(InvalidDatasetError, DataFormatError)
 
     def test_descending_grid_ok(self):
-        s = Spectrum(np.array([4.0, 3.0, 2.0, 1.0]), np.ones(4))
-        assert len(s) == 4
+        data = _dataset([4.0, 3.0, 2.0, 1.0])
+        assert data.n_samples == 2
 
     def test_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            Spectrum(np.arange(4.0), np.array([0.0, np.nan, 0.0, 0.0]))
+        with pytest.raises(InvalidDatasetError):
+            LabeledDataset(np.arange(4.0), np.array([[0.0, np.nan, 0.0, 0.0],
+                                                     [0.0, 0.0, 0.0, 0.0]]), ["a", "b"])
+        with pytest.raises(InvalidDatasetError):
+            _dataset([0.0, 1.0, np.inf, 3.0])
 
 
 class TestDerivative:
     def test_constant_first(self):
-        out = derivative(_spec(np.full(9, 5.0)), 1)
-        assert np.max(np.abs(out.intensities)) <= 1e-12
+        out = _deriv(np.arange(9.0), np.full(9, 5.0), 1)
+        assert np.max(np.abs(out)) <= 1e-12
 
     def test_linear_ramp(self):
         wn = np.arange(10.0)
-        out = derivative(Spectrum(wn, 3.0 * wn), 1)
-        assert np.allclose(out.intensities, 3.0, atol=1e-10)
+        out = _deriv(wn, 3.0 * wn, 1)
+        assert np.allclose(out, 3.0, atol=1e-10)
 
     def test_quadratic_second(self):
         wn = np.arange(12.0)
-        out = derivative(Spectrum(wn, wn ** 2), 2)
-        assert np.allclose(out.intensities[1:-1], 2.0, atol=1e-9)
+        out = _deriv(wn, wn ** 2, 2)
+        assert np.allclose(out[1:-1], 2.0, atol=1e-9)
 
     def test_endpoint_stencils_second_order(self):
         # second-order one-sided stencils are exact for quadratics
         wn = np.arange(8.0)
-        out = derivative(Spectrum(wn, wn ** 2), 1)
-        assert np.allclose(out.intensities, 2.0 * wn, atol=1e-9)
-        out2 = derivative(Spectrum(wn, wn ** 2), 2)
-        assert np.allclose(out2.intensities, 2.0, atol=1e-9)
+        out = _deriv(wn, wn ** 2, 1)
+        assert np.allclose(out, 2.0 * wn, atol=1e-9)
+        out2 = _deriv(wn, wn ** 2, 2)
+        assert np.allclose(out2, 2.0, atol=1e-9)
 
     def test_non_uniform_grid_rejected(self):
         wn = np.array([0.0, 1.0, 2.5, 3.0, 4.0, 5.0])
         with pytest.raises(InvalidInputError):
-            derivative(Spectrum(wn, np.zeros(6)), 1)
+            _deriv(wn, np.zeros(6), 1)
 
     def test_descending_grid_sign(self):
         wn = np.linspace(10.0, 1.0, 10)
-        out = derivative(Spectrum(wn, 2.0 * wn), 1)
-        assert np.allclose(out.intensities, 2.0, atol=1e-10)
+        out = _deriv(wn, 2.0 * wn, 1)
+        assert np.allclose(out, 2.0, atol=1e-10)
 
     def test_matrix_matches_single(self):
         rng = np.random.default_rng(0)
@@ -73,47 +95,42 @@ class TestDerivative:
         block = rng.standard_normal((3, 16))
         out = derivative_matrix(wn, block, 2)
         for i in range(3):
-            single = derivative(Spectrum(wn, block[i]), 2)
-            assert np.allclose(out[i], single.intensities)
+            assert np.allclose(out[i], _deriv(wn, block[i], 2))
 
     def test_bad_order(self):
         with pytest.raises(InvalidInputError):
-            derivative(_spec(np.arange(6.0)), 3)
+            _deriv(np.arange(6.0), np.arange(6.0), 3)
 
 
 class TestStandardScale:
-    def _dataset(self, arr):
-        arr = np.asarray(arr, dtype=float)
-        return LabeledDataset(np.arange(arr.shape[1], dtype=float), arr,
-                              ["a"] * arr.shape[0])
-
     def test_feature_axis_stats(self):
         rng = np.random.default_rng(1)
-        data = self._dataset(rng.standard_normal((12, 6)) * 3 + 1)
+        arr = rng.standard_normal((12, 6)) * 3 + 1
         cfg = PreprocessConfig(center=True, scale=True, axis="feature")
-        out = standard_scale(data, cfg)
-        assert np.max(np.abs(out.intensities.mean(axis=0))) <= 1e-12
-        assert np.max(np.abs(out.intensities.std(axis=0) - 1)) <= 1e-12
+        out = _scale(arr, cfg)
+        assert np.max(np.abs(out.mean(axis=0))) <= 1e-12
+        assert np.max(np.abs(out.std(axis=0) - 1)) <= 1e-12
 
     def test_constant_feature_column_zeroed(self):
         arr = np.array([[1.0, 2.0], [1.0, 4.0], [1.0, 9.0]])
         cfg = PreprocessConfig(center=True, scale=True, axis="feature")
-        out = standard_scale(self._dataset(arr), cfg)
-        assert np.allclose(out.intensities[:, 0], 0.0)
+        out = _scale(arr, cfg)
+        assert np.allclose(out[:, 0], 0.0)
 
     def test_sample_axis_hand_computed(self):
         arr = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
         cfg = PreprocessConfig(center=True, scale=True, axis="sample")
-        out = standard_scale(self._dataset(arr), cfg)
+        assert fit_scaler(arr, cfg) is None  # per-row, nothing to fit
+        out = _scale(arr, cfg)
         expect = np.array([-1.2247448713915890, 0.0, 1.2247448713915890])
-        assert np.allclose(out.intensities[0], expect, atol=1e-12)
+        assert np.allclose(out[0], expect, atol=1e-12)
 
     def test_identity_when_disabled(self):
         rng = np.random.default_rng(2)
         arr = rng.standard_normal((4, 5))
         cfg = PreprocessConfig(center=False, scale=False)
-        out = standard_scale(self._dataset(arr), cfg)
-        assert np.array_equal(out.intensities, arr)
+        out = _scale(arr, cfg)
+        assert np.array_equal(out, arr)
 
     def test_feature_axis_needs_two_samples(self):
         cfg = PreprocessConfig(center=True, axis="feature")
@@ -128,76 +145,78 @@ class TestStandardScale:
 
 class TestResamplePow2:
     def test_pow2_uniform_unchanged(self):
+        # a uniform power-of-two grid is its own target: WTT skips the resample
+        rng = np.random.default_rng(4)
         wn = np.linspace(0, 1, 1024)
-        s = Spectrum(wn, np.sin(wn))
-        out = resample_pow2(s)
-        assert out is s
+        assert np.array_equal(pow2_grid(wn), wn)
+        data = LabeledDataset(wn, rng.standard_normal((4, 1024)), ["a", "b"] * 2)
+        config = PipelineConfig.from_dict({
+            "preprocess": {}, "decomposition": {"kind": "wtt", "rank": 1},
+            "model": {"kind": "hac", "affinity": "euclidean", "linkage": "average"}})
+        fitted = fit_pipeline(config, data, np.arange(4))
+        assert fitted.states[0].target is None
 
     def test_linear_reproduction(self):
         wn = np.linspace(2000.0, 400.0, 1000)
-        s = Spectrum(wn, 0.5 * wn + 3.0)
-        out = resample_pow2(s)
-        assert len(out) == 1024
-        assert np.allclose(out.intensities, 0.5 * out.wavenumbers + 3.0, atol=1e-9)
+        grid, out = _resample(wn, 0.5 * wn + 3.0)
+        assert out.size == 1024
+        assert np.allclose(out, 0.5 * grid + 3.0, atol=1e-9)
 
     def test_sine_interpolation_error(self):
         n = 1000
         wn = np.linspace(0.0, 50.0, n)  # 20 samples per period of sin(2 pi x / 1)
-        s = Spectrum(wn, np.sin(2 * np.pi * wn / 2.5))
-        out = resample_pow2(s)
-        assert len(out) == 1024
-        err = np.max(np.abs(out.intensities - np.sin(2 * np.pi * out.wavenumbers / 2.5)))
+        grid, out = _resample(wn, np.sin(2 * np.pi * wn / 2.5))
+        assert out.size == 1024
+        err = np.max(np.abs(out - np.sin(2 * np.pi * grid / 2.5)))
         assert err <= 1e-4
 
     def test_output_grid_uniform_pow2(self):
         rng = np.random.default_rng(3)
         wn = np.sort(rng.uniform(0, 10, 100))
-        s = Spectrum(wn, rng.standard_normal(100))
-        out = resample_pow2(s)
-        n = len(out)
+        grid, out = _resample(wn, rng.standard_normal(100))
+        n = out.size
         assert n == 128 and (n & (n - 1)) == 0
-        assert np.allclose(np.diff(out.wavenumbers), np.diff(out.wavenumbers)[0])
+        assert np.allclose(np.diff(grid), np.diff(grid)[0])
 
     def test_knot_passthrough(self):
         # resampling a descending grid keeps the endpoints exactly
         wn = np.linspace(100.0, 10.0, 37)
         y = np.cos(wn / 7.0)
-        out = resample_pow2(Spectrum(wn, y))
-        assert out.wavenumbers[0] == wn[0] and out.wavenumbers[-1] == wn[-1]
-        assert abs(out.intensities[0] - y[0]) <= 1e-12
-        assert abs(out.intensities[-1] - y[-1]) <= 1e-12
+        grid, out = _resample(wn, y)
+        assert grid[0] == wn[0] and grid[-1] == wn[-1]
+        assert abs(out[0] - y[0]) <= 1e-12
+        assert abs(out[-1] - y[-1]) <= 1e-12
 
     def test_pow2_grid_helper(self):
         assert pow2_grid(np.linspace(0, 1, 1000)).size == 1024
 
 
 class TestTakeAbs:
+    @staticmethod
+    def _abs(y):
+        """The preprocessing of a take_abs config on a one-row block."""
+        y = np.asarray(y, dtype=float)
+        pre = Preprocessor(np.arange(float(y.size)), PreprocessConfig(take_abs=True), None)
+        return pre.scaled(y[None, :])[0]
+
     def test_examples(self):
-        s = _spec([-1.0, 2.0, -3.0, 4.0])
-        assert np.array_equal(take_abs(s).intensities, [1.0, 2.0, 3.0, 4.0])
-        pos = _spec([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(take_abs(pos).intensities, pos.intensities)
+        assert np.array_equal(self._abs([-1.0, 2.0, -3.0, 4.0]), [1.0, 2.0, 3.0, 4.0])
+        pos = np.array([1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(self._abs(pos), pos)
 
     def test_idempotent(self):
-        s = _spec([-1.0, 2.0, -3.0, 0.0, 5.0])
-        once = take_abs(s)
-        assert np.array_equal(take_abs(once).intensities, once.intensities)
+        once = self._abs([-1.0, 2.0, -3.0, 0.0, 5.0])
+        assert np.array_equal(self._abs(once), once)
 
 
 class TestLabeledDataset:
-    def test_grid_consistency_enforced(self):
-        a = Spectrum(np.arange(4.0), np.ones(4))
-        b = Spectrum(np.arange(1.0, 5.0), np.ones(4))
-        with pytest.raises(InvalidInputError):
-            LabeledDataset.from_spectra([a, b], ["x", "y"])
+    def test_grid_consistency_enforced(self, tmp_path):
+        # samples share the header's grid: a row with one value too many
+        path = tmp_path / "ragged.csv"
+        path.write_text("label,0,1,2,3\nx,1,1,1,1\ny,1,1,1,1,1\n")
+        with pytest.raises(GridMismatchError):
+            load_dataset(str(path))
 
     def test_label_count(self):
         with pytest.raises(InvalidInputError):
             LabeledDataset(np.arange(4.0), np.ones((2, 4)), ["only-one"])
-
-    def test_subset(self):
-        data = LabeledDataset(np.arange(4.0), np.arange(12.0).reshape(3, 4),
-                              ["a", "b", "c"])
-        sub = data.subset([2, 0])
-        assert sub.labels == ["c", "a"]
-        assert np.array_equal(sub.intensities[0], data.intensities[2])

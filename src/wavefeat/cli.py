@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, dataio, dwt, models, synth, wtt
 from .errors import (DataFormatError, InvalidConfigError, InvalidInputError,
                      NumericalError)
-from .grids import grid_for_task, load_grid_document
+from .grids import grid_for_task, load_grid_document, load_json_config
 from .harness import (DwtSpec, FoldMemo, PipelineConfig, WttSpec,
                       final_clustering, fit_pipeline, grid_search, repeated_cv,
                       spec_from_dict)
@@ -85,8 +85,7 @@ def _load_data(args) -> "dataio.LabeledDataset":
 
 def cmd_synth(args) -> int:
     if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        doc = load_json_config(args.config)
         if not isinstance(doc, dict):
             raise InvalidConfigError("synth config must be a JSON object")
         doc.pop("comment", None)
@@ -282,8 +281,7 @@ def cmd_train(args) -> int:
     data = _load_data(args)
     if not args.config:
         raise InvalidConfigError("train requires --config with one pipeline config")
-    with open(args.config) as fh:
-        config = PipelineConfig.from_dict(json.load(fh))
+    config = PipelineConfig.from_dict(load_json_config(args.config))
     os.makedirs(args.out_dir, exist_ok=True)
     fitted = fit_pipeline(config, data, np.arange(data.n_samples))
     saved = {"pipeline": "pipeline.json"}

@@ -4,12 +4,17 @@ Two formats carry the same schema (shared wavenumber grid, one labeled
 intensity row per sample):
 
 * delimited (.csv): header ``label,<wn_0>,<wn_1>,...`` then one row per
-  sample; floats are written with repr so a round trip is lossless.
+  sample; floats are written with repr so a round trip is lossless.  The
+  loader checks each row's value count and label, then parses every
+  intensity in one ``np.loadtxt`` block; only when that parse fails does it
+  look for the offending row, so error messages still name it.
 * structured (.json): ``{"schema": "wavefeat-dataset", "version": 1,
   "wavenumbers": [...], "samples": [{"label": ..., "intensities": [...]}]}``.
 
 Every wavenumber and intensity must be a finite number; NaN or infinity is
 a ParseError naming the row (delimited) or the sample index (structured).
+Labels are strings in both formats: a structured label such as ``1`` is
+read as ``"1"``, so ``1`` and ``"1"`` name one class.
 """
 from __future__ import annotations
 
@@ -78,22 +83,29 @@ def _load_delimited(path: str) -> LabeledDataset:
         raise ParseError(f"{path}: non-numeric wavenumber in header: {exc}") from exc
     if not np.all(np.isfinite(wn)):
         raise ParseError(f"{path}:1: non-finite wavenumber in header")
-    labels, rows = [], []
+    labels = []
     for i, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != wn.size + 1:
+        if line.count(",") != wn.size:
             raise GridMismatchError(
-                f"{path}:{i}: row has {len(fields) - 1} values, grid has {wn.size}")
-        if fields[0].strip() == "":
+                f"{path}:{i}: row has {line.count(',')} values, grid has {wn.size}")
+        label = line.split(",", 1)[0]
+        if label.strip() == "":
             raise MissingLabelError(f"{path}:{i}: empty label")
-        labels.append(fields[0])
-        try:
-            rows.append([float(v) for v in fields[1:]])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{i}: non-numeric intensity: {exc}") from exc
-        if not np.all(np.isfinite(rows[-1])):
-            raise ParseError(f"{path}:{i}: non-finite intensity")
-    return LabeledDataset(wn, np.array(rows), labels)
+        labels.append(label)
+    try:
+        rows = np.loadtxt(lines[1:], delimiter=",", comments=None,
+                          usecols=range(1, wn.size + 1), ndmin=2)
+    except ValueError as exc:
+        for i, line in enumerate(lines[1:], start=2):
+            try:
+                [float(v) for v in line.split(",")[1:]]
+            except ValueError as row_exc:
+                raise ParseError(f"{path}:{i}: non-numeric intensity: {row_exc}") from exc
+        raise ParseError(f"{path}: non-numeric intensity: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ParseError(f"{path}:{bad[0] + 2}: non-finite intensity")
+    return LabeledDataset(wn, rows, labels)
 
 
 def _load_structured(path: str) -> LabeledDataset:
@@ -120,7 +132,7 @@ def _load_structured(path: str) -> LabeledDataset:
             raise GridMismatchError(
                 f"{path}: sample {i} has {0 if vals is None else len(vals)} "
                 f"values, grid has {wn.size}")
-        labels.append(sample["label"])
+        labels.append(str(sample["label"]))
         try:
             rows.append([float(v) for v in vals])
         except (TypeError, ValueError) as exc:

@@ -74,11 +74,6 @@ class DwtTransform:
         self.signal_length = signal_length
         self._template = dwt.wavedec(
             np.zeros(signal_length), wavelet, mode, level)
-        self.is_orthogonal = wavelet.is_orthogonal and mode == "periodization"
-
-    @property
-    def output_length(self) -> int:
-        return self._template.total_length
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -97,11 +92,6 @@ class WttTransform:
     def __init__(self, bank: wtt.WttFilterBank):
         self.bank = bank
         self.signal_length = bank.signal_length
-        self.is_orthogonal = True
-
-    @property
-    def output_length(self) -> int:
-        return self.signal_length
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return wtt.flatten_wtt(wtt.wtt_forward(x, self.bank))

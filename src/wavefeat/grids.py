@@ -69,14 +69,22 @@ def expand_grid(doc: dict) -> ConfigGrid:
     return ConfigGrid(configs, dict(skipped))
 
 
+def load_json_config(path: str):
+    """Parse a JSON config file; text that is not JSON is a config error."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfigError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def load_grid_document(path: str | None = None) -> dict:
     """Read a grid file, or the packaged default when path is None."""
     if path is None:
-        text = resources.files("wavefeat").joinpath("default_grid.json").read_text()
+        doc = json.loads(
+            resources.files("wavefeat").joinpath("default_grid.json").read_text())
     else:
-        with open(path) as fh:
-            text = fh.read()
-    doc = json.loads(text)
+        doc = load_json_config(path)
     if doc.get("schema") != GRID_SCHEMA:
         raise InvalidConfigError(f"grid document must declare schema {GRID_SCHEMA!r}")
     return doc

@@ -1,8 +1,11 @@
 """Left singular factor with deterministic, sign-canonical output.
 
-``svd_left`` is a thin wrapper over LAPACK (via numpy) plus two conventions
-that make repeated runs on identical input bit-reproducible, which
-filter-bank training relies on:
+``svd_left`` is a thin wrapper over LAPACK (via numpy).  A wide m x n
+matrix (n > m) is first reduced to the m x m triangle ``R^T`` of the QR
+factorization ``a^T = Q R``: ``a a^T = R^T R``, so ``R^T`` has the same left
+singular factor and singular values, and the SVD never touches the long
+side.  Two conventions make repeated runs on identical input
+bit-reproducible, which filter-bank training relies on:
 
 * sign canonicalization: the largest-magnitude entry of every left singular
   vector is non-negative (ties broken by lowest row index);
@@ -66,5 +69,7 @@ def svd_left(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fine.  Non-finite entries raise InvalidInputError.
     """
     a = _require_finite_matrix(a)
+    if a.shape[1] > a.shape[0]:
+        a = np.linalg.qr(a.T, mode="r").T
     u_thin, s, _ = np.linalg.svd(a, full_matrices=False)
     return _flip_column_signs(_full_left_factor(u_thin, s)), s

@@ -10,9 +10,9 @@ level filter.  Rows past the level rank are emitted as detail coefficients;
 the rest continue deeper.  Every filter is square and orthogonal, so the
 transform is an isometry and exactly invertible at any rank.
 
-Banks may be trained on one signal or on a whole stack of signals (the stack
-is treated as one extra trailing mode whose filter is discarded), and then
-applied to any signal of the same length.
+Banks are trained on a stack of signals (the stack is treated as one extra
+trailing mode whose filter is discarded; one signal is a stack of one), and
+then applied to any signal of the same length.
 """
 from __future__ import annotations
 
@@ -79,58 +79,34 @@ def _clipped_ranks(rank: int, d: int, tail_sizes: list[int]) -> list[int]:
     return ranks
 
 
-def _train(stacked: np.ndarray, rank: int, d: int, tail_sizes: list[int]) -> tuple:
-    """Shared recursion for single-signal and group training.
-
-    ``stacked`` is the flat column-major vectorization of the training
-    tensor; all reshapes are column-major so binary modes run from the
-    least significant (adjacent samples) upward.
-    """
-    if rank < 1:
-        raise InvalidInputError("rank must be >= 1")
-    filters = []
-    ranks = _clipped_ranks(rank, d, tail_sizes)
-    a = stacked.reshape(1, -1)
-    r_prev = 1
-    for k in range(d - 1):
-        a = a.reshape(r_prev * 2, -1, order="F")
-        u, _ = svd_left(a)
-        filters.append(u)
-        r_k = ranks[k]
-        a = (u.T @ a)[:r_k]
-        r_prev = r_k
-    return tuple(filters), tuple(ranks)
-
-
-def train_filters(x: np.ndarray, rank: int) -> WttFilterBank:
-    """Train a filter bank on a single length-2^d signal."""
-    x = np.asarray(x, dtype=float).ravel()
-    n = x.size
-    d = _check_pow2(n)
-    tail_sizes = [2 ** (d - k - 1) for k in range(d - 1)]
-    filters, ranks = _train(x, rank, d, tail_sizes)
-    return WttFilterBank(filters, ranks, n, rank)
-
-
 def train_group_filters(signals: np.ndarray, rank: int) -> WttFilterBank:
     """Train joint filters on a stack of equally sized signals.
 
     The stack is treated as one tensor with an extra trailing (slowest)
     group mode; the filter belonging to that mode is never used, so the
-    resulting bank applies to any single signal of the shared length.
+    resulting bank applies to any single signal of the shared length.  A
+    single signal is a stack of one.  All reshapes are column-major, so
+    binary modes run from the least significant (adjacent samples) upward.
     """
     signals = np.asarray(signals, dtype=float)
     if signals.ndim != 2:
         raise InvalidInputError("expected a (n_samples, n_points) block")
+    if rank < 1:
+        raise InvalidInputError("rank must be >= 1")
     m, n = signals.shape
     d = _check_pow2(n)
-    if m == 1:
-        return train_filters(signals[0], rank)
     # trailing group mode of size m: tail products gain a factor of m
-    tail_sizes = [2 ** (d - k - 1) * m for k in range(d - 1)]
-    stacked = signals.reshape(-1)  # sample-major concat = group mode slowest
-    filters, ranks = _train(stacked, rank, d, tail_sizes)
-    return WttFilterBank(filters, ranks, n, rank)
+    ranks = _clipped_ranks(rank, d, [2 ** (d - k - 1) * m for k in range(d - 1)])
+    filters = []
+    a = signals.reshape(1, -1)  # sample-major concat = group mode slowest
+    r_prev = 1
+    for r_k in ranks:
+        a = a.reshape(r_prev * 2, -1, order="F")
+        u, _ = svd_left(a)
+        filters.append(u)
+        a = (u.T @ a)[:r_k]
+        r_prev = r_k
+    return WttFilterBank(tuple(filters), tuple(ranks), n, rank)
 
 
 def wtt_forward(x: np.ndarray, bank: WttFilterBank) -> WttCoeffs:

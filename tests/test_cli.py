@@ -193,3 +193,61 @@ def test_grid_section_unknown_key_exits_2(tmp_path, capsys):
     assert cli.main(["cluster", "--data", str(data), "--config", str(grid),
                      "--folds", "2", "--out-dir", str(tmp_path / "out")]) == 2
     assert "usage error: grid section: unknown keys ['models']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "gridsearch", "cluster"])
+def test_config_that_is_not_json_exits_2(tmp_path, capsys, command):
+    data = _tiny_dataset(tmp_path)
+    config = tmp_path / "broken.json"
+    config.write_text('{"class_count": 3,')
+    argv = [command, "--config", str(config), "--out-dir", str(tmp_path / "out")]
+    if command != "synth":
+        argv += ["--data", str(data)]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert f"usage error: {config}: invalid JSON" in capsys.readouterr().err
+
+
+def _mixed_label_copy(tmp_path, data):
+    """The dataset with class_k relabelled k: an int in even samples and a
+    string in odd ones, so each class mixes 0 and "0"."""
+    doc = json.loads(data.read_text())
+    for i, sample in enumerate(doc["samples"]):
+        k = sample["label"].removeprefix("class_")
+        sample["label"] = int(k) if i % 2 == 0 else k
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(doc))
+    for sample in doc["samples"]:
+        sample["label"] = str(sample["label"])
+    clean = tmp_path / "clean.json"
+    clean.write_text(json.dumps(doc))
+    return mixed, clean
+
+
+def test_gridsearch_mixed_int_and_str_labels_are_one_class(tmp_path):
+    mixed, clean = _mixed_label_copy(tmp_path, _tiny_dataset(tmp_path, "data.json"))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"schema": "wavefeat-grid", "classification": {
+        "preprocess": {"derivative_order": 0, "center": True},
+        "model": {"kind": "lda"}}}))
+    tables = []
+    for name, data in (("mixed", mixed), ("clean", clean)):
+        out = tmp_path / name
+        assert cli.main(["gridsearch", "--data", str(data), "--config", str(grid),
+                         "--seed", "2", "--folds", "2", "--repeats", "1",
+                         "--out-dir", str(out)]) == 0
+        tables.append((out / "table_lda.tsv").read_text())
+    assert tables[0] == tables[1]
+
+
+def test_cluster_mixed_int_and_str_labels_are_one_class(tmp_path):
+    mixed, clean = _mixed_label_copy(tmp_path, _tiny_dataset(tmp_path, "data.json"))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(CLUSTER_GRID))
+    tables = []
+    for name, data in (("mixed", mixed), ("clean", clean)):
+        out = tmp_path / name
+        assert cli.main(["cluster", "--data", str(data), "--config", str(grid),
+                         "--seed", "2", "--folds", "2", "--out-dir", str(out)]) == 0
+        tables.append((out / "table_clustering.tsv").read_text())
+    assert tables[0] == tables[1]

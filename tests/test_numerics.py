@@ -77,15 +77,32 @@ class TestSvdInvariants:
         assert s1.tobytes() == s2.tobytes()
 
     def test_svd_left_matches_svd(self):
-        # full-rank wide input: every column is LAPACK's, up to its sign
+        # full-rank wide input: the singular values are LAPACK's and every
+        # column is LAPACK's up to its sign, both to rounding
         rng = np.random.default_rng(7)
-        a = rng.standard_normal((4, 9))
+        for shape in [(4, 9), (2, 4096), (12, 1024)]:
+            a = rng.standard_normal(shape)
+            u_lapack, s_lapack, _ = np.linalg.svd(a, full_matrices=False)
+            u_left, s = svd_left(a)
+            assert np.max(np.abs(s - s_lapack)) <= 1e-14 * s_lapack[0]
+            for j in range(shape[0]):
+                assert min(np.max(np.abs(u_left[:, j] - u_lapack[:, j])),
+                           np.max(np.abs(u_left[:, j] + u_lapack[:, j]))) <= 1e-13
+
+    def test_svd_left_rank_deficient_wide(self):
+        # rank 3 of 6 rows: the data-determined columns are LAPACK's up to
+        # sign; the rest complete U to an orthogonal basis of the null space
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 2048))
         u_lapack, s_lapack, _ = np.linalg.svd(a, full_matrices=False)
         u_left, s = svd_left(a)
-        assert np.array_equal(s, s_lapack)
-        for j in range(4):
-            assert (np.array_equal(u_left[:, j], u_lapack[:, j])
-                    or np.array_equal(u_left[:, j], -u_lapack[:, j]))
+        assert np.max(np.abs(s - s_lapack)) <= 1e-14 * s_lapack[0]
+        assert np.all(s[3:] <= 1e-12 * s[0])
+        for j in range(3):
+            assert min(np.max(np.abs(u_left[:, j] - u_lapack[:, j])),
+                       np.max(np.abs(u_left[:, j] + u_lapack[:, j]))) <= 1e-13
+        assert np.max(np.abs(u_left.T @ u_left - np.eye(6))) <= 1e-12
+        assert np.max(np.abs(u_left[:, 3:].T @ a)) <= 1e-12 * s[0]
 
     def test_nullspace_completion_canonical(self):
         # a tall rank-deficient matrix and a widened copy share the

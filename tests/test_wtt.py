@@ -10,7 +10,7 @@ from wavefeat.errors import InvalidInputError
 
 class TestTrainFilters:
     def test_constant_signal_rank1(self):
-        bank = wtt.train_filters(np.full(8, 3.0), 1)
+        bank = wtt.train_group_filters(np.full(8, 3.0)[None], 1)
         assert bank.depth == 2
         for u in bank.filters:
             assert np.allclose(np.abs(u[:, 0]), [1 / np.sqrt(2)] * 2, atol=1e-12)
@@ -19,27 +19,27 @@ class TestTrainFilters:
     def test_rank_clipping_saturates(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(16)
-        bank = wtt.train_filters(x, 100)
+        bank = wtt.train_group_filters(x[None], 100)
         # effective ranks r_k = min(r_{k-1}*2, 2^(d-k))
         assert bank.ranks == (2, 4, 2)
 
     def test_rank2_length16_bookkeeping(self):
         rng = np.random.default_rng(1)
-        bank = wtt.train_filters(rng.standard_normal(16), 2)
+        bank = wtt.train_group_filters(rng.standard_normal(16)[None], 2)
         assert bank.ranks == (2, 2, 2)
         assert [u.shape for u in bank.filters] == [(2, 2), (4, 4), (4, 4)]
 
     def test_non_pow2_rejected(self):
         with pytest.raises(InvalidInputError):
-            wtt.train_filters(np.zeros(12), 1)
+            wtt.train_group_filters(np.zeros(12)[None], 1)
 
     def test_bad_rank(self):
         with pytest.raises(InvalidInputError):
-            wtt.train_filters(np.zeros(8), 0)
+            wtt.train_group_filters(np.zeros(8)[None], 0)
 
     def test_orthogonality(self):
         rng = np.random.default_rng(2)
-        bank = wtt.train_filters(rng.standard_normal(64), 3)
+        bank = wtt.train_group_filters(rng.standard_normal(64)[None], 3)
         for u in bank.filters:
             assert np.max(np.abs(u.T @ u - np.eye(u.shape[0]))) <= 1e-10
 
@@ -48,7 +48,7 @@ class TestGroupFilters:
     def test_identical_signals_match_single(self):
         rng = np.random.default_rng(3)
         sig = rng.standard_normal(64)
-        single = wtt.train_filters(sig, 2)
+        single = wtt.train_group_filters(sig[None], 2)
         group = wtt.train_group_filters(np.tile(sig, (4, 1)), 2)
         for a, b in zip(single.filters, group.filters):
             assert np.allclose(a, b, atol=1e-12)
@@ -57,7 +57,7 @@ class TestGroupFilters:
     def test_m1_degenerates_to_single(self):
         rng = np.random.default_rng(4)
         sig = rng.standard_normal(32)
-        a = wtt.train_filters(sig, 3)
+        a = wtt.train_group_filters(sig[None], 3)
         b = wtt.train_group_filters(sig[None, :], 3)
         for u, v in zip(a.filters, b.filters):
             assert np.array_equal(u, v)
@@ -78,7 +78,7 @@ class TestGroupFilters:
 class TestForwardInverse:
     def test_constant_rank1(self):
         c0 = 3.0
-        bank = wtt.train_filters(np.full(8, c0), 1)
+        bank = wtt.train_group_filters(np.full(8, c0)[None], 1)
         c = wtt.wtt_forward(np.full(8, c0), bank)
         for det in c.details:
             assert np.max(np.abs(det)) <= 1e-12
@@ -90,13 +90,13 @@ class TestForwardInverse:
     def test_round_trip(self, rank):
         rng = np.random.default_rng(6 + rank)
         x = rng.standard_normal(256)
-        bank = wtt.train_filters(x, rank)
+        bank = wtt.train_group_filters(x[None], rank)
         c = wtt.wtt_forward(x, bank)
         assert np.max(np.abs(wtt.wtt_inverse(c, bank) - x)) <= 1e-10
 
     def test_isometry_sweep(self):
         rng = np.random.default_rng(7)
-        bank = wtt.train_filters(rng.standard_normal(128), 4)
+        bank = wtt.train_group_filters(rng.standard_normal(128)[None], 4)
         for _ in range(100):
             x = rng.standard_normal(128)
             c = wtt.wtt_forward(x, bank)
@@ -104,13 +104,13 @@ class TestForwardInverse:
 
     def test_zero_coefficients(self):
         rng = np.random.default_rng(8)
-        bank = wtt.train_filters(rng.standard_normal(32), 2)
+        bank = wtt.train_group_filters(rng.standard_normal(32)[None], 2)
         c = wtt.wtt_forward(np.zeros(32), bank)
         assert np.max(np.abs(wtt.wtt_inverse(c, bank))) == 0.0
 
     def test_linearity_in_coefficients(self):
         rng = np.random.default_rng(9)
-        bank = wtt.train_filters(rng.standard_normal(32), 2)
+        bank = wtt.train_group_filters(rng.standard_normal(32)[None], 2)
         x, y = rng.standard_normal((2, 32))
         fx = wtt.flatten_wtt(wtt.wtt_forward(x, bank))
         fy = wtt.flatten_wtt(wtt.wtt_forward(y, bank))
@@ -121,7 +121,7 @@ class TestForwardInverse:
         rng = np.random.default_rng(10)
         x = rng.standard_normal(64)
         for rank in range(1, 9):
-            bank = wtt.train_filters(x, rank)
+            bank = wtt.train_group_filters(x[None], rank)
             c = wtt.wtt_forward(x, bank)
             assert c.total_length == 64
 
@@ -130,7 +130,7 @@ class TestForwardInverse:
         # all orthogonal 2x2 choices
         rng = np.random.default_rng(11)
         x = rng.standard_normal(64)
-        bank = wtt.train_filters(x, 1)
+        bank = wtt.train_group_filters(x[None], 1)
         trained = np.linalg.norm(wtt.wtt_forward(x, bank).details[0])
         pairs = x.reshape(2, -1, order="F")
         for theta in np.linspace(0, np.pi, 181):
@@ -141,7 +141,7 @@ class TestForwardInverse:
 
     def test_mismatched_blocks_rejected(self):
         rng = np.random.default_rng(12)
-        bank = wtt.train_filters(rng.standard_normal(32), 2)
+        bank = wtt.train_group_filters(rng.standard_normal(32)[None], 2)
         c = wtt.wtt_forward(rng.standard_normal(32), bank)
         assert c.details[-1].size > 0
         c.details[-1] = c.details[-1][:-1]
@@ -153,7 +153,7 @@ class TestFlatten:
     def test_layout_and_length(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal(64)
-        bank = wtt.train_filters(x, 2)
+        bank = wtt.train_group_filters(x[None], 2)
         c = wtt.wtt_forward(x, bank)
         flat = wtt.flatten_wtt(c)
         assert flat.shape == (64,)
@@ -164,7 +164,7 @@ class TestFlatten:
     def test_unflatten_round_trip(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal(128)
-        bank = wtt.train_filters(x, 3)
+        bank = wtt.train_group_filters(x[None], 3)
         c = wtt.wtt_forward(x, bank)
         c2 = wtt.unflatten_wtt(wtt.flatten_wtt(c), bank)
         assert np.max(np.abs(wtt.wtt_inverse(c2, bank) - x)) <= 1e-10

@@ -14,7 +14,9 @@ intensity row per sample):
 Every wavenumber and intensity must be a finite number; NaN or infinity is
 a ParseError naming the row (delimited) or the sample index (structured).
 Labels are strings in both formats: a structured label such as ``1`` is
-read as ``"1"``, so ``1`` and ``"1"`` name one class.
+read as ``"1"``, so ``1`` and ``"1"`` name one class.  A file that cannot be
+read is a ParseError, and a file with fewer than 2 samples an
+InvalidDatasetError.
 """
 from __future__ import annotations
 
@@ -23,7 +25,8 @@ import os
 
 import numpy as np
 
-from .errors import GridMismatchError, MissingLabelError, ParseError
+from .errors import (GridMismatchError, InvalidDatasetError, InvalidInputError,
+                     MissingLabelError, ParseError)
 from .preprocess import LabeledDataset
 
 FORMATS = ("delimited", "structured")
@@ -61,15 +64,24 @@ def save_dataset(path: str, data: LabeledDataset, format: str | None = None) -> 
 
 
 def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
+    """Read a dataset file.  A file that cannot be read is a ParseError, and
+    a dataset that breaks a LabeledDataset precondition (fewer than 2
+    samples, for one) is an InvalidDatasetError; both name the file."""
     fmt = format or sniff_format(path)
-    if fmt == "delimited":
-        return _load_delimited(path)
-    if fmt == "structured":
-        return _load_structured(path)
-    raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    if fmt not in FORMATS:
+        raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    load = _load_delimited if fmt == "delimited" else _load_structured
+    try:
+        wn, rows, labels = load(path)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    try:
+        return LabeledDataset(wn, rows, labels)
+    except InvalidInputError as exc:
+        raise InvalidDatasetError(f"{path}: {exc}") from exc
 
 
-def _load_delimited(path: str) -> LabeledDataset:
+def _load_delimited(path: str):
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if len(lines) < 2:
@@ -105,10 +117,10 @@ def _load_delimited(path: str) -> LabeledDataset:
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise ParseError(f"{path}:{bad[0] + 2}: non-finite intensity")
-    return LabeledDataset(wn, rows, labels)
+    return wn, rows, labels
 
 
-def _load_structured(path: str) -> LabeledDataset:
+def _load_structured(path: str):
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -139,4 +151,4 @@ def _load_structured(path: str) -> LabeledDataset:
             raise ParseError(f"{path}: sample {i}: non-numeric intensity: {exc}") from exc
         if not np.all(np.isfinite(rows[-1])):
             raise ParseError(f"{path}: sample {i} has a non-finite intensity")
-    return LabeledDataset(wn, np.array(rows), labels)
+    return wn, np.array(rows, dtype=float).reshape(len(rows), wn.size), labels

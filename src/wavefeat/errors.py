@@ -35,7 +35,8 @@ class MissingLabelError(DataFormatError):
 
 class InvalidDatasetError(DataFormatError):
     """Dataset values break the schema: a non-finite wavenumber or intensity,
-    or a wavenumber grid that is not strictly monotone."""
+    a wavenumber grid that is not strictly monotone, or fewer than 2
+    samples."""
 
 
 class NumericalError(WavefeatError, RuntimeError):

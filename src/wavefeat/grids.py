@@ -70,12 +70,15 @@ def expand_grid(doc: dict) -> ConfigGrid:
 
 
 def load_json_config(path: str):
-    """Parse a JSON config file; text that is not JSON is a config error."""
-    with open(path) as fh:
-        try:
+    """Parse a JSON config file; a file that cannot be read, or text that is
+    not JSON, is a config error."""
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise InvalidConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def load_grid_document(path: str | None = None) -> dict:
@@ -85,8 +88,9 @@ def load_grid_document(path: str | None = None) -> dict:
             resources.files("wavefeat").joinpath("default_grid.json").read_text())
     else:
         doc = load_json_config(path)
-    if doc.get("schema") != GRID_SCHEMA:
-        raise InvalidConfigError(f"grid document must declare schema {GRID_SCHEMA!r}")
+    if not isinstance(doc, dict) or doc.get("schema") != GRID_SCHEMA:
+        raise InvalidConfigError(
+            f"grid document must be a JSON object declaring schema {GRID_SCHEMA!r}")
     return doc
 
 

@@ -175,22 +175,30 @@ class LrModel:
 
 def _logistic_loss_grad(wb: np.ndarray, x: np.ndarray, y: np.ndarray,
                         lam: float, penalty: str):
-    """Mean logistic loss with optional ridge term (intercept unpenalized)."""
-    w, b = wb[:-1], wb[-1]
-    z = y * (x @ w + b)
-    loss = float(np.mean(np.logaddexp(0.0, -z)))
-    sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))  # sigma(-z)
-    coef = -y * sig / x.shape[0]
-    grad_w = x.T @ coef
-    grad_b = float(np.sum(coef))
+    """Mean logistic loss with optional ridge term (intercept unpenalized),
+    and its gradient as a new array."""
+    m, n = x.shape
+    w = wb[:-1]
+    z = x @ w
+    z += wb[-1]
+    z *= y
+    t = np.negative(z)
+    loss = float(np.add.reduce(np.logaddexp(0.0, t, out=t)) / m)
+    # coefficients -y sigma(-z) / m of the gradient, built in t
+    np.minimum(np.maximum(z, -500.0, out=t), 500.0, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    np.divide(1.0, t, out=t)
+    t *= y
+    np.negative(t, out=t)
+    t /= m
+    grad = np.empty(n + 1)
+    grad[:-1] = x.T @ t
+    grad[-1] = np.add.reduce(t)
     if penalty == "l2":
         loss += lam * float(w @ w)
-        grad_w = grad_w + 2.0 * lam * w
-    return loss, np.concatenate([grad_w, [grad_b]])
-
-
-def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        grad[:-1] += 2.0 * lam * w
+    return loss, grad
 
 
 def _fit_binary_l2(x, y, lam, grad_tol, max_iter, x0):
@@ -205,19 +213,11 @@ def _fit_binary_l2(x, y, lam, grad_tol, max_iter, x0):
     return res.x, converged, int(res.nit)
 
 
-def _kkt_residual(wb: np.ndarray, grad: np.ndarray, lam: float) -> float:
-    """Largest entry of the minimum-norm subgradient of f + lam ||w||_1 at wb,
-    given grad = grad f(wb); the last entry of both is the intercept."""
-    w, g = wb[:-1], grad[:-1]
-    sub = np.where(w != 0.0, np.abs(g + lam * np.sign(w)),
-                   np.maximum(np.abs(g) - lam, 0.0))
-    return max(float(np.max(sub, initial=0.0)), abs(float(grad[-1])))
-
-
 def _fit_binary_l1(xa, y, lam, grad_tol, max_iter, x0, lip):
     """FISTA with backtracking and adaptive restart on the smooth logistic
     loss + lam * ||w||_1 (intercept unpenalized); xa is the data with a
-    trailing column of ones.  The proximal step yields exact zeros.
+    trailing column of ones.  The proximal step, sign(v) * max(|v| - lam/L, 0),
+    yields exact zeros.
 
     Step size: each iteration first tries L/2, then doubles L until the
     sufficient-decrease test f(p) <= f(z) + <grad f(z), p - z> + L/2 ||p - z||^2
@@ -227,43 +227,73 @@ def _fit_binary_l1(xa, y, lam, grad_tol, max_iter, x0, lip):
 
     Stopping rule: the KKT residual at z (the largest entry of the
     minimum-norm subgradient of the full objective) is at most grad_tol; z is
-    then returned.  The residual does not depend on the step, and it is never
-    smaller than the gradient-mapping residual |prox step| * L.
+    then returned.  The residual is tested in parts, cheapest first, and the
+    test stops at the first part above grad_tol: the intercept gradient
+    |g_b|, then the zero weights, max |g_j| - lam, then the support,
+    max |g_j + lam sign(w_j)|.  A NaN in any part reads as not converged.
+    The residual does not depend on the step, and it is never smaller than
+    the gradient-mapping residual |prox step| * L.
+
+    The iteration's vectors live in buffers allocated once per solve.  Each
+    floating-point operation, and its order, is that of the plain formulas
+    above, so the iterates are the same bits as theirs; ``tests/test_models.py``
+    keeps the plain form as its reference.
     """
     m = xa.shape[0]
     lip_max = lip
-    wb = zb = x0.copy()
+    neg_y = -y
+    wb, zb = x0.copy(), x0.copy()
+    new, step = np.empty_like(wb), np.empty_like(wb)
+    shrunk = np.empty(wb.size - 1)
+    coef = np.empty(m)
     xw = xz = xa @ wb  # margins before the labels: X w + b and X z + b
     t_acc = 1.0
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        margin = y * xz
-        loss_z = np.mean(np.logaddexp(0.0, -margin))
-        grad = xa.T @ (-y / (1.0 + np.exp(np.clip(margin, -500, 500))) / m)
-        if _kkt_residual(zb, grad, lam) <= grad_tol:
+        loss_z = np.add.reduce(np.logaddexp(0.0, neg_y * xz)) / m
+        np.minimum(np.maximum(y * xz, -500.0, out=coef), 500.0, out=coef)
+        np.exp(coef, out=coef)
+        coef += 1.0
+        np.divide(neg_y, coef, out=coef)
+        coef /= m
+        grad = xa.T @ coef
+        g, w = grad[:-1], zb[:-1]  # KKT residual at z, cheapest part first
+        if (abs(grad[-1]) <= grad_tol
+                and np.maximum.reduce(np.abs(g), where=w == 0.0,
+                                      initial=lam) - lam <= grad_tol
+                and np.maximum.reduce(np.abs(g + lam * np.sign(w)),
+                                      where=w != 0.0, initial=0.0) <= grad_tol):
             wb = zb
             converged = True
             break
         lip /= 2.0
         while True:
-            new = zb - grad / lip
-            new[:-1] = _soft_threshold(new[:-1], lam / lip)
-            step = new - zb
+            np.subtract(zb, np.divide(grad, lip, out=new), out=new)
+            v = new[:-1]
+            np.abs(v, out=shrunk)
+            shrunk -= lam / lip
+            np.maximum(shrunk, 0.0, out=shrunk)
+            np.sign(v, out=v)
+            v *= shrunk
+            np.subtract(new, zb, out=step)
             xnew = xa @ new
-            loss_new = np.mean(np.logaddexp(0.0, -y * xnew))
+            loss_new = np.add.reduce(np.logaddexp(0.0, neg_y * xnew)) / m
             if (lip >= lip_max or loss_new
                     <= loss_z + grad @ step + 0.5 * lip * (step @ step)):
                 break
             lip *= 2.0
-        # restart the momentum when it points against the step direction
-        if np.dot(zb - new, new - wb) > 0:
+        d = np.subtract(new, wb, out=wb)
+        # restart the momentum when it points against the step direction,
+        # (z - new) . d > 0, which is step . d < 0 exactly
+        if step @ d < 0:
             t_acc = 1.0
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
         beta = (t_acc - 1.0) / t_next
-        zb = new + beta * (new - wb)
+        np.multiply(d, beta, out=zb)
+        zb += new
         xz = (1.0 + beta) * xnew - beta * xw  # X z without a mat-vec
-        wb, xw = new, xnew
+        wb, new, xw = new, d, xnew
         t_acc = t_next
     return wb, converged, it
 
@@ -280,9 +310,12 @@ def lr_fit(x: np.ndarray, labels, penalty: str = "l2", inverse_reg: float = 1.0,
     _fit_binary_l1), which starts from the Lipschitz bound
     sigma_max([x, 1])^2 / (4 m), computed once per fit and shared by the
     classes, and stops when the largest entry of the minimum-norm
-    subgradient (the KKT residual) is at most grad_tol.  ``x0`` is the start
-    (w, b) of every class.  A class that fails to converge within max_iter
-    iterations produces a warning; the model is still returned.
+    subgradient (the KKT residual) is at most grad_tol.  That test reads the
+    intercept gradient first, then the zero weights, then the support, and
+    stops at the first part above grad_tol; a NaN is never converged.
+    ``x0`` is the start (w, b) of every class.  A class that fails to
+    converge within max_iter iterations produces a warning; the model is
+    still returned.
     """
     if penalty not in PENALTIES:
         raise InvalidConfigError(f"penalty must be one of {PENALTIES}")

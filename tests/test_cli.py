@@ -208,6 +208,37 @@ def test_config_that_is_not_json_exits_2(tmp_path, capsys, command):
     assert f"usage error: {config}: invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gridsearch", "cluster", "train"])
+def test_missing_or_unreadable_input_file_exits_2_or_3(tmp_path, capsys, command):
+    data = _tiny_dataset(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(PIPELINE if command == "train" else CLUSTER_GRID))
+    out = ["--out-dir", str(tmp_path / "out")]
+    cases = [
+        (["--data", str(data), "--config", str(tmp_path / "nope.json")], 2,
+         f"usage error: {tmp_path / 'nope.json'}: cannot read"),
+        (["--data", str(tmp_path / "nope.csv"), "--config", str(config)], 3,
+         f"data error: {tmp_path / 'nope.csv'}: cannot read"),
+        (["--data", str(tmp_path), "--config", str(config)], 3,
+         f"data error: {tmp_path}: cannot read"),
+    ]
+    capsys.readouterr()
+    for args, code, message in cases:
+        assert cli.main([command, *args, *out]) == code
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gridsearch", "cluster"])
+def test_grid_that_is_not_a_json_object_exits_2(tmp_path, capsys, command):
+    data = _tiny_dataset(tmp_path)
+    grid = tmp_path / "list.json"
+    grid.write_text("[1, 2]")
+    capsys.readouterr()
+    assert cli.main([command, "--data", str(data), "--config", str(grid),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    assert "usage error: grid document must be a JSON object" in capsys.readouterr().err
+
+
 def _mixed_label_copy(tmp_path, data):
     """The dataset with class_k relabelled k: an int in even samples and a
     string in odd ones, so each class mixes 0 and "0"."""

@@ -1,10 +1,12 @@
 """Tests for dataset files: lossless round trips and row-named errors."""
+import json
+
 import numpy as np
 import pytest
 
 from wavefeat import cli
 from wavefeat.dataio import load_dataset, save_dataset
-from wavefeat.errors import InvalidInputError
+from wavefeat.errors import InvalidDatasetError
 from wavefeat.preprocess import LabeledDataset
 
 
@@ -43,8 +45,22 @@ def test_one_sample_csv_parses_as_one_row(tmp_path):
     # check that rejects it is the sample count, not the array shape
     path = tmp_path / "one.csv"
     path.write_text("label,1,2,3\nx,0.5,1.5,2.5\n")
-    with pytest.raises(InvalidInputError, match="at least 2 samples"):
+    with pytest.raises(InvalidDatasetError, match="at least 2 samples"):
         load_dataset(str(path))
+
+
+@pytest.mark.parametrize("name, text", [
+    ("one.csv", "label,1,2,3\nx,0.5,1.5,2.5\n"),
+    ("none.json", json.dumps({"schema": "wavefeat-dataset", "version": 1,
+                              "wavenumbers": [1, 2, 3], "samples": []})),
+], ids=["one-sample-csv", "no-sample-json"])
+def test_fewer_than_2_samples_is_a_data_error_exit_3(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert cli.main(["cluster", "--data", str(path), "--folds", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    assert (f"data error: {path}: dataset needs at least 2 samples"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("row, message", [

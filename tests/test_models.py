@@ -300,6 +300,143 @@ class TestLrL1:
         assert np.array_equal(again, wb)
 
 
+# The solver and the loss as they were written before their vectors moved
+# into reused buffers.  They are the reference for bit-identical results.
+
+def _reference_logistic_loss_grad(wb, x, y, lam, penalty):
+    w, b = wb[:-1], wb[-1]
+    z = y * (x @ w + b)
+    loss = float(np.mean(np.logaddexp(0.0, -z)))
+    sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))  # sigma(-z)
+    coef = -y * sig / x.shape[0]
+    grad_w = x.T @ coef
+    grad_b = float(np.sum(coef))
+    if penalty == "l2":
+        loss += lam * float(w @ w)
+        grad_w = grad_w + 2.0 * lam * w
+    return loss, np.concatenate([grad_w, [grad_b]])
+
+
+def _reference_soft_threshold(v, t):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def _reference_kkt_residual(wb, grad, lam):
+    w, g = wb[:-1], grad[:-1]
+    sub = np.where(w != 0.0, np.abs(g + lam * np.sign(w)),
+                   np.maximum(np.abs(g) - lam, 0.0))
+    return max(float(np.max(sub, initial=0.0)), abs(float(grad[-1])))
+
+
+def _reference_fit_binary_l1(xa, y, lam, grad_tol, max_iter, x0, lip):
+    m = xa.shape[0]
+    lip_max = lip
+    wb = zb = x0.copy()
+    xw = xz = xa @ wb
+    t_acc = 1.0
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        margin = y * xz
+        loss_z = np.mean(np.logaddexp(0.0, -margin))
+        grad = xa.T @ (-y / (1.0 + np.exp(np.clip(margin, -500, 500))) / m)
+        if _reference_kkt_residual(zb, grad, lam) <= grad_tol:
+            wb = zb
+            converged = True
+            break
+        lip /= 2.0
+        while True:
+            new = zb - grad / lip
+            new[:-1] = _reference_soft_threshold(new[:-1], lam / lip)
+            step = new - zb
+            xnew = xa @ new
+            loss_new = np.mean(np.logaddexp(0.0, -y * xnew))
+            if (lip >= lip_max or loss_new
+                    <= loss_z + grad @ step + 0.5 * lip * (step @ step)):
+                break
+            lip *= 2.0
+        if np.dot(zb - new, new - wb) > 0:
+            t_acc = 1.0
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
+        beta = (t_acc - 1.0) / t_next
+        zb = new + beta * (new - wb)
+        xz = (1.0 + beta) * xnew - beta * xw
+        wb, xw = new, xnew
+        t_acc = t_next
+    return wb, converged, it
+
+
+def _with_ones(x):
+    xa = np.column_stack([x, np.ones(x.shape[0])])
+    return xa, np.linalg.norm(xa, 2) ** 2 / (4.0 * x.shape[0])
+
+
+@pytest.fixture(scope="module")
+def synth_fold():
+    """40 x 1600 training rows of the default synth set, centred as the
+    classification grid centres them, with a trailing column of ones."""
+    data = synth_dataset(SyntheticSpec())
+    x = data.intensities[::2]
+    return _with_ones(x - x.mean(axis=0)) + (data.labels[::2],)
+
+
+def _assert_same_solve(xa, y, lam, max_iter, x0, lip):
+    got = M._fit_binary_l1(xa, y, lam, 1e-6, max_iter, x0, lip)
+    want = _reference_fit_binary_l1(xa, y, lam, 1e-6, max_iter, x0, lip)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+    return got
+
+
+class TestBitIdenticalToReference:
+    def test_sparse_problem_both_classes_and_a_random_start(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((60, 8))
+        y = np.where(x[:, 0] + 0.5 * x[:, 1]
+                     + 0.5 * rng.standard_normal(60) > 0, 1.0, -1.0)
+        xa, lip = _with_ones(x)
+        starts = (np.zeros(9), np.random.default_rng(13).standard_normal(9))
+        for yy in (y, -y):
+            for x0 in starts:
+                _, conv, _ = _assert_same_solve(xa, yy, 0.1, 5000, x0, lip)
+                assert conv
+
+    @pytest.mark.parametrize("lam", [0.01, 1.0 / (100 * 40)])
+    @pytest.mark.parametrize("cls", ["class_0", "class_3"])
+    def test_synth_fold(self, synth_fold, lam, cls):
+        xa, lip, labels = synth_fold
+        y = _binary_targets(labels, cls)
+        _, conv, _ = _assert_same_solve(xa, y, lam, 5000,
+                                        np.zeros(xa.shape[1]), lip)
+        assert conv
+
+    def test_synth_fold_random_start(self, synth_fold):
+        xa, lip, labels = synth_fold
+        x0 = np.random.default_rng(14).standard_normal(xa.shape[1]) * 1e-3
+        _, conv, _ = _assert_same_solve(xa, _binary_targets(labels, "class_1"),
+                                        0.01, 5000, x0, lip)
+        assert conv
+
+    def test_synth_fold_iteration_cap(self, synth_fold):
+        xa, lip, labels = synth_fold
+        _, conv, n_it = _assert_same_solve(xa, _binary_targets(labels, "class_2"),
+                                           0.01, 50, np.zeros(xa.shape[1]), lip)
+        assert not conv and n_it == 50
+
+    @pytest.mark.parametrize("penalty", ["l2", "none"])
+    def test_logistic_loss_grad(self, penalty):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((30, 12))
+        y = np.where(rng.standard_normal(30) > 0, 1.0, -1.0)
+        for scale in (0.1, 1.0, 300.0):  # the last clips some margins
+            wb = rng.standard_normal(13) * scale
+            loss, grad = _logistic_loss_grad(wb, x, y, 0.3, penalty)
+            want_loss, want_grad = _reference_logistic_loss_grad(
+                wb, x, y, 0.3, penalty)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+
+
 class TestPairwiseDistances:
     def test_identical_points(self):
         d = M.pairwise_distances(np.ones((3, 2)), "euclidean")

@@ -11,7 +11,9 @@ only committed files are measured) into one temporary directory, and the
 run stops before measuring anything if ``perfbench/`` or ``BENCHMARK.json``
 differ between them.  Each pair runs ``perfbench/run.py --trace 0`` once in
 each tree; the side that runs first alternates from pair to pair.  The JSON
-written to ``--out`` holds every run's end-to-end metrics and output
+file ``--out`` holds one entry per workload, so one file can collect every
+workload of a change; running another workload adds its entry and keeps
+the others.  An entry holds every run's end-to-end metrics and output
 digests, and per metric each side's median and quartiles
 (``statistics.quantiles(values, n=4)``, as ``perfbench/spread.py``) and the
 pairs each side won (ties count for neither).
@@ -122,14 +124,16 @@ def main(argv=None) -> int:
     summary = summarize(runs, declared)
     digests = {side: {json.dumps(d, sort_keys=True) for r in runs for d in r[side]["sha256"]}
                for side in SIDES}
-    doc = {
-        "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-        "pairs": args.pairs, "parent": commits["parent"], "change": commits["change"],
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.is_file() else {}
+    doc[args.workload] = {
+        "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+        "parent": commits["parent"], "change": commits["change"],
         "all_correct": all(r[side]["correct"] for r in runs for side in SIDES),
         "outputs_identical": len(digests["parent"] | digests["change"]) == 1,
         "summary": summary, "runs": runs,
     }
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for name, s in summary.items():
         print(f"{name:18s} parent {s['parent']['median']:10.4f} "
               f"[{s['parent']['q1']:.4f}, {s['parent']['q3']:.4f}]  "

@@ -81,7 +81,7 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
         raise InvalidDatasetError(f"{path}: {exc}") from exc
 
 
-def _load_delimited(path: str):
+def _load_delimited(path: str) -> tuple[np.ndarray, np.ndarray, list]:
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if len(lines) < 2:
@@ -120,7 +120,7 @@ def _load_delimited(path: str):
     return wn, rows, labels
 
 
-def _load_structured(path: str):
+def _load_structured(path: str) -> tuple[np.ndarray, np.ndarray, list]:
     try:
         with open(path) as fh:
             doc = json.load(fh)

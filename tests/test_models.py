@@ -300,8 +300,8 @@ class TestLrL1:
         assert np.array_equal(again, wb)
 
 
-# The solver and the loss as they were written before their vectors moved
-# into reused buffers.  They are the reference for bit-identical results.
+# The solver and the loss written as plain formulas, one temporary per
+# operation: the reference that the buffered versions match bit for bit.
 
 def _reference_logistic_loss_grad(wb, x, y, lam, penalty):
     w, b = wb[:-1], wb[-1]

@@ -14,13 +14,15 @@ each tree; the side that runs first alternates from pair to pair.  The JSON
 file ``--out`` holds one entry per workload, so one file can collect every
 workload of a change; running another workload adds its entry and keeps
 the others.  An entry holds every run's end-to-end metrics and output
-digests, and per metric each side's median and quartiles
-(``statistics.quantiles(values, n=4)``, as ``perfbench/spread.py``) and the
-pairs each side won (ties count for neither).
+digests (one per command, over its output files), and per metric each
+side's median and quartiles (``statistics.quantiles(values, n=4)``, as
+``perfbench/spread.py``) and the pairs each side won (ties count for
+neither).
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import statistics
@@ -52,6 +54,13 @@ def benchmark_files(tree: Path) -> dict[str, bytes]:
     return {str(p.relative_to(tree)): p.read_bytes() for p in files if p.is_file()}
 
 
+def outputs_digest(files: dict | None) -> str | None:
+    """One sha256 over a command's {output file: sha256} map."""
+    if files is None:
+        return None
+    return hashlib.sha256(json.dumps(files, sort_keys=True).encode()).hexdigest()
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in tree: its metrics and output digests."""
     done = subprocess.run(
@@ -67,7 +76,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "sha256": [c.get("sha256") for c in record["commands"]]}
+            "outputs_sha256": [outputs_digest(c.get("sha256")) for c in record["commands"]]}
 
 
 def spread(values: list[float]) -> dict:
@@ -122,8 +131,7 @@ def main(argv=None) -> int:
                 file=sys.stderr)
 
     summary = summarize(runs, declared)
-    digests = {side: {json.dumps(d, sort_keys=True) for r in runs for d in r[side]["sha256"]}
-               for side in SIDES}
+    digests = {side: {d for r in runs for d in r[side]["outputs_sha256"]} for side in SIDES}
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.is_file() else {}
     doc[args.workload] = {

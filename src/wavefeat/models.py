@@ -175,30 +175,18 @@ class LrModel:
 
 def _logistic_loss_grad(wb: np.ndarray, x: np.ndarray, y: np.ndarray,
                         lam: float, penalty: str):
-    """Mean logistic loss with optional ridge term (intercept unpenalized),
-    and its gradient as a new array."""
-    m, n = x.shape
-    w = wb[:-1]
-    z = x @ w
-    z += wb[-1]
-    z *= y
-    t = np.negative(z)
-    loss = float(np.add.reduce(np.logaddexp(0.0, t, out=t)) / m)
-    # coefficients -y sigma(-z) / m of the gradient, built in t
-    np.minimum(np.maximum(z, -500.0, out=t), 500.0, out=t)
-    np.exp(t, out=t)
-    t += 1.0
-    np.divide(1.0, t, out=t)
-    t *= y
-    np.negative(t, out=t)
-    t /= m
-    grad = np.empty(n + 1)
-    grad[:-1] = x.T @ t
-    grad[-1] = np.add.reduce(t)
+    """Mean logistic loss with optional ridge term (intercept unpenalized)."""
+    w, b = wb[:-1], wb[-1]
+    z = y * (x @ w + b)
+    loss = float(np.mean(np.logaddexp(0.0, -z)))
+    sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))  # sigma(-z)
+    coef = -y * sig / x.shape[0]
+    grad_w = x.T @ coef
+    grad_b = float(np.sum(coef))
     if penalty == "l2":
         loss += lam * float(w @ w)
-        grad[:-1] += 2.0 * lam * w
-    return loss, grad
+        grad_w = grad_w + 2.0 * lam * w
+    return loss, np.concatenate([grad_w, [grad_b]])
 
 
 def _fit_binary_l2(x, y, lam, grad_tol, max_iter, x0):

@@ -300,22 +300,8 @@ class TestLrL1:
         assert np.array_equal(again, wb)
 
 
-# The solver and the loss written as plain formulas, one temporary per
-# operation: the reference that the buffered versions match bit for bit.
-
-def _reference_logistic_loss_grad(wb, x, y, lam, penalty):
-    w, b = wb[:-1], wb[-1]
-    z = y * (x @ w + b)
-    loss = float(np.mean(np.logaddexp(0.0, -z)))
-    sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))  # sigma(-z)
-    coef = -y * sig / x.shape[0]
-    grad_w = x.T @ coef
-    grad_b = float(np.sum(coef))
-    if penalty == "l2":
-        loss += lam * float(w @ w)
-        grad_w = grad_w + 2.0 * lam * w
-    return loss, np.concatenate([grad_w, [grad_b]])
-
+# The solver written as plain formulas, one temporary per operation: the
+# reference that the buffered version matches bit for bit.
 
 def _reference_soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
@@ -422,19 +408,6 @@ class TestBitIdenticalToReference:
         _, conv, n_it = _assert_same_solve(xa, _binary_targets(labels, "class_2"),
                                            0.01, 50, np.zeros(xa.shape[1]), lip)
         assert not conv and n_it == 50
-
-    @pytest.mark.parametrize("penalty", ["l2", "none"])
-    def test_logistic_loss_grad(self, penalty):
-        rng = np.random.default_rng(15)
-        x = rng.standard_normal((30, 12))
-        y = np.where(rng.standard_normal(30) > 0, 1.0, -1.0)
-        for scale in (0.1, 1.0, 300.0):  # the last clips some margins
-            wb = rng.standard_normal(13) * scale
-            loss, grad = _logistic_loss_grad(wb, x, y, 0.3, penalty)
-            want_loss, want_grad = _reference_logistic_loss_grad(
-                wb, x, y, 0.3, penalty)
-            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
-            assert grad.tobytes() == want_grad.tobytes()
 
 
 class TestPairwiseDistances:

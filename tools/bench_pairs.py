@@ -10,12 +10,13 @@ Both trees are exported with ``git archive`` (the parent rev and HEAD, so
 only committed files are measured) into one temporary directory, and the
 run stops before measuring anything if ``perfbench/`` or ``BENCHMARK.json``
 differ between them.  Each pair runs ``perfbench/run.py --trace 0`` once in
-each tree; the side that runs first alternates from pair to pair.  The JSON
-file ``--out`` holds one entry per workload, so one file can collect every
-workload of a change; running another workload adds its entry and keeps
-the others.  An entry holds every run's end-to-end metrics and output
-digests (one per command, over its output files), and per metric each
-side's median and quartiles (``statistics.quantiles(values, n=4)``, as
+each tree, for the ``run_seconds`` that ``BENCHMARK.json`` declares; the side
+that runs first alternates from pair to pair.  The JSON file ``--out`` holds
+a list of rounds per workload, and each invocation appends one round, so
+one file keeps every round of a change, reruns at the same or another seed
+included.  A round holds every run's end-to-end metrics and output digests
+(one per command, over its output files), and per metric each side's median
+and quartiles (``statistics.quantiles(values, n=4)``, as
 ``perfbench/spread.py``) and the pairs each side won (ties count for
 neither).
 """
@@ -45,7 +46,12 @@ def export(rev: str, dest: Path) -> str:
     """Extract the committed tree of rev into dest; its full commit id."""
     commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
     with tarfile.open(fileobj=io.BytesIO(git("archive", commit))) as tar:
-        tar.extractall(dest, filter="data")
+        # extraction filters exist from Python 3.12 and in later 3.10/3.11
+        # patch releases; the archive comes from this repository either way
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
     return commit
 
 
@@ -105,12 +111,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, to give quartiles")
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
@@ -119,28 +123,30 @@ def main(argv=None) -> int:
         if benchmark_files(trees["parent"]) != benchmark_files(trees["change"]):
             raise SystemExit("perfbench/ or BENCHMARK.json differ between "
                              f"{args.parent} and HEAD; the pairs would not compare")
+        declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        seconds = declared["run_seconds"]
         runs = []
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             run = {"pair": pair, "first": order[0]}
             for side in order:
-                run[side] = run_once(trees[side], args.workload, args.seed, args.seconds)
+                run[side] = run_once(trees[side], args.workload, args.seed, seconds)
             runs.append(run)
             print(f"pair {pair}: " + "  ".join(
                 f"{side} run_s={run[side]['metrics']['run_s']:.3f}" for side in SIDES),
                 file=sys.stderr)
 
-    summary = summarize(runs, declared)
+    summary = summarize(runs, declared["end_to_end"])
     digests = {side: {d for r in runs for d in r[side]["outputs_sha256"]} for side in SIDES}
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.is_file() else {}
-    doc[args.workload] = {
-        "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+    doc.setdefault(args.workload, []).append({
+        "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
         "parent": commits["parent"], "change": commits["change"],
         "all_correct": all(r[side]["correct"] for r in runs for side in SIDES),
         "outputs_identical": len(digests["parent"] | digests["change"]) == 1,
         "summary": summary, "runs": runs,
-    }
+    })
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for name, s in summary.items():
         print(f"{name:18s} parent {s['parent']['median']:10.4f} "

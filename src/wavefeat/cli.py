@@ -374,6 +374,21 @@ def cmd_report(args) -> int:
 # parser / entry point
 # ----------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """argparse type: an integer of at least low, so a bad count exits 2
+    with the flag's name before any data is read."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavefeat",
@@ -404,14 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser("gridsearch",
                             help="classification grid search + repeated CV")
     common(p_grid)
-    p_grid.add_argument("--folds", type=int, default=4)
-    p_grid.add_argument("--repeats", type=int, default=25)
+    p_grid.add_argument("--folds", type=_int_at_least(2), default=4)
+    p_grid.add_argument("--repeats", type=_int_at_least(1), default=25)
     p_grid.set_defaults(func=cmd_gridsearch)
 
     p_cluster = sub.add_parser("cluster",
                                help="clustering grid search + full-data clustering")
     common(p_cluster)
-    p_cluster.add_argument("--folds", type=int, default=4)
+    p_cluster.add_argument("--folds", type=_int_at_least(2), default=4)
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_train = sub.add_parser("train", help="fit one pipeline, serialize it")

@@ -135,11 +135,20 @@ def _load_structured(path: str) -> tuple[np.ndarray, np.ndarray, list]:
         raise ParseError(f"{path}: malformed document: {exc}") from exc
     if not np.all(np.isfinite(wn)):
         raise ParseError(f"{path}: non-finite wavenumber")
+    if not isinstance(samples, list):
+        raise ParseError(f'{path}: "samples" must be a list, '
+                         f"got {type(samples).__name__}")
     labels, rows = [], []
     for i, sample in enumerate(samples):
+        if not isinstance(sample, dict):
+            raise ParseError(f"{path}: sample {i} must be an object, "
+                             f"got {type(sample).__name__}")
         if "label" not in sample:
             raise MissingLabelError(f"{path}: sample {i} has no label")
         vals = sample.get("intensities")
+        if not isinstance(vals, (list, type(None))):
+            raise ParseError(f"{path}: sample {i}: intensities must be a list, "
+                             f"got {type(vals).__name__}")
         if vals is None or len(vals) != wn.size:
             raise GridMismatchError(
                 f"{path}: sample {i} has {0 if vals is None else len(vals)} "

@@ -5,9 +5,11 @@ LDA pools the within-class covariance and inverts it with every eigenvalue
 raised to a floor of rel_tol times the largest, so it stays usable when
 features outnumber samples: the directions in which no class spreads get the
 floor variance and weigh most, instead of being ignored.  Logistic regression
-minimizes mean logistic loss plus a ridge (solved by L-BFGS) or a lasso
-penalty (solved by accelerated proximal gradient, FISTA, which yields exact
-zeros).  The lasso solver picks its step by backtracking on a
+minimizes mean logistic loss plus a ridge or a lasso penalty.  The ridge
+solution lies in the row space of the m training rows, so Newton's method
+solves it in min(m, n) coordinates plus the intercept, not in the n feature
+coordinates.  The lasso is solved by accelerated proximal gradient (FISTA),
+which yields exact zeros; it picks its step by backtracking on a
 sufficient-decrease test, starting from the global Lipschitz bound, and stops
 when the KKT residual of the full objective (the largest entry of its
 minimum-norm subgradient) is at most the tolerance.  Clustering is
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage as scipy_linkage
-from scipy.optimize import minimize
 from scipy.spatial.distance import squareform
 
 from .errors import InvalidConfigError, InvalidInputError
@@ -173,32 +174,63 @@ class LrModel:
     n_iter: int
 
 
-def _logistic_loss_grad(wb: np.ndarray, x: np.ndarray, y: np.ndarray,
-                        lam: float, penalty: str):
-    """Mean logistic loss with optional ridge term (intercept unpenalized)."""
-    w, b = wb[:-1], wb[-1]
-    z = y * (x @ w + b)
-    loss = float(np.mean(np.logaddexp(0.0, -z)))
-    sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))  # sigma(-z)
-    coef = -y * sig / x.shape[0]
-    grad_w = x.T @ coef
-    grad_b = float(np.sum(coef))
-    if penalty == "l2":
-        loss += lam * float(w @ w)
-        grad_w = grad_w + 2.0 * lam * w
-    return loss, np.concatenate([grad_w, [grad_b]])
+def _newton_binary_l2(ra, q, y, lam, grad_tol, max_iter, x0):
+    """Newton's method with Armijo backtracking on mean logistic loss +
+    lam ||beta||^2 over t = (beta, b), where ra = [R^T, 1] holds the margins'
+    coordinates, x w + b = ra t for w = q beta (see lr_fit).
 
+    Each step solves H p = -g with the (r+1) x (r+1) Hessian
+    ra^T diag(s (1 - s) / m) ra + 2 lam diag(1, .., 1, 0), s = sigma(-y ra t);
+    where badly scaled features make H numerically singular, p is the
+    least-norm solution instead.  The first trial step is 1, or less if that
+    would move some margin by more than 20, and it is halved until the loss
+    falls by at least 1e-4 of the decrease the gradient predicts.  It stops
+    when the largest entry of the full-space gradient (q g_beta, g_b) is at
+    most grad_tol, or unconverged after max_iter steps or a step that finds
+    no decrease.  Returns t, whether it converged, and the number of Newton
+    steps.
+    """
+    m, k = ra.shape
+    ridge = np.full(k, 2.0 * lam)
+    ridge[-1] = 0.0  # intercept unpenalized
 
-def _fit_binary_l2(x, y, lam, grad_tol, max_iter, x0):
-    res = minimize(
-        _logistic_loss_grad, x0, args=(x, y, lam, "l2"),
-        method="L-BFGS-B", jac=True,
-        options={"maxiter": max_iter, "gtol": grad_tol, "ftol": 1e-16,
-                 "maxfun": 10 * max_iter},
-    )
-    _, grad = _logistic_loss_grad(res.x, x, y, lam, "l2")
-    converged = bool(np.max(np.abs(grad)) <= grad_tol)
-    return res.x, converged, int(res.nit)
+    def loss(t):
+        z = y * (ra @ t)
+        return float(np.mean(np.logaddexp(0.0, -z))) + lam * float(t[:-1] @ t[:-1]), z
+
+    t = x0
+    f, z = loss(t)
+    for it in range(max_iter + 1):
+        e = np.exp(np.clip(z, -500, 500))
+        s = 1.0 / (1.0 + e)  # sigma(-z)
+        grad = ra.T @ (-y * s / m) + ridge * t
+        if max(np.max(np.abs(q @ grad[:-1])), abs(grad[-1])) <= grad_tol:
+            return t, True, it
+        if it == max_iter:
+            break
+        # sigma(z) sigma(-z) as e s s, which stays above 0 where 1 - s is 0
+        hess = (ra.T * (e * s * s / m)) @ ra
+        hess[np.diag_indices(k)] += ridge
+        try:
+            p = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            p = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        slope = float(grad @ p)
+        # past a margin change of 20 a sample's loss is linear to within
+        # e^-20, so the quadratic model says nothing there; a full step from
+        # a start that saturates every margin would overshoot by far
+        reach = float(np.max(np.abs(ra @ p)))
+        step = 1.0 if reach <= 20.0 else 20.0 / reach
+        for _ in range(50):
+            new = t + step * p
+            f_new, z_new = loss(new)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step /= 2.0
+        else:
+            break
+        t, f, z = new, f_new, z_new
+    return t, False, it
 
 
 def _fit_binary_l1(xa, y, lam, grad_tol, max_iter, x0, lip):
@@ -292,9 +324,21 @@ def lr_fit(x: np.ndarray, labels, penalty: str = "l2", inverse_reg: float = 1.0,
     """One-vs-rest regularized logistic regression.
 
     The objective per class is mean log(1 + exp(-y (w.x + b))) plus
-    lambda ||w||_2^2 or lambda ||w||_1 with lambda = 1/inverse_reg.  The l2
-    problem is solved by L-BFGS and stops when the largest gradient entry is
-    at most grad_tol.  The l1 problem is solved by backtracking FISTA (see
+    lambda ||w||_2^2 or lambda ||w||_1 with lambda = 1/inverse_reg.
+
+    The l2 problem is solved in the row space of x.  Its stationarity
+    condition 2 lambda w = -x^T c / m (c the loss derivative per sample) puts
+    the optimal w in the span of the rows.  With the reduced QR factorization
+    x^T = Q R, computed once per fit and shared by the classes (Q is
+    n x r, r = min(m, n)), every w = Q beta in that span has x w = R^T beta and
+    ||w|| = ||beta||.  So the same optimum solves the problem in the r + 1
+    unknowns (beta, b), and w = Q beta (Hastie & Tibshirani, Biostatistics
+    2004).  Newton's method with Armijo backtracking solves that problem
+    (see _newton_binary_l2).  It stops when the largest entry of the
+    full-space gradient (Q g_beta, g_b) is at most grad_tol, and n_iter counts
+    Newton steps.  The start is x0 projected onto the span, beta = Q^T w0.
+
+    The l1 problem is solved by backtracking FISTA (see
     _fit_binary_l1), which starts from the Lipschitz bound
     sigma_max([x, 1])^2 / (4 m), computed once per fit and shared by the
     classes, and stops when the largest entry of the minimum-norm
@@ -315,6 +359,9 @@ def lr_fit(x: np.ndarray, labels, penalty: str = "l2", inverse_reg: float = 1.0,
     if penalty == "l1":
         xa = np.column_stack([x, np.ones(m)])
         lip = np.linalg.norm(xa, 2) ** 2 / (4.0 * m)
+    else:
+        q, r = np.linalg.qr(x.T)  # x^T = q r, q: n x min(m, n)
+        ra = np.column_stack([r.T, np.ones(m)])
     weights = np.empty((len(classes), n))
     intercepts = np.empty(len(classes))
     all_converged = True
@@ -323,7 +370,10 @@ def lr_fit(x: np.ndarray, labels, penalty: str = "l2", inverse_reg: float = 1.0,
         y = np.where(np.asarray(labels, dtype=object) == cls, 1.0, -1.0)
         start = np.zeros(n + 1) if x0 is None else np.asarray(x0, dtype=float)
         if penalty == "l2":
-            wb, conv, n_it = _fit_binary_l2(x, y, lam, grad_tol, max_iter, start)
+            tb, conv, n_it = _newton_binary_l2(
+                ra, q, y, lam, grad_tol, max_iter,
+                np.append(q.T @ start[:-1], start[-1]))
+            wb = np.append(q @ tb[:-1], tb[-1])
         else:
             wb, conv, n_it = _fit_binary_l1(xa, y, lam, grad_tol, max_iter,
                                             start, lip)

@@ -282,3 +282,22 @@ def test_cluster_mixed_int_and_str_labels_are_one_class(tmp_path):
                          "--seed", "2", "--folds", "2", "--out-dir", str(out)]) == 0
         tables.append((out / "table_clustering.tsv").read_text())
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("gridsearch", "--folds", "1", "must be at least 2, got 1"),
+    ("gridsearch", "--folds", "-3", "must be at least 2, got -3"),
+    ("gridsearch", "--repeats", "0", "must be at least 1, got 0"),
+    ("gridsearch", "--repeats", "two", "expected an integer, got 'two'"),
+    ("cluster", "--folds", "1", "must be at least 2, got 1"),
+    ("cluster", "--folds", "0", "must be at least 2, got 0"),
+])
+def test_bad_fold_or_repeat_count_exits_2_before_reading_data(
+        tmp_path, capsys, command, flag, value, message):
+    # the data file does not exist: reading it first would exit 3
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--data", str(tmp_path / "missing.csv"), flag, value,
+                  "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -80,3 +80,22 @@ def test_bad_row_is_named_and_exits_3(tmp_path, capsys, row, message):
     assert cli.main(["cluster", "--data", str(path), "--folds", "2",
                      "--out-dir", str(tmp_path / "out")]) == 3
     assert f"{path}:4: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples, message", [
+    ({"label": "a", "intensities": [1, 2, 3]}, '"samples" must be a list, got dict'),
+    (7, '"samples" must be a list, got int'),
+    ([{"label": "a", "intensities": [1, 2, 3]}, [1, 2, 3]],
+     "sample 1 must be an object, got list"),
+    (["a", "b"], "sample 0 must be an object, got str"),
+    ([{"label": "a", "intensities": 5}, {"label": "b", "intensities": [1, 2, 3]}],
+     "sample 0: intensities must be a list, got int"),
+], ids=["samples-object", "samples-number", "entry-list", "entry-string",
+        "intensities-number"])
+def test_malformed_structured_samples_exit_3(tmp_path, capsys, samples, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": "wavefeat-dataset", "version": 1,
+                                "wavenumbers": [1, 2, 3], "samples": samples}))
+    assert cli.main(["cluster", "--data", str(path), "--folds", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    assert f"data error: {path}: {message}" in capsys.readouterr().err

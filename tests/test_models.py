@@ -7,8 +7,24 @@ import pytest
 from wavefeat.errors import InvalidConfigError, InvalidInputError
 from wavefeat import models as M
 from wavefeat.metrics import adjusted_rand
-from wavefeat.models import _logistic_loss_grad
 from wavefeat.synth import SyntheticSpec, synth_dataset
+
+
+def _logistic_loss_grad(wb, x, y, lam, penalty):
+    """Reference formula: mean logistic loss of (w, b) = wb, plus
+    lam ||w||^2 when penalty is "l2" (intercept unpenalized), and its
+    gradient in the full (w, b) space."""
+    w, b = wb[:-1], wb[-1]
+    z = y * (x @ w + b)
+    loss = float(np.mean(np.logaddexp(0.0, -z)))
+    sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))  # sigma(-z)
+    coef = -y * sig / x.shape[0]
+    grad_w = x.T @ coef
+    grad_b = float(np.sum(coef))
+    if penalty == "l2":
+        loss += lam * float(w @ w)
+        grad_w = grad_w + 2.0 * lam * w
+    return loss, np.concatenate([grad_w, [grad_b]])
 
 
 def _factored_inverse(model):
@@ -247,6 +263,124 @@ def _l1_objective_and_kkt(x, y, wb, lam):
 
 def _binary_targets(labels, cls):
     return np.where(np.asarray(labels, dtype=object) == cls, 1.0, -1.0)
+
+
+def _l2_full_gradients(model, x, labels):
+    """Largest entry of the full-space gradient of mean logistic loss +
+    ||w||^2 / C at each class's (w, b)."""
+    lam = 1.0 / model.inverse_reg
+    return [np.max(np.abs(_logistic_loss_grad(
+        np.append(model.weights[i], model.intercepts[i]), x,
+        _binary_targets(labels, cls), lam, "l2")[1]))
+        for i, cls in enumerate(model.classes)]
+
+
+def _wide_problem(m=40, n=2048, seed=24):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, n))
+    signal = x[:, :3] @ np.array([1.0, -1.0, 0.5])
+    return x, list(np.digitize(signal, [-0.5, 0.5]))
+
+
+def _lbfgs_reference(x, labels, inverse_reg):
+    """The l2 fit by scipy L-BFGS-B over all n + 1 coordinates, to a
+    gradient far below the solver's tolerance."""
+    from scipy.optimize import minimize
+    classes = sorted(set(labels))
+    wb = [minimize(_logistic_loss_grad, np.zeros(x.shape[1] + 1),
+                   args=(x, _binary_targets(labels, cls), 1.0 / inverse_reg, "l2"),
+                   method="L-BFGS-B", jac=True,
+                   options={"gtol": 1e-10, "ftol": 1e-300,
+                            "maxiter": 100000, "maxfun": 1000000}).x
+          for cls in classes]
+    return M.LrModel(classes, np.array([v[:-1] for v in wb]),
+                     np.array([v[-1] for v in wb]), "l2", inverse_reg, True, 0)
+
+
+class TestLrL2:
+    @pytest.mark.parametrize("inverse_reg", [1.0, 100.0, 1e4])
+    def test_wide_input_reaches_gradient_tolerance(self, inverse_reg):
+        x, y = _wide_problem()
+        model = M.lr_fit(x, y, "l2", inverse_reg)
+        assert model.converged and len(model.classes) == 3
+        assert max(_l2_full_gradients(model, x, y)) <= 1e-6
+
+    @pytest.mark.parametrize("shape", ["tall", "centred", "duplicated"])
+    def test_tall_and_rank_deficient_inputs(self, shape):
+        if shape == "tall":
+            x, y = _wide_problem(m=80, n=12)
+        else:
+            x, y = _wide_problem(m=30, n=200)
+            if shape == "centred":  # rank m - 1
+                x = x - x.mean(axis=0)
+            else:
+                x[-1], y[-1] = x[0], y[0]
+        model = M.lr_fit(x, y, "l2", 100.0)
+        assert model.converged
+        assert max(_l2_full_gradients(model, x, y)) <= 1e-6
+
+    @pytest.mark.parametrize("scale", [1e12, 1e150])
+    def test_badly_scaled_features_converge(self, scale):
+        # the Hessian is numerically singular at this scale
+        x, y = _wide_problem(m=40, n=300)
+        model = M.lr_fit(x * scale, y, "l2", 100.0)
+        assert model.converged
+        assert max(_l2_full_gradients(model, x * scale, y)) <= 1e-6
+
+    @pytest.mark.parametrize("inverse_reg", [1.0, 100.0, 1e4])
+    def test_far_start_reaches_the_same_weights(self, inverse_reg):
+        # a start whose margins are all in the hundreds
+        x, y = _wide_problem(m=40, n=300)
+        x0 = np.random.default_rng(27).standard_normal(301) * 10.0
+        far = M.lr_fit(x, y, "l2", inverse_reg, x0=x0)
+        near = M.lr_fit(x, y, "l2", inverse_reg)
+        assert far.converged
+        assert max(_l2_full_gradients(far, x, y)) <= 1e-6
+        # the objective is (2 / C)-strongly convex, so two points whose
+        # gradients are within 1e-6 per entry lie within this distance
+        bound = 2e-6 * np.sqrt(x.shape[1] + 1) / (2.0 / inverse_reg)
+        assert np.max(np.linalg.norm(far.weights - near.weights, axis=1)) <= bound
+        assert M.lr_predict(far, x) == M.lr_predict(near, x)
+
+    def test_start_is_projected_onto_the_row_space(self):
+        # the start's part outside the row space is dropped, so a start at
+        # class 1's solution plus such a part is that solution after no step;
+        # class 0's solution is minus class 1's, so one step leaves it short
+        x, labels = _wide_problem(m=40, n=300)
+        y = [int(v == 1) for v in labels]
+        model = M.lr_fit(x, y, "l2", 100.0)
+        w, b = model.weights[1], model.intercepts[1]
+        _, _, vt = np.linalg.svd(x, full_matrices=False)
+        u = np.random.default_rng(28).standard_normal(300)
+        u -= vt.T @ (vt @ u)
+        with pytest.warns(RuntimeWarning, match="class 0 did not reach"):
+            warm = M.lr_fit(x, y, "l2", 100.0, max_iter=1, x0=np.append(w + u, b))
+        assert np.max(np.abs(warm.weights[1] - w)) <= 1e-12 * np.max(np.abs(w))
+        assert warm.intercepts[1] == b
+
+    def test_weights_lie_in_the_row_space(self):
+        x, y = _wide_problem()
+        model = M.lr_fit(x, y, "l2", 100.0,
+                         x0=np.random.default_rng(25).standard_normal(x.shape[1] + 1))
+        _, _, vt = np.linalg.svd(x, full_matrices=False)
+        for w in model.weights:
+            outside = w - vt.T @ (vt @ w)
+            assert np.linalg.norm(outside) <= 1e-10 * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("inverse_reg", [1.0, 100.0])
+    def test_predictions_match_lbfgs(self, inverse_reg):
+        x, y = _wide_problem(m=40, n=300)
+        model = M.lr_fit(x, y, "l2", inverse_reg)
+        ref = _lbfgs_reference(x, y, inverse_reg)
+        probe = np.vstack([x, np.random.default_rng(26).standard_normal((60, 300))])
+        assert M.lr_predict(model, probe) == M.lr_predict(ref, probe)
+        assert np.max(np.abs(model.weights - ref.weights)) <= 1e-4
+
+    def test_one_newton_step_warns_and_is_not_converged(self):
+        x, y = _wide_problem(m=40, n=300)
+        with pytest.warns(RuntimeWarning, match="did not reach"):
+            model = M.lr_fit(x, y, "l2", 100.0, max_iter=1)
+        assert not model.converged and model.n_iter == 1
 
 
 class TestLrL1:

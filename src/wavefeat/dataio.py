@@ -128,16 +128,17 @@ def _load_structured(path: str) -> tuple[np.ndarray, np.ndarray, list]:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_NAME:
         raise ParseError(f"{path}: not a {SCHEMA_NAME} document")
+    for key in ("wavenumbers", "samples"):
+        if not isinstance(doc.get(key), list):
+            raise ParseError(f'{path}: "{key}" must be a list, '
+                             f"got {type(doc.get(key)).__name__}")
     try:
         wn = np.array([float(v) for v in doc["wavenumbers"]])
-        samples = doc["samples"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed document: {exc}") from exc
     if not np.all(np.isfinite(wn)):
         raise ParseError(f"{path}: non-finite wavenumber")
-    if not isinstance(samples, list):
-        raise ParseError(f'{path}: "samples" must be a list, '
-                         f"got {type(samples).__name__}")
+    samples = doc["samples"]
     labels, rows = [], []
     for i, sample in enumerate(samples):
         if not isinstance(sample, dict):

@@ -176,19 +176,16 @@ class LrModel:
 
 def _newton_binary_l2(ra, q, y, lam, grad_tol, max_iter, x0):
     """Newton's method with Armijo backtracking on mean logistic loss +
-    lam ||beta||^2 over t = (beta, b), where ra = [R^T, 1] holds the margins'
-    coordinates, x w + b = ra t for w = q beta (see lr_fit).
+    lam ||beta||^2 over t = (beta, b); ra = [R^T, 1], so x w + b = ra t for
+    w = q beta (see lr_fit).  Returns t, converged, and the Newton steps.
 
     Each step solves H p = -g with the (r+1) x (r+1) Hessian
-    ra^T diag(s (1 - s) / m) ra + 2 lam diag(1, .., 1, 0), s = sigma(-y ra t);
-    where badly scaled features make H numerically singular, p is the
-    least-norm solution instead.  The first trial step is 1, or less if that
-    would move some margin by more than 20, and it is halved until the loss
-    falls by at least 1e-4 of the decrease the gradient predicts.  It stops
-    when the largest entry of the full-space gradient (q g_beta, g_b) is at
-    most grad_tol, or unconverged after max_iter steps or a step that finds
-    no decrease.  Returns t, whether it converged, and the number of Newton
-    steps.
+    ra^T diag(s (1 - s) / m) ra + 2 lam diag(1, .., 1, 0), s = sigma(-y ra t),
+    or takes the least-norm solution where badly scaled features make H
+    numerically singular.  The first trial step is 1, or less if that would
+    move some margin by more than 20; it is halved until the loss falls by
+    1e-4 of the decrease the gradient predicts.  A step that finds no such
+    decrease ends the solve unconverged.
     """
     m, k = ra.shape
     ridge = np.full(k, 2.0 * lam)
@@ -329,14 +326,13 @@ def lr_fit(x: np.ndarray, labels, penalty: str = "l2", inverse_reg: float = 1.0,
     The l2 problem is solved in the row space of x.  Its stationarity
     condition 2 lambda w = -x^T c / m (c the loss derivative per sample) puts
     the optimal w in the span of the rows.  With the reduced QR factorization
-    x^T = Q R, computed once per fit and shared by the classes (Q is
-    n x r, r = min(m, n)), every w = Q beta in that span has x w = R^T beta and
-    ||w|| = ||beta||.  So the same optimum solves the problem in the r + 1
-    unknowns (beta, b), and w = Q beta (Hastie & Tibshirani, Biostatistics
-    2004).  Newton's method with Armijo backtracking solves that problem
-    (see _newton_binary_l2).  It stops when the largest entry of the
-    full-space gradient (Q g_beta, g_b) is at most grad_tol, and n_iter counts
-    Newton steps.  The start is x0 projected onto the span, beta = Q^T w0.
+    x^T = Q R (Q is n x r, r = min(m, n)), computed once per fit and shared by
+    the classes, every w = Q beta has x w = R^T beta and ||w|| = ||beta||, so
+    the same optimum solves the problem in the r + 1 unknowns (beta, b)
+    (Hastie & Tibshirani, Biostatistics 2004).  Newton's method solves it
+    (see _newton_binary_l2) from beta = Q^T w0, the start x0 projected onto
+    the span, and stops when the largest entry of the full-space gradient
+    (Q g_beta, g_b) is at most grad_tol; n_iter counts Newton steps.
 
     The l1 problem is solved by backtracking FISTA (see
     _fit_binary_l1), which starts from the Lipschitz bound

@@ -82,6 +82,23 @@ def test_bad_row_is_named_and_exits_3(tmp_path, capsys, row, message):
     assert f"{path}:4: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("wavenumbers, message", [
+    ("123", '"wavenumbers" must be a list, got str'),
+    (None, '"wavenumbers" must be a list, got NoneType'),
+    ([1, "two", 3], "malformed document"),
+], ids=["string", "null", "word"])
+def test_malformed_structured_wavenumbers_exit_3(tmp_path, capsys, wavenumbers, message):
+    # a string would otherwise be read one character per wavenumber
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": "wavefeat-dataset", "version": 1,
+                                "wavenumbers": wavenumbers, "samples": [
+                                    {"label": "a", "intensities": [1, 2, 3]},
+                                    {"label": "b", "intensities": [4, 5, 6]}]}))
+    assert cli.main(["cluster", "--data", str(path), "--folds", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    assert f"data error: {path}: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("samples, message", [
     ({"label": "a", "intensities": [1, 2, 3]}, '"samples" must be a list, got dict'),
     (7, '"samples" must be a list, got int'),

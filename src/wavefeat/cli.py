@@ -219,8 +219,7 @@ def cmd_cluster(args) -> int:
         dendro = models.dendrogram_export(tree, list(data.labels))
         fname = f"dendrogram_{space.replace(' ', '')}_d{d}.json"
         with open(os.path.join(args.out_dir, fname), "w") as fh:
-            json.dump(dendro, fh)
-            fh.write("\n")
+            fh.write(json.dumps(dendro) + "\n")
         finals[(space, d)] = {
             "config": report.config.to_dict(),
             "label": report.config.label(),

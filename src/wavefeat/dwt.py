@@ -152,7 +152,14 @@ def _even_extend(x: np.ndarray) -> np.ndarray:
 
 
 def dwt_single(x: np.ndarray, w: WaveletSpec, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """One analysis step: filter + downsample along the last axis."""
+    """One analysis step: filter + downsample along the last axis.
+
+    Both modes read the taps of each kept output sample through a strided
+    window view, so no block is copied beyond its padding.  For
+    ``periodization`` the even-length signal is wrapped by L samples on the
+    left, and window ``2k + 2`` reversed holds ``x[(2k + 1 - j) mod n]`` at
+    tap j.  Other modes keep the odd windows of the border-extended signal.
+    """
     if mode not in PADDING_MODES:
         raise InvalidInputError(f"unknown padding mode {mode!r}")
     x = np.asarray(x, dtype=float)
@@ -162,23 +169,25 @@ def dwt_single(x: np.ndarray, w: WaveletSpec, mode: str) -> tuple[np.ndarray, np
         raise InvalidInputError(f"signal length {n} shorter than filter length {L}")
     if mode == "periodization":
         xe = _even_extend(x)
-        ne = xe.shape[-1]
-        k = ne // 2
-        idx = (2 * np.arange(k)[:, None] + 1 - np.arange(L)[None, :]) % ne
-        win = xe[..., idx]
-        approx = win @ w.dec_lo
-        detail = win @ w.dec_hi
-        return approx, detail
+        k = xe.shape[-1] // 2
+        ext = np.concatenate([xe[..., -L:], xe], axis=-1)
+        win = np.lib.stride_tricks.sliding_window_view(ext, L, axis=-1)
+        win = win[..., 2:2 + 2 * k:2, ::-1]
+        return win @ w.dec_lo, win @ w.dec_hi
     ext = pad(x, mode, L - 1, L - 1)
-    win = np.lib.stride_tricks.sliding_window_view(ext, L, axis=-1)
-    approx = (win @ w.dec_lo[::-1])[..., 1::2]
-    detail = (win @ w.dec_hi[::-1])[..., 1::2]
-    return approx, detail
+    win = np.lib.stride_tricks.sliding_window_view(ext, L, axis=-1)[..., 1::2, :]
+    return win @ w.dec_lo[::-1], win @ w.dec_hi[::-1]
 
 
 def idwt_single(approx: np.ndarray, detail: np.ndarray, w: WaveletSpec,
                 mode: str, out_length: int) -> np.ndarray:
-    """One synthesis step, trimming to the stored input length."""
+    """One synthesis step, trimming to the stored input length.
+
+    Tap j adds ``a * rec_lo[j] + d * rec_hi[j]`` to every other output
+    sample, so each sample sums its taps in increasing j.  For
+    ``periodization`` those samples are ``(2k + 2 - L + j) mod n``: one
+    parity class, rotated, which two slice adds cover.
+    """
     a = np.asarray(approx, dtype=float)
     d = np.asarray(detail, dtype=float)
     if a.shape != d.shape:
@@ -190,10 +199,13 @@ def idwt_single(approx: np.ndarray, detail: np.ndarray, w: WaveletSpec,
         if not out_length <= ne:
             raise InvalidInputError("inconsistent bookkeeping lengths")
         out = np.zeros(a.shape[:-1] + (ne,))
-        base = (2 * np.arange(k) + 2 - L) % ne
         for j in range(L):
-            pos = (base + j) % ne
-            out[..., pos] += a * w.rec_lo[j] + d * w.rec_hi[j]
+            shift = (2 - L + j) % ne
+            half = out[..., shift % 2::2]
+            rot = shift // 2
+            v = a * w.rec_lo[j] + d * w.rec_hi[j]
+            half[..., rot:] += v[..., :k - rot]
+            half[..., :rot] += v[..., k - rot:]
         return out[..., :out_length]
     full = 2 * k + L - 1
     if not (L - 2 + out_length) <= full:

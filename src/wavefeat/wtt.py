@@ -1,17 +1,23 @@
 """Adaptive wavelet-like transform built from recursive SVD of reshapings.
 
 A length-2^d signal is viewed as a d-way array with binary mode sizes, least
-significant bit first (column-major vectorization), so the first level pairs
-adjacent samples, the next level pairs adjacent pairs, and so on, exactly the
-dyadic structure of a wavelet filter bank.  At every level the current block
-is reshaped so that the leading mode pairs the previous rank with the next
-binary mode, and the left singular matrix of that unfolding becomes the
-level filter.  Rows past the level rank are emitted as detail coefficients;
-the rest continue deeper.  Every filter is square and orthogonal, so the
-transform is an isometry and exactly invertible at any rank.
+significant bit first, so the first level pairs adjacent samples, the next
+level pairs adjacent pairs, and so on, exactly the dyadic structure of a
+wavelet filter bank.  At every level the current block is reshaped so that
+the leading mode pairs the previous rank with the next binary mode, and the
+left singular matrix of that unfolding becomes the level filter.  Rows past
+the level rank are emitted as detail coefficients; the rest continue
+deeper.  Every filter is square and orthogonal, so the transform is an
+isometry and exactly invertible at any rank.
+
+Layout: each level's (rows, cols) unfolding of every signal in a batch is
+held transposed, as a row-major (batch, cols, rows) array, so consecutive
+samples fill a row and a plain row-major reshape moves from one level to
+the next.  A level is then one matrix product, ``block @ u`` forward and
+``block @ u.T`` inverse, on the (batch * cols, rows) view.
 
 Banks are trained on a stack of signals (the stack is treated as one extra
-trailing mode whose filter is discarded; one signal is a stack of one), and
+slowest mode whose filter is discarded; one signal is a stack of one), and
 then applied to any signal of the same length.
 """
 from __future__ import annotations
@@ -85,8 +91,9 @@ def train_group_filters(signals: np.ndarray, rank: int) -> WttFilterBank:
     The stack is treated as one tensor with an extra trailing (slowest)
     group mode; the filter belonging to that mode is never used, so the
     resulting bank applies to any single signal of the shared length.  A
-    single signal is a stack of one.  All reshapes are column-major, so
-    binary modes run from the least significant (adjacent samples) upward.
+    single signal is a stack of one.  Each level's unfolding is held as
+    its transpose, a row-major (columns, rows) block (see the module
+    docstring).
     """
     signals = np.asarray(signals, dtype=float)
     if signals.ndim != 2:
@@ -98,13 +105,13 @@ def train_group_filters(signals: np.ndarray, rank: int) -> WttFilterBank:
     # trailing group mode of size m: tail products gain a factor of m
     ranks = _clipped_ranks(rank, d, [2 ** (d - k - 1) * m for k in range(d - 1)])
     filters = []
-    a = signals.reshape(1, -1)  # sample-major concat = group mode slowest
+    a = signals
     r_prev = 1
     for r_k in ranks:
-        a = a.reshape(r_prev * 2, -1, order="F")
-        u, _ = svd_left(a)
+        a = a.reshape(-1, r_prev * 2)
+        u, _ = svd_left(a.T)
         filters.append(u)
-        a = (u.T @ a)[:r_k]
+        a = (a @ u)[:, :r_k]
         r_prev = r_k
     return WttFilterBank(tuple(filters), tuple(ranks), n, rank)
 
@@ -124,17 +131,14 @@ def wtt_forward(x: np.ndarray, bank: WttFilterBank) -> WttCoeffs:
             f"signal length {x.shape[-1]} does not match bank length {bank.signal_length}")
     batch = x.shape[0]
     details = []
-    # batch kept as the trailing (slowest) axis so column-major reshapes act
-    # per sample exactly as on a single signal
-    a = x.T.reshape(1, bank.signal_length, batch, order="F")
+    a = x
     for u, r_k in zip(bank.filters, bank.ranks):
         rows = u.shape[0]
-        a = a.reshape(rows, -1, batch, order="F")
-        b = np.tensordot(u.T, a, axes=(1, 0))
-        det = b[r_k:].reshape(-1, batch, order="F").T
+        b = (a.reshape(-1, rows) @ u).reshape(batch, -1, rows)
+        det = b[..., r_k:].reshape(batch, -1)
         details.append(det[0] if single else det)
-        a = b[:r_k]
-    core = a.reshape(-1, batch, order="F").T
+        a = b[..., :r_k]
+    core = a.reshape(batch, -1)
     return WttCoeffs(details=details, core=core[0] if single else core)
 
 
@@ -155,7 +159,7 @@ def wtt_inverse(c: WttCoeffs, bank: WttFilterBank) -> np.ndarray:
     r_last = bank.ranks[-1]
     if core.size != batch * r_last * cols[-1]:
         raise InvalidInputError("core size does not match bank shape")
-    a = core.T.reshape(r_last, cols[-1], batch, order="F")
+    a = core
     for k in range(bank.depth - 1, -1, -1):
         u = bank.filters[k]
         rows = u.shape[0]
@@ -166,13 +170,11 @@ def wtt_inverse(c: WttCoeffs, bank: WttFilterBank) -> np.ndarray:
             raise InvalidInputError(
                 f"level-{k + 1} detail block has {det.size} elements, expected {expect}")
         b = np.concatenate(
-            [a.reshape(r_k, cols[k], batch, order="F"),
-             det.T.reshape(rows - r_k, cols[k], batch, order="F")], axis=0)
-        full = np.tensordot(u, b, axes=(1, 0))
-        r_prev = 1 if k == 0 else bank.ranks[k - 1]
-        a = full.reshape(r_prev, -1, batch, order="F")
-    return a.reshape(n, batch, order="F").T[0] if single else \
-        a.reshape(n, batch, order="F").T
+            [a.reshape(batch * cols[k], r_k),
+             det.reshape(batch * cols[k], rows - r_k)], axis=1)
+        a = b @ u.T
+    a = a.reshape(batch, n)
+    return a[0] if single else a
 
 
 def flatten_wtt(c: WttCoeffs) -> np.ndarray:

@@ -221,3 +221,111 @@ class TestFlatten:
         c = dwt.wavedec(np.zeros(32), w, "zero", 2)
         with pytest.raises(InvalidInputError):
             dwt.unflatten(np.zeros(c.total_length + 1), c)
+
+
+# The analysis and synthesis steps as first written, with an index-array
+# gather (periodization), a scatter through fancy indices and a full-length
+# window product: the reference that the strided kernels match bit for bit.
+
+def _reference_dwt_single(x, w, mode):
+    L = w.filter_length
+    if mode == "periodization":
+        xe = dwt._even_extend(x)
+        ne = xe.shape[-1]
+        idx = (2 * np.arange(ne // 2)[:, None] + 1 - np.arange(L)[None, :]) % ne
+        win = xe[..., idx]
+        return win @ w.dec_lo, win @ w.dec_hi
+    ext = dwt.pad(x, mode, L - 1, L - 1)
+    win = np.lib.stride_tricks.sliding_window_view(ext, L, axis=-1)
+    return (win @ w.dec_lo[::-1])[..., 1::2], (win @ w.dec_hi[::-1])[..., 1::2]
+
+
+def _reference_idwt_periodization(a, d, w, out_length):
+    L = w.filter_length
+    k = a.shape[-1]
+    ne = 2 * k
+    out = np.zeros(a.shape[:-1] + (ne,))
+    base = (2 * np.arange(k) + 2 - L) % ne
+    for j in range(L):
+        pos = (base + j) % ne
+        out[..., pos] += a * w.rec_lo[j] + d * w.rec_hi[j]
+    return out[..., :out_length]
+
+
+def _reference_waverec_periodization(c):
+    cur = c.approx
+    for det, out_len in zip(c.details, c.level_lengths):
+        cur = _reference_idwt_periodization(cur, det, c.wavelet, out_len)
+    return cur
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+_REFERENCE_WAVELETS = [("daubechies", 4), ("daubechies", 1), ("symlet", 5),
+                       ("coiflet", 3), ("biorthogonal", "3.5")]
+
+
+@pytest.fixture(scope="module")
+def spectra_block():
+    """250 rows of random signals per length; the rows of every smaller
+    block in these tests are taken from it."""
+    rng = np.random.default_rng(20)
+    return {n: rng.standard_normal((250, n)) for n in (1600, 801, 50)}
+
+
+def _blocks(block):
+    """A single signal and blocks of 1, 60 and 250 rows, with the row
+    indices of ``block`` that each one holds."""
+    return [(block[7], 7), (block[7:8], slice(7, 8)),
+            (block[:60], slice(0, 60)), (block, slice(None))]
+
+
+class TestBitIdenticalToReference:
+    @pytest.mark.parametrize("n", [1600, 801, 50])
+    @pytest.mark.parametrize("family,order", _REFERENCE_WAVELETS)
+    def test_periodization_analysis(self, spectra_block, n, family, order):
+        # The reference runs on the whole block.  On one row, its contiguous
+        # (k, L) window matrix goes to BLAS gemv, which sums the taps in
+        # another order than the per-row products it makes for a block; the
+        # strided kernel sums every row as the reference's block rows.
+        w = dwt.lookup_wavelet(family, order)
+        block = spectra_block[n]
+        want = _reference_dwt_single(block, w, "periodization")
+        for x, rows in _blocks(block):
+            for got, ref in zip(dwt.dwt_single(x, w, "periodization"), want):
+                _same_bits(got, ref[rows])
+
+    @pytest.mark.parametrize("n", [1600, 801, 50])
+    @pytest.mark.parametrize("family,order", _REFERENCE_WAVELETS)
+    def test_periodization_synthesis(self, spectra_block, n, family, order):
+        w = dwt.lookup_wavelet(family, order)
+        for x, _ in _blocks(spectra_block[n]):
+            a, d = _reference_dwt_single(x, w, "periodization")
+            _same_bits(dwt.idwt_single(a, d, w, "periodization", n),
+                       _reference_idwt_periodization(a, d, w, n))
+
+    @pytest.mark.parametrize("n", [1600, 801, 50])
+    def test_multilevel_inverse_of_soft_thresholded_coefficients(
+            self, spectra_block, n):
+        w = dwt.lookup_wavelet("daubechies", 4)
+        level = dwt.max_level(n, w)
+        for x, _ in _blocks(spectra_block[n]):
+            c = dwt.wavedec(x, w, "periodization", level)
+            flat = dwt.flatten(c)
+            shrunk = np.sign(flat) * np.maximum(np.abs(flat) - 0.5, 0.0)
+            c2 = dwt.unflatten(shrunk, c)
+            _same_bits(dwt.waverec(c2), _reference_waverec_periodization(c2))
+
+    @pytest.mark.parametrize("mode", [m for m in dwt.PADDING_MODES
+                                      if m != "periodization"])
+    @pytest.mark.parametrize("n", [1600, 801, 50])
+    def test_other_modes_analysis(self, spectra_block, mode, n):
+        for family, order in _REFERENCE_WAVELETS:
+            w = dwt.lookup_wavelet(family, order)
+            for x, _ in _blocks(spectra_block[n]):
+                for got, want in zip(dwt.dwt_single(x, w, mode),
+                                     _reference_dwt_single(x, w, mode)):
+                    _same_bits(got, want)

@@ -6,6 +6,7 @@ import pytest
 
 from wavefeat import wtt
 from wavefeat.errors import InvalidInputError
+from wavefeat.numerics import svd_left
 
 
 class TestTrainFilters:
@@ -197,3 +198,92 @@ class TestSerialization:
         np.savez(path, header=np.array("{}"))
         with pytest.raises(InvalidInputError):
             wtt.load_bank(path)
+
+
+# Training and both transforms as first written, on column-major reshapes
+# with the batch as the trailing axis and ``tensordot`` per level: the
+# reference that the row-major kernels match bit for bit.
+
+def _reference_train(signals, rank):
+    m, n = signals.shape
+    d = int(np.log2(n))
+    ranks = wtt._clipped_ranks(rank, d, [2 ** (d - k - 1) * m for k in range(d - 1)])
+    filters = []
+    a = signals.reshape(1, -1)
+    r_prev = 1
+    for r_k in ranks:
+        a = a.reshape(r_prev * 2, -1, order="F")
+        u, _ = svd_left(a)
+        filters.append(u)
+        a = (u.T @ a)[:r_k]
+        r_prev = r_k
+    return filters, ranks
+
+
+def _reference_forward(x, bank):
+    batch = x.shape[0]
+    details = []
+    a = x.T.reshape(1, bank.signal_length, batch, order="F")
+    for u, r_k in zip(bank.filters, bank.ranks):
+        a = a.reshape(u.shape[0], -1, batch, order="F")
+        b = np.tensordot(u.T, a, axes=(1, 0))
+        details.append(b[r_k:].reshape(-1, batch, order="F").T)
+        a = b[:r_k]
+    return details, a.reshape(-1, batch, order="F").T
+
+
+def _reference_inverse(details, core, bank):
+    batch = core.shape[0]
+    n = bank.signal_length
+    cols = [n // (2 ** (k + 1)) for k in range(bank.depth)]
+    a = core.T.reshape(bank.ranks[-1], cols[-1], batch, order="F")
+    for k in range(bank.depth - 1, -1, -1):
+        u = bank.filters[k]
+        rows, r_k = u.shape[0], bank.ranks[k]
+        b = np.concatenate(
+            [a.reshape(r_k, cols[k], batch, order="F"),
+             details[k].T.reshape(rows - r_k, cols[k], batch, order="F")], axis=0)
+        full = np.tensordot(u, b, axes=(1, 0))
+        r_prev = 1 if k == 0 else bank.ranks[k - 1]
+        a = full.reshape(r_prev, -1, batch, order="F")
+    return a.reshape(n, batch, order="F").T
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.fixture(scope="module")
+def wtt_block():
+    return np.random.default_rng(21).standard_normal((250, 2048))
+
+
+class TestBitIdenticalToReference:
+    # ranks 1, 2 and 6 are the packaged grids' ranks; one signal of length
+    # 64 at rank 6 clips the last two ranks through the sample count
+    @pytest.mark.parametrize("rank,train_rows,n", [
+        (1, 60, 2048), (2, 60, 2048), (6, 60, 2048), (6, 1, 64)])
+    def test_train_forward_inverse(self, wtt_block, rank, train_rows, n):
+        block = wtt_block[:, :n]
+        bank = wtt.train_group_filters(block[:train_rows], rank)
+        filters, ranks = _reference_train(block[:train_rows], rank)
+        assert bank.ranks == tuple(ranks)
+        if (train_rows, n) == (1, 64):
+            assert bank.ranks[-2:] == (4, 2)
+        for got, want in zip(bank.filters, filters):
+            _same_bits(got, want)
+        for x in (block[7], block[7:8], block[:60], block):
+            c = wtt.wtt_forward(x, bank)
+            rows = np.atleast_2d(x)
+            details, core = _reference_forward(rows, bank)
+            got = [np.atleast_2d(v) for v in c.details + [c.core]]
+            for g, want in zip(got, details + [core]):
+                _same_bits(g, want)
+            flat = wtt.flatten_wtt(c)
+            shrunk = np.sign(flat) * np.maximum(np.abs(flat) - 0.5, 0.0)
+            c2 = wtt.unflatten_wtt(shrunk, bank)
+            want = _reference_inverse([np.atleast_2d(v) for v in c2.details],
+                                      np.atleast_2d(c2.core), bank)
+            _same_bits(np.atleast_2d(wtt.wtt_inverse(c2, bank)), want)
+            assert wtt.wtt_inverse(c2, bank).shape == x.shape

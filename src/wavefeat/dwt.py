@@ -157,8 +157,10 @@ def dwt_single(x: np.ndarray, w: WaveletSpec, mode: str) -> tuple[np.ndarray, np
     Both modes read the taps of each kept output sample through a strided
     window view, so no block is copied beyond its padding.  For
     ``periodization`` the even-length signal is wrapped by L samples on the
-    left, and window ``2k + 2`` reversed holds ``x[(2k + 1 - j) mod n]`` at
-    tap j.  Other modes keep the odd windows of the border-extended signal.
+    left, and output i reads window ``2i + 2`` reversed, which holds
+    ``x[(2i + 1 - j) mod n]`` at tap j.  Other modes keep the odd windows
+    of the border-extended signal.  Every row is summed tap by tap in the
+    same order, so a signal's coefficients do not depend on its block.
     """
     if mode not in PADDING_MODES:
         raise InvalidInputError(f"unknown padding mode {mode!r}")
@@ -183,10 +185,10 @@ def idwt_single(approx: np.ndarray, detail: np.ndarray, w: WaveletSpec,
                 mode: str, out_length: int) -> np.ndarray:
     """One synthesis step, trimming to the stored input length.
 
-    Tap j adds ``a * rec_lo[j] + d * rec_hi[j]`` to every other output
-    sample, so each sample sums its taps in increasing j.  For
-    ``periodization`` those samples are ``(2k + 2 - L + j) mod n``: one
-    parity class, rotated, which two slice adds cover.
+    Tap j adds ``a[i] * rec_lo[j] + d[i] * rec_hi[j]`` to every other
+    output sample, so each sample sums its taps in increasing j.  For
+    ``periodization`` input i goes to sample ``(2i + 2 - L + j) mod n``:
+    one parity class, rotated, which two slice adds cover.
     """
     a = np.asarray(approx, dtype=float)
     d = np.asarray(detail, dtype=float)

@@ -7,15 +7,14 @@ sequence first, so a label's row and column share an index) and counted with
 mutual information) follow the usual permutation-model expectations; pair
 sums stay in exact integers, and the exact hypergeometric E[MI] is one
 vectorised sum over the feasible cell values, with probabilities read from a
-table of log-factorials (``scipy.special.gammaln``) and natural-log
-entropies (Vinh, Epps & Bailey, JMLR 2010).
+table of log-factorials (``scipy.special.gammaln``, imported at the first
+call) and natural-log entropies (Vinh, Epps & Bailey, JMLR 2010).
 """
 from __future__ import annotations
 
 from math import comb, sqrt
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvalidInputError
 
@@ -121,6 +120,7 @@ def expected_mutual_info(table: np.ndarray) -> float:
     of each feasible cell value max(1, ai+bj-n) <= nij <= min(ai, bj),
     evaluated in log-factorials.
     """
+    from scipy.special import gammaln
     n = int(table.sum())
     log_fact = gammaln(np.arange(1, n + 2))  # log_fact[k] = log(k!)
     a = table.sum(axis=1)

@@ -15,7 +15,9 @@ when the KKT residual of the full objective (the largest entry of its
 minimum-norm subgradient) is at most the tolerance.  Clustering is
 agglomerative: scipy ``linkage`` (Muellner's algorithms) merges on the
 distance matrix of ``pairwise_distances``, and ``cut_tree`` and
-``dendrogram_export`` read the merge list it returns.
+``dendrogram_export`` read the merge list it returns.  ``hac_fit`` imports
+``scipy.cluster.hierarchy`` at its first call, so a classification run never
+loads it.
 """
 from __future__ import annotations
 
@@ -24,8 +26,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage as scipy_linkage
-from scipy.spatial.distance import squareform
 
 from .errors import InvalidConfigError, InvalidInputError
 
@@ -452,6 +452,8 @@ def hac_fit(x: np.ndarray, linkage: str, affinity: str = "euclidean",
     Ward runs on euclidean distances and its heights are the scipy ward
     distances, sqrt(2 * increase in within-cluster sum of squares).
     """
+    from scipy.cluster.hierarchy import linkage as scipy_linkage
+    from scipy.spatial.distance import squareform
     if linkage not in LINKAGES:
         raise InvalidConfigError(f"linkage must be one of {LINKAGES}")
     if linkage == "ward" and affinity != "euclidean":

@@ -8,13 +8,21 @@ power-of-two grid, and centering and scaling along the feature axis (with
 statistics fitted on a training block) or the sample axis.  The pipeline
 runs them in that order, then the optional absolute value
 (``harness.Preprocessor``).
+
+The spline is written in numpy so that importing the package loads no scipy
+module (scipy's interpolation package alone took most of the start-up of
+every process).  It does the floating-point operations of scipy's
+``CubicSpline(x, y, axis=-1, bc_type="natural")`` and the evaluation of the
+``PPoly`` it builds, so its output is byte-identical wherever LAPACK's
+``gtsv``, which that spline calls, makes no row interchange: always on a
+uniform grid, and on any grid whose spacing does not more than double between
+neighbouring intervals.  Elsewhere the two agree to rounding.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidDatasetError, InvalidInputError
 
@@ -155,11 +163,90 @@ def pow2_grid(wavenumbers: np.ndarray) -> np.ndarray:
     return np.linspace(wn[0], wn[-1], target)
 
 
+def _natural_slopes(h: list[float], b: np.ndarray) -> np.ndarray:
+    """Solve the natural spline's tridiagonal system for the knot slopes,
+    in place in the right-hand side b of shape (n_points, rows).
+
+    This is LAPACK ``dgtsv``'s elimination without row interchanges: the
+    diagonals are Python floats, and each knot updates all rows with one
+    ufunc call per operation, forward, then back substitution.
+    """
+    n = len(h) + 1
+    d = [2 * h[0]] + [2 * (h[i - 1] + h[i]) for i in range(1, n - 1)] + [2 * h[-1]]
+    du = [h[0]] + h[:-1]
+    dl = h[1:] + [h[-1]]
+    rows = list(b)
+    tmp = np.empty(b.shape[1:])
+    for i in range(n - 1):
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        np.multiply(rows[i], fact, out=tmp)
+        np.subtract(rows[i + 1], tmp, out=rows[i + 1])
+    np.divide(rows[-1], d[-1], out=rows[-1])
+    for i in range(n - 2, -1, -1):
+        np.multiply(rows[i + 1], du[i], out=tmp)
+        np.subtract(rows[i], tmp, out=rows[i])
+        np.divide(rows[i], d[i], out=rows[i])
+    return b
+
+
 def resample_matrix(wavenumbers: np.ndarray, y: np.ndarray, new_wn: np.ndarray) -> np.ndarray:
-    """Natural cubic spline resample of an (n_samples, n_points) block."""
-    wn = np.asarray(wavenumbers, dtype=float)
-    if wn[0] > wn[-1]:  # CubicSpline wants increasing x
-        wn = wn[::-1]
-        y = y[..., ::-1]
-    spline = CubicSpline(wn, y, axis=-1, bc_type="natural")
-    return spline(np.asarray(new_wn, dtype=float))
+    """Natural cubic spline resample of an (n_samples, n_points) block.
+
+    The spline through each row has zero second derivative at both ends; it
+    is evaluated at new_wn, and points outside the grid extrapolate the end
+    pieces.  The output, of shape (n_samples, new_wn.size), is byte-identical
+    to scipy's ``CubicSpline(x, y, axis=-1, bc_type="natural")(new_wn)`` and
+    has its strides, wherever ``gtsv`` makes no row interchange (see the
+    module docstring).
+
+    The polynomial coefficients are built as one (4, n_points - 1, rows)
+    stack, as ``PPoly`` holds them, and each power is gathered from it into
+    one reused buffer.  Evaluating from per-point gathers without the stack
+    saves memory but runs slower: the large block freed here keeps glibc's
+    dynamic mmap threshold high for the rest of the run, and without it the
+    later allocations of a clustering run page-faulted about three times as
+    often.
+    """
+    x = np.asarray(wavenumbers, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    if x[0] > x[-1]:  # the spline runs over increasing x
+        x = x[::-1]
+        y = y[:, ::-1]
+    y = y.T  # (n_points, rows): one knot per row, as scipy's moveaxis
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    b = np.empty(y.shape)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    # the end rows of scipy's system, with the second derivative 0.0
+    b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
+    b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
+    s = _natural_slopes(dx.tolist(), b)
+    c = np.empty((4,) + slope.shape)  # highest power first
+    t = np.add(s[:-1], s[1:], out=c[0])
+    t -= 2 * slope
+    t /= dxr
+    np.subtract(slope, s[:-1], out=c[1])
+    c[1] /= dxr
+    c[1] -= t
+    t /= dxr
+    c[2] = s[:-1]
+    c[3] = y[:-1]
+    new = np.asarray(new_wn, dtype=float)
+    idx = np.clip(np.searchsorted(x, new, "right") - 1, 0, n - 2)
+    h = (new - x[idx])[:, None]
+    res = np.take(c[3], idx, axis=0)
+    res += 0.0  # PPoly sums from 0.0, which turns -0.0 into 0.0
+    term = np.take(c[2], idx, axis=0)
+    term *= h
+    res += term
+    h2 = h * h
+    np.take(c[1], idx, axis=0, out=term)
+    term *= h2
+    res += term
+    np.take(c[0], idx, axis=0, out=term)
+    term *= h2 * h
+    res += term
+    return res.T

@@ -191,6 +191,78 @@ class TestResamplePow2:
         assert pow2_grid(np.linspace(0, 1, 1000)).size == 1024
 
 
+
+def _scipy_resample(wn, y, new_wn):
+    """The resample as scipy's natural CubicSpline computes it."""
+    from scipy.interpolate import CubicSpline
+    if wn[0] > wn[-1]:
+        wn, y = wn[::-1], y[:, ::-1]
+    return CubicSpline(wn, y, axis=-1, bc_type="natural")(new_wn)
+
+
+def _assert_bit_identical(out, ref):
+    assert out.shape == ref.shape and out.strides == ref.strides
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+def _spectra(rng, rows, n):
+    return 10.0 * rng.standard_normal((rows, n)) + 3.0
+
+
+class TestSplineMatchesScipy:
+    """``resample_matrix`` does the floating-point operations of scipy's
+    natural ``CubicSpline`` and its ``PPoly`` evaluation, so the bytes agree."""
+
+    @pytest.mark.parametrize("rows", [1, 60, 250, 500])
+    @pytest.mark.parametrize("n", [2, 3, 4, 50, 801, 1600])
+    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+    def test_uniform_grid(self, n, rows, descending):
+        rng = np.random.default_rng(n * 1000 + rows)
+        wn = np.linspace(400.0, 4000.0, n)
+        if descending:
+            wn = wn[::-1].copy()
+        y = _spectra(rng, rows, n)
+        grid = pow2_grid(wn) if n > 2 else np.linspace(wn[0], wn[-1], 5)
+        _assert_bit_identical(resample_matrix(wn, y, grid), _scipy_resample(wn, y, grid))
+
+    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+    def test_knots_and_points_outside_the_grid(self, descending):
+        rng = np.random.default_rng(11)
+        wn = np.linspace(0.0, 30.0, 31)
+        if descending:
+            wn = wn[::-1].copy()
+        y = _spectra(rng, 60, wn.size)
+        points = np.concatenate([wn, [-2.5, -0.25, 30.25, 33.0], wn[:-1] + 0.5])
+        _assert_bit_identical(resample_matrix(wn, y, points),
+                              _scipy_resample(wn, y, points))
+
+    @pytest.mark.parametrize("rows", [1, 60])
+    def test_non_uniform_grid_that_never_doubles_its_spacing(self, rows):
+        rng = np.random.default_rng(5)
+        h = rng.uniform(1.0, 1.9, 300)  # neighbouring spacings differ < 2x
+        wn = np.concatenate([[400.0], 400.0 + np.cumsum(h)])
+        y = _spectra(rng, rows, wn.size)
+        grid = pow2_grid(wn)
+        _assert_bit_identical(resample_matrix(wn, y, grid), _scipy_resample(wn, y, grid))
+
+    @pytest.mark.parametrize("rows", [1, 60])
+    def test_spacing_jump_agrees_to_rounding(self, rows):
+        """Where the spacing more than doubles from the first interval to
+        the second, the first pivot of the slope system is smaller than the
+        entry below it, so LAPACK's gtsv, which scipy's spline calls, swaps
+        the two rows; this spline never swaps.  Both eliminations solve the
+        same diagonally dominant system, so the results differ by rounding
+        only."""
+        rng = np.random.default_rng(9)
+        h = np.concatenate([[1.0, 5.0], rng.uniform(0.2, 6.0, 200)])
+        wn = np.concatenate([[0.0], np.cumsum(h)])
+        y = _spectra(rng, rows, wn.size)
+        grid = pow2_grid(wn)
+        out, ref = resample_matrix(wn, y, grid), _scipy_resample(wn, y, grid)
+        assert out.strides == ref.strides
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 class TestTakeAbs:
     @staticmethod
     def _abs(y):

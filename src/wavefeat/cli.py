@@ -2,9 +2,9 @@
 
 Commands: synth (write a synthetic dataset), gridsearch (two-stage
 cross-validated search + repeated CV of the winners), train (fit one
-pipeline on the full dataset and serialize it), cluster (clustering search +
-full-dataset clustering with dendrogram export), report (render a run
-manifest; optionally dump the wavelet filter registry).
+pipeline on the full dataset and save it as one .npz archive), cluster
+(clustering search + full-dataset clustering with dendrogram export),
+report (render a run manifest; optionally dump the wavelet filter registry).
 
 Exit codes: 0 ok, 2 usage/config error, 3 data error, 4 numerical failure.
 """
@@ -19,12 +19,11 @@ import time
 
 import numpy as np
 
-from . import __version__, dataio, dwt, models, synth, wtt
-from .errors import (DataFormatError, InvalidConfigError, InvalidInputError,
-                     NumericalError)
+from . import __version__, dataio, dwt, models, synth
+from .errors import DataFormatError, InvalidConfigError, InvalidInputError
 from .grids import grid_for_task, load_grid_document, load_json_config
-from .harness import (DwtSpec, FoldMemo, PipelineConfig, WttSpec,
-                      final_clustering, fit_pipeline, grid_search, repeated_cv,
+from .harness import (DwtSpec, FoldMemo, PipelineConfig, final_clustering,
+                      fit_pipeline, grid_search, repeated_cv, save_pipeline,
                       spec_from_dict)
 
 DERIV_NAMES = {0: "f", 1: "f'", 2: "f''"}
@@ -150,13 +149,14 @@ def cmd_gridsearch(args) -> int:
         split_sign = cfg.model.kind == "lda"
         key = (cfg.model.kind, _feature_space(cfg, split_sign),
                cfg.preprocess.derivative_order)
-        winners.setdefault(key, report)  # leaderboard is already sorted
+        winners.setdefault(key, cfg)  # leaderboard is already sorted
 
-    final: dict = {}
-    for key, report in winners.items():
-        final[key] = repeated_cv(report.config, data, seed=seed + 1,
-                                 repeats=args.repeats, k=args.folds,
-                                 stratify=args.stratify)
+    # grid order, so that winners with a common prefix share its fits
+    position = {cfg: i for i, cfg in enumerate(grid)}
+    keys = sorted(winners, key=lambda key: position[winners[key]])
+    final = dict(zip(keys, repeated_cv([winners[key] for key in keys], data,
+                                       seed=seed + 1, repeats=args.repeats,
+                                       k=args.folds, stratify=args.stratify)))
 
     model_kinds = sorted({k[0] for k in final})
     table_paths = []
@@ -283,35 +283,17 @@ def cmd_train(args) -> int:
     config = PipelineConfig.from_dict(load_json_config(args.config))
     os.makedirs(args.out_dir, exist_ok=True)
     fitted = fit_pipeline(config, data, np.arange(data.n_samples))
-    saved = {"pipeline": "pipeline.json"}
-    with open(os.path.join(args.out_dir, "pipeline.json"), "w") as fh:
-        json.dump({
-            "config": config.to_dict(),
-            "tau": fitted.tau,
-            "scaler": None if fitted.scaler is None else {
-                "mean": fitted.scaler.mean.tolist(),
-                "std": fitted.scaler.std.tolist(),
-            },
-        }, fh)
-        fh.write("\n")
-    if config.task == "classification":
-        models.save_model(os.path.join(args.out_dir, "model.npz"), fitted.model)
-        saved["model"] = "model.npz"
-    if isinstance(config.decomposition, WttSpec):
-        wtt.save_bank(os.path.join(args.out_dir, "bank.npz"),
-                      fitted.feature_map.transform.bank)
-        saved["bank"] = "bank.npz"
+    save_pipeline(os.path.join(args.out_dir, "pipeline.npz"), fitted)
     _write_manifest(args.out_dir, {
         "command": "train",
-        "seed": args.seed,
         "data": {"path": os.path.abspath(args.data), "sha256": _digest(args.data)},
         "config": config.to_dict(),
-        "outputs": saved,
+        "outputs": {"pipeline": "pipeline.npz"},
         "warnings": fitted.warnings,
         "wall_time_seconds": time.perf_counter() - t_start,
     })
-    print(f"fitted {config.label()} on {data.n_samples} samples; outputs: "
-          f"{', '.join(sorted(saved.values()))}")
+    print(f"fitted {config.label()} on {data.n_samples} samples; "
+          f"output: pipeline.npz")
     return 0
 
 
@@ -403,8 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dataset format (default: sniff by extension)")
         p.add_argument("--config", default=None,
                        help="grid / pipeline / generator config file (JSON)")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", default="wavefeat_out")
+
+    def search(p):
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--folds", type=_int_at_least(2), default=4)
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel evaluations during grid search")
         p.add_argument("--stratify", action="store_true",
@@ -412,23 +397,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p_synth, needs_data=False)
+    p_synth.add_argument("--seed", type=int, default=None)
     p_synth.add_argument("--out", default=None, help="output dataset path")
     p_synth.set_defaults(func=cmd_synth)
 
     p_grid = sub.add_parser("gridsearch",
                             help="classification grid search + repeated CV")
     common(p_grid)
-    p_grid.add_argument("--folds", type=_int_at_least(2), default=4)
+    search(p_grid)
     p_grid.add_argument("--repeats", type=_int_at_least(1), default=25)
     p_grid.set_defaults(func=cmd_gridsearch)
 
     p_cluster = sub.add_parser("cluster",
                                help="clustering grid search + full-data clustering")
     common(p_cluster)
-    p_cluster.add_argument("--folds", type=_int_at_least(2), default=4)
+    search(p_cluster)
     p_cluster.set_defaults(func=cmd_cluster)
 
-    p_train = sub.add_parser("train", help="fit one pipeline, serialize it")
+    p_train = sub.add_parser("train", help="fit one pipeline, save it")
     common(p_train)
     p_train.set_defaults(func=cmd_train)
 
@@ -451,7 +437,7 @@ def main(argv=None) -> int:
     except (InvalidConfigError, InvalidInputError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

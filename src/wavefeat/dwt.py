@@ -31,7 +31,6 @@ FAMILIES = {
     "biorthogonal": "bior",
     "reverse_biorthogonal": "rbio",
 }
-_ORTHOGONAL_FAMILIES = ("daubechies", "symlet", "coiflet")
 
 SUPPORTED_ORDERS = {
     "daubechies": tuple(str(i) for i in range(1, 9)),
@@ -62,10 +61,6 @@ class WaveletSpec:
     @property
     def filter_length(self) -> int:
         return self.dec_lo.size
-
-    @property
-    def is_orthogonal(self) -> bool:
-        return self.family in _ORTHOGONAL_FAMILIES
 
 
 def _normalize_order(order) -> str:
@@ -244,10 +239,6 @@ class DwtCoeffs:
 
     def block_sizes(self) -> list[int]:
         return [self.approx.shape[-1]] + [d.shape[-1] for d in self.details]
-
-    @property
-    def total_length(self) -> int:
-        return sum(self.block_sizes())
 
 
 def wavedec(x: np.ndarray, w: WaveletSpec, mode: str, level: int) -> DwtCoeffs:

@@ -37,7 +37,3 @@ class InvalidDatasetError(DataFormatError):
     """Dataset values break the schema: a non-finite wavenumber or intensity,
     a wavenumber grid that is not strictly monotone, or fewer than 2
     samples."""
-
-
-class NumericalError(WavefeatError, RuntimeError):
-    """A numerical routine failed to produce a usable result."""

@@ -29,10 +29,16 @@ tree: one live entry per stage catches every repeat, and memory stays at
 one fitted prefix per fold.  A hit returns the arrays the fit computed, so
 no result depends on whether a stage was shared.  HAC configs that differ
 only in linkage also share one distance matrix per (features key,
-affinity).
+affinity).  ``repeated_cv`` runs the winners of a grid search through the
+same fold loop, once per repeat, so they share each fold's memo too.
+
+``save_pipeline`` writes a fitted pipeline to one ``.npz`` archive: a JSON
+header and every learned array.  ``load_pipeline`` rebuilds the stages
+through the helpers the fits use, so the features come out bit for bit.
 """
 from __future__ import annotations
 
+import json
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -350,15 +356,18 @@ def _needs_pow2(config: PipelineConfig) -> bool:
     return isinstance(config.decomposition, WttSpec)
 
 
+def _pow2_target(config: PipelineConfig, wn: np.ndarray) -> np.ndarray | None:
+    """The grid to resample to, or None to keep ``wn``."""
+    if not _needs_pow2(config):
+        return None
+    target = pow2_grid(wn)
+    return None if target.size == wn.size and np.allclose(target, wn) else target
+
+
 def _fit_preprocess(config, fold, key, prev, x):
     """The first stage reads the fold's rows itself; ``x`` is None."""
     wn = fold.data.wavenumbers
-    target = None
-    if _needs_pow2(config):
-        target = pow2_grid(wn)
-        if target.size == wn.size and np.allclose(target, wn):
-            target = None
-    pre = Preprocessor(wn, config.preprocess, target)
+    pre = Preprocessor(wn, config.preprocess, _pow2_target(config, wn))
     y = pre.resampled(fold.data.intensities[fold.train_idx])
     pre = replace(pre, scaler=fit_scaler(y, config.preprocess))
     return pre, pre.scaled(y)
@@ -368,13 +377,17 @@ def _apply_preprocess(pre: Preprocessor, block) -> np.ndarray:
     return pre.scaled(pre.resampled(block))
 
 
+def _dwt_transform(spec: DwtSpec, signal_length: int) -> DwtTransform:
+    return DwtTransform(dwt_mod.lookup_wavelet(spec.family, spec.order),
+                        spec.mode, spec.level, signal_length)
+
+
 def _fit_decompose(config, fold, key, prev, y):
     spec = config.decomposition
     if spec is None:
         transform = None
     elif isinstance(spec, DwtSpec):
-        transform = DwtTransform(dwt_mod.lookup_wavelet(spec.family, spec.order),
-                                 spec.mode, spec.level, y.shape[-1])
+        transform = _dwt_transform(spec, y.shape[-1])
     else:
         transform = WttTransform(wtt.train_group_filters(y, spec.rank))
     return transform, _apply_decompose(transform, y)
@@ -385,20 +398,24 @@ def _apply_decompose(transform, y: np.ndarray) -> tuple:
     return y, (None if transform is None else transform.forward(y))
 
 
+def _feature_map(t: TransformSpec, transform, tau: float | None) -> FeatureMap:
+    if transform is None:
+        return FeatureMap("identity")
+    if t.kind == "none":
+        return FeatureMap("coeffs", transform)
+    if t.kind == "threshold":
+        return FeatureMap("coeffs", transform, ThresholdRule(t.threshold_kind, tau))
+    if t.kind == "sign":
+        return FeatureMap("sign", transform, ThresholdRule("hard", tau))
+    return FeatureMap("contrast", transform, ThresholdRule("soft", tau))
+
+
 def _fit_features(config, fold, key, transform, signal_coeffs):
     t = config.transform
-    if transform is None:
-        fm = FeatureMap("identity")
-    elif t.kind == "none":
-        fm = FeatureMap("coeffs", transform)
-    else:
+    tau = None
+    if transform is not None and t.kind != "none":
         tau = float(np.quantile(np.abs(signal_coeffs[1]), t.tau_quantile))
-        if t.kind == "threshold":
-            fm = FeatureMap("coeffs", transform, ThresholdRule(t.threshold_kind, tau))
-        elif t.kind == "sign":
-            fm = FeatureMap("sign", transform, ThresholdRule("hard", tau))
-        else:
-            fm = FeatureMap("contrast", transform, ThresholdRule("soft", tau))
+    fm = _feature_map(t, transform, tau)
     return fm, _apply_features(fm, signal_coeffs)
 
 
@@ -456,20 +473,12 @@ class FittedPipeline:
 
     config: PipelineConfig
     states: tuple
-    train_features: np.ndarray    # features of the fitting block
+    train_features: np.ndarray | None  # features of the fitting block; None when loaded
     warnings: list = field(default_factory=list)
 
     @property
-    def scaler(self) -> ScalerStats | None:
-        return self.states[0].scaler
-
-    @property
-    def feature_map(self) -> FeatureMap:
-        return self.states[2]
-
-    @property
     def tau(self) -> float | None:
-        rule = self.feature_map.rule
+        rule = self.states[2].rule
         return None if rule is None else rule.tau
 
     @property
@@ -511,6 +520,61 @@ def fit_pipeline(config: PipelineConfig, data: LabeledDataset, train_idx,
     return FittedPipeline(config=config, states=tuple(states),
                           train_features=outputs[2],
                           warnings=[str(w.message) for w in caught])
+
+
+def save_pipeline(path: str, fitted: FittedPipeline) -> None:
+    """Write a fitted pipeline to one ``.npz``: the JSON header ``pipeline``
+    (config, tau, WTT ranks, the model's scalar fields) and every learned
+    array.  A clustering pipeline is written without its linkage tree,
+    which describes the fitting block only."""
+    pre, transform = fitted.states[0], fitted.states[1]
+    arrays = {"wavenumbers": pre.wavenumbers}
+    if pre.scaler is not None:
+        arrays.update(scaler_mean=pre.scaler.mean, scaler_std=pre.scaler.std)
+    header = {"config": fitted.config.to_dict(), "tau": fitted.tau, "model": None}
+    if isinstance(transform, WttTransform):
+        header["wtt_ranks"] = [int(r) for r in transform.bank.ranks]
+        arrays.update({f"wtt_filter_{k}": u
+                       for k, u in enumerate(transform.bank.filters)})
+    if fitted.config.task == "classification":
+        state = vars(fitted.model)
+        header["model"] = {k: v for k, v in state.items() if not isinstance(v, np.ndarray)}
+        arrays.update({f"model_{k}": v for k, v in state.items() if isinstance(v, np.ndarray)})
+    np.savez(path, pipeline=np.array(json.dumps(header)), **arrays)
+
+
+def load_pipeline(path: str) -> FittedPipeline:
+    """Read a ``save_pipeline`` archive.  Each stage is rebuilt through the
+    helpers its fit uses; ``train_features`` is None, and so is the model of
+    a clustering pipeline."""
+    with np.load(path, allow_pickle=False) as archive:
+        if "pipeline" not in archive.files:
+            raise InvalidInputError(f"{path} is not a pipeline archive")
+        header = json.loads(str(archive["pipeline"]))
+        arrays = {name: archive[name] for name in archive.files}
+    config = PipelineConfig.from_dict(header["config"])
+    wn = arrays["wavenumbers"]
+    scaler = (ScalerStats(arrays["scaler_mean"], arrays["scaler_std"])
+              if "scaler_mean" in arrays else None)
+    pre = Preprocessor(wn, config.preprocess, _pow2_target(config, wn), scaler)
+    length = wn.size if pre.target is None else pre.target.size
+    spec = config.decomposition
+    if spec is None:
+        transform = None
+    elif isinstance(spec, DwtSpec):
+        transform = _dwt_transform(spec, length)
+    else:
+        ranks = tuple(header["wtt_ranks"])
+        filters = tuple(arrays[f"wtt_filter_{k}"] for k in range(len(ranks)))
+        transform = WttTransform(wtt.WttFilterBank(filters, ranks, length, spec.rank))
+    model = None
+    if header["model"] is not None:
+        cls = models.LdaModel if config.model.kind == "lda" else models.LrModel
+        model = cls(**header["model"], **{name[len("model_"):]: value
+                                          for name, value in arrays.items()
+                                          if name.startswith("model_")})
+    fm = _feature_map(config.transform, transform, header["tau"])
+    return FittedPipeline(config, (pre, transform, fm, model), train_features=None)
 
 
 # ----------------------------------------------------------------------
@@ -648,13 +712,6 @@ def _cross_validate(grid: list[PipelineConfig], data: LabeledDataset,
     return reports, [counts for _, counts in runs]
 
 
-def evaluate_config(config: PipelineConfig, data: LabeledDataset,
-                    folds: list[np.ndarray], seed: int | None = None) -> CvReport:
-    """Cross-validate one configuration over pre-computed folds, with a
-    fresh memo per fold."""
-    return _cross_validate([config], data, folds, seed)[0][0]
-
-
 SELECTION_METRIC = {"classification": "test_accuracy", "clustering": "ari"}
 
 
@@ -699,22 +756,30 @@ def grid_search(grid: list[PipelineConfig], data: LabeledDataset, seed: int,
     )
 
 
-def repeated_cv(config: PipelineConfig, data: LabeledDataset, seed: int,
-                repeats: int = 25, k: int = 4, stratify: bool = False) -> CvReport:
-    """Repeat k-fold CV with derived seeds (seed + i); 25 x 4 = 100 runs."""
-    if config.task != "classification":
+def repeated_cv(winners: list[PipelineConfig], data: LabeledDataset, seed: int,
+                repeats: int = 25, k: int = 4,
+                stratify: bool = False) -> list[CvReport]:
+    """Repeat k-fold CV with derived seeds (seed + i); 25 x 4 = 100 runs.
+
+    Each repeat runs all of ``winners`` through the grid search's fold
+    loop, so they share each fold's memo; give them in grid order.  Returns
+    one CvReport per config, in the order given.  ``runtime_seconds`` is the
+    sum of the config's per-fold times, with a shared stage counted towards
+    the first config that fits it.
+    """
+    if any(config.task != "classification" for config in winners):
         raise InvalidConfigError("repeated_cv applies to classification configs")
-    t0 = time.perf_counter()
-    rows, warns, lr_fits = [], [], []
-    for rep in range(repeats):
-        folds = kfold_split(data.n_samples, k, seed + rep,
-                            labels=data.labels, stratify=stratify)
-        rep_report = evaluate_config(config, data, folds, seed=seed + rep)
-        rows.extend(rep_report.per_fold)
-        warns.extend(rep_report.warnings)
-        lr_fits.extend(rep_report.lr_fits)
-    return _aggregate(config, "classification", seed, k, rows,
-                      time.perf_counter() - t0, warns, lr_fits)
+    runs = [_cross_validate(winners, data,
+                            kfold_split(data.n_samples, k, seed + rep,
+                                        labels=data.labels, stratify=stratify),
+                            seed + rep)[0]
+            for rep in range(repeats)]
+    return [_aggregate(config, "classification", seed, k,
+                       rows=[row for rep in reps for row in rep.per_fold],
+                       runtime=sum(rep.runtime_seconds for rep in reps),
+                       warns=[w for rep in reps for w in rep.warnings],
+                       lr_fits=[fit for rep in reps for fit in rep.lr_fits])
+            for config, reps in zip(winners, zip(*runs))]
 
 
 def final_clustering(config: PipelineConfig, data: LabeledDataset):

@@ -21,7 +21,6 @@ loads it.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -70,7 +69,8 @@ class LdaModel:
 
 def _plain_labels(labels) -> list:
     """Labels with numpy scalars turned into Python ones, so a model holds
-    the class values that save_model writes and load_model gives back."""
+    the class values that the pipeline archive (``harness.save_pipeline``)
+    writes as JSON and gives back."""
     return [v.item() if isinstance(v, np.generic) else v for v in labels]
 
 
@@ -523,50 +523,3 @@ def dendrogram_export(tree: LinkageTree, leaf_names: list) -> dict:
         "root": root,
     }
 
-
-def save_model(path: str, model) -> None:
-    """Serialize an LDA or LR model to .npz at full precision."""
-    if isinstance(model, LdaModel):
-        header = {"kind": "lda", "classes": model.classes,
-                  "complement_inv_var": float(model.complement_inv_var)}
-        arrays = {
-            "means": model.means,
-            "log_priors": model.log_priors,
-            "cov_basis": model.cov_basis,
-            "cov_inv_eigs": model.cov_inv_eigs,
-        }
-    elif isinstance(model, LrModel):
-        header = {
-            "kind": "lr", "classes": model.classes, "penalty": model.penalty,
-            "inverse_reg": model.inverse_reg, "converged": model.converged,
-            "n_iter": model.n_iter,
-        }
-        arrays = {"weights": model.weights, "intercepts": model.intercepts}
-    else:
-        raise InvalidInputError(f"cannot serialize {type(model).__name__}")
-    np.savez(path, header=np.array(json.dumps(header)), **arrays)
-
-
-def load_model(path: str):
-    with np.load(path, allow_pickle=False) as data:
-        header = json.loads(str(data["header"]))
-        if header["kind"] == "lda":
-            return LdaModel(
-                classes=header["classes"],
-                means=data["means"],
-                log_priors=data["log_priors"],
-                cov_basis=data["cov_basis"],
-                cov_inv_eigs=data["cov_inv_eigs"],
-                complement_inv_var=header["complement_inv_var"],
-            )
-        if header["kind"] == "lr":
-            return LrModel(
-                classes=header["classes"],
-                weights=data["weights"],
-                intercepts=data["intercepts"],
-                penalty=header["penalty"],
-                inverse_reg=header["inverse_reg"],
-                converged=header["converged"],
-                n_iter=header["n_iter"],
-            )
-    raise InvalidInputError(f"unknown model kind in {path}")

@@ -22,7 +22,6 @@ then applied to any signal of the same length.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,10 +67,6 @@ class WttCoeffs:
 
     def block_sizes(self) -> list[int]:
         return [d.shape[-1] for d in self.details] + [self.core.shape[-1]]
-
-    @property
-    def total_length(self) -> int:
-        return sum(self.block_sizes())
 
 
 def _clipped_ranks(rank: int, d: int, tail_sizes: list[int]) -> list[int]:
@@ -199,29 +194,3 @@ def unflatten_wtt(vec: np.ndarray, bank: WttFilterBank) -> WttCoeffs:
     parts = np.split(vec, splits, axis=-1)
     return WttCoeffs(details=list(parts[:-1]), core=parts[-1])
 
-
-def save_bank(path: str, bank: WttFilterBank) -> None:
-    """Serialize a bank to an .npz archive (filters at full precision)."""
-    header = json.dumps({
-        "kind": "wtt_filter_bank",
-        "signal_length": bank.signal_length,
-        "requested_rank": bank.requested_rank,
-        "ranks": list(bank.ranks),
-        "depth": bank.depth,
-    })
-    arrays = {f"filter_{k}": u for k, u in enumerate(bank.filters)}
-    np.savez(path, header=np.array(header), **arrays)
-
-
-def load_bank(path: str) -> WttFilterBank:
-    with np.load(path, allow_pickle=False) as data:
-        header = json.loads(str(data["header"]))
-        if header.get("kind") != "wtt_filter_bank":
-            raise InvalidInputError(f"{path} is not a filter bank file")
-        filters = tuple(data[f"filter_{k}"] for k in range(header["depth"]))
-    return WttFilterBank(
-        filters=filters,
-        ranks=tuple(header["ranks"]),
-        signal_length=int(header["signal_length"]),
-        requested_rank=int(header["requested_rank"]),
-    )

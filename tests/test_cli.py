@@ -1,9 +1,11 @@
 """Tests for the command-line entry points."""
 import json
 
+import numpy as np
 import pytest
 
-from wavefeat import cli
+from wavefeat import cli, dataio
+from wavefeat.harness import PipelineConfig, fit_pipeline, load_pipeline
 
 
 def test_gridsearch_manifest_records_runtime_and_solver_outcome(tmp_path):
@@ -181,7 +183,24 @@ def test_train_config_with_all_stage_keys_runs(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["train", "--data", str(data), "--config", str(config),
                      "--out-dir", str(out)]) == 0
-    assert (out / "model.npz").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "pipeline.npz"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == {"pipeline": "pipeline.npz"}
+    dataset = dataio.load_dataset(str(data))
+    fitted = fit_pipeline(PipelineConfig.from_dict(json.loads(config.read_text())),
+                          dataset, np.arange(dataset.n_samples))
+    loaded = load_pipeline(str(out / "pipeline.npz"))
+    assert loaded.predict(dataset.intensities) == fitted.predict(dataset.intensities)
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--jobs", "2"], ["synth", "--stratify"],
+    ["train", "--jobs", "2"], ["train", "--stratify"], ["train", "--seed", "1"],
+])
+def test_flags_a_command_does_not_read_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_grid_section_unknown_key_exits_2(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Tests for the pipeline stage list, its per-fold memo, grid search and
-the seeded splits."""
+"""Tests for the pipeline stage list, its per-fold memo, grid search,
+repeated CV, the pipeline archive and the seeded splits."""
 import dataclasses
 
 import numpy as np
@@ -8,8 +8,8 @@ import pytest
 from wavefeat import harness, wtt
 from wavefeat.errors import InvalidConfigError, InvalidInputError
 from wavefeat.grids import expand_grid, grid_for_task, load_grid_document
-from wavefeat.harness import (FoldMemo, PipelineConfig, evaluate_config,
-                              fit_pipeline, grid_search, kfold_split)
+from wavefeat.harness import (FoldMemo, PipelineConfig, fit_pipeline,
+                              grid_search, kfold_split, repeated_cv)
 from wavefeat.preprocess import LabeledDataset
 from wavefeat.synth import SyntheticSpec, synth_dataset
 
@@ -65,10 +65,31 @@ def test_grid_search_equals_fresh_memo_per_config(data, clustering_grid, grid_na
     by_label = {r.config.label(): r for r in result.leaderboard}
     assert len(by_label) == len(grid)
     for config in grid:
-        alone = evaluate_config(config, data, folds, seed=2)
+        alone = harness._cross_validate([config], data, folds, 2)[0][0]
         shared = by_label[config.label()]
         assert shared.per_fold == alone.per_fold, config.label()
         assert shared.lr_fits == alone.lr_fits
+
+
+def test_repeated_cv_equals_per_config_repeats(data):
+    grid = expand_grid(CLASSIFICATION_GRID)
+    reports = repeated_cv(grid, data, seed=5, repeats=2, k=3)
+    assert [r.config for r in reports] == list(grid)
+    for config, report in zip(grid, reports):
+        alone = [harness._cross_validate([config], data,
+                                         kfold_split(data.n_samples, 3, 5 + rep),
+                                         5 + rep)[0][0]
+                 for rep in range(2)]
+        assert report.per_fold == alone[0].per_fold + alone[1].per_fold, config.label()
+        assert report.lr_fits == alone[0].lr_fits + alone[1].lr_fits
+        assert report.warnings == alone[0].warnings + alone[1].warnings
+        assert (report.seed, report.n_folds, report.n_runs) == (5, 3, 6)
+
+
+def test_repeated_cv_rejects_a_clustering_winner(data):
+    with pytest.raises(InvalidConfigError):
+        repeated_cv([LEAKAGE_CONFIGS[0], LEAKAGE_CONFIGS[2]], data, seed=0,
+                    repeats=1, k=3)
 
 
 def test_wtt_trainings_equal_distinct_fold_preprocess_rank_keys(
@@ -158,7 +179,7 @@ def test_held_out_rows_do_not_reach_the_fitted_state(data, config):
     b = fit_pipeline(config, other, train_idx)
     _assert_identical(a.states, b.states)
     _assert_identical(a.train_features, b.train_features)
-    assert a.scaler is not None and a.feature_map.rule is not None
+    assert a.states[0].scaler is not None and a.states[2].rule is not None
     if config.task == "classification":
         block = data.intensities[test_idx]
         assert a.predict(block) == b.predict(block)
@@ -198,6 +219,64 @@ def test_clustering_pipeline_has_no_predictor(data):
     assert fitted.model.n_leaves == data.n_samples
     with pytest.raises(InvalidConfigError):
         fitted.predict(data.intensities[:2])
+
+
+# ----------------------------------------------------------------------
+# the pipeline archive
+# ----------------------------------------------------------------------
+
+DWT_DB4 = {"kind": "dwt", "family": "daubechies", "order": 4, "mode": "periodization"}
+
+# (id, config, whether the labels are numpy integers)
+ARCHIVE_CASES = [
+    # 100 raw features from 16 rows: the pooled covariance is rank-deficient
+    ("lda-raw-wide", _config({"kind": "none"}, {"kind": "none"}, {"kind": "lda"}), False),
+    ("lda-dwt-numpy-labels",
+     _config(DWT_DB4, {"kind": "sign", "tau_quantile": 0.9}, {"kind": "lda"}), True),
+    ("lr-l1-dwt-numpy-labels",
+     _config(DWT_DB4, {"kind": "threshold", "threshold_kind": "hard", "tau_quantile": 0.9},
+             {"kind": "lr", "penalty": "l1", "inverse_reg": 10.0}), True),
+    # the 100-point grid is resampled to 128 points for the WTT
+    ("lr-l2-wtt", LEAKAGE_CONFIGS[0], False),
+    ("hac-wtt-contrast", LEAKAGE_CONFIGS[2], False),
+]
+
+
+@pytest.mark.parametrize("config,numpy_labels", [case[1:] for case in ARCHIVE_CASES],
+                         ids=[case[0] for case in ARCHIVE_CASES])
+def test_pipeline_archive_round_trip(data, tmp_path, config, numpy_labels):
+    if numpy_labels:
+        data = LabeledDataset(data.wavenumbers, data.intensities,
+                              np.unique(data.labels, return_inverse=True)[1])
+    fitted = fit_pipeline(config, data, np.arange(1, data.n_samples))
+    path = tmp_path / "pipeline.npz"
+    harness.save_pipeline(path, fitted)
+    loaded = harness.load_pipeline(path)
+    # preprocessor, decomposition (WTT filters and ranks) and feature map
+    _assert_identical(loaded.states[:3], fitted.states[:3])
+    block = data.intensities
+    assert loaded.features(block).tobytes() == fitted.features(block).tobytes()
+    if config.task == "clustering":
+        assert loaded.model is None  # the linkage tree is not saved
+        with pytest.raises(InvalidConfigError):
+            loaded.predict(block)
+        return
+    _assert_identical(loaded.model, fitted.model)
+    assert loaded.predict(block) == fitted.predict(block)
+    if numpy_labels:
+        for model in (fitted.model, loaded.model):
+            assert model.classes == [0, 1, 2]
+            assert all(type(c) is int for c in model.classes)
+        assert all(type(p) is int for p in loaded.predict(block))
+    if config.decomposition is None:
+        assert fitted.model.complement_inv_var > 0
+
+
+def test_load_pipeline_rejects_other_archives(tmp_path):
+    path = tmp_path / "other.npz"
+    np.savez(path, header=np.array("{}"))
+    with pytest.raises(InvalidInputError):
+        harness.load_pipeline(path)
 
 
 # ----------------------------------------------------------------------

@@ -744,59 +744,3 @@ class TestDendrogramExport:
         tree = M.hac_fit(np.array([[0.0], [2.0]]), "single")
         with pytest.raises(InvalidInputError):
             M.dendrogram_export(tree, ["only-one"])
-
-
-class TestModelSerialization:
-    def test_lda_round_trip(self, tmp_path):
-        rng = np.random.default_rng(19)
-        x = rng.standard_normal((20, 5))
-        y = [0] * 10 + [1] * 10
-        model = M.lda_fit(x, y)
-        path = str(tmp_path / "lda.npz")
-        M.save_model(path, model)
-        loaded = M.load_model(path)
-        assert loaded.classes == model.classes
-        assert np.array_equal(loaded.means, model.means)
-        assert M.lda_predict(loaded, x) == M.lda_predict(model, x)
-
-    def test_lr_round_trip(self, tmp_path):
-        rng = np.random.default_rng(20)
-        x = rng.standard_normal((20, 4))
-        y = list(rng.integers(0, 3, 20))
-        model = M.lr_fit(x, y, "l2", 10.0)
-        path = str(tmp_path / "lr.npz")
-        M.save_model(path, model)
-        loaded = M.load_model(path)
-        assert loaded.penalty == "l2"
-        assert np.array_equal(loaded.weights, model.weights)
-        assert M.lr_predict(loaded, x) == M.lr_predict(model, x)
-
-    def test_lda_round_trip_wide(self, tmp_path):
-        # rank-deficient pooled covariance: the complement variance is saved too
-        rng = np.random.default_rng(22)
-        x = np.vstack([rng.normal(0, 1, (6, 200)), rng.normal(1, 1, (6, 200))])
-        y = [0] * 6 + [1] * 6
-        model = M.lda_fit(x, y)
-        assert model.complement_inv_var > 0
-        path = str(tmp_path / "lda_wide.npz")
-        M.save_model(path, model)
-        loaded = M.load_model(path)
-        assert loaded.complement_inv_var == model.complement_inv_var
-        probe = rng.normal(0.5, 1, (40, 200))
-        assert np.array_equal(loaded.scores(probe), model.scores(probe))
-        assert M.lda_predict(loaded, probe) == M.lda_predict(model, probe)
-
-    def test_numpy_labels_become_plain(self, tmp_path):
-        rng = np.random.default_rng(23)
-        x = rng.standard_normal((30, 4))
-        y = rng.integers(0, 3, 30)
-        for model, predict in ((M.lda_fit(x, y), M.lda_predict),
-                               (M.lr_fit(x, y, "l2", 1.0), M.lr_predict)):
-            assert model.classes == [0, 1, 2]
-            assert all(type(c) is int for c in model.classes)
-            assert all(type(p) is int for p in predict(model, x))
-            path = str(tmp_path / "model.npz")
-            M.save_model(path, model)
-            loaded = M.load_model(path)
-            assert loaded.classes == model.classes
-            assert predict(loaded, x) == predict(model, x)

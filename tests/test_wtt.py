@@ -1,6 +1,4 @@
 """Tests for the adaptive SVD filter bank."""
-import os
-
 import numpy as np
 import pytest
 
@@ -124,7 +122,7 @@ class TestForwardInverse:
         for rank in range(1, 9):
             bank = wtt.train_group_filters(x[None], rank)
             c = wtt.wtt_forward(x, bank)
-            assert c.total_length == 64
+            assert sum(c.block_sizes()) == 64
 
     def test_adaptivity_rank1_detail_minimal(self):
         # the trained level-1 filter drops the least possible energy among
@@ -178,26 +176,6 @@ class TestFlatten:
         assert flat.shape == (5, 64)
         single = wtt.flatten_wtt(wtt.wtt_forward(xs[2], bank))
         assert np.allclose(flat[2], single, atol=1e-12)
-
-
-class TestSerialization:
-    def test_bit_exact_round_trip(self, tmp_path):
-        rng = np.random.default_rng(16)
-        bank = wtt.train_group_filters(rng.standard_normal((6, 128)), 4)
-        path = os.path.join(tmp_path, "bank.npz")
-        wtt.save_bank(path, bank)
-        loaded = wtt.load_bank(path)
-        assert loaded.ranks == bank.ranks
-        assert loaded.signal_length == bank.signal_length
-        assert loaded.requested_rank == bank.requested_rank
-        for a, b in zip(loaded.filters, bank.filters):
-            assert a.tobytes() == b.tobytes()
-
-    def test_reject_other_files(self, tmp_path):
-        path = os.path.join(tmp_path, "other.npz")
-        np.savez(path, header=np.array("{}"))
-        with pytest.raises(InvalidInputError):
-            wtt.load_bank(path)
 
 
 # Training and both transforms as first written, on column-major reshapes

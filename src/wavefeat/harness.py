@@ -533,7 +533,7 @@ def save_pipeline(path: str, fitted: FittedPipeline) -> None:
         arrays.update(scaler_mean=pre.scaler.mean, scaler_std=pre.scaler.std)
     header = {"config": fitted.config.to_dict(), "tau": fitted.tau, "model": None}
     if isinstance(transform, WttTransform):
-        header["wtt_ranks"] = [int(r) for r in transform.bank.ranks]
+        header["wtt_ranks"] = list(transform.bank.ranks)
         arrays.update({f"wtt_filter_{k}": u
                        for k, u in enumerate(transform.bank.filters)})
     if fitted.config.task == "classification":

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from wavefeat.errors import InvalidConfigError, InvalidInputError
-from wavefeat import models as M
+from wavefeat import harness, models as M
+from wavefeat.harness import PipelineConfig, fit_pipeline
 from wavefeat.metrics import adjusted_rand
+from wavefeat.preprocess import LabeledDataset
 from wavefeat.synth import SyntheticSpec, synth_dataset
 
 
@@ -744,3 +746,24 @@ class TestDendrogramExport:
         tree = M.hac_fit(np.array([[0.0], [2.0]]), "single")
         with pytest.raises(InvalidInputError):
             M.dendrogram_export(tree, ["only-one"])
+
+
+class TestModelSerialization:
+    def test_lr_round_trip(self, tmp_path):
+        # an LR model saved and read back through the pipeline archive
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((20, 4))
+        y = list(rng.integers(0, 3, 20))
+        data = LabeledDataset(np.arange(4.0), x, y)
+        config = PipelineConfig.from_dict({
+            "preprocess": {"derivative_order": 0, "center": False},
+            "decomposition": {"kind": "none"}, "transform": {"kind": "none"},
+            "model": {"kind": "lr", "penalty": "l2", "inverse_reg": 10.0}})
+        fitted = fit_pipeline(config, data, np.arange(20))
+        path = str(tmp_path / "lr.npz")
+        harness.save_pipeline(path, fitted)
+        loaded = harness.load_pipeline(path).model
+        model = fitted.model
+        assert loaded.penalty == "l2"
+        assert np.array_equal(loaded.weights, model.weights)
+        assert M.lr_predict(loaded, x) == M.lr_predict(model, x)

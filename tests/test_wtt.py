@@ -1,10 +1,14 @@
 """Tests for the adaptive SVD filter bank."""
+import os
+
 import numpy as np
 import pytest
 
-from wavefeat import wtt
+from wavefeat import harness, wtt
 from wavefeat.errors import InvalidInputError
+from wavefeat.harness import PipelineConfig, fit_pipeline
 from wavefeat.numerics import svd_left
+from wavefeat.preprocess import LabeledDataset
 
 
 class TestTrainFilters:
@@ -176,6 +180,29 @@ class TestFlatten:
         assert flat.shape == (5, 64)
         single = wtt.flatten_wtt(wtt.wtt_forward(xs[2], bank))
         assert np.allclose(flat[2], single, atol=1e-12)
+
+
+class TestSerialization:
+    def test_bit_exact_round_trip(self, tmp_path):
+        # the bank of a WTT pipeline, saved and read back through its archive
+        rng = np.random.default_rng(16)
+        data = LabeledDataset(np.arange(128.0), rng.standard_normal((6, 128)),
+                              [0, 0, 0, 1, 1, 1])
+        config = PipelineConfig.from_dict({
+            "preprocess": {"derivative_order": 0, "center": False},
+            "decomposition": {"kind": "wtt", "rank": 4}, "transform": {"kind": "none"},
+            "model": {"kind": "lda"}})
+        fitted = fit_pipeline(config, data, np.arange(6))
+        bank = fitted.states[1].bank
+        assert bank.requested_rank == 4
+        path = os.path.join(tmp_path, "bank.npz")
+        harness.save_pipeline(path, fitted)
+        loaded = harness.load_pipeline(path).states[1].bank
+        assert loaded.ranks == bank.ranks
+        assert loaded.signal_length == bank.signal_length
+        assert loaded.requested_rank == bank.requested_rank
+        for a, b in zip(loaded.filters, bank.filters):
+            assert a.tobytes() == b.tobytes()
 
 
 # Training and both transforms as first written, on column-major reshapes

@@ -138,7 +138,7 @@ def cmd_gridsearch(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
 
     result = grid_search(grid, data, seed=seed, k=args.folds,
-                         stratify=args.stratify, jobs=args.jobs)
+                         stratify=args.stratify)
     _write_leaderboard(
         os.path.join(args.out_dir, "leaderboard_classification.tsv"), result)
 
@@ -203,7 +203,7 @@ def cmd_cluster(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
 
     result = grid_search(grid, data, seed=seed, k=args.folds,
-                         stratify=args.stratify, jobs=args.jobs)
+                         stratify=args.stratify)
     _write_leaderboard(
         os.path.join(args.out_dir, "leaderboard_clustering.tsv"), result)
 
@@ -307,10 +307,13 @@ def cmd_report(args) -> int:
     if not args.run_dir:
         raise InvalidConfigError("report requires --run-dir (or --registry)")
     manifest_path = os.path.join(args.run_dir, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise DataFormatError(f"no manifest.json in {args.run_dir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{manifest_path}: cannot read a manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{manifest_path}: a manifest must be a JSON object")
     print(f"wavefeat run: command={manifest.get('command')} "
           f"version={manifest.get('version')} seed={manifest.get('seed')}")
     data_info = manifest.get("data", {})
@@ -390,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     def search(p):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--folds", type=_int_at_least(2), default=4)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel evaluations during grid search")
+        p.add_argument("--jobs", type=int, choices=(1,), default=1,
+                       help="only 1; goes once the benchmark stops passing it")
         p.add_argument("--stratify", action="store_true",
                        help="stratify CV folds by class")
 

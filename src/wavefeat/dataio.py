@@ -75,6 +75,8 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
         wn, rows, labels = load(path)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot decode: {exc}") from exc
     try:
         return LabeledDataset(wn, rows, labels)
     except InvalidInputError as exc:

@@ -70,14 +70,14 @@ def expand_grid(doc: dict) -> ConfigGrid:
 
 
 def load_json_config(path: str):
-    """Parse a JSON config file; a file that cannot be read, or text that is
-    not JSON, is a config error."""
+    """Parse a JSON config file; a file that cannot be read or decoded, or
+    text that is not JSON, is a config error."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
         raise InvalidConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 

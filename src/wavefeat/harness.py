@@ -2,35 +2,36 @@
 list, grid search over shared prefixes, repeated CV, and full-dataset
 clustering.
 
-A pipeline is the ordered list ``STAGES`` of four stages:
+A pipeline is the signal (derivative, then for WTT the power-of-two spline
+resample), which is stateless, and the ordered list ``STAGES``:
 
-1. preprocess: derivative -> power-of-two spline resample (WTT only) ->
-   feature-axis scaler -> abs;
+1. preprocess: feature-axis scaler -> abs;
 2. decompose: a fixed DWT, or a WTT filter bank trained on the block, plus
    the coefficients of the block;
 3. features: tau from a quantile of the coefficient magnitudes, then
    threshold, sign or contrast (the signal itself without a decomposition);
 4. model: LDA, one-vs-rest LR, or HAC.
 
-Each stage has ``fit`` (fitting block -> state, and its output on that
-block) and ``apply(state, block)``.  ``fit_pipeline`` fits the list on the
-training rows of a fold only; ``FittedPipeline.features`` and ``predict``
-apply the same list to any block, so train and test cannot diverge.  For
-clustering there is no held-out part: the block being clustered is the
-fitting block.
+Each stage has ``fit`` (fitting block -> state) and ``apply(state, block)``.
+``fit_pipeline`` fits the list on the training rows of a fold only, and
+applies every stage but the model to them and, in a classification fold,
+to the held-out rows.  ``FittedPipeline.features`` and ``predict`` take any
+block through the signal and the same list, so train and test cannot
+diverge.  A ``SignalTable`` computes the signal once per CV run, on all
+rows, and each fold slices its rows out of it.
 
 A stage's key is the key of the stage before it plus the config fields the
 stage reads, so two configs with equal keys share everything up to that
-stage.  A ``FoldMemo`` holds one fold's fitting rows and, per stage, only
-the last key fitted with its result.  ``grid_search`` runs folds in the
-outer loop and configs in grid order inside it.  Grids expand with
+stage.  A ``FoldMemo`` holds one fold's rows and, per stage, only the last
+key fitted with its state and outputs.  ``grid_search`` runs folds one
+after another, and configs in grid order inside each.  Grids expand with
 preprocessing slowest, so grid order is a depth-first walk of the prefix
 tree: one live entry per stage catches every repeat, and memory stays at
 one fitted prefix per fold.  A hit returns the arrays the fit computed, so
 no result depends on whether a stage was shared.  HAC configs that differ
 only in linkage also share one distance matrix per (features key,
-affinity).  ``repeated_cv`` runs the winners of a grid search through the
-same fold loop, once per repeat, so they share each fold's memo too.
+affinity).  ``repeated_cv`` runs all repeats of the winners of a grid
+search as one run of the same fold loop, so they share each fold's memo.
 
 ``save_pipeline`` writes a fitted pipeline to one ``.npz`` archive: a JSON
 header and every learned array.  ``load_pipeline`` rebuilds the stages
@@ -41,8 +42,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -291,8 +291,30 @@ def kfold_split(n: int, k: int, seed: int, labels=None,
 # the stage list
 # ----------------------------------------------------------------------
 
+class SignalTable:
+    """The signal of every row of a block of spectra: derivative, then the
+    power-of-two resample.  Blocks are computed at first use and kept, keyed
+    by (derivative order, resample flag); a resampled block is built from
+    the unresampled block of its order, so each order costs one derivative
+    and at most one resample."""
+
+    def __init__(self, wavenumbers: np.ndarray, intensities: np.ndarray):
+        self.wavenumbers, self.intensities = wavenumbers, intensities
+        self._blocks: dict = {}
+
+    def block(self, order: int, target: np.ndarray | None) -> np.ndarray:
+        key = (order, target is not None)
+        if key not in self._blocks:
+            self._blocks[key] = (
+                derivative_matrix(self.wavenumbers, self.intensities, order)
+                if target is None else
+                resample_matrix(self.wavenumbers, self.block(order, None), target))
+        return self._blocks[key]
+
+
 class FoldMemo:
-    """The fitting rows of one fold and a last-key memo of its stage fits.
+    """One fold's rows (``rows``: the fitting rows, then any held-out rows),
+    the signal table of its run, and a last-key memo of its stage fits.
 
     ``fits`` and ``hits`` count computed and reused entries per name.
     """
@@ -301,9 +323,14 @@ class FoldMemo:
     # extend the old prefix, so they cannot hit again
     NAMES = ("preprocess", "decompose", "features", "distances", "model")
 
-    def __init__(self, data: LabeledDataset, train_idx):
+    def __init__(self, data: LabeledDataset, train_idx, held_out_idx=None,
+                 signals: SignalTable | None = None):
         self.data = data
         self.train_idx = np.asarray(train_idx, dtype=int)
+        self.rows = [self.train_idx] + (
+            [] if held_out_idx is None else [np.asarray(held_out_idx, dtype=int)])
+        self.signals = (SignalTable(data.wavenumbers, data.intensities)
+                        if signals is None else signals)
         self.labels = [data.labels[i] for i in self.train_idx]
         self.fits = dict.fromkeys(self.NAMES, 0)
         self.hits = dict.fromkeys(self.NAMES, 0)
@@ -340,12 +367,9 @@ class Preprocessor:
     scaler: ScalerStats | None = None
 
     def resampled(self, block) -> np.ndarray:
-        """The stateless part: derivative, then the resample."""
-        y = derivative_matrix(self.wavenumbers, np.asarray(block, dtype=float),
-                              self.config.derivative_order)
-        if self.target is None:
-            return y
-        return resample_matrix(self.wavenumbers, y, self.target)
+        """The signal of ``block``: derivative, then the resample."""
+        table = SignalTable(self.wavenumbers, np.asarray(block, dtype=float))
+        return table.block(self.config.derivative_order, self.target)
 
     def scaled(self, y: np.ndarray) -> np.ndarray:
         y = apply_scaler(y, self.config, self.scaler)
@@ -364,17 +388,10 @@ def _pow2_target(config: PipelineConfig, wn: np.ndarray) -> np.ndarray | None:
     return None if target.size == wn.size and np.allclose(target, wn) else target
 
 
-def _fit_preprocess(config, fold, key, prev, x):
-    """The first stage reads the fold's rows itself; ``x`` is None."""
+def _fit_preprocess(config, fold, key, prev, y) -> Preprocessor:
     wn = fold.data.wavenumbers
-    pre = Preprocessor(wn, config.preprocess, _pow2_target(config, wn))
-    y = pre.resampled(fold.data.intensities[fold.train_idx])
-    pre = replace(pre, scaler=fit_scaler(y, config.preprocess))
-    return pre, pre.scaled(y)
-
-
-def _apply_preprocess(pre: Preprocessor, block) -> np.ndarray:
-    return pre.scaled(pre.resampled(block))
+    return Preprocessor(wn, config.preprocess, _pow2_target(config, wn),
+                        fit_scaler(y, config.preprocess))
 
 
 def _dwt_transform(spec: DwtSpec, signal_length: int) -> DwtTransform:
@@ -390,7 +407,7 @@ def _fit_decompose(config, fold, key, prev, y):
         transform = _dwt_transform(spec, y.shape[-1])
     else:
         transform = WttTransform(wtt.train_group_filters(y, spec.rank))
-    return transform, _apply_decompose(transform, y)
+    return transform
 
 
 def _apply_decompose(transform, y: np.ndarray) -> tuple:
@@ -415,8 +432,7 @@ def _fit_features(config, fold, key, transform, signal_coeffs):
     tau = None
     if transform is not None and t.kind != "none":
         tau = float(np.quantile(np.abs(signal_coeffs[1]), t.tau_quantile))
-    fm = _feature_map(t, transform, tau)
-    return fm, _apply_features(fm, signal_coeffs)
+    return _feature_map(t, transform, tau)
 
 
 def _apply_features(fm: FeatureMap, signal_coeffs: tuple) -> np.ndarray:
@@ -426,13 +442,13 @@ def _apply_features(fm: FeatureMap, signal_coeffs: tuple) -> np.ndarray:
 def _fit_model(config, fold, key, fm, feats):
     m = config.model
     if m.kind == "lda":
-        return models.lda_fit(feats, fold.labels), None
+        return models.lda_fit(feats, fold.labels)
     if m.kind == "lr":
-        return models.lr_fit(feats, fold.labels, m.penalty, m.inverse_reg), None
+        return models.lr_fit(feats, fold.labels, m.penalty, m.inverse_reg)
     # key[0] is the features key: linkages on one affinity share the matrix
     distances = fold.get("distances", (key[0], m.affinity),
                          lambda: models.pairwise_distances(feats, m.affinity))
-    return models.hac_fit(feats, m.linkage, m.affinity, distances=distances), None
+    return models.hac_fit(feats, m.linkage, m.affinity, distances=distances)
 
 
 def _apply_model(model, feats: np.ndarray) -> list:
@@ -447,9 +463,8 @@ class Stage(NamedTuple):
     """One pipeline step.
 
     ``part(config)`` is what the stage reads of the config.
-    ``fit(config, fold, key, prev_state, x)`` returns the stage's state and
-    its output on the fitting block ``x`` (None for the model);
-    ``apply(state, x)`` maps any block the same way.
+    ``fit(config, fold, key, prev_state, x)`` returns the stage's state,
+    fitted on the fitting block ``x``; ``apply(state, x)`` maps any block.
     """
 
     name: str
@@ -460,7 +475,7 @@ class Stage(NamedTuple):
 
 STAGES = (
     Stage("preprocess", lambda c: (c.preprocess, _needs_pow2(c)),
-          _fit_preprocess, _apply_preprocess),
+          _fit_preprocess, Preprocessor.scaled),
     Stage("decompose", lambda c: c.decomposition, _fit_decompose, _apply_decompose),
     Stage("features", lambda c: c.transform, _fit_features, _apply_features),
     Stage("model", lambda c: c.model, _fit_model, _apply_model),
@@ -474,12 +489,8 @@ class FittedPipeline:
     config: PipelineConfig
     states: tuple
     train_features: np.ndarray | None  # features of the fitting block; None when loaded
+    held_out_features: np.ndarray | None = None  # of the memo's held-out rows
     warnings: list = field(default_factory=list)
-
-    @property
-    def tau(self) -> float | None:
-        rule = self.states[2].rule
-        return None if rule is None else rule.tau
 
     @property
     def model(self):
@@ -487,7 +498,7 @@ class FittedPipeline:
         return self.states[3]
 
     def features(self, block: np.ndarray) -> np.ndarray:
-        x = block
+        x = self.states[0].resampled(block)
         for stage, state in zip(STAGES[:-1], self.states):
             x = stage.apply(state, x)
         return x
@@ -496,29 +507,47 @@ class FittedPipeline:
         return STAGES[-1].apply(self.model, self.features(block))
 
 
+def _fit_stage(stage: Stage, config, memo: FoldMemo, key, prev, blocks) -> tuple:
+    """The stage's state, fitted on the fitting rows ``blocks[0]``, and its
+    output on each block (none for the model).  ``blocks`` is None for the
+    first stage, which reads the signal of the memo's rows."""
+    if blocks is None:
+        target = _pow2_target(config, memo.data.wavenumbers)
+        full = memo.signals.block(config.preprocess.derivative_order, target)
+        # the layout that processing the rows alone gives: the spline's output
+        # is column-major, and later sums (scaler mean, WTT products) round by it
+        blocks = [full[idx] if target is None else np.asfortranarray(full[idx])
+                  for idx in memo.rows]
+    state = stage.fit(config, memo, key, prev, blocks[0])
+    if stage.name == "model":
+        return state, None
+    return state, [stage.apply(state, x) for x in blocks]
+
+
 def fit_pipeline(config: PipelineConfig, data: LabeledDataset, train_idx,
                  memo: FoldMemo | None = None) -> FittedPipeline:
     """Fit the stage list on the rows ``train_idx`` only.
 
     ``memo`` is the FoldMemo of those rows, shared by the configs of one
-    fold; None fits every stage afresh.
+    fold; None fits every stage afresh.  When the memo has held-out rows,
+    their features are ``held_out_features``.
     """
     if memo is None:
         memo = FoldMemo(data, train_idx)
     elif memo.data is not data or not np.array_equal(memo.train_idx, train_idx):
         raise InvalidInputError("the memo belongs to other fitting rows")
-    states, outputs, key, x = [], [], (), None
+    states, key, blocks = [], (), None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for stage in STAGES:
             key = (key, stage.part(config))
             prev = states[-1] if states else None
-            state, x = memo.get(stage.name, key,
-                                lambda: stage.fit(config, memo, key, prev, x))
+            state, out = memo.get(
+                stage.name, key, lambda: _fit_stage(stage, config, memo, key, prev, blocks))
             states.append(state)
-            outputs.append(x)
-    return FittedPipeline(config=config, states=tuple(states),
-                          train_features=outputs[2],
+            blocks = blocks if out is None else out
+    # blocks: the features of the fitting rows, then of any held-out rows
+    return FittedPipeline(config, tuple(states), *blocks,
                           warnings=[str(w.message) for w in caught])
 
 
@@ -527,11 +556,12 @@ def save_pipeline(path: str, fitted: FittedPipeline) -> None:
     (config, tau, WTT ranks, the model's scalar fields) and every learned
     array.  A clustering pipeline is written without its linkage tree,
     which describes the fitting block only."""
-    pre, transform = fitted.states[0], fitted.states[1]
+    pre, transform, fm = fitted.states[:3]
     arrays = {"wavenumbers": pre.wavenumbers}
     if pre.scaler is not None:
         arrays.update(scaler_mean=pre.scaler.mean, scaler_std=pre.scaler.std)
-    header = {"config": fitted.config.to_dict(), "tau": fitted.tau, "model": None}
+    header = {"config": fitted.config.to_dict(),
+              "tau": None if fm.rule is None else fm.rule.tau, "model": None}
     if isinstance(transform, WttTransform):
         header["wtt_ranks"] = list(transform.bank.ranks)
         arrays.update({f"wtt_filter_{k}": u
@@ -584,7 +614,6 @@ def load_pipeline(path: str) -> FittedPipeline:
 @dataclass
 class CvReport:
     config: PipelineConfig
-    task: str
     seed: int | None
     n_folds: int
     n_runs: int
@@ -599,7 +628,7 @@ class CvReport:
         out = {
             "config": self.config.to_dict(),
             "label": self.config.label(),
-            "task": self.task,
+            "task": self.config.task,
             "seed": self.seed,
             "n_folds": self.n_folds,
             "n_runs": self.n_runs,
@@ -618,98 +647,75 @@ class CvReport:
         return out
 
 
-def _aggregate(config, task, seed, n_folds, rows, runtime, warns, lr_fits) -> CvReport:
-    keys = rows[0].keys()
-    means = {k: float(np.mean([r[k] for r in rows])) for k in keys}
-    stds = {k: float(np.std([r[k] for r in rows])) for k in keys}
-    return CvReport(
-        config=config, task=task, seed=seed, n_folds=n_folds,
-        n_runs=len(rows), per_fold=rows, means=means, stds=stds,
-        runtime_seconds=runtime, warnings=warns, lr_fits=lr_fits,
-    )
+def _score_classification(fitted: FittedPipeline, memo: FoldMemo) -> dict:
+    """Accuracy and weighted F1 on the memo's fitting and held-out rows."""
+    scores = {}
+    for part, idx, feats in zip(("train", "test"), memo.rows,
+                                (fitted.train_features, fitted.held_out_features)):
+        true = [memo.data.labels[i] for i in idx]
+        pred = _apply_model(fitted.model, feats)
+        scores.update({f"{part}_accuracy": accuracy(true, pred),
+                       f"{part}_f1": f1_weighted(true, pred)})
+    return scores
 
 
-def _score_classification(fitted: FittedPipeline, data, train_idx, test_idx) -> dict:
-    labels = data.labels
-    train_true = [labels[i] for i in train_idx]
-    test_true = [labels[i] for i in test_idx]
-    train_pred = _apply_model(fitted.model, fitted.train_features)
-    test_pred = fitted.predict(data.intensities[test_idx])
-    return {
-        "train_accuracy": accuracy(train_true, train_pred),
-        "test_accuracy": accuracy(test_true, test_pred),
-        "train_f1": f1_weighted(train_true, train_pred),
-        "test_f1": f1_weighted(test_true, test_pred),
-    }
-
-
-def _cluster_and_score(config: PipelineConfig, data: LabeledDataset, subset_idx,
-                       memo: FoldMemo | None = None) -> tuple[dict, FittedPipeline, list]:
-    fitted = fit_pipeline(config, data, subset_idx, memo)
-    true = [data.labels[i] for i in subset_idx]
+def _score_clustering(fitted: FittedPipeline, true: list) -> tuple[dict, list]:
+    """Scores and labels of the fitting rows cut at the true class count."""
     pred = models.cut_tree(fitted.model, len(set(true)))
     scores = {
         "ari": adjusted_rand(true, pred),
         "ami": adjusted_mutual_info(true, pred),
         "fm": fowlkes_mallows(true, pred),
     }
-    return scores, fitted, pred
+    return scores, pred
 
 
-def _fit_and_score(config: PipelineConfig, data: LabeledDataset, rest, fold,
-                   memo: FoldMemo) -> tuple:
-    """(scores, seconds, warnings, LR outcome or None) of one config on one
-    fold.  Classification fits on the complement and scores both sides;
-    clustering clusters the complement and scores it against the known
-    labels at the true class count."""
+def _fit_and_score(config: PipelineConfig, memo: FoldMemo) -> tuple:
+    """(scores, seconds, warnings, LR outcome or None) of one config on the
+    memo's fold."""
     t0 = time.perf_counter()
+    fitted = fit_pipeline(config, memo.data, memo.train_idx, memo)
     if config.task == "classification":
-        fitted = fit_pipeline(config, data, rest, memo)
-        scores = _score_classification(fitted, data, rest, fold)
+        scores = _score_classification(fitted, memo)
     else:
-        scores, fitted, _ = _cluster_and_score(config, data, rest, memo)
+        scores, _ = _score_clustering(fitted, memo.labels)
     model = fitted.model
     lr_fit = ((model.converged, model.n_iter)
               if isinstance(model, models.LrModel) else None)
     return scores, time.perf_counter() - t0, fitted.warnings, lr_fit
 
 
-def _run_fold(grid: list[PipelineConfig], data: LabeledDataset,
-              fold: np.ndarray) -> tuple[list, tuple[dict, dict]]:
-    """Every config on one fold, in grid order, with one memo; returns the
-    per-config results and the memo's (fits, hits) counts."""
-    rest = np.setdiff1d(np.arange(data.n_samples), fold)
-    memo = FoldMemo(data, rest)
-    cells = [_fit_and_score(config, data, rest, fold, memo) for config in grid]
-    return cells, (memo.fits, memo.hits)
-
-
 def _cross_validate(grid: list[PipelineConfig], data: LabeledDataset,
-                    folds: list[np.ndarray], seed: int | None,
-                    jobs: int = 1) -> tuple[list[CvReport], list[tuple]]:
-    """One CvReport per config, in grid order, and the (fits, hits) counts
-    of each fold's memo.
+                    splits: list[list[np.ndarray]], seed: int | None
+                    ) -> tuple[list[CvReport], list[tuple]]:
+    """One CvReport per config, in grid order, over the folds of every
+    k-fold split in ``splits`` (one per repeat), and the (fits, hits) counts
+    of each fold's memo.  The folds share one signal table.
 
-    With jobs > 1 the folds run on a thread pool, each with its own memo;
-    results are reduced in fold order and grid order, so they do not depend
-    on scheduling.  A config's runtime is the sum of its per-fold times; a
-    shared stage counts towards the config that fitted it first.
+    A config's runtime is the sum of its per-fold times; a shared stage
+    counts towards the config that fitted it first.
     """
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(lambda fold: _run_fold(grid, data, fold), folds))
-    else:
-        runs = [_run_fold(grid, data, fold) for fold in folds]
+    signals = SignalTable(data.wavenumbers, data.intensities)
+    cells, counts = [], []
+    for folds in splits:
+        for fold in folds:
+            rest = np.setdiff1d(np.arange(data.n_samples), fold)
+            held_out = fold if grid[0].task == "classification" else None
+            memo = FoldMemo(data, rest, held_out, signals)
+            cells.append([_fit_and_score(config, memo) for config in grid])
+            counts.append((memo.fits, memo.hits))
     reports = []
-    for i, config in enumerate(grid):
-        cells = [fold_cells[i] for fold_cells, _ in runs]
-        reports.append(_aggregate(
-            config, config.task, seed, len(folds),
-            rows=[c[0] for c in cells],
-            runtime=sum(c[1] for c in cells),
-            warns=[w for c in cells for w in c[2]],
-            lr_fits=[c[3] for c in cells if c[3] is not None]))
-    return reports, [counts for _, counts in runs]
+    for config, runs in zip(grid, zip(*cells)):
+        rows = [run[0] for run in runs]
+        reports.append(CvReport(
+            config=config, seed=seed, n_folds=len(splits[0]),
+            n_runs=len(rows), per_fold=rows,
+            means={name: float(np.mean([r[name] for r in rows])) for name in rows[0]},
+            stds={name: float(np.std([r[name] for r in rows])) for name in rows[0]},
+            runtime_seconds=sum(run[1] for run in runs),
+            warnings=[w for run in runs for w in run[2]],
+            lr_fits=[run[3] for run in runs if run[3] is not None]))
+    return reports, counts
 
 
 SELECTION_METRIC = {"classification": "test_accuracy", "clustering": "ari"}
@@ -720,18 +726,16 @@ class GridSearchResult:
     best: CvReport
     leaderboard: list  # CvReports sorted by selection metric desc, ties by grid order
     selection_metric: str
-    seed: int
     fits: dict = field(default_factory=dict)       # stage -> entries computed
     memo_hits: dict = field(default_factory=dict)  # stage -> entries reused
 
 
 def grid_search(grid: list[PipelineConfig], data: LabeledDataset, seed: int,
-                k: int = 4, stratify: bool = False,
-                jobs: int = 1) -> GridSearchResult:
+                k: int = 4, stratify: bool = False) -> GridSearchResult:
     """Exhaustively evaluate a config lattice with one fixed seeded split.
 
     Folds run in the outer loop, configs in grid order inside it, sharing
-    each fold's FoldMemo; with jobs > 1 folds run on a thread pool.
+    each fold's FoldMemo.
     """
     grid = list(grid)
     if not grid:
@@ -743,14 +747,13 @@ def grid_search(grid: list[PipelineConfig], data: LabeledDataset, seed: int,
     metric = SELECTION_METRIC[task]
     folds = kfold_split(data.n_samples, k, seed,
                         labels=data.labels, stratify=stratify)
-    reports, counts = _cross_validate(grid, data, folds, seed, jobs)
+    reports, counts = _cross_validate(grid, data, [folds], seed)
     order = sorted(range(len(grid)), key=lambda i: (-reports[i].means[metric], i))
     leaderboard = [reports[i] for i in order]
     return GridSearchResult(
         best=leaderboard[0],
         leaderboard=leaderboard,
         selection_metric=metric,
-        seed=seed,
         fits={n: sum(fits[n] for fits, _ in counts) for n in FoldMemo.NAMES},
         memo_hits={n: sum(hits[n] for _, hits in counts) for n in FoldMemo.NAMES},
     )
@@ -761,25 +764,14 @@ def repeated_cv(winners: list[PipelineConfig], data: LabeledDataset, seed: int,
                 stratify: bool = False) -> list[CvReport]:
     """Repeat k-fold CV with derived seeds (seed + i); 25 x 4 = 100 runs.
 
-    Each repeat runs all of ``winners`` through the grid search's fold
-    loop, so they share each fold's memo; give them in grid order.  Returns
-    one CvReport per config, in the order given.  ``runtime_seconds`` is the
-    sum of the config's per-fold times, with a shared stage counted towards
-    the first config that fits it.
-    """
+    All repeats are one run of the grid search's fold loop, so ``winners``
+    share each fold's memo; give them in grid order.  Returns one CvReport
+    per config, in the order given."""
     if any(config.task != "classification" for config in winners):
         raise InvalidConfigError("repeated_cv applies to classification configs")
-    runs = [_cross_validate(winners, data,
-                            kfold_split(data.n_samples, k, seed + rep,
-                                        labels=data.labels, stratify=stratify),
-                            seed + rep)[0]
-            for rep in range(repeats)]
-    return [_aggregate(config, "classification", seed, k,
-                       rows=[row for rep in reps for row in rep.per_fold],
-                       runtime=sum(rep.runtime_seconds for rep in reps),
-                       warns=[w for rep in reps for w in rep.warnings],
-                       lr_fits=[fit for rep in reps for fit in rep.lr_fits])
-            for config, reps in zip(winners, zip(*runs))]
+    splits = [kfold_split(data.n_samples, k, seed + rep, labels=data.labels,
+                          stratify=stratify) for rep in range(repeats)]
+    return _cross_validate(winners, data, splits, seed)[0]
 
 
 def final_clustering(config: PipelineConfig, data: LabeledDataset):
@@ -789,5 +781,6 @@ def final_clustering(config: PipelineConfig, data: LabeledDataset):
     """
     if config.task != "clustering":
         raise InvalidConfigError("final_clustering requires a clustering config")
-    scores, fitted, pred = _cluster_and_score(config, data, np.arange(data.n_samples))
+    fitted = fit_pipeline(config, data, np.arange(data.n_samples))
+    scores, pred = _score_clustering(fitted, data.labels)
     return pred, fitted.model, scores, fitted

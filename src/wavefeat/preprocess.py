@@ -6,8 +6,8 @@ steps work along the intensity axis of (n_samples, n_points) blocks:
 finite-difference derivatives, natural cubic-spline resampling onto a
 power-of-two grid, and centering and scaling along the feature axis (with
 statistics fitted on a training block) or the sample axis.  The pipeline
-runs them in that order, then the optional absolute value
-(``harness.Preprocessor``).
+runs them in that order (derivative and resample in ``harness.SignalTable``,
+the scaler in ``harness.Preprocessor``), then the optional absolute value.
 
 The spline is written in numpy so that importing the package loads no scipy
 module (scipy's interpolation package alone took most of the start-up of

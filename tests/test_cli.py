@@ -196,6 +196,8 @@ def test_train_config_with_all_stage_keys_runs(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["synth", "--jobs", "2"], ["synth", "--stratify"],
     ["train", "--jobs", "2"], ["train", "--stratify"], ["train", "--seed", "1"],
+    # the folds run one after another; only --jobs 1 is accepted
+    ["gridsearch", "--jobs", "2"], ["cluster", "--jobs", "2"],
 ])
 def test_flags_a_command_does_not_read_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
@@ -225,6 +227,38 @@ def test_config_that_is_not_json_exits_2(tmp_path, capsys, command):
     capsys.readouterr()
     assert cli.main(argv) == 2
     assert f"usage error: {config}: invalid JSON" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    data = _tiny_dataset(tmp_path)
+    config = tmp_path / "grid.json"
+    config.write_bytes(json.dumps(CLUSTER_GRID).encode()[:-1] + b"\xff}")
+    capsys.readouterr()
+    assert cli.main(["cluster", "--data", str(data), "--config", str(config),
+                     "--folds", "2", "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"usage error: {config}: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["data.csv", "data.json"])
+def test_dataset_that_is_not_utf8_exits_3(tmp_path, capsys, name):
+    data = _tiny_dataset(tmp_path, name)
+    data.write_bytes(data.read_bytes().replace(b"class_1", b"class_\xff", 1))
+    capsys.readouterr()
+    assert cli.main(["cluster", "--data", str(data), "--folds", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    assert f"data error: {data}: cannot decode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{\"command\": ", "[1, 2]", None],
+                         ids=["not-json", "list", "directory"])
+def test_report_on_a_bad_manifest_exits_3(tmp_path, capsys, text):
+    manifest = tmp_path / "manifest.json"
+    if text is None:
+        manifest.mkdir()
+    else:
+        manifest.write_text(text)
+    assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
+    assert f"data error: {manifest}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["gridsearch", "cluster", "train"])

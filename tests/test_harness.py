@@ -10,6 +10,7 @@ from wavefeat.errors import InvalidConfigError, InvalidInputError
 from wavefeat.grids import expand_grid, grid_for_task, load_grid_document
 from wavefeat.harness import (FoldMemo, PipelineConfig, fit_pipeline,
                               grid_search, kfold_split, repeated_cv)
+from wavefeat.metrics import accuracy, f1_weighted
 from wavefeat.preprocess import LabeledDataset
 from wavefeat.synth import SyntheticSpec, synth_dataset
 
@@ -65,7 +66,7 @@ def test_grid_search_equals_fresh_memo_per_config(data, clustering_grid, grid_na
     by_label = {r.config.label(): r for r in result.leaderboard}
     assert len(by_label) == len(grid)
     for config in grid:
-        alone = harness._cross_validate([config], data, folds, 2)[0][0]
+        alone = harness._cross_validate([config], data, [folds], 2)[0][0]
         shared = by_label[config.label()]
         assert shared.per_fold == alone.per_fold, config.label()
         assert shared.lr_fits == alone.lr_fits
@@ -77,7 +78,7 @@ def test_repeated_cv_equals_per_config_repeats(data):
     assert [r.config for r in reports] == list(grid)
     for config, report in zip(grid, reports):
         alone = [harness._cross_validate([config], data,
-                                         kfold_split(data.n_samples, 3, 5 + rep),
+                                         [kfold_split(data.n_samples, 3, 5 + rep)],
                                          5 + rep)[0][0]
                  for rep in range(2)]
         assert report.per_fold == alone[0].per_fold + alone[1].per_fold, config.label()
@@ -117,14 +118,70 @@ def test_wtt_trainings_equal_distinct_fold_preprocess_rank_keys(
     assert result.fits["preprocess"] == k * 3 * 2
 
 
-def test_jobs_two_matches_jobs_one(data, clustering_grid):
-    one = grid_search(clustering_grid, data, seed=4, k=3, jobs=1)
-    two = grid_search(clustering_grid, data, seed=4, k=3, jobs=2)
-    assert ([r.config for r in one.leaderboard]
-            == [r.config for r in two.leaderboard])
-    assert ([r.per_fold for r in one.leaderboard]
-            == [r.per_fold for r in two.leaderboard])
-    assert (one.fits, one.memo_hits) == (two.fits, two.memo_hits)
+def test_cross_validate_scores_equal_fresh_fits_on_raw_held_out_rows(data):
+    # WTT ranks 1 and 3 on 100 points resampled to 128: the signal rows are
+    # sliced out of column-major table blocks
+    grid = expand_grid(CLASSIFICATION_GRID)
+    folds = kfold_split(data.n_samples, 3, 2)
+    reports, _ = harness._cross_validate(grid, data, [folds], 2)
+    for config, report in zip(grid, reports):
+        for fold, row in zip(folds, report.per_fold):
+            rest = np.setdiff1d(np.arange(data.n_samples), fold)
+            fitted = fit_pipeline(config, data, rest)
+            scores = {}
+            for part, idx in (("train", rest), ("test", fold)):
+                true = [data.labels[i] for i in idx]
+                pred = fitted.predict(data.intensities[idx])
+                scores[f"{part}_accuracy"] = accuracy(true, pred)
+                scores[f"{part}_f1"] = f1_weighted(true, pred)
+            assert row == scores, config.label()
+
+
+def test_perturbed_held_out_rows_leave_the_fold_fits_unchanged(data):
+    grid = expand_grid(CLASSIFICATION_GRID)
+    fold = kfold_split(data.n_samples, 3, 2)[0]
+    perturbed = data.intensities.copy()
+    rng = np.random.default_rng(0)
+    perturbed[fold] += rng.normal(0.0, 5.0, size=perturbed[fold].shape)
+    other = LabeledDataset(data.wavenumbers, perturbed, data.labels)
+    # the signal table of each run covers every row, the perturbed ones too
+    a, _ = harness._cross_validate(grid, data, [[fold]], 2)
+    b, _ = harness._cross_validate(grid, other, [[fold]], 2)
+    for x, y in zip(a, b):
+        for name in ("train_accuracy", "train_f1"):
+            assert x.per_fold[0][name] == y.per_fold[0][name], x.config.label()
+        assert x.lr_fits == y.lr_fits
+    assert any(x.per_fold[0]["test_accuracy"] != y.per_fold[0]["test_accuracy"]
+               for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("grid_name", ["clustering", "classification"])
+def test_each_cv_run_computes_each_signal_once(data, clustering_grid, monkeypatch,
+                                               grid_name):
+    calls = {"derivative": [], "resample": []}
+    derivative, resample = harness.derivative_matrix, harness.resample_matrix
+
+    def counted_derivative(wn, y, order):
+        calls["derivative"].append(order)
+        return derivative(wn, y, order)
+
+    def counted_resample(wn, y, new_wn):
+        calls["resample"].append(y.shape)
+        return resample(wn, y, new_wn)
+
+    monkeypatch.setattr(harness, "derivative_matrix", counted_derivative)
+    monkeypatch.setattr(harness, "resample_matrix", counted_resample)
+    if grid_name == "clustering":
+        grid = clustering_grid
+        grid_search(grid, data, seed=2, k=3)
+    else:
+        grid = expand_grid(CLASSIFICATION_GRID)
+        repeated_cv(grid, data, seed=5, repeats=2, k=3)  # one run over both repeats
+    orders = sorted({c.preprocess.derivative_order for c in grid})
+    wtt_orders = {c.preprocess.derivative_order for c in grid
+                  if isinstance(c.decomposition, harness.WttSpec)}
+    assert sorted(calls["derivative"]) == orders
+    assert calls["resample"] == [data.intensities.shape] * len(wtt_orders)
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +248,24 @@ def test_applying_the_stages_to_the_fitting_rows_repeats_the_fit(data, config):
     fitted = fit_pipeline(config, data, rows)
     again = fitted.features(data.intensities[rows])
     assert again.tobytes() == fitted.train_features.tobytes()
+
+
+@pytest.mark.parametrize("config", LEAKAGE_CONFIGS, ids=lambda c: c.label())
+def test_signal_rows_are_the_rows_processed_alone(data, config, monkeypatch):
+    # bytes and memory layout: sums over a block (the scaler's mean, the WTT
+    # products) round differently in a column-major block
+    seen = []
+    apply = harness.apply_scaler
+    monkeypatch.setattr(harness, "apply_scaler",
+                        lambda y, *args: seen.append(y) or apply(y, *args))
+    fold = kfold_split(data.n_samples, 4, 1)[0]
+    rest = np.setdiff1d(np.arange(data.n_samples), fold)
+    fitted = fit_pipeline(config, data, rest, FoldMemo(data, rest, fold))
+    assert len(seen) == 2  # the fitting rows, then the held-out rows
+    for y, idx in zip(seen, (rest, fold)):
+        alone = fitted.states[0].resampled(data.intensities[idx])
+        assert y.strides == alone.strides
+        assert y.tobytes("A") == alone.tobytes("A")
 
 
 def test_memo_hit_returns_the_same_arrays(data):

@@ -20,11 +20,12 @@ import time
 import numpy as np
 
 from . import __version__, dataio, dwt, models, synth
-from .errors import DataFormatError, InvalidConfigError, InvalidInputError
+from .errors import (DataFormatError, InvalidConfigError, InvalidInputError,
+                     NumericalError)
 from .grids import grid_for_task, load_grid_document, load_json_config
-from .harness import (DwtSpec, FoldMemo, PipelineConfig, final_clustering,
-                      fit_pipeline, grid_search, repeated_cv, save_pipeline,
-                      spec_from_dict)
+from .harness import (DwtSpec, FoldMemo, PipelineConfig, SignalTable,
+                      final_clustering, fit_pipeline, grid_search, repeated_cv,
+                      save_pipeline, spec_from_dict)
 
 DERIV_NAMES = {0: "f", 1: "f'", 2: "f''"}
 
@@ -70,6 +71,19 @@ def _feature_space(config: PipelineConfig, split_sign: bool) -> str:
     if split_sign:
         return base + (" (sign)" if config.transform.kind == "sign" else " (thr)")
     return base
+
+
+NUMBER = (int, float)
+_KIND_NAMES = {dict: "a JSON object", str: "a string", NUMBER: "a number"}
+
+
+def _manifest_field(doc: dict, key: str, kind, where: str, default=None):
+    """``doc[key]``, or ``default`` when the key is absent; DataFormatError
+    unless the value has type ``kind``.  ``where`` prefixes the message."""
+    value = doc.get(key, default)
+    if not isinstance(value, kind):
+        raise DataFormatError(f"{where}{key} must be {_KIND_NAMES[kind]}")
+    return value
 
 
 def _load_data(args) -> "dataio.LabeledDataset":
@@ -202,8 +216,10 @@ def cmd_cluster(args) -> int:
     seed = 0 if args.seed is None else args.seed
     os.makedirs(args.out_dir, exist_ok=True)
 
+    # one signal table for the grid search and the final clusterings
+    signals = SignalTable(data.wavenumbers, data.intensities)
     result = grid_search(grid, data, seed=seed, k=args.folds,
-                         stratify=args.stratify)
+                         stratify=args.stratify, signals=signals)
     _write_leaderboard(
         os.path.join(args.out_dir, "leaderboard_clustering.tsv"), result)
 
@@ -215,7 +231,7 @@ def cmd_cluster(args) -> int:
 
     finals: dict = {}
     for (space, d), report in winners.items():
-        labels, tree, scores, _ = final_clustering(report.config, data)
+        labels, tree, scores, _ = final_clustering(report.config, data, signals)
         dendro = models.dendrogram_export(tree, list(data.labels))
         fname = f"dendrogram_{space.replace(' ', '')}_d{d}.json"
         with open(os.path.join(args.out_dir, fname), "w") as fh:
@@ -314,31 +330,43 @@ def cmd_report(args) -> int:
         raise DataFormatError(f"{manifest_path}: cannot read a manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataFormatError(f"{manifest_path}: a manifest must be a JSON object")
+    where = f"{manifest_path}: "
     print(f"wavefeat run: command={manifest.get('command')} "
           f"version={manifest.get('version')} seed={manifest.get('seed')}")
-    data_info = manifest.get("data", {})
-    print(f"data: {data_info.get('path')} sha256={data_info.get('sha256', '')[:12]}...")
-    winners = manifest.get("winners", {})
+    data_info = _manifest_field(manifest, "data", dict, where, {})
+    sha256 = _manifest_field(data_info, "sha256", str, where + "data.", "")
+    print(f"data: {data_info.get('path')} sha256={sha256[:12]}...")
+    winners = _manifest_field(manifest, "winners", dict, where, {})
     series_rows = []
-    for key, entry in sorted(winners.items()):
+    for key in sorted(winners):
+        entry = _manifest_field(winners, key, dict, where + "winners.")
+        at = f"{where}winners.{key}."
         if "means" in entry:
-            means = entry["means"]
+            means = _manifest_field(entry, "means", dict, at)
             main = ("test_accuracy" if "test_accuracy" in means else "ari")
-            print(f"  {key}: {main}={means[main]:.4f} ({entry.get('label')})")
-            series_rows.append((key, means[main]))
+            score = _manifest_field(means, main, NUMBER, at + "means.")
+            print(f"  {key}: {main}={score:.4f} ({entry.get('label')})")
         elif "scores" in entry:
-            s = entry["scores"]
-            print(f"  {key}: ARI={s['ari']:.4f} AMI={s['ami']:.4f} "
-                  f"FM={s['fm']:.4f} ({entry.get('label')})")
-            series_rows.append((key, s["ari"]))
+            scores = _manifest_field(entry, "scores", dict, at)
+            score, ami, fm = (_manifest_field(scores, name, NUMBER, at + "scores.")
+                              for name in ("ari", "ami", "fm"))
+            print(f"  {key}: ARI={score:.4f} AMI={ami:.4f} "
+                  f"FM={fm:.4f} ({entry.get('label')})")
+        else:
+            continue
+        series_rows.append((key, score))
     if "counters" in manifest:
-        counters = manifest["counters"]
+        counters = _manifest_field(manifest, "counters", dict, where)
+        fits, hits = (_manifest_field(counters, name, dict, where + "counters.")
+                      for name in ("fits", "memo_hits"))
+        counts = [(stage, fits[stage], _manifest_field(
+                       hits, stage, NUMBER, where + "counters.memo_hits."))
+                  for stage in FoldMemo.NAMES if stage in fits]
         print("stage fits / memo hits (grid search): " + ", ".join(
-            f"{stage} {counters['fits'][stage]}/{counters['memo_hits'][stage]}"
-            for stage in FoldMemo.NAMES if stage in counters["fits"]))
-    if manifest.get("grid_skipped"):
-        for rule, n in sorted(manifest["grid_skipped"].items()):
-            print(f"grid points skipped: {n} ({rule})")
+            f"{stage} {n_fits}/{n_hits}" for stage, n_fits, n_hits in counts))
+    for rule, n in sorted(_manifest_field(manifest, "grid_skipped", dict, where,
+                                          {}).items()):
+        print(f"grid points skipped: {n} ({rule})")
     if "ari_ordering_wtt_dwt_original" in manifest:
         print(f"ARI ordering WTT>=DWT>=original: "
               f"{manifest['ari_ordering_wtt_dwt_original']}")
@@ -350,7 +378,8 @@ def cmd_report(args) -> int:
             for key, val in series_rows:
                 fh.write(f"{key}\t{val:.6f}\n")
         print(f"wrote {out}")
-    print(f"wall time: {manifest.get('wall_time_seconds', float('nan')):.1f}s")
+    wall = _manifest_field(manifest, "wall_time_seconds", NUMBER, where, float("nan"))
+    print(f"wall time: {wall:.1f}s")
     return 0
 
 
@@ -440,7 +469,7 @@ def main(argv=None) -> int:
     except (InvalidConfigError, InvalidInputError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except np.linalg.LinAlgError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

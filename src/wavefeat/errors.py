@@ -37,3 +37,8 @@ class InvalidDatasetError(DataFormatError):
     """Dataset values break the schema: a non-finite wavenumber or intensity,
     a wavenumber grid that is not strictly monotone, or fewer than 2
     samples."""
+
+
+class NumericalError(WavefeatError, ArithmeticError):
+    """Raised when a computation meets values it cannot work with, such as
+    a distance matrix with non-finite entries."""

@@ -321,7 +321,7 @@ class FoldMemo:
 
     # a miss on one name drops the entries of every later name: their keys
     # extend the old prefix, so they cannot hit again
-    NAMES = ("preprocess", "decompose", "features", "distances", "model")
+    NAMES = ("preprocess", "decompose", "features", "gram", "distances", "model")
 
     def __init__(self, data: LabeledDataset, train_idx, held_out_idx=None,
                  signals: SignalTable | None = None):
@@ -445,9 +445,14 @@ def _fit_model(config, fold, key, fm, feats):
         return models.lda_fit(feats, fold.labels)
     if m.kind == "lr":
         return models.lr_fit(feats, fold.labels, m.penalty, m.inverse_reg)
-    # key[0] is the features key: linkages on one affinity share the matrix
-    distances = fold.get("distances", (key[0], m.affinity),
-                         lambda: models.pairwise_distances(feats, m.affinity))
+    # key[0] is the features key: the euclidean and cosine matrices share
+    # one Gram matrix, and linkages on one affinity share the matrix
+    def compute_distances():
+        gram = (None if m.affinity == "manhattan" else
+                fold.get("gram", key[0], lambda: models.gram_matrix(feats)))
+        return models.pairwise_distances(feats, m.affinity, gram)
+
+    distances = fold.get("distances", (key[0], m.affinity), compute_distances)
     return models.hac_fit(feats, m.linkage, m.affinity, distances=distances)
 
 
@@ -686,16 +691,19 @@ def _fit_and_score(config: PipelineConfig, memo: FoldMemo) -> tuple:
 
 
 def _cross_validate(grid: list[PipelineConfig], data: LabeledDataset,
-                    splits: list[list[np.ndarray]], seed: int | None
+                    splits: list[list[np.ndarray]], seed: int | None,
+                    signals: SignalTable | None = None
                     ) -> tuple[list[CvReport], list[tuple]]:
     """One CvReport per config, in grid order, over the folds of every
     k-fold split in ``splits`` (one per repeat), and the (fits, hits) counts
-    of each fold's memo.  The folds share one signal table.
+    of each fold's memo.  The folds share one signal table: ``signals``, or
+    a new one when None.
 
     A config's runtime is the sum of its per-fold times; a shared stage
     counts towards the config that fitted it first.
     """
-    signals = SignalTable(data.wavenumbers, data.intensities)
+    if signals is None:
+        signals = SignalTable(data.wavenumbers, data.intensities)
     cells, counts = [], []
     for folds in splits:
         for fold in folds:
@@ -731,11 +739,13 @@ class GridSearchResult:
 
 
 def grid_search(grid: list[PipelineConfig], data: LabeledDataset, seed: int,
-                k: int = 4, stratify: bool = False) -> GridSearchResult:
+                k: int = 4, stratify: bool = False,
+                signals: SignalTable | None = None) -> GridSearchResult:
     """Exhaustively evaluate a config lattice with one fixed seeded split.
 
     Folds run in the outer loop, configs in grid order inside it, sharing
-    each fold's FoldMemo.
+    each fold's FoldMemo and the signal table ``signals`` of ``data`` (a new
+    one when None).
     """
     grid = list(grid)
     if not grid:
@@ -747,7 +757,7 @@ def grid_search(grid: list[PipelineConfig], data: LabeledDataset, seed: int,
     metric = SELECTION_METRIC[task]
     folds = kfold_split(data.n_samples, k, seed,
                         labels=data.labels, stratify=stratify)
-    reports, counts = _cross_validate(grid, data, [folds], seed)
+    reports, counts = _cross_validate(grid, data, [folds], seed, signals)
     order = sorted(range(len(grid)), key=lambda i: (-reports[i].means[metric], i))
     leaderboard = [reports[i] for i in order]
     return GridSearchResult(
@@ -774,13 +784,17 @@ def repeated_cv(winners: list[PipelineConfig], data: LabeledDataset, seed: int,
     return _cross_validate(winners, data, splits, seed)[0]
 
 
-def final_clustering(config: PipelineConfig, data: LabeledDataset):
-    """Cluster the full dataset at the true class count, with a fresh memo.
+def final_clustering(config: PipelineConfig, data: LabeledDataset,
+                     signals: SignalTable | None = None):
+    """Cluster the full dataset at the true class count, with a fresh memo
+    that reads the signal table ``signals`` of ``data`` (a new one when
+    None).
 
     Returns (labels, LinkageTree, scores dict, FittedPipeline).
     """
     if config.task != "clustering":
         raise InvalidConfigError("final_clustering requires a clustering config")
-    fitted = fit_pipeline(config, data, np.arange(data.n_samples))
+    rows = np.arange(data.n_samples)
+    fitted = fit_pipeline(config, data, rows, FoldMemo(data, rows, signals=signals))
     scores, pred = _score_clustering(fitted, data.labels)
     return pred, fitted.model, scores, fitted

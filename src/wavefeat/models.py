@@ -13,20 +13,24 @@ which yields exact zeros; it picks its step by backtracking on a
 sufficient-decrease test, starting from the global Lipschitz bound, and stops
 when the KKT residual of the full objective (the largest entry of its
 minimum-norm subgradient) is at most the tolerance.  Clustering is
-agglomerative: scipy ``linkage`` (Muellner's algorithms) merges on the
-distance matrix of ``pairwise_distances``, and ``cut_tree`` and
-``dendrogram_export`` read the merge list it returns.  ``hac_fit`` imports
-``scipy.cluster.hierarchy`` at its first call, so a classification run never
-loads it.
+agglomerative on the distance matrix of ``pairwise_distances`` (the
+euclidean and cosine matrices read one Gram matrix, ``gram_matrix``), and
+``cut_tree`` and ``dendrogram_export`` read the merge list ``hac_fit``
+returns.  ``hac_fit`` runs Muellner's algorithms (arXiv:1109.2378) in numpy:
+Prim's minimum spanning tree for single linkage and the nearest-neighbour
+chain for the others, with scipy's floating-point operations and tie-breaks,
+so its merges are byte-identical to scipy's ``linkage`` and no process
+imports scipy to cluster.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, NumericalError
 
 AFFINITIES = ("euclidean", "manhattan", "cosine")
 LINKAGES = ("single", "complete", "average", "ward")
@@ -407,25 +411,38 @@ def lr_predict(model: LrModel, x: np.ndarray) -> list:
 # hierarchical agglomerative clustering
 # ----------------------------------------------------------------------
 
-def pairwise_distances(x: np.ndarray, affinity: str) -> np.ndarray:
-    """Symmetric distance matrix with zero diagonal."""
+def gram_matrix(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x @ x.T, the row sums of squares): what the euclidean and the cosine
+    distances of ``pairwise_distances`` are built from."""
+    x = np.asarray(x, dtype=float)
+    return x @ x.T, np.sum(x * x, axis=1)
+
+
+def pairwise_distances(x: np.ndarray, affinity: str,
+                       gram: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Symmetric distance matrix with zero diagonal.
+
+    ``gram`` is a precomputed ``gram_matrix(x)``, which the euclidean and the
+    cosine affinity read; manhattan ignores it.  The cosine norms are the
+    square roots of its row sums, as ``np.linalg.norm(x, axis=1)`` computes
+    them.
+    """
     if affinity not in AFFINITIES:
         raise InvalidConfigError(f"affinity must be one of {AFFINITIES}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise InvalidInputError("expected (n_samples, n_features)")
-    if affinity == "euclidean":
-        sq = np.sum(x * x, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        d = np.sqrt(np.maximum(d2, 0.0))
-    elif affinity == "manhattan":
+    if affinity == "manhattan":
         d = np.sum(np.abs(x[:, None, :] - x[None, :, :]), axis=-1)
     else:
-        norms = np.linalg.norm(x, axis=1)
-        if np.any(norms == 0):
-            raise InvalidInputError("cosine affinity undefined for zero vectors")
-        sim = (x @ x.T) / np.outer(norms, norms)
-        d = 1.0 - np.clip(sim, -1.0, 1.0)
+        g, sq = gram_matrix(x) if gram is None else gram
+        if affinity == "euclidean":
+            d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * g, 0.0))
+        else:
+            norms = np.sqrt(sq)
+            if np.any(norms == 0):
+                raise InvalidInputError("cosine affinity undefined for zero vectors")
+            d = 1.0 - np.clip(g / np.outer(norms, norms), -1.0, 1.0)
     np.fill_diagonal(d, 0.0)
     return (d + d.T) / 2.0
 
@@ -443,17 +460,117 @@ class LinkageTree:
     linkage: str = "average"
 
 
+def _root(parent: list, i: int) -> int:
+    """Root of node i in a union-find forest, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def _prim_walk(d: np.ndarray) -> tuple[list, list, list]:
+    """The minimum spanning tree as scipy's ``mst_single_linkage`` walks it:
+    from node 0, each step adds the node nearest to the tree, the first in
+    index order on ties.  Returns the (tree node, new node, distance) of each
+    step, in step order."""
+    m = d.shape[0]
+    dist = d.copy()  # a node's column turns inf once it joins the tree
+    reach = np.full(m, math.inf)  # each outside node's distance to the tree
+    xs, ys, heights = [], [], []
+    x = 0
+    for _ in range(m - 1):
+        dist[:, x] = math.inf
+        reach[x] = math.inf
+        row = dist[x]
+        np.copyto(reach, row, where=row < reach)
+        y = int(reach.argmin())
+        xs.append(x)
+        ys.append(y)
+        heights.append(reach.item(y))
+        x = y
+    return xs, ys, heights
+
+
+def _chain_walk(d: np.ndarray, linkage: str) -> tuple[list, list, list]:
+    """The merges of scipy's ``nn_chain``, in the order it makes them: the
+    (lower, higher) cluster index of each pair and its distance.  The merged
+    cluster takes the higher index."""
+    m = d.shape[0]
+    dist = d.copy()  # the diagonal and the columns of merged-away clusters are inf
+    np.fill_diagonal(dist, math.inf)
+    # cluster sizes as floats: below 2**53 each sum and product below rounds
+    # as scipy's int-to-double conversions do
+    size = np.ones(m)
+    xs, ys, heights = [], [], []
+    chain: list = []
+    low = 0  # the lowest live index, where an empty chain restarts
+    for _ in range(m - 1):
+        if not chain:
+            while size.item(low) == 0.0:
+                low += 1
+            chain.append(low)
+        while True:
+            x = chain[-1]
+            row = dist[x]
+            y = int(row.argmin())
+            h = row.item(y)
+            if not h < math.inf:
+                raise NumericalError("linkage distances overflowed")
+            # the previous chain element stays unless strictly beaten
+            if len(chain) > 1 and not h < row.item(chain[-2]):
+                y = chain[-2]
+                h = row.item(y)
+                break
+            chain.append(y)
+        del chain[-2:]
+        if x > y:
+            x, y = y, x
+        nx, ny = size.item(x), size.item(y)
+        dx, dy = dist[x], dist[y]
+        # scipy's Lance-Williams updates, operation for operation
+        if linkage == "complete":
+            new = np.fmax(dx, dy)
+        elif linkage == "average":
+            new = (nx * dx + ny * dy) / (nx + ny)
+        else:  # ward
+            t = 1.0 / (nx + ny + size)
+            new = np.sqrt((size + nx) * t * dx * dx + (size + ny) * t * dy * dy
+                          - size * t * h * h)
+        dist[y] = new
+        dist[:, y] = new
+        dist[y, y] = math.inf
+        dist[:, x] = math.inf
+        size[y] = nx + ny
+        size[x] = 0.0
+        xs.append(x)
+        ys.append(y)
+        heights.append(h)
+    return xs, ys, heights
+
+
 def hac_fit(x: np.ndarray, linkage: str, affinity: str = "euclidean",
             distances: np.ndarray | None = None) -> LinkageTree:
-    """Agglomerate with the requested linkage by scipy ``linkage``; the tree
-    is deterministic for a given input.
+    """Agglomerate with the requested linkage; the tree is deterministic for
+    a given input.
 
-    ``distances`` is a precomputed ``pairwise_distances(x, affinity)``.
-    Ward runs on euclidean distances and its heights are the scipy ward
-    distances, sqrt(2 * increase in within-cluster sum of squares).
+    ``distances`` is a precomputed ``pairwise_distances(x, affinity)``, a
+    symmetric matrix.  Ward runs on euclidean distances and its heights are
+    sqrt(2 * increase in within-cluster sum of squares).  A distance matrix
+    with a non-finite entry, or a linkage distance that overflows, raises
+    NumericalError.
+
+    The merges are those of scipy's ``linkage(squareform(distances),
+    method=linkage)``, byte for byte: the same floating-point operations in
+    the same order, and the same tie-breaks (Muellner, arXiv:1109.2378).
+    Single linkage is Prim's minimum spanning tree walk (``_prim_walk``);
+    the others run the nearest-neighbour chain (``_chain_walk``), where
+    complete linkage takes fmax(dx, dy), average (nx dx + ny dy) / (nx + ny)
+    and ward sqrt((ni + nx) t dx dx + (ni + ny) t dy dy - ni t d d) with
+    t = 1 / (nx + ny + ni), each product taken left to right.  A chain
+    restarts at the lowest live index, and the first minimum in index order
+    wins.  The merges are then sorted by height with a stable mergesort and
+    relabelled with union-find, as scipy does.
     """
-    from scipy.cluster.hierarchy import linkage as scipy_linkage
-    from scipy.spatial.distance import squareform
     if linkage not in LINKAGES:
         raise InvalidConfigError(f"linkage must be one of {LINKAGES}")
     if linkage == "ward" and affinity != "euclidean":
@@ -465,9 +582,20 @@ def hac_fit(x: np.ndarray, linkage: str, affinity: str = "euclidean",
     m = d.shape[0]
     if m < 2:
         raise InvalidInputError("need at least 2 samples")
-    z = scipy_linkage(squareform(d, checks=False), method=linkage)
-    merges = [(int(min(a, b)), int(max(a, b)), h, int(c))
-              for a, b, h, c in z.tolist()]
+    if not np.isfinite(d).all():
+        raise NumericalError("the distance matrix has non-finite entries")
+    xs, ys, heights = (_prim_walk(d) if linkage == "single"
+                       else _chain_walk(d, linkage))
+    parent = list(range(2 * m - 1))
+    count = [1] * (2 * m - 1)
+    merges = []
+    for new, i in enumerate(np.argsort(heights, kind="mergesort").tolist(), m):
+        a, b = _root(parent, xs[i]), _root(parent, ys[i])
+        if a > b:
+            a, b = b, a
+        parent[a] = parent[b] = new
+        count[new] = count[a] + count[b]
+        merges.append((a, b, heights[i], count[new]))
     return LinkageTree(merges=merges, n_leaves=m, affinity=affinity, linkage=linkage)
 
 
@@ -478,21 +606,14 @@ def cut_tree(tree: LinkageTree, k: int) -> list[int]:
     if not 1 <= k <= m:
         raise InvalidInputError(f"k must lie in 1..{m}")
     parent = list(range(m + len(tree.merges)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for step, (a, b, _, _) in enumerate(tree.merges[:m - k]):
         new = m + step
-        parent[find(a)] = new
-        parent[find(b)] = new
+        parent[_root(parent, a)] = new
+        parent[_root(parent, b)] = new
     labels = []
     seen: dict = {}
     for i in range(m):
-        root = find(i)
+        root = _root(parent, i)
         if root not in seen:
             seen[root] = len(seen)
         labels.append(seen[root])

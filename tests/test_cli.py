@@ -105,11 +105,12 @@ def test_cluster_manifest_records_stage_counters_and_skips(tmp_path, capsys):
     assert manifest["grid_skipped"] == {"transform 'contrast' requires a decomposition": 4}
     fits, hits = manifest["counters"]["fits"], manifest["counters"]["memo_hits"]
     # per fold: 8 configs; preprocess with and without the resample; one
-    # bank; raw + three wtt feature maps, each with one distance matrix
+    # bank; raw + three wtt feature maps, each with one Gram matrix and one
+    # distance matrix
     assert fits == {"preprocess": 4, "decompose": 4, "features": 8,
-                    "distances": 8, "model": 16}
+                    "gram": 8, "distances": 8, "model": 16}
     assert hits == {"preprocess": 12, "decompose": 12, "features": 8,
-                    "distances": 8, "model": 0}
+                    "gram": 0, "distances": 8, "model": 0}
     capsys.readouterr()
     assert cli.main(["report", "--run-dir", str(out)]) == 0
     printed = capsys.readouterr().out
@@ -259,6 +260,45 @@ def test_report_on_a_bad_manifest_exits_3(tmp_path, capsys, text):
         manifest.write_text(text)
     assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
     assert f"data error: {manifest}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ({"winners": 5}, "winners must be a JSON object"),
+    ({"counters": {"fits": 3}}, "counters.fits must be a JSON object"),
+    ({"counters": {"fits": {"model": 2}, "memo_hits": {}}},
+     "counters.memo_hits.model must be a number"),
+    ({"data": {"sha256": 7}}, "data.sha256 must be a string"),
+    ({"winners": {"WTT|d0": {"scores": {"ari": 0.5}}}},
+     "winners.WTT|d0.scores.ami must be a number"),
+    ({"winners": {"lr|WTT|d0": {"means": {"test_accuracy": "high"}}}},
+     "winners.lr|WTT|d0.means.test_accuracy must be a number"),
+    ({"grid_skipped": [1]}, "grid_skipped must be a JSON object"),
+    ({"wall_time_seconds": "1s"}, "wall_time_seconds must be a number"),
+], ids=["winners", "fits", "hits", "sha256", "scores", "means", "skipped", "wall"])
+def test_report_on_a_manifest_with_a_mistyped_field_exits_3(
+        tmp_path, capsys, manifest, message):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert cli.main(["report", "--run-dir", str(tmp_path)]) == 3
+    assert (f"data error: {tmp_path / 'manifest.json'}: {message}"
+            in capsys.readouterr().err)
+
+
+def test_cluster_with_non_finite_distances_exits_4(tmp_path, capsys):
+    # finite intensities near 1e200, whose squares overflow the Gram matrix
+    rng = np.random.default_rng(0)
+    data = tmp_path / "huge.csv"
+    lines = ["label," + ",".join(str(v) for v in np.linspace(2000.0, 1000.0, 64))]
+    lines += [f"c{i % 3}," + ",".join(str(v) for v in row)
+              for i, row in enumerate(1e200 * (1.0 + 0.5 * rng.random((12, 64))))]
+    data.write_text("\n".join(lines) + "\n")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"schema": "wavefeat-grid", "clustering": {
+        "preprocess": {"derivative_order": 0},
+        "model": {"kind": "hac", "affinity": "euclidean", "linkage": "average"}}}))
+    assert cli.main(["cluster", "--data", str(data), "--config", str(grid),
+                     "--folds", "2", "--out-dir", str(tmp_path / "out")]) == 4
+    assert ("numerical failure: the distance matrix has non-finite entries"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["gridsearch", "cluster", "train"])

@@ -6,6 +6,7 @@ from math import comb, log, sqrt
 import numpy as np
 import pytest
 
+from wavefeat import metrics
 from wavefeat.errors import InvalidInputError
 from wavefeat.metrics import (accuracy, adjusted_mutual_info, adjusted_rand,
                               contingency_matrix, expected_mutual_info,
@@ -204,3 +205,11 @@ class TestContingencyTable:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             contingency_matrix([0, 1], [0])
+
+
+def test_log_factorials_are_the_bits_of_gammaln():
+    from scipy.special import gammaln
+    n = 20000
+    want = gammaln(np.arange(1, n + 2))
+    assert np.array_equal(metrics._log_factorials(n).view(np.uint64),
+                          want.view(np.uint64))

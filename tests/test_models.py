@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from wavefeat.errors import InvalidConfigError, InvalidInputError
+from wavefeat.errors import InvalidConfigError, InvalidInputError, NumericalError
 from wavefeat import harness, models as M
 from wavefeat.harness import PipelineConfig, fit_pipeline
 from wavefeat.metrics import adjusted_rand
@@ -671,6 +671,58 @@ class TestHac:
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         tree = M.hac_fit(x, "single")
         assert tree.merges[0][:2] == (0, 1)
+
+
+def _assert_scipy_merges(x, linkage, affinity):
+    """hac_fit against scipy's linkage on the same distance matrix: the
+    same ids, counts and height bits."""
+    from scipy.cluster.hierarchy import linkage as scipy_linkage
+    from scipy.spatial.distance import squareform
+    d = M.pairwise_distances(x, affinity)
+    want = scipy_linkage(squareform(d, checks=False), method=linkage)
+    got = M.hac_fit(x, linkage, affinity, distances=d).merges
+    assert [(a, b, c) for a, b, _, c in got] == [
+        (int(a), int(b), int(c)) for a, b, _, c in want]
+    assert np.array_equal(np.array([m[2] for m in got]).view(np.uint64),
+                          want[:, 2].view(np.uint64))
+
+
+HAC_PAIRS = [(linkage, affinity) for linkage in M.LINKAGES
+             for affinity in M.AFFINITIES
+             if linkage != "ward" or affinity == "euclidean"]
+
+
+class TestHacMatchesScipy:
+    @pytest.mark.parametrize("linkage, affinity", HAC_PAIRS)
+    @pytest.mark.parametrize("points", ["random", "integer grid"])
+    def test_small_blocks(self, linkage, affinity, points):
+        # integer grid points repeat distances, so the tie-breaks show
+        rng = np.random.default_rng(31)
+        for m in range(2, 81):
+            if points == "random":
+                x = rng.standard_normal((m, 5))
+            else:
+                x = rng.integers(0, 3, (m, 3)) + 0.5
+            _assert_scipy_merges(x, linkage, affinity)
+
+    @pytest.mark.parametrize("linkage, affinity", HAC_PAIRS)
+    def test_500_rows(self, linkage, affinity):
+        x = np.random.default_rng(32).standard_normal((500, 40))
+        _assert_scipy_merges(x, linkage, affinity)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_distances_raise(self, bad):
+        d = M.pairwise_distances(np.eye(4), "euclidean")
+        d[1, 2] = d[2, 1] = bad
+        with pytest.raises(NumericalError):
+            M.hac_fit(None, "average", distances=d)
+
+    def test_overflowing_linkage_distance_raises(self):
+        # the average of 1.5e308 and 1.7e308 overflows in nx dx + ny dy
+        d = np.array([[0.0, 1.0, 1.5e308], [1.0, 0.0, 1.7e308],
+                      [1.5e308, 1.7e308, 0.0]])
+        with pytest.raises(NumericalError), pytest.warns(RuntimeWarning):
+            M.hac_fit(None, "average", distances=d)
 
 
 class TestCutTree:

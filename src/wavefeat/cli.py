@@ -73,8 +73,8 @@ def _feature_space(config: PipelineConfig, split_sign: bool) -> str:
     return base
 
 
-NUMBER = (int, float)
-_KIND_NAMES = {dict: "a JSON object", str: "a string", NUMBER: "a number"}
+_NUMBER = (int, float)
+_KIND_NAMES = {dict: "a JSON object", str: "a string", _NUMBER: "a number"}
 
 
 def _manifest_field(doc: dict, key: str, kind, where: str, default=None):
@@ -344,11 +344,11 @@ def cmd_report(args) -> int:
         if "means" in entry:
             means = _manifest_field(entry, "means", dict, at)
             main = ("test_accuracy" if "test_accuracy" in means else "ari")
-            score = _manifest_field(means, main, NUMBER, at + "means.")
+            score = _manifest_field(means, main, _NUMBER, at + "means.")
             print(f"  {key}: {main}={score:.4f} ({entry.get('label')})")
         elif "scores" in entry:
             scores = _manifest_field(entry, "scores", dict, at)
-            score, ami, fm = (_manifest_field(scores, name, NUMBER, at + "scores.")
+            score, ami, fm = (_manifest_field(scores, name, _NUMBER, at + "scores.")
                               for name in ("ari", "ami", "fm"))
             print(f"  {key}: ARI={score:.4f} AMI={ami:.4f} "
                   f"FM={fm:.4f} ({entry.get('label')})")
@@ -360,7 +360,7 @@ def cmd_report(args) -> int:
         fits, hits = (_manifest_field(counters, name, dict, where + "counters.")
                       for name in ("fits", "memo_hits"))
         counts = [(stage, fits[stage], _manifest_field(
-                       hits, stage, NUMBER, where + "counters.memo_hits."))
+                       hits, stage, _NUMBER, where + "counters.memo_hits."))
                   for stage in FoldMemo.NAMES if stage in fits]
         print("stage fits / memo hits (grid search): " + ", ".join(
             f"{stage} {n_fits}/{n_hits}" for stage, n_fits, n_hits in counts))
@@ -378,7 +378,7 @@ def cmd_report(args) -> int:
             for key, val in series_rows:
                 fh.write(f"{key}\t{val:.6f}\n")
         print(f"wrote {out}")
-    wall = _manifest_field(manifest, "wall_time_seconds", NUMBER, where, float("nan"))
+    wall = _manifest_field(manifest, "wall_time_seconds", _NUMBER, where, float("nan"))
     print(f"wall time: {wall:.1f}s")
     return 0
 

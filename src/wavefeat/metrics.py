@@ -126,14 +126,15 @@ _LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
 _LS2PI = 0.91893853320467274178
 
 
-def _log_gamma(x: float) -> float:
-    """log Gamma(x) for an integer-valued x >= 1, by the operations of
-    cephes ``lgam`` (scipy's ``gammaln``).  Below 13 it is the log of the
-    product (x-1)!, which is exact in a double there; above, the Stirling
-    series.  From x = 1000 cephes sums a shorter series, and past 1e8 none;
-    both give the same doubles as this one for every x up to 200,001."""
+def _log_factorial(k: int) -> float:
+    """log(k!) = log Gamma(x) at x = k + 1, by the operations of cephes
+    ``lgam`` (scipy's ``gammaln``).  Below x = 13 it is the log of the
+    product k!, which is exact in a double there; above, the Stirling series.
+    From x = 1000 cephes sums a shorter series, and past 1e8 none; both give
+    the same doubles as this one for every k up to 200,000."""
+    x = k + 1.0
     if x < 13.0:
-        return math.log(float(math.factorial(int(x) - 1)))
+        return math.log(float(math.factorial(k)))
     p = 1.0 / (x * x)
     a0, a1, a2, a3, a4 = _LGAM_A
     return ((x - 0.5) * math.log(x) - x + _LS2PI
@@ -143,7 +144,7 @@ def _log_gamma(x: float) -> float:
 @lru_cache(maxsize=8)
 def _log_factorials(n: int) -> np.ndarray:
     """log(k!) for k = 0..n, read-only."""
-    table = np.array([_log_gamma(float(k + 1)) for k in range(n + 1)])
+    table = np.array([_log_factorial(k) for k in range(n + 1)])
     table.flags.writeable = False
     return table
 

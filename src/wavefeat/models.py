@@ -498,8 +498,8 @@ def _chain_walk(d: np.ndarray, linkage: str) -> tuple[list, list, list]:
     m = d.shape[0]
     dist = d.copy()  # the diagonal and the columns of merged-away clusters are inf
     np.fill_diagonal(dist, math.inf)
-    # cluster sizes as floats: below 2**53 each sum and product below rounds
-    # as scipy's int-to-double conversions do
+    # cluster sizes as floats: their sums are exact below 2**53, so each
+    # product rounds as it does after scipy's int-to-double conversions
     size = np.ones(m)
     xs, ys, heights = [], [], []
     chain: list = []

@@ -86,6 +86,11 @@ def _manifest_field(doc: dict, key: str, kind, where: str, default=None):
     return value
 
 
+def _tuples(value):
+    """A JSON value with its arrays, at every depth, as tuples."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
 def _load_data(args) -> "dataio.LabeledDataset":
     if not args.data:
         raise InvalidConfigError("--data is required for this command")
@@ -104,11 +109,8 @@ def cmd_synth(args) -> int:
         doc.pop("comment", None)
         if args.seed is not None:
             doc["seed"] = args.seed
-        for key in ("samples_per_class", "common_peaks", "class_peaks"):
-            if key in doc:
-                doc[key] = tuple(tuple(v) if isinstance(v, list) else v
-                                 for v in doc[key])
-        spec = spec_from_dict(synth.SyntheticSpec, doc)
+        spec = spec_from_dict(synth.SyntheticSpec,
+                              {key: _tuples(value) for key, value in doc.items()})
     else:
         spec = synth.SyntheticSpec(seed=7 if args.seed is None else args.seed)
     data = synth.synth_dataset(spec)

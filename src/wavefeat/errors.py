@@ -1,4 +1,18 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the type tests that
+config validation raises it on."""
+import math
+import numbers
+
+
+def is_count(value) -> bool:
+    """An integer that is not a bool, as every count in a config must be."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A finite real number that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 class WavefeatError(Exception):

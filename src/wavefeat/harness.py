@@ -30,7 +30,13 @@ tree: one live entry per stage catches every repeat, and memory stays at
 one fitted prefix per fold.  A hit returns the arrays the fit computed, so
 no result depends on whether a stage was shared.  HAC configs that differ
 only in linkage also share one distance matrix per (features key,
-affinity).  ``repeated_cv`` runs all repeats of the winners of a grid
+affinity).  A clustering fold fits its configs in one stack call of
+``fit_pipeline``: every config fits its stages through its distance
+matrix, and one stack call of ``models.hac_fit`` links all the matrices,
+side by side when the walks are at least as many as the fold's rows.  Each
+tree is scored by ARI alone, the selection metric; the final clusterings
+also report AMI and FM.
+``repeated_cv`` runs all repeats of the winners of a grid
 search as one run of the same fold loop, so they share each fold's memo.
 
 ``save_pipeline`` writes a fitted pipeline to one ``.npz`` archive: a JSON
@@ -49,7 +55,7 @@ import numpy as np
 
 from . import dwt as dwt_mod
 from . import models, wtt
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, is_count, is_number
 from .features import (DwtTransform, FeatureMap, ThresholdRule, WttTransform,
                        extract_features)
 from .metrics import (accuracy, adjusted_mutual_info, adjusted_rand,
@@ -78,6 +84,9 @@ class DwtSpec:
         dwt_mod.lookup_wavelet(self.family, self.order)  # validates the pair
         if self.mode not in dwt_mod.PADDING_MODES:
             raise InvalidConfigError(f"unknown padding mode {self.mode!r}")
+        if self.level is not None and not (is_count(self.level) and self.level >= 1):
+            raise InvalidConfigError(
+                f"level must be an integer >= 1 or null, got {self.level!r}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +94,8 @@ class WttSpec:
     rank: int
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise InvalidConfigError("rank must be >= 1")
+        if not (is_count(self.rank) and self.rank >= 1):
+            raise InvalidConfigError(f"rank must be an integer >= 1, got {self.rank!r}")
 
 
 @dataclass(frozen=True)
@@ -125,8 +134,11 @@ class ModelSpec:
                    (self.penalty, self.inverse_reg, self.affinity, self.linkage)):
                 raise InvalidConfigError("lda takes no parameters")
         elif self.kind == "lr":
-            if self.penalty not in models.PENALTIES or not self.inverse_reg:
+            if self.penalty not in models.PENALTIES or self.inverse_reg is None:
                 raise InvalidConfigError("lr requires penalty and inverse_reg")
+            if not (is_number(self.inverse_reg) and self.inverse_reg > 0):
+                raise InvalidConfigError("inverse_reg must be a finite positive "
+                                         f"number, got {self.inverse_reg!r}")
             if self.affinity is not None or self.linkage is not None:
                 raise InvalidConfigError("lr takes no clustering parameters")
         elif self.kind == "hac":
@@ -445,15 +457,15 @@ def _fit_model(config, fold, key, fm, feats):
         return models.lda_fit(feats, fold.labels)
     if m.kind == "lr":
         return models.lr_fit(feats, fold.labels, m.penalty, m.inverse_reg)
-    # key[0] is the features key: the euclidean and cosine matrices share
-    # one Gram matrix, and linkages on one affinity share the matrix
+    # HAC: the distance matrix, which fit_pipeline links.  key[0] is the
+    # features key: the euclidean and cosine matrices share one Gram matrix,
+    # and linkages on one affinity share the matrix
     def compute_distances():
         gram = (None if m.affinity == "manhattan" else
                 fold.get("gram", key[0], lambda: models.gram_matrix(feats)))
         return models.pairwise_distances(feats, m.affinity, gram)
 
-    distances = fold.get("distances", (key[0], m.affinity), compute_distances)
-    return models.hac_fit(feats, m.linkage, m.affinity, distances=distances)
+    return fold.get("distances", (key[0], m.affinity), compute_distances)
 
 
 def _apply_model(model, feats: np.ndarray) -> list:
@@ -529,18 +541,10 @@ def _fit_stage(stage: Stage, config, memo: FoldMemo, key, prev, blocks) -> tuple
     return state, [stage.apply(state, x) for x in blocks]
 
 
-def fit_pipeline(config: PipelineConfig, data: LabeledDataset, train_idx,
-                 memo: FoldMemo | None = None) -> FittedPipeline:
-    """Fit the stage list on the rows ``train_idx`` only.
-
-    ``memo`` is the FoldMemo of those rows, shared by the configs of one
-    fold; None fits every stage afresh.  When the memo has held-out rows,
-    their features are ``held_out_features``.
-    """
-    if memo is None:
-        memo = FoldMemo(data, train_idx)
-    elif memo.data is not data or not np.array_equal(memo.train_idx, train_idx):
-        raise InvalidInputError("the memo belongs to other fitting rows")
+def _fit_states(config: PipelineConfig, memo: FoldMemo) -> tuple[list, list, list]:
+    """Each stage's state for ``config`` on the memo's rows (a clustering
+    config's model state is its distance matrix), the features of each of
+    the memo's blocks, and the messages of the warnings raised."""
     states, key, blocks = [], (), None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -551,9 +555,46 @@ def fit_pipeline(config: PipelineConfig, data: LabeledDataset, train_idx,
                 stage.name, key, lambda: _fit_stage(stage, config, memo, key, prev, blocks))
             states.append(state)
             blocks = blocks if out is None else out
-    # blocks: the features of the fitting rows, then of any held-out rows
-    return FittedPipeline(config, tuple(states), *blocks,
-                          warnings=[str(w.message) for w in caught])
+    return states, blocks, [str(w.message) for w in caught]
+
+
+def fit_pipeline(config: PipelineConfig | list, data: LabeledDataset, train_idx,
+                 memo: FoldMemo | None = None) -> FittedPipeline | list:
+    """Fit the stage list on the rows ``train_idx`` only.
+
+    ``memo`` is the FoldMemo of those rows, shared by the configs of one
+    fold; None fits every stage afresh.  When the memo has held-out rows,
+    their features are ``held_out_features``.
+
+    A clustering config's model stage fits the distance matrix of the
+    fitting rows, and ``models.hac_fit`` links it into the LinkageTree that
+    is the model.  ``config`` may also be a list of clustering configs, a
+    stack: each fits its stages in turn, one stack call of
+    ``models.hac_fit`` links all their matrices, and one FittedPipeline per
+    config comes back, without features (``train_features`` is None) so
+    that a grid's configs do not hold all their features at once.
+    """
+    if memo is None:
+        memo = FoldMemo(data, train_idx)
+    elif memo.data is not data or not np.array_equal(memo.train_idx, train_idx):
+        raise InvalidInputError("the memo belongs to other fitting rows")
+    if isinstance(config, PipelineConfig):
+        states, blocks, caught = _fit_states(config, memo)
+        if config.task == "clustering":
+            m = config.model
+            states[-1] = models.hac_fit(blocks[0], m.linkage, m.affinity,
+                                        distances=states[-1])
+        # blocks: the features of the fitting rows, then of any held-out rows
+        return FittedPipeline(config, tuple(states), *blocks, warnings=caught)
+    configs = list(config)
+    if not configs or any(c.task != "clustering" for c in configs):
+        raise InvalidConfigError("a stack of configs must be clustering configs")
+    fits = [_fit_states(c, memo)[::2] for c in configs]  # (states, warnings)
+    trees = models.hac_fit(None, [c.model.linkage for c in configs],
+                           [c.model.affinity for c in configs],
+                           distances=[states[-1] for states, _ in fits])
+    return [FittedPipeline(c, (*states[:-1], tree), None, warnings=caught)
+            for c, (states, caught), tree in zip(configs, fits, trees)]
 
 
 def save_pipeline(path: str, fitted: FittedPipeline) -> None:
@@ -664,9 +705,9 @@ def _score_classification(fitted: FittedPipeline, memo: FoldMemo) -> dict:
     return scores
 
 
-def _score_clustering(fitted: FittedPipeline, true: list) -> tuple[dict, list]:
+def _score_clustering(tree: models.LinkageTree, true: list) -> tuple[dict, list]:
     """Scores and labels of the fitting rows cut at the true class count."""
-    pred = models.cut_tree(fitted.model, len(set(true)))
+    pred = models.cut_tree(tree, len(set(true)))
     scores = {
         "ari": adjusted_rand(true, pred),
         "ami": adjusted_mutual_info(true, pred),
@@ -676,18 +717,29 @@ def _score_clustering(fitted: FittedPipeline, true: list) -> tuple[dict, list]:
 
 
 def _fit_and_score(config: PipelineConfig, memo: FoldMemo) -> tuple:
-    """(scores, seconds, warnings, LR outcome or None) of one config on the
-    memo's fold."""
+    """(scores, seconds, warnings, LR outcome or None) of one classification
+    config on the memo's fold."""
     t0 = time.perf_counter()
     fitted = fit_pipeline(config, memo.data, memo.train_idx, memo)
-    if config.task == "classification":
-        scores = _score_classification(fitted, memo)
-    else:
-        scores, _ = _score_clustering(fitted, memo.labels)
+    scores = _score_classification(fitted, memo)
     model = fitted.model
     lr_fit = ((model.converged, model.n_iter)
               if isinstance(model, models.LrModel) else None)
     return scores, time.perf_counter() - t0, fitted.warnings, lr_fit
+
+
+def _fit_and_score_clusterings(grid: list[PipelineConfig], memo: FoldMemo) -> list:
+    """``_fit_and_score`` of every clustering config of ``grid`` on the
+    memo's fold: one stack call of ``fit_pipeline`` fits them all, and each
+    tree is cut and scored by ARI, the selection metric.  The configs share
+    the fold's time equally."""
+    t0 = time.perf_counter()
+    fitted = fit_pipeline(grid, memo.data, memo.train_idx, memo)
+    n_classes = len(set(memo.labels))
+    scores = [{"ari": adjusted_rand(memo.labels, models.cut_tree(f.model, n_classes))}
+              for f in fitted]
+    share = (time.perf_counter() - t0) / len(grid)
+    return [(score, share, f.warnings, None) for score, f in zip(scores, fitted)]
 
 
 def _cross_validate(grid: list[PipelineConfig], data: LabeledDataset,
@@ -708,9 +760,12 @@ def _cross_validate(grid: list[PipelineConfig], data: LabeledDataset,
     for folds in splits:
         for fold in folds:
             rest = np.setdiff1d(np.arange(data.n_samples), fold)
-            held_out = fold if grid[0].task == "classification" else None
-            memo = FoldMemo(data, rest, held_out, signals)
-            cells.append([_fit_and_score(config, memo) for config in grid])
+            if grid[0].task == "classification":
+                memo = FoldMemo(data, rest, fold, signals)
+                cells.append([_fit_and_score(config, memo) for config in grid])
+            else:
+                memo = FoldMemo(data, rest, signals=signals)
+                cells.append(_fit_and_score_clusterings(grid, memo))
             counts.append((memo.fits, memo.hits))
     reports = []
     for config, runs in zip(grid, zip(*cells)):
@@ -796,5 +851,5 @@ def final_clustering(config: PipelineConfig, data: LabeledDataset,
         raise InvalidConfigError("final_clustering requires a clustering config")
     rows = np.arange(data.n_samples)
     fitted = fit_pipeline(config, data, rows, FoldMemo(data, rows, signals=signals))
-    scores, pred = _score_clustering(fitted, data.labels)
+    scores, pred = _score_clustering(fitted.model, data.labels)
     return pred, fitted.model, scores, fitted

@@ -20,7 +20,11 @@ returns.  ``hac_fit`` runs Muellner's algorithms (arXiv:1109.2378) in numpy:
 Prim's minimum spanning tree for single linkage and the nearest-neighbour
 chain for the others, with scipy's floating-point operations and tie-breaks,
 so its merges are byte-identical to scipy's ``linkage`` and no process
-imports scipy to cluster.
+imports scipy to cluster.  Its stack form links K matrices of one size in
+one call.  A chain walk is sequential, but the walks of a stack are
+independent, so when there are at least as many chain walks as rows they
+advance side by side, one numpy call per step for all of them; a smaller
+stack runs its walks one by one, which costs less there.
 """
 from __future__ import annotations
 
@@ -526,16 +530,7 @@ def _chain_walk(d: np.ndarray, linkage: str) -> tuple[list, list, list]:
         if x > y:
             x, y = y, x
         nx, ny = size.item(x), size.item(y)
-        dx, dy = dist[x], dist[y]
-        # scipy's Lance-Williams updates, operation for operation
-        if linkage == "complete":
-            new = np.fmax(dx, dy)
-        elif linkage == "average":
-            new = (nx * dx + ny * dy) / (nx + ny)
-        else:  # ward
-            t = 1.0 / (nx + ny + size)
-            new = np.sqrt((size + nx) * t * dx * dx + (size + ny) * t * dy * dy
-                          - size * t * h * h)
+        new = _lance_williams(linkage, nx, ny, dist[x], dist[y], size, h)
         dist[y] = new
         dist[:, y] = new
         dist[y, y] = math.inf
@@ -548,8 +543,159 @@ def _chain_walk(d: np.ndarray, linkage: str) -> tuple[list, list, list]:
     return xs, ys, heights
 
 
-def hac_fit(x: np.ndarray, linkage: str, affinity: str = "euclidean",
-            distances: np.ndarray | None = None) -> LinkageTree:
+def _lance_williams(linkage: str, nx, ny, dx, dy, size, h) -> np.ndarray:
+    """The distances of the cluster merged from x and y to every cluster, by
+    scipy's updates operation for operation: dx and dy are the rows of x and
+    y, size holds every cluster's size and h is the merge distance.  A
+    stack of walks passes (K, m) rows with (K, 1) columns nx, ny and h; each
+    element then rounds as it would alone."""
+    if linkage == "complete":
+        return np.fmax(dx, dy)
+    if linkage == "average":
+        return (nx * dx + ny * dy) / (nx + ny)
+    t = 1.0 / (nx + ny + size)  # ward
+    return np.sqrt((size + nx) * t * dx * dx + (size + ny) * t * dy * dy
+                   - size * t * h * h)
+
+
+CHAIN_LINKAGES = ("complete", "average", "ward")
+
+
+def _lockstep_chain_walks(dist: np.ndarray, counts: list) -> tuple:
+    """``_chain_walk`` of each of K matrices of one size, side by side:
+    (K, m - 1) arrays of each walk's lower and higher merge indices and its
+    merge distances, in the walk's merge order.  ``dist`` is the (K, m, m)
+    stack, and is overwritten; its first ``counts[0]`` walks link by the
+    first of ``CHAIN_LINKAGES``, the next ``counts[1]`` by the second, and
+    so on, so that each linkage's walks are one slice of every round.
+
+    Each round takes one argmin per live chain: a walk whose chain top has
+    the element below it as nearest neighbour (not strictly beaten) merges
+    the two, every other walk pushes the neighbour, and an empty chain
+    restarts at its walk's lowest live index.  The merging walks of each
+    linkage get their Lance-Williams update together, so every walk makes
+    the operations, ties and restarts of ``_chain_walk``."""
+    walks, m = dist.shape[:2]
+    diag = np.arange(m)
+    dist[:, diag, diag] = math.inf
+    size = np.ones((walks, m))
+    chain = np.zeros((walks, m), dtype=np.intp)
+    depth = np.zeros(walks, dtype=np.intp)  # chain lengths
+    done = np.zeros(walks, dtype=np.intp)   # merges made
+    xs = np.empty((walks, m - 1), dtype=np.intp)
+    ys = np.empty_like(xs)
+    heights = np.empty((walks, m - 1))
+    edges = np.cumsum([0, *counts])
+    live = np.arange(walks)
+    while live.size:
+        restart = live[depth[live] == 0]
+        if restart.size:
+            chain[restart, 0] = (size[restart] != 0.0).argmax(axis=1)
+            depth[restart] = 1
+        n = depth[live]
+        top = chain[live, n - 1]
+        below = chain[live, np.maximum(n - 2, 0)]
+        rows = dist[live, top]
+        at = np.arange(live.size)
+        nearest = rows.argmin(axis=1)
+        h = rows[at, nearest]
+        if not (h < math.inf).all():
+            raise NumericalError("linkage distances overflowed")
+        # the previous chain element stays unless strictly beaten
+        h_below = rows[at, below]
+        merge = (n > 1) & ~(h < h_below)
+        push = ~merge
+        chain[live[push], n[push]] = nearest[push]
+        depth[live[push]] += 1
+        if merge.any():
+            w = live[merge]
+            x = np.minimum(top[merge], below[merge])
+            y = np.maximum(top[merge], below[merge])
+            h = h_below[merge]
+            step = done[w]
+            xs[w, step], ys[w, step], heights[w, step] = x, y, h
+            done[w] += 1
+            depth[w] -= 2
+            sizes = size[w]
+            nx, ny = sizes[at[:w.size], x], sizes[at[:w.size], y]
+            dx, dy = dist[w, x], dist[w, y]
+            new = np.empty_like(dx)
+            cuts = np.searchsorted(w, edges).tolist()
+            for name, lo, hi in zip(CHAIN_LINKAGES, cuts, cuts[1:]):
+                if lo < hi:
+                    g = slice(lo, hi)
+                    new[g] = _lance_williams(
+                        name, nx[g, None], ny[g, None], dx[g], dy[g],
+                        sizes[g], h[g, None])
+            dist[w, y] = new
+            dist[w, :, y] = new
+            dist[w, y, y] = math.inf
+            dist[w, :, x] = math.inf
+            size[w, y] = nx + ny
+            size[w, x] = 0.0
+            live = live[done[live] < m - 1]
+    return xs, ys, heights
+
+
+def _linkage_tree(xs, ys, heights, m: int, affinity: str,
+                  linkage: str) -> LinkageTree:
+    """A walk's merges sorted by height with a stable mergesort and
+    relabelled with union-find, as scipy does."""
+    parent = list(range(2 * m - 1))
+    count = [1] * (2 * m - 1)
+    merges = []
+    for new, i in enumerate(np.argsort(heights, kind="mergesort").tolist(), m):
+        a, b = _root(parent, xs[i]), _root(parent, ys[i])
+        if a > b:
+            a, b = b, a
+        parent[a] = parent[b] = new
+        count[new] = count[a] + count[b]
+        merges.append((a, b, heights[i], count[new]))
+    return LinkageTree(merges=merges, n_leaves=m, affinity=affinity, linkage=linkage)
+
+
+def _stacked_merges(xs, ys, heights) -> list[list]:
+    """``_linkage_tree``'s merge list of each walk of a stack, from the
+    (K, m - 1) arrays of ``_lockstep_chain_walks``, one merge step for all
+    walks at a time.  Every leaf holds the node of its cluster, so a
+    merge's ids are the nodes of its two indices' leaves, as the union-find
+    roots are, and its count is the number of leaves that the new node
+    takes."""
+    walks, steps = xs.shape
+    order = np.argsort(heights, axis=1, kind="mergesort")
+    xs, ys, heights = (np.take_along_axis(v, order, axis=1) for v in (xs, ys, heights))
+    node = np.tile(np.arange(steps + 1), (walks, 1))
+    at = np.arange(walks)
+    lower, higher, count = (np.empty_like(xs) for _ in range(3))
+    for step in range(steps):
+        a, b = node[at, xs[:, step]], node[at, ys[:, step]]
+        lower[:, step], higher[:, step] = np.minimum(a, b), np.maximum(a, b)
+        joined = (node == a[:, None]) | (node == b[:, None])
+        node[joined] = steps + 1 + step
+        count[:, step] = joined.sum(axis=1)
+    return [list(zip(*rows)) for rows in zip(
+        lower.tolist(), higher.tolist(), heights.tolist(), count.tolist())]
+
+
+def _check_linkage(linkage: str, affinity: str) -> None:
+    if linkage not in LINKAGES:
+        raise InvalidConfigError(f"linkage must be one of {LINKAGES}")
+    if linkage == "ward" and affinity != "euclidean":
+        raise InvalidConfigError("ward linkage requires euclidean affinity")
+
+
+def _check_distances(d: np.ndarray) -> None:
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise InvalidInputError("a distance matrix must be square")
+    if d.shape[0] < 2:
+        raise InvalidInputError("need at least 2 samples")
+    if not np.isfinite(d).all():
+        raise NumericalError("the distance matrix has non-finite entries")
+
+
+def hac_fit(x: np.ndarray | None, linkage: str | list,
+            affinity: str | list = "euclidean",
+            distances: np.ndarray | list | None = None) -> LinkageTree | list:
     """Agglomerate with the requested linkage; the tree is deterministic for
     a given input.
 
@@ -558,6 +704,15 @@ def hac_fit(x: np.ndarray, linkage: str, affinity: str = "euclidean",
     sqrt(2 * increase in within-cluster sum of squares).  A distance matrix
     with a non-finite entry, or a linkage distance that overflows, raises
     NumericalError.
+
+    Stack form: ``linkage`` and ``affinity`` are sequences of K names,
+    ``distances`` is K matrices of one size (``x`` is not read), and the K
+    LinkageTrees come back as a list, each equal to what its matrix alone
+    gives.  When the complete, average and ward walks of the stack number
+    at least m, the matrix size, they run side by side
+    (``_lockstep_chain_walks``), which shares numpy's per-call cost of each
+    step among them; fewer walks run one by one, which is faster there.
+    Single linkage always runs one walk at a time.
 
     The merges are those of scipy's ``linkage(squareform(distances),
     method=linkage)``, byte for byte: the same floating-point operations in
@@ -571,32 +726,43 @@ def hac_fit(x: np.ndarray, linkage: str, affinity: str = "euclidean",
     wins.  The merges are then sorted by height with a stable mergesort and
     relabelled with union-find, as scipy does.
     """
-    if linkage not in LINKAGES:
-        raise InvalidConfigError(f"linkage must be one of {LINKAGES}")
-    if linkage == "ward" and affinity != "euclidean":
-        raise InvalidConfigError("ward linkage requires euclidean affinity")
+    if not isinstance(linkage, str):
+        return _hac_stack(list(linkage), list(affinity), distances)
+    _check_linkage(linkage, affinity)
+    d = pairwise_distances(x, affinity) if distances is None else distances
+    return _hac_stack([linkage], [affinity], [d])[0]
+
+
+def _hac_stack(linkages: list, affinities: list, distances) -> list:
+    """The stack form of ``hac_fit``."""
     if distances is None:
-        d = pairwise_distances(x, affinity)
-    else:
-        d = np.asarray(distances, dtype=float)
-    m = d.shape[0]
-    if m < 2:
-        raise InvalidInputError("need at least 2 samples")
-    if not np.isfinite(d).all():
-        raise NumericalError("the distance matrix has non-finite entries")
-    xs, ys, heights = (_prim_walk(d) if linkage == "single"
-                       else _chain_walk(d, linkage))
-    parent = list(range(2 * m - 1))
-    count = [1] * (2 * m - 1)
-    merges = []
-    for new, i in enumerate(np.argsort(heights, kind="mergesort").tolist(), m):
-        a, b = _root(parent, xs[i]), _root(parent, ys[i])
-        if a > b:
-            a, b = b, a
-        parent[a] = parent[b] = new
-        count[new] = count[a] + count[b]
-        merges.append((a, b, heights[i], count[new]))
-    return LinkageTree(merges=merges, n_leaves=m, affinity=affinity, linkage=linkage)
+        raise InvalidInputError("the stack form of hac_fit takes distances")
+    mats = [np.asarray(d, dtype=float) for d in distances]
+    if not len(linkages) == len(affinities) == len(mats) > 0:
+        raise InvalidInputError(
+            "a stack needs one linkage, affinity and distance matrix per tree")
+    for linkage, affinity, d in zip(linkages, affinities, mats):
+        _check_linkage(linkage, affinity)
+        _check_distances(d)
+    m = mats[0].shape[0]
+    if any(d.shape[0] != m for d in mats):
+        raise InvalidInputError("the matrices of a stack must have one size")
+    # the complete, average and ward walks, grouped by linkage
+    chained = sorted((k for k, linkage in enumerate(linkages) if linkage != "single"),
+                     key=lambda k: CHAIN_LINKAGES.index(linkages[k]))
+    trees: list = [None] * len(mats)
+    if len(chained) >= m:
+        counts = [linkages.count(name) for name in CHAIN_LINKAGES]
+        merges = _stacked_merges(*_lockstep_chain_walks(
+            np.array([mats[k] for k in chained]), counts))
+        for k, tree_merges in zip(chained, merges):
+            trees[k] = LinkageTree(tree_merges, m, affinities[k], linkages[k])
+    for k, linkage in enumerate(linkages):
+        if trees[k] is None:
+            walk = (_prim_walk(mats[k]) if linkage == "single"
+                    else _chain_walk(mats[k], linkage))
+            trees[k] = _linkage_tree(*walk, m, affinities[k], linkage)
+    return trees
 
 
 def cut_tree(tree: LinkageTree, k: int) -> list[int]:

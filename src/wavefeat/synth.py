@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, is_count, is_number
 from .preprocess import LabeledDataset
 
 # (position cm^-1, width cm^-1, base amplitude)
@@ -57,21 +57,46 @@ class SyntheticSpec:
     seed: int = 7
 
     def __post_init__(self):
+        if not all(is_count(getattr(self, name)) for name in
+                   ("class_count", "grid_points", "baseline_degree", "seed")):
+            raise InvalidInputError(
+                "class_count, grid_points, baseline_degree and seed must be integers")
+        if not all(is_number(getattr(self, name)) for name in (
+                "grid_start", "grid_end", "amplitude_jitter", "scale_jitter",
+                "shift_jitter", "baseline_scale", "drift_sigma", "drift_width",
+                "noise_sigma")):
+            raise InvalidInputError("grid ends, jitters, scales, sigmas and widths "
+                                    "must be finite numbers")
         if self.class_count < 1 or self.grid_points < 8:
             raise InvalidInputError("class_count and grid_points must be positive")
-        if len(self.samples_per_class) != self.class_count:
-            raise InvalidInputError("samples_per_class must list one count per class")
+        if self.baseline_degree < 0 or self.seed < 0:
+            raise InvalidInputError("baseline_degree and seed must not be negative")
+        if (not _is_list(self.samples_per_class)
+                or len(self.samples_per_class) != self.class_count
+                or not all(is_count(c) for c in self.samples_per_class)):
+            raise InvalidInputError(
+                "samples_per_class must list one integer count per class")
         if any(c < 1 for c in self.samples_per_class):
             raise InvalidInputError("every class needs at least one sample")
-        if len(self.class_peaks) < self.class_count:
+        if not _is_list(self.class_peaks) or len(self.class_peaks) < self.class_count:
             raise InvalidInputError("need a peak set per class")
         lo, hi = sorted((self.grid_start, self.grid_end))
         for peaks in (self.common_peaks, *self.class_peaks[:self.class_count]):
+            if not (_is_list(peaks) and all(
+                    _is_list(peak) and len(peak) == 3 and all(map(is_number, peak))
+                    for peak in peaks)):
+                raise InvalidInputError(
+                    "a peak set lists peaks of three numbers: position, width, "
+                    "amplitude")
             for pos, width, amp in peaks:
                 if not lo <= pos <= hi:
                     raise InvalidInputError(f"peak at {pos} outside grid range")
                 if width <= 0 or amp <= 0:
                     raise InvalidInputError("peak widths and amplitudes must be positive")
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (tuple, list))
 
 
 def _gauss(wn: np.ndarray, pos: float, width: float) -> np.ndarray:

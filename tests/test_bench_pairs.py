@@ -1,0 +1,62 @@
+"""Tests for the verdicts of tools/bench_pairs.py."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+SPEC = importlib.util.spec_from_file_location("bench_pairs", PATH)
+bench_pairs = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench_pairs)
+
+RUN_S = {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}
+SCORE = {"name": "score", "unit": "score", "better": "higher", "bound": 0.25}
+
+
+def _runs(name, parent, change):
+    return [{"pair": i, "parent": {"metrics": {name: p}},
+             "change": {"metrics": {name: c}}}
+            for i, (p, c) in enumerate(zip(parent, change))]
+
+
+PARENT = [2.4, 2.5, 2.5, 2.6, 2.5, 2.4, 2.6, 2.5, 2.5, 2.5]
+
+
+@pytest.mark.parametrize("change, expected", [
+    # 2.0 in every pair: 10 wins and 0.5 off a median whose IQR is 0.1
+    ([2.0] * 10, "gain"),
+    # 9 of 10 pairs are still a gain
+    ([2.0] * 9 + [3.0], "gain"),
+    # 8 of 10 are not, and a small shift is the same
+    ([2.0] * 8 + [3.0] * 2, "same"),
+    ([2.45] * 10, "same"),
+    # a median more than 25% above the parent's
+    ([3.2] * 10, "worse"),
+], ids=["all-pairs", "nine-pairs", "eight-pairs", "small-shift", "worse"])
+def test_run_s_verdicts(change, expected):
+    summary = bench_pairs.summarize(_runs("run_s", PARENT, change), [RUN_S])["run_s"]
+    assert summary["verdict"] == expected
+    assert summary["change_wins"] + summary["parent_wins"] <= len(PARENT)
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    parent = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]  # IQR 1 > 0.25 * 1.5
+    change = [1.1, 1.9, 1.1, 1.9, 1.1, 1.9, 1.1, 1.9, 1.1, 1.9]
+    summary = bench_pairs.summarize(_runs("score", parent, change), [SCORE])["score"]
+    assert (summary["change_wins"], summary["parent_wins"]) == (5, 5)
+    assert summary["verdict"] == "unresolved"
+    # winning every pair is not enough: 2.01 is not better than every 2.0
+    better = [p + 0.01 for p in parent]
+    summary = bench_pairs.summarize(_runs("score", parent, better), [SCORE])["score"]
+    assert summary["change_wins"] == 10 and summary["verdict"] == "unresolved"
+    # every change run above every parent run, by less than the IQR
+    summary = bench_pairs.summarize(_runs("score", parent, [2.4] * 10), [SCORE])["score"]
+    assert summary["verdict"] == "same"
+
+
+def test_higher_is_better_metrics_gain_upwards():
+    parent = [0.5] * 10
+    summary = bench_pairs.summarize(_runs("score", parent, [0.6] * 10), [SCORE])["score"]
+    assert summary["verdict"] == "gain"
+    summary = bench_pairs.summarize(_runs("score", parent, [0.3] * 10), [SCORE])["score"]
+    assert summary["verdict"] == "worse"

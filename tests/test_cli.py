@@ -301,6 +301,28 @@ def test_cluster_with_non_finite_distances_exits_4(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_cluster_with_non_finite_distances_in_a_stack_exits_4(tmp_path, capsys):
+    # manhattan distances stay finite, euclidean ones overflow: the fold's
+    # six fitting rows meet nine complete and average configs, so the fold
+    # links side by side and one matrix of the stack is not finite
+    rng = np.random.default_rng(0)
+    data = tmp_path / "huge.csv"
+    lines = ["label," + ",".join(str(v) for v in np.linspace(2000.0, 1000.0, 64))]
+    lines += [f"c{i % 3}," + ",".join(str(v) for v in row)
+              for i, row in enumerate(1e200 * (1.0 + 0.5 * rng.random((12, 64))))]
+    data.write_text("\n".join(lines) + "\n")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"schema": "wavefeat-grid", "clustering": {
+        "preprocess": {"derivative_order": [0, 1, 2]},
+        "model": [{"kind": "hac", "affinity": "manhattan", "linkage": "complete"},
+                  {"kind": "hac", "affinity": ["manhattan", "euclidean"],
+                   "linkage": "average"}]}}))
+    assert cli.main(["cluster", "--data", str(data), "--config", str(grid),
+                     "--folds", "2", "--out-dir", str(tmp_path / "out")]) == 4
+    assert ("numerical failure: the distance matrix has non-finite entries"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["gridsearch", "cluster", "train"])
 def test_missing_or_unreadable_input_file_exits_2_or_3(tmp_path, capsys, command):
     data = _tiny_dataset(tmp_path)
@@ -394,3 +416,50 @@ def test_bad_fold_or_repeat_count_exits_2_before_reading_data(
     assert exc.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+WTT_RANK = {"kind": "wtt", "rank": 2.5}
+DWT = {"kind": "dwt", "family": "daubechies", "order": 4, "mode": "periodization"}
+
+
+@pytest.mark.parametrize("command, stages, message", [
+    ("cluster", {"decomposition": WTT_RANK,
+                 "model": {"kind": "hac", "affinity": "euclidean", "linkage": "ward"}},
+     "rank must be an integer >= 1, got 2.5"),
+    ("gridsearch", {"decomposition": {**DWT, "level": "3"}, "model": {"kind": "lda"}},
+     "level must be an integer >= 1 or null, got '3'"),
+    ("train", {"decomposition": {**DWT, "level": 2.5}, "model": {"kind": "lda"}},
+     "level must be an integer >= 1 or null, got 2.5"),
+    ("gridsearch", {"model": {"kind": "lr", "penalty": "l2", "inverse_reg": "100"}},
+     "inverse_reg must be a finite positive number, got '100'"),
+], ids=["wtt-rank-2.5", "dwt-level-str", "dwt-level-2.5", "lr-inverse-reg-str"])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, stages,
+                                                message):
+    data = _tiny_dataset(tmp_path)
+    doc = {"preprocess": {"derivative_order": 0}, **stages}
+    if command != "train":
+        task = "clustering" if command == "cluster" else "classification"
+        doc = {"schema": "wavefeat-grid", task: doc}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main([command, "--data", str(data), "--config", str(config),
+                     "--folds", "2", "--out-dir", str(tmp_path / "out")]
+                    if command != "train" else
+                    ["train", "--data", str(data), "--config", str(config),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"samples_per_class": 5}, "samples_per_class must list one integer count"),
+    ({"common_peaks": [[1650.0, 80.0]]}, "a peak set lists peaks of three numbers"),
+    ({"seed": "x"}, "seed must be integers"),
+], ids=["samples-per-class-int", "two-number-peak", "seed-str"])
+def test_synth_config_with_a_malformed_field_exits_2(tmp_path, capsys, fields,
+                                                     message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(fields))
+    assert cli.main(["synth", "--config", str(spec),
+                     "--out", str(tmp_path / "data.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "data.csv").exists()

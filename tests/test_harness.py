@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wavefeat import harness, wtt
+from wavefeat import harness, models, wtt
 from wavefeat.errors import InvalidConfigError, InvalidInputError
 from wavefeat.grids import expand_grid, grid_for_task, load_grid_document
 from wavefeat.harness import (FoldMemo, PipelineConfig, fit_pipeline,
@@ -70,6 +70,42 @@ def test_grid_search_equals_fresh_memo_per_config(data, clustering_grid, grid_na
         shared = by_label[config.label()]
         assert shared.per_fold == alone.per_fold, config.label()
         assert shared.lr_fits == alone.lr_fits
+
+
+def test_clustering_grid_search_equals_one_run_per_config(data, monkeypatch):
+    # 32 complete, average and ward configs against 11 or 12 fitting rows:
+    # each fold links its matrices side by side, a config alone one by one
+    grid = expand_grid({
+        "preprocess": {"derivative_order": [0, 1], "center": True},
+        "decomposition": [{"kind": "none"}, {"kind": "wtt", "rank": 2}],
+        "model": [{"kind": "hac", "affinity": "euclidean",
+                   "linkage": list(models.LINKAGES)},
+                  {"kind": "hac", "affinity": ["cosine", "manhattan"],
+                   "linkage": ["single", "complete", "average"]}],
+    })
+    calls = []
+    original = models.hac_fit
+
+    def recorded(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(models, "hac_fit", recorded)
+    result = grid_search(grid, data, seed=2, k=3)
+    stacks = calls[:]
+    assert [len(trees) for trees in stacks] == [len(grid)] * 3
+    folds = kfold_split(data.n_samples, 3, 2)
+    alone = []
+    for i, config in enumerate(grid):
+        calls.clear()
+        alone.append(harness._cross_validate([config], data, [folds], 2)[0][0])
+        assert [trees[0].merges for trees in calls] == [
+            trees[i].merges for trees in stacks], config.label()
+    order = sorted(range(len(grid)), key=lambda i: (-alone[i].means["ari"], i))
+    assert [r.config for r in result.leaderboard] == [grid[i] for i in order]
+    for i, report in zip(order, result.leaderboard):
+        assert report.per_fold == alone[i].per_fold
+        assert [set(row) for row in report.per_fold] == [{"ari"}] * 3
 
 
 def test_repeated_cv_equals_per_config_repeats(data):
@@ -294,6 +330,21 @@ def test_clustering_pipeline_has_no_predictor(data):
     assert fitted.model.n_leaves == data.n_samples
     with pytest.raises(InvalidConfigError):
         fitted.predict(data.intensities[:2])
+
+
+def test_a_stack_of_clustering_configs_fits_like_each_alone(data):
+    rows = np.arange(data.n_samples)
+    configs = [LEAKAGE_CONFIGS[2], dataclasses.replace(
+        LEAKAGE_CONFIGS[2], model=harness.ModelSpec("hac", affinity="euclidean",
+                                                    linkage="ward"))]
+    stack = fit_pipeline(configs, data, rows)
+    for config, fitted in zip(configs, stack):
+        alone = fit_pipeline(config, data, rows)
+        assert fitted.config == config and fitted.train_features is None
+        assert fitted.model.merges == alone.model.merges
+        assert fitted.model.linkage == config.model.linkage
+    with pytest.raises(InvalidConfigError):
+        fit_pipeline([LEAKAGE_CONFIGS[2], LEAKAGE_CONFIGS[0]], data, rows)
 
 
 # ----------------------------------------------------------------------

@@ -692,6 +692,34 @@ HAC_PAIRS = [(linkage, affinity) for linkage in M.LINKAGES
              if linkage != "ward" or affinity == "euclidean"]
 
 
+def _assert_stack_merges(xs, linkages, affinities):
+    """One stack call of hac_fit against scipy's linkage and against
+    hac_fit on each matrix alone: the same ids, counts and height bits."""
+    from scipy.cluster.hierarchy import linkage as scipy_linkage
+    from scipy.spatial.distance import squareform
+    mats = [M.pairwise_distances(x, aff) for x, aff in zip(xs, affinities)]
+    trees = M.hac_fit(None, linkages, affinities, distances=mats)
+    assert len(trees) == len(mats)
+    for tree, d, linkage, affinity in zip(trees, mats, linkages, affinities):
+        assert (tree.n_leaves, tree.linkage, tree.affinity) == (
+            d.shape[0], linkage, affinity)
+        alone = M.hac_fit(None, linkage, affinity, distances=d)
+        assert tree.merges == alone.merges
+        want = scipy_linkage(squareform(d, checks=False), method=linkage)
+        assert [(a, b, c) for a, b, _, c in tree.merges] == [
+            (int(a), int(b), int(c)) for a, b, _, c in want]
+        assert np.array_equal(np.array([m[2] for m in tree.merges]).view(np.uint64),
+                              want[:, 2].view(np.uint64))
+
+
+def _stack_points(rng, m, k, points):
+    """k point sets of m rows, with mixed linkages and affinities."""
+    pairs = [HAC_PAIRS[i % len(HAC_PAIRS)] for i in rng.permutation(k)]
+    xs = [rng.standard_normal((m, 5)) if points == "random"
+          else rng.integers(0, 3, (m, 3)) + 0.5 for _ in range(k)]
+    return xs, [p[0] for p in pairs], [p[1] for p in pairs]
+
+
 class TestHacMatchesScipy:
     @pytest.mark.parametrize("linkage, affinity", HAC_PAIRS)
     @pytest.mark.parametrize("points", ["random", "integer grid"])
@@ -723,6 +751,67 @@ class TestHacMatchesScipy:
                       [1.5e308, 1.7e308, 0.0]])
         with pytest.raises(NumericalError), pytest.warns(RuntimeWarning):
             M.hac_fit(None, "average", distances=d)
+
+    # the same cases as stacks of K matrices in one call
+    @pytest.mark.parametrize("points", ["random", "integer grid"])
+    @pytest.mark.parametrize("more", [False, True], ids=["K=1", "K>m"])
+    def test_stacks_match_scipy(self, points, more):
+        # K > m runs the chain walks side by side, K = 1 one by one
+        rng = np.random.default_rng(33)
+        for m in (2, 3, 4, 5, 7, 10, 16, 25, 40, 60, 80):
+            _assert_stack_merges(*_stack_points(rng, m, m + 3 if more else 1, points))
+
+    @pytest.mark.parametrize("points", ["random", "integer grid"])
+    def test_side_by_side_walks_equal_walks_alone(self, points):
+        # below the size rule too, with a linkage that has no walks
+        rng = np.random.default_rng(34)
+        for m in (2, 3, 6, 12, 30):
+            for counts in ([1, 0, 0], [0, 2, 1], [3, 1, 2], [2, 2, 0]):
+                linkages = [name for name, n in zip(M.CHAIN_LINKAGES, counts)
+                            for _ in range(n)]
+                mats = [M.pairwise_distances(
+                    rng.standard_normal((m, 4)) if points == "random"
+                    else rng.integers(0, 3, (m, 2)) + 0.5, "euclidean")
+                    for _ in linkages]
+                xs, ys, heights = M._lockstep_chain_walks(np.array(mats), counts)
+                for row, (d, linkage) in enumerate(zip(mats, linkages)):
+                    want = M._chain_walk(d, linkage)
+                    assert (xs[row].tolist(), ys[row].tolist()) == want[:2]
+                    assert np.array_equal(heights[row].view(np.uint64),
+                                          np.array(want[2]).view(np.uint64))
+                merges = M._stacked_merges(xs, ys, heights)
+                for tree_merges, d, linkage in zip(merges, mats, linkages):
+                    assert tree_merges == M.hac_fit(
+                        None, linkage, distances=d).merges
+
+    def test_one_non_finite_matrix_raises(self):
+        rng = np.random.default_rng(35)
+        for k in (1, 8):  # one by one, and side by side
+            mats = [M.pairwise_distances(rng.standard_normal((4, 2)), "euclidean")
+                    for _ in range(k)]
+            mats[-1][1, 2] = mats[-1][2, 1] = np.nan
+            with pytest.raises(NumericalError):
+                M.hac_fit(None, ["average"] * k, ["euclidean"] * k, distances=mats)
+
+    def test_one_overflowing_walk_raises(self):
+        # the average of 1.5e308 and 1.7e308 overflows in nx dx + ny dy
+        huge = np.array([[0.0, 1.0, 1.5e308], [1.0, 0.0, 1.7e308],
+                         [1.5e308, 1.7e308, 0.0]])
+        tame = M.pairwise_distances(np.eye(3), "euclidean")
+        for mats in ([huge], [tame, tame, huge, tame]):
+            k = len(mats)
+            with pytest.raises(NumericalError), pytest.warns(RuntimeWarning):
+                M.hac_fit(None, ["average"] * k, ["euclidean"] * k, distances=mats)
+
+    def test_stack_arguments_are_checked(self):
+        d = M.pairwise_distances(np.eye(3), "euclidean")
+        with pytest.raises(InvalidInputError):
+            M.hac_fit(None, ["average", "ward"], ["euclidean"], distances=[d, d])
+        with pytest.raises(InvalidInputError):
+            M.hac_fit(None, ["average"] * 2, ["euclidean"] * 2,
+                      distances=[d, np.zeros((2, 2))])
+        with pytest.raises(InvalidConfigError):
+            M.hac_fit(None, ["ward"], ["cosine"], distances=[d])
 
 
 class TestCutTree:

@@ -17,8 +17,17 @@ one file keeps every round of a change, reruns at the same or another seed
 included.  A round holds every run's end-to-end metrics and output digests
 (one per command, over its output files), and per metric each side's median
 and quartiles (``statistics.quantiles(values, n=4)``, as
-``perfbench/spread.py``) and the pairs each side won (ties count for
-neither).
+``perfbench/spread.py``), the pairs each side won (ties count for
+neither) and a verdict, the first of these that holds:
+
+- ``gain``: the change wins at least 9 in 10 pairs, and its median is
+  better than the parent's by more than the parent's interquartile range;
+- ``worse``: the change's median is worse than the parent's by more than
+  the metric's bound, a share of the parent's median (``BENCHMARK.json``);
+- ``unresolved``: the parent's interquartile range is wider than the
+  bound, and not every run of the change is better than every run of the
+  parent;
+- ``same``.
 """
 from __future__ import annotations
 
@@ -90,17 +99,38 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def verdict(parent: dict, change: dict, sign: int, bound: float,
+            change_wins: int) -> str:
+    """gain, worse, unresolved or same (see the module docstring); parent
+    and change are ``spread`` results with their ``runs``, and sign is 1
+    where higher is better."""
+    gain = sign * (change["median"] - parent["median"])
+    allowed = bound * abs(parent["median"])
+    if change_wins >= 0.9 * len(parent["runs"]) and gain > parent["iqr"]:
+        return "gain"
+    if gain < -allowed:
+        return "worse"
+    if (parent["iqr"] > allowed and min(sign * v for v in change["runs"])
+            <= max(sign * v for v in parent["runs"])):
+        return "unresolved"
+    return "same"
+
+
 def summarize(runs: list[dict], declared: list[dict]) -> dict:
     summary = {}
     for metric in declared:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         values = {side: [r[side]["metrics"][name] for r in runs] for side in SIDES}
         gains = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
+        sides = {side: {"runs": values[side], **spread(values[side])} for side in SIDES}
+        change_wins = sum(g > 0 for g in gains)
         summary[name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-            **{side: {"runs": values[side], **spread(values[side])} for side in SIDES},
-            "change_wins": sum(g > 0 for g in gains),
+            **sides,
+            "change_wins": change_wins,
             "parent_wins": sum(g < 0 for g in gains),
+            "verdict": verdict(sides["parent"], sides["change"], sign,
+                               metric["bound"], change_wins),
         }
     return summary
 
@@ -153,7 +183,7 @@ def main(argv=None) -> int:
               f"[{s['parent']['q1']:.4f}, {s['parent']['q3']:.4f}]  "
               f"change {s['change']['median']:10.4f} "
               f"[{s['change']['q1']:.4f}, {s['change']['q3']:.4f}]  "
-              f"wins {s['change_wins']}/{args.pairs} {s['unit']}")
+              f"wins {s['change_wins']}/{args.pairs} {s['unit']:5s} {s['verdict']}")
     return 0
 
 

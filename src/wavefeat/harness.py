@@ -35,9 +35,9 @@ affinity).  A clustering fold fits its configs in one stack call of
 matrix, and one stack call of ``models.hac_fit`` links all the matrices,
 side by side when the walks are at least as many as the fold's rows.  Each
 tree is scored by ARI alone, the selection metric; the final clusterings
-also report AMI and FM.
-``repeated_cv`` runs all repeats of the winners of a grid
-search as one run of the same fold loop, so they share each fold's memo.
+also report AMI and FM.  ``repeated_cv`` runs all repeats of the winners
+of a grid search as one run of the same fold loop, so they share each
+fold's memo.
 
 ``save_pipeline`` writes a fitted pipeline to one ``.npz`` archive: a JSON
 header and every learned array.  ``load_pipeline`` rebuilds the stages

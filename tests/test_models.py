@@ -759,7 +759,11 @@ class TestHacMatchesScipy:
         # K > m runs the chain walks side by side, K = 1 one by one
         rng = np.random.default_rng(33)
         for m in (2, 3, 4, 5, 7, 10, 16, 25, 40, 60, 80):
-            _assert_stack_merges(*_stack_points(rng, m, m + 3 if more else 1, points))
+            xs, linkages, affinities = _stack_points(rng, m, 2 * m + 3 if more else 1,
+                                                     points)
+            chained = sum(linkage != "single" for linkage in linkages)
+            assert (chained >= m) == more
+            _assert_stack_merges(xs, linkages, affinities)
 
     @pytest.mark.parametrize("points", ["random", "integer grid"])
     def test_side_by_side_walks_equal_walks_alone(self, points):

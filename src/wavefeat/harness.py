@@ -48,6 +48,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from typing import Callable, NamedTuple
 
@@ -541,21 +542,30 @@ def _fit_stage(stage: Stage, config, memo: FoldMemo, key, prev, blocks) -> tuple
     return state, [stage.apply(state, x) for x in blocks]
 
 
-def _fit_states(config: PipelineConfig, memo: FoldMemo) -> tuple[list, list, list]:
-    """Each stage's state for ``config`` on the memo's rows (a clustering
-    config's model state is its distance matrix), the features of each of
-    the memo's blocks, and the messages of the warnings raised."""
-    states, key, blocks = [], (), None
+@contextmanager
+def _recording():
+    """Record the warnings raised in the block, unshown: the list it yields
+    gets their messages when the block ends."""
+    messages: list = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for stage in STAGES:
-            key = (key, stage.part(config))
-            prev = states[-1] if states else None
-            state, out = memo.get(
-                stage.name, key, lambda: _fit_stage(stage, config, memo, key, prev, blocks))
-            states.append(state)
-            blocks = blocks if out is None else out
-    return states, blocks, [str(w.message) for w in caught]
+        yield messages
+    messages.extend(str(w.message) for w in caught)
+
+
+def _fit_states(config: PipelineConfig, memo: FoldMemo) -> tuple[list, list]:
+    """Each stage's state for ``config`` on the memo's rows (a clustering
+    config's model state is its distance matrix) and the features of each
+    of the memo's blocks."""
+    states, key, blocks = [], (), None
+    for stage in STAGES:
+        key = (key, stage.part(config))
+        prev = states[-1] if states else None
+        state, out = memo.get(
+            stage.name, key, lambda: _fit_stage(stage, config, memo, key, prev, blocks))
+        states.append(state)
+        blocks = blocks if out is None else out
+    return states, blocks
 
 
 def fit_pipeline(config: PipelineConfig | list, data: LabeledDataset, train_idx,
@@ -573,27 +583,37 @@ def fit_pipeline(config: PipelineConfig | list, data: LabeledDataset, train_idx,
     ``models.hac_fit`` links all their matrices, and one FittedPipeline per
     config comes back, without features (``train_features`` is None) so
     that a grid's configs do not hold all their features at once.
+
+    The warnings raised by the fits and the linking are recorded in
+    ``FittedPipeline.warnings`` instead of shown; those of a stack's
+    linking go to every config of the stack.
     """
     if memo is None:
         memo = FoldMemo(data, train_idx)
     elif memo.data is not data or not np.array_equal(memo.train_idx, train_idx):
         raise InvalidInputError("the memo belongs to other fitting rows")
     if isinstance(config, PipelineConfig):
-        states, blocks, caught = _fit_states(config, memo)
-        if config.task == "clustering":
-            m = config.model
-            states[-1] = models.hac_fit(blocks[0], m.linkage, m.affinity,
-                                        distances=states[-1])
+        with _recording() as caught:
+            states, blocks = _fit_states(config, memo)
+            if config.task == "clustering":
+                m = config.model
+                states[-1] = models.hac_fit(blocks[0], m.linkage, m.affinity,
+                                            distances=states[-1])
         # blocks: the features of the fitting rows, then of any held-out rows
         return FittedPipeline(config, tuple(states), *blocks, warnings=caught)
     configs = list(config)
     if not configs or any(c.task != "clustering" for c in configs):
         raise InvalidConfigError("a stack of configs must be clustering configs")
-    fits = [_fit_states(c, memo)[::2] for c in configs]  # (states, warnings)
-    trees = models.hac_fit(None, [c.model.linkage for c in configs],
-                           [c.model.affinity for c in configs],
-                           distances=[states[-1] for states, _ in fits])
-    return [FittedPipeline(c, (*states[:-1], tree), None, warnings=caught)
+    fits = []  # (states, warnings) per config
+    for c in configs:
+        with _recording() as caught:
+            states = _fit_states(c, memo)[0]
+        fits.append((states, caught))
+    with _recording() as linked:
+        trees = models.hac_fit(None, [c.model.linkage for c in configs],
+                               [c.model.affinity for c in configs],
+                               distances=[states[-1] for states, _ in fits])
+    return [FittedPipeline(c, (*states[:-1], tree), None, warnings=caught + linked)
             for c, (states, caught), tree in zip(configs, fits, trees)]
 
 

@@ -654,29 +654,6 @@ def _linkage_tree(xs, ys, heights, m: int, affinity: str,
     return LinkageTree(merges=merges, n_leaves=m, affinity=affinity, linkage=linkage)
 
 
-def _stacked_merges(xs, ys, heights) -> list[list]:
-    """``_linkage_tree``'s merge list of each walk of a stack, from the
-    (K, m - 1) arrays of ``_lockstep_chain_walks``, one merge step for all
-    walks at a time.  Every leaf holds the node of its cluster, so a
-    merge's ids are the nodes of its two indices' leaves, as the union-find
-    roots are, and its count is the number of leaves that the new node
-    takes."""
-    walks, steps = xs.shape
-    order = np.argsort(heights, axis=1, kind="mergesort")
-    xs, ys, heights = (np.take_along_axis(v, order, axis=1) for v in (xs, ys, heights))
-    node = np.tile(np.arange(steps + 1), (walks, 1))
-    at = np.arange(walks)
-    lower, higher, count = (np.empty_like(xs) for _ in range(3))
-    for step in range(steps):
-        a, b = node[at, xs[:, step]], node[at, ys[:, step]]
-        lower[:, step], higher[:, step] = np.minimum(a, b), np.maximum(a, b)
-        joined = (node == a[:, None]) | (node == b[:, None])
-        node[joined] = steps + 1 + step
-        count[:, step] = joined.sum(axis=1)
-    return [list(zip(*rows)) for rows in zip(
-        lower.tolist(), higher.tolist(), heights.tolist(), count.tolist())]
-
-
 def _check_linkage(linkage: str, affinity: str) -> None:
     if linkage not in LINKAGES:
         raise InvalidConfigError(f"linkage must be one of {LINKAGES}")
@@ -753,10 +730,10 @@ def _hac_stack(linkages: list, affinities: list, distances) -> list:
     trees: list = [None] * len(mats)
     if len(chained) >= m:
         counts = [linkages.count(name) for name in CHAIN_LINKAGES]
-        merges = _stacked_merges(*_lockstep_chain_walks(
-            np.array([mats[k] for k in chained]), counts))
-        for k, tree_merges in zip(chained, merges):
-            trees[k] = LinkageTree(tree_merges, m, affinities[k], linkages[k])
+        xs, ys, heights = _lockstep_chain_walks(
+            np.array([mats[k] for k in chained]), counts)
+        for k, *walk in zip(chained, xs.tolist(), ys.tolist(), heights.tolist()):
+            trees[k] = _linkage_tree(*walk, m, affinities[k], linkages[k])
     for k, linkage in enumerate(linkages):
         if trees[k] is None:
             walk = (_prim_walk(mats[k]) if linkage == "single"

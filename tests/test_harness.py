@@ -1,6 +1,7 @@
 """Tests for the pipeline stage list, its per-fold memo, grid search,
 repeated CV, the pipeline archive and the seeded splits."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,23 @@ def test_a_stack_of_clustering_configs_fits_like_each_alone(data):
         assert fitted.model.linkage == config.model.linkage
     with pytest.raises(InvalidConfigError):
         fit_pipeline([LEAKAGE_CONFIGS[2], LEAKAGE_CONFIGS[0]], data, rows)
+
+
+def test_linking_warnings_are_recorded_not_shown(data, monkeypatch):
+    hac_fit = models.hac_fit
+
+    def warning_hac_fit(*args, **kwargs):
+        warnings.warn("linkage warning", RuntimeWarning)
+        return hac_fit(*args, **kwargs)
+
+    monkeypatch.setattr(models, "hac_fit", warning_hac_fit)
+    rows = np.arange(data.n_samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a shown warning fails the test
+        alone = fit_pipeline(LEAKAGE_CONFIGS[2], data, rows)
+        stack = fit_pipeline([LEAKAGE_CONFIGS[2]] * 2, data, rows)
+    for fitted in [alone, *stack]:
+        assert fitted.warnings.count("linkage warning") == 1
 
 
 # ----------------------------------------------------------------------

@@ -783,10 +783,6 @@ class TestHacMatchesScipy:
                     assert (xs[row].tolist(), ys[row].tolist()) == want[:2]
                     assert np.array_equal(heights[row].view(np.uint64),
                                           np.array(want[2]).view(np.uint64))
-                merges = M._stacked_merges(xs, ys, heights)
-                for tree_merges, d, linkage in zip(merges, mats, linkages):
-                    assert tree_merges == M.hac_fit(
-                        None, linkage, distances=d).merges
 
     def test_one_non_finite_matrix_raises(self):
         rng = np.random.default_rng(35)

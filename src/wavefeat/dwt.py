@@ -176,6 +176,13 @@ def dwt_single(x: np.ndarray, w: WaveletSpec, mode: str) -> tuple[np.ndarray, np
     return win @ w.dec_lo[::-1], win @ w.dec_hi[::-1]
 
 
+def _tap(a, d, w: WaveletSpec, j: int, v_lo, v_hi) -> np.ndarray:
+    """``a * rec_lo[j] + d * rec_hi[j]``, computed in the two buffers."""
+    np.multiply(a, w.rec_lo[j], out=v_lo)
+    np.multiply(d, w.rec_hi[j], out=v_hi)
+    return np.add(v_lo, v_hi, out=v_lo)
+
+
 def idwt_single(approx: np.ndarray, detail: np.ndarray, w: WaveletSpec,
                 mode: str, out_length: int) -> np.ndarray:
     """One synthesis step, trimming to the stored input length.
@@ -183,7 +190,8 @@ def idwt_single(approx: np.ndarray, detail: np.ndarray, w: WaveletSpec,
     Tap j adds ``a[i] * rec_lo[j] + d[i] * rec_hi[j]`` to every other
     output sample, so each sample sums its taps in increasing j.  For
     ``periodization`` input i goes to sample ``(2i + 2 - L + j) mod n``:
-    one parity class, rotated, which two slice adds cover.
+    one parity class, rotated, which two slice adds cover.  Every tap's
+    products are formed in the same two buffers, allocated once per call.
     """
     a = np.asarray(approx, dtype=float)
     d = np.asarray(detail, dtype=float)
@@ -191,6 +199,7 @@ def idwt_single(approx: np.ndarray, detail: np.ndarray, w: WaveletSpec,
         raise InvalidInputError("approx/detail shapes differ")
     L = w.filter_length
     k = a.shape[-1]
+    v_lo, v_hi = np.empty(a.shape), np.empty(a.shape)
     if mode == "periodization":
         ne = 2 * k
         if not out_length <= ne:
@@ -200,7 +209,7 @@ def idwt_single(approx: np.ndarray, detail: np.ndarray, w: WaveletSpec,
             shift = (2 - L + j) % ne
             half = out[..., shift % 2::2]
             rot = shift // 2
-            v = a * w.rec_lo[j] + d * w.rec_hi[j]
+            v = _tap(a, d, w, j, v_lo, v_hi)
             half[..., rot:] += v[..., :k - rot]
             half[..., :rot] += v[..., k - rot:]
         return out[..., :out_length]
@@ -209,7 +218,7 @@ def idwt_single(approx: np.ndarray, detail: np.ndarray, w: WaveletSpec,
         raise InvalidInputError("inconsistent bookkeeping lengths")
     out = np.zeros(a.shape[:-1] + (full,))
     for j in range(L):
-        out[..., j:j + 2 * k:2] += a * w.rec_lo[j] + d * w.rec_hi[j]
+        out[..., j:j + 2 * k:2] += _tap(a, d, w, j, v_lo, v_hi)
     start = L - 2
     return out[..., start:start + out_length]
 

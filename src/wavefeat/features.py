@@ -9,6 +9,7 @@ from the signal to emphasize what the threshold would discard).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +32,45 @@ class ThresholdRule:
             raise InvalidInputError("tau must be non-negative")
 
 
+def magnitude_quantile(c: np.ndarray, q: float) -> float:
+    """``np.quantile(np.abs(c), q)`` bit for bit, by one selection.
+
+    The magnitudes are taken once into a fresh flat array and partitioned
+    in place at k = floor((n - 1) q).  The k-th value and the least value
+    above it are the two order statistics ``np.quantile`` interpolates
+    between ("linear" method), and its arithmetic follows: with
+    g = (n - 1) q - k, lo + (hi - lo) g, or hi - (hi - lo)(1 - g) when
+    g >= 0.5.  A NaN sorts last, so any NaN makes the result NaN.
+    """
+    mags = np.abs(c).ravel(order="K")
+    n = mags.size
+    index = (n - 1) * q
+    k = math.floor(index)
+    mags.partition(k)
+    lo = float(mags[k])
+    hi = float(mags[k + 1:].min()) if k + 1 < n else lo
+    if math.isnan(hi):
+        return math.nan
+    gamma = index - k
+    if gamma >= 0.5:
+        return hi - (hi - lo) * (1 - gamma)
+    return lo + (hi - lo) * gamma
+
+
 def threshold(v: np.ndarray, rule: ThresholdRule) -> np.ndarray:
     """Element-wise hard or soft thresholding.
 
     hard keeps entries with |c| strictly greater than tau; soft shrinks every
-    entry toward zero by tau.
+    entry toward zero by tau: sign(c) * max(|c| - tau, 0), built in one
+    buffer.
     """
     v = np.asarray(v, dtype=float)
     if rule.kind == "hard":
         return np.where(np.abs(v) > rule.tau, v, 0.0)
-    return np.sign(v) * np.maximum(np.abs(v) - rule.tau, 0.0)
+    out = np.abs(v)
+    out -= rule.tau
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(np.sign(v), out, out=out)
 
 
 def sign_quantize(v: np.ndarray, tau: float) -> np.ndarray:

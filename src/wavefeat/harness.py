@@ -8,8 +8,10 @@ resample), which is stateless, and the ordered list ``STAGES``:
 1. preprocess: feature-axis scaler -> abs;
 2. decompose: a fixed DWT, or a WTT filter bank trained on the block, plus
    the coefficients of the block;
-3. features: tau from a quantile of the coefficient magnitudes, then
-   threshold, sign or contrast (the signal itself without a decomposition);
+3. features: tau, a quantile of the block's coefficient magnitudes found
+   by one selection (``features.magnitude_quantile``, equal to
+   ``np.quantile``), then threshold, sign or contrast (the signal itself
+   without a decomposition);
 4. model: LDA, one-vs-rest LR, or HAC.
 
 Each stage has ``fit`` (fitting block -> state) and ``apply(state, block)``.
@@ -58,7 +60,7 @@ from . import dwt as dwt_mod
 from . import models, wtt
 from .errors import InvalidConfigError, InvalidInputError, is_count, is_number
 from .features import (DwtTransform, FeatureMap, ThresholdRule, WttTransform,
-                       extract_features)
+                       extract_features, magnitude_quantile)
 from .metrics import (accuracy, adjusted_mutual_info, adjusted_rand,
                       f1_weighted, fowlkes_mallows)
 from .preprocess import (LabeledDataset, PreprocessConfig, ScalerStats,
@@ -112,8 +114,9 @@ class TransformSpec:
             if self.threshold_kind is not None or self.tau_quantile is not None:
                 raise InvalidConfigError("transform 'none' takes no parameters")
             return
-        if self.tau_quantile is None or not 0.0 <= self.tau_quantile <= 1.0:
-            raise InvalidConfigError("tau_quantile must lie in [0, 1]")
+        if not (is_number(self.tau_quantile) and 0.0 <= self.tau_quantile <= 1.0):
+            raise InvalidConfigError(
+                f"tau_quantile must be a number in [0, 1], got {self.tau_quantile!r}")
         if self.kind == "threshold":
             if self.threshold_kind not in ("hard", "soft"):
                 raise InvalidConfigError("threshold requires kind 'hard' or 'soft'")
@@ -444,7 +447,7 @@ def _fit_features(config, fold, key, transform, signal_coeffs):
     t = config.transform
     tau = None
     if transform is not None and t.kind != "none":
-        tau = float(np.quantile(np.abs(signal_coeffs[1]), t.tau_quantile))
+        tau = magnitude_quantile(signal_coeffs[1], t.tau_quantile)
     return _feature_map(t, transform, tau)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDatasetError, InvalidInputError
+from .errors import InvalidDatasetError, InvalidInputError, is_count
 
 DERIVATIVE_ORDERS = (0, 1, 2)
 SCALE_AXES = ("feature", "sample")
@@ -71,8 +71,14 @@ class PreprocessConfig:
     take_abs: bool = False
 
     def __post_init__(self):
-        if self.derivative_order not in DERIVATIVE_ORDERS:
-            raise InvalidInputError(f"derivative_order must be one of {DERIVATIVE_ORDERS}")
+        if not (is_count(self.derivative_order)
+                and self.derivative_order in DERIVATIVE_ORDERS):
+            raise InvalidInputError(f"derivative_order must be one of "
+                                    f"{DERIVATIVE_ORDERS}, got {self.derivative_order!r}")
+        for name in ("center", "scale", "take_abs"):
+            if not isinstance(getattr(self, name), bool):
+                raise InvalidInputError(
+                    f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.axis not in SCALE_AXES:
             raise InvalidInputError(f"axis must be one of {SCALE_AXES}")
 

@@ -432,7 +432,14 @@ DWT = {"kind": "dwt", "family": "daubechies", "order": 4, "mode": "periodization
      "level must be an integer >= 1 or null, got 2.5"),
     ("gridsearch", {"model": {"kind": "lr", "penalty": "l2", "inverse_reg": "100"}},
      "inverse_reg must be a finite positive number, got '100'"),
-], ids=["wtt-rank-2.5", "dwt-level-str", "dwt-level-2.5", "lr-inverse-reg-str"])
+    ("cluster", {"preprocess": {"derivative_order": 0, "center": "no"},
+                 "model": {"kind": "hac", "affinity": "euclidean", "linkage": "ward"}},
+     "center must be true or false, got 'no'"),
+    ("gridsearch", {"decomposition": DWT, "transform": {"kind": "sign", "tau_quantile": True},
+                    "model": {"kind": "lda"}},
+     "tau_quantile must be a number in [0, 1], got True"),
+], ids=["wtt-rank-2.5", "dwt-level-str", "dwt-level-2.5", "lr-inverse-reg-str",
+        "center-str", "tau-quantile-bool"])
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, stages,
                                                 message):
     data = _tiny_dataset(tmp_path)

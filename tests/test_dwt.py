@@ -253,6 +253,29 @@ def _reference_idwt_periodization(a, d, w, out_length):
     return out[..., :out_length]
 
 
+def _reference_idwt_single(a, d, w, mode, out_length):
+    """The synthesis step with a fresh tap product per tap: the strided
+    slice adds of ``dwt.idwt_single``, each fed by ``a * rec_lo[j] +
+    d * rec_hi[j]``."""
+    L = w.filter_length
+    k = a.shape[-1]
+    if mode == "periodization":
+        ne = 2 * k
+        out = np.zeros(a.shape[:-1] + (ne,))
+        for j in range(L):
+            shift = (2 - L + j) % ne
+            half = out[..., shift % 2::2]
+            rot = shift // 2
+            v = a * w.rec_lo[j] + d * w.rec_hi[j]
+            half[..., rot:] += v[..., :k - rot]
+            half[..., :rot] += v[..., k - rot:]
+        return out[..., :out_length]
+    out = np.zeros(a.shape[:-1] + (2 * k + L - 1,))
+    for j in range(L):
+        out[..., j:j + 2 * k:2] += a * w.rec_lo[j] + d * w.rec_hi[j]
+    return out[..., L - 2:L - 2 + out_length]
+
+
 def _reference_waverec_periodization(c):
     cur = c.approx
     for det, out_len in zip(c.details, c.level_lengths):
@@ -307,6 +330,21 @@ class TestBitIdenticalToReference:
             a, d = _reference_dwt_single(x, w, "periodization")
             _same_bits(dwt.idwt_single(a, d, w, "periodization", n),
                        _reference_idwt_periodization(a, d, w, n))
+
+    @pytest.mark.parametrize("mode", ["periodization", "symmetric"])
+    @pytest.mark.parametrize("n", [1600, 801, 50])
+    def test_synthesis_equals_the_per_tap_products(self, spectra_block, mode, n):
+        # approx and detail as the flat split hands them over: strided
+        # column slices of one block, as well as contiguous rows
+        for family, order in _REFERENCE_WAVELETS:
+            w = dwt.lookup_wavelet(family, order)
+            for x, _ in _blocks(spectra_block[n]):
+                a, d = dwt.dwt_single(x, w, mode)
+                flat = np.concatenate([a, d], axis=-1)
+                split = flat[..., :a.shape[-1]], flat[..., a.shape[-1]:]
+                for a_, d_ in ((a, d), split):
+                    _same_bits(dwt.idwt_single(a_, d_, w, mode, n),
+                               _reference_idwt_single(a_, d_, w, mode, n))
 
     @pytest.mark.parametrize("n", [1600, 801, 50])
     def test_multilevel_inverse_of_soft_thresholded_coefficients(

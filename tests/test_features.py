@@ -6,7 +6,7 @@ from wavefeat import dwt, wtt
 from wavefeat.errors import InvalidConfigError, InvalidInputError
 from wavefeat.features import (DwtTransform, FeatureMap, ThresholdRule,
                                WttTransform, contrast, extract_features,
-                               sign_quantize, threshold)
+                               magnitude_quantile, sign_quantize, threshold)
 
 
 class TestThreshold:
@@ -45,11 +45,77 @@ class TestThreshold:
         nz = delta != 0
         assert np.all(np.sign(delta[nz]) == np.sign(v[nz]))
 
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 2.5])
+    def test_soft_equals_the_product_formula(self, tau):
+        # the formula as first written, with one temporary per step; -0.0
+        # and entries at +-tau included
+        rng = np.random.default_rng(13)
+        v = np.concatenate([rng.standard_normal(500) * 2,
+                            np.round(rng.standard_normal(200), 1),
+                            [0.0, -0.0, tau, -tau, np.nextafter(tau, 0.0),
+                             -np.nextafter(tau, 0.0), np.nextafter(tau, 9.0)]])
+        for block in (v, v[:696].reshape(24, 29), v[:696].reshape(24, 29).T):
+            want = np.sign(block) * np.maximum(np.abs(block) - tau, 0.0)
+            got = threshold(block, ThresholdRule("soft", tau))
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             ThresholdRule("medium", 1.0)
         with pytest.raises(InvalidInputError):
             ThresholdRule("hard", -0.1)
+
+
+class TestMagnitudeQuantile:
+    """``magnitude_quantile`` against ``np.quantile(np.abs(c), q)``, bit for
+    bit, on every numpy the package supports."""
+
+    QS = (0, 1, 0.0, 1.0, 0.5, 0.9, 0.95, 0.98)
+
+    @staticmethod
+    def _same(c, q):
+        got = np.float64(magnitude_quantile(c, q)).tobytes()
+        assert got == np.float64(np.quantile(np.abs(c), q)).tobytes(), (c.shape, q)
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (7,), (1, 1), (2, 5),
+                                       (13, 17), (60, 31), (40, 64), (97, 103)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_equals_np_quantile(self, shape, order, rounded):
+        rng = np.random.default_rng([*shape, order == "F", rounded])
+        c = rng.standard_normal(shape) * 3
+        if rounded:  # few distinct magnitudes, so order statistics tie
+            c = np.round(c)
+        c = np.asarray(c, order=order)
+        for q in self.QS + tuple(rng.random(6)):
+            self._same(c, q)
+
+    def test_random_sizes_and_layouts(self):
+        rng = np.random.default_rng(14)
+        for _ in range(150):
+            n = int(rng.integers(1, 10_000))
+            cols = int(rng.integers(1, 4))
+            c = rng.standard_normal((n, cols))
+            if rng.random() < 0.5:
+                c = np.round(c, 1)
+            if rng.random() < 0.5:
+                c = np.asfortranarray(c)
+            for q in self.QS + (float(rng.random()),):
+                self._same(c, q)
+
+    def test_leaves_its_input_unchanged(self):
+        c = np.random.default_rng(15).standard_normal((20, 30))
+        before = c.copy()
+        magnitude_quantile(c, 0.9)
+        assert np.array_equal(c, before)
+
+    @pytest.mark.parametrize("q", [0, 1, 0.5, 0.9])
+    def test_a_nan_gives_nan(self, q):
+        c = np.random.default_rng(16).standard_normal((30, 40))
+        c[4, 7] = np.nan
+        assert np.isnan(magnitude_quantile(c, q))
+        self._same(c, q)
 
 
 class TestSignQuantize:

@@ -487,3 +487,39 @@ def test_grid_invalid_value_raises(section, value):
     doc[section] = [value]
     with pytest.raises(InvalidConfigError):
         expand_grid(doc)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"derivative_order": True}, "derivative_order must be one of (0, 1, 2), got True"),
+    ({"derivative_order": 1.0}, "derivative_order must be one of (0, 1, 2), got 1.0"),
+    ({"derivative_order": "1"}, "derivative_order must be one of (0, 1, 2), got '1'"),
+    ({"center": "no"}, "center must be true or false, got 'no'"),
+    ({"center": 1}, "center must be true or false, got 1"),
+    ({"scale": "yes"}, "scale must be true or false, got 'yes'"),
+    ({"take_abs": 0}, "take_abs must be true or false, got 0"),
+    ({"take_abs": None}, "take_abs must be true or false, got None"),
+])
+def test_preprocess_value_of_the_wrong_type_raises(fields, message):
+    # "center": "no" used to centre the data, and True and 1.0 were read
+    # as derivative order 1, labelled dTruec and d1.0c
+    doc = {**CLASSIFICATION_GRID, "preprocess": {"derivative_order": 0, **fields}}
+    with pytest.raises(InvalidInputError) as grid_exc:
+        expand_grid(doc)
+    with pytest.raises(InvalidInputError) as config_exc:
+        PipelineConfig.from_dict({"preprocess": doc["preprocess"],
+                                  "model": {"kind": "lda"}})
+    assert str(grid_exc.value) == str(config_exc.value) == message
+
+
+@pytest.mark.parametrize("q", [True, False, "0.9", None, float("nan"), -0.1, 1.5])
+def test_tau_quantile_that_is_not_a_number_in_the_unit_interval_raises(q):
+    # True was labelled qTrue and thresholded at q = 1
+    with pytest.raises(InvalidConfigError,
+                       match=r"tau_quantile must be a number in \[0, 1\], got "):
+        _config(DWT_DB4, {"kind": "sign", "tau_quantile": q}, {"kind": "lda"})
+
+
+@pytest.mark.parametrize("q, label", [(0, "q0"), (1, "q1"), (0.9, "q0.9")])
+def test_tau_quantile_takes_ints_and_floats(q, label):
+    config = _config(DWT_DB4, {"kind": "sign", "tau_quantile": q}, {"kind": "lda"})
+    assert config.label().split("|")[2] == f"sign({label})"

@@ -176,13 +176,6 @@ def dwt_single(x: np.ndarray, w: WaveletSpec, mode: str) -> tuple[np.ndarray, np
     return win @ w.dec_lo[::-1], win @ w.dec_hi[::-1]
 
 
-def _tap(a, d, w: WaveletSpec, j: int, v_lo, v_hi) -> np.ndarray:
-    """``a * rec_lo[j] + d * rec_hi[j]``, computed in the two buffers."""
-    np.multiply(a, w.rec_lo[j], out=v_lo)
-    np.multiply(d, w.rec_hi[j], out=v_hi)
-    return np.add(v_lo, v_hi, out=v_lo)
-
-
 def idwt_single(approx: np.ndarray, detail: np.ndarray, w: WaveletSpec,
                 mode: str, out_length: int) -> np.ndarray:
     """One synthesis step, trimming to the stored input length.
@@ -209,7 +202,8 @@ def idwt_single(approx: np.ndarray, detail: np.ndarray, w: WaveletSpec,
             shift = (2 - L + j) % ne
             half = out[..., shift % 2::2]
             rot = shift // 2
-            v = _tap(a, d, w, j, v_lo, v_hi)
+            v = np.multiply(a, w.rec_lo[j], out=v_lo)
+            v += np.multiply(d, w.rec_hi[j], out=v_hi)
             half[..., rot:] += v[..., :k - rot]
             half[..., :rot] += v[..., k - rot:]
         return out[..., :out_length]
@@ -218,7 +212,9 @@ def idwt_single(approx: np.ndarray, detail: np.ndarray, w: WaveletSpec,
         raise InvalidInputError("inconsistent bookkeeping lengths")
     out = np.zeros(a.shape[:-1] + (full,))
     for j in range(L):
-        out[..., j:j + 2 * k:2] += _tap(a, d, w, j, v_lo, v_hi)
+        v = np.multiply(a, w.rec_lo[j], out=v_lo)
+        v += np.multiply(d, w.rec_hi[j], out=v_hi)
+        out[..., j:j + 2 * k:2] += v
     start = L - 2
     return out[..., start:start + out_length]
 

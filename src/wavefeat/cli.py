@@ -20,8 +20,8 @@ import time
 import numpy as np
 
 from . import __version__, dataio, dwt, models, synth
-from .errors import (DataFormatError, InvalidConfigError, InvalidInputError,
-                     NumericalError)
+from .errors import (DataFormatError, InvalidConfigError, InvalidDatasetError,
+                     InvalidInputError, NumericalError)
 from .grids import grid_for_task, load_grid_document, load_json_config
 from .harness import (DwtSpec, FoldMemo, PipelineConfig, SignalTable,
                       final_clustering, fit_pipeline, grid_search, repeated_cv,
@@ -148,6 +148,10 @@ def _classification_table(cells: dict, model_kind: str, spaces: list[str]) -> st
 def cmd_gridsearch(args) -> int:
     t_start = time.perf_counter()
     data = _load_data(args)
+    n_classes = len(set(data.labels))
+    if n_classes < 2:
+        raise InvalidDatasetError(
+            f"{args.data}: classification needs at least 2 classes, found {n_classes}")
     doc = load_grid_document(args.config)
     grid = grid_for_task(doc, "classification")
     seed = 0 if args.seed is None else args.seed
@@ -315,6 +319,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _solver_line(solver: dict, where: str) -> str:
+    """One line on an LR winner's fits: converged of attempted, the most
+    Newton steps and the largest duality gap (l1 only)."""
+    done, tried, steps = (_manifest_field(solver, name, _NUMBER, where)
+                          for name in ("fits_converged", "fits_attempted", "max_n_iter"))
+    gap = solver.get("max_gap")
+    gap_text = "-" if gap is None else f"{_manifest_field(solver, 'max_gap', _NUMBER, where):.1e}"
+    return (f"LR fits converged {done}/{tried}, Newton steps at most {steps}, "
+            f"largest duality gap {gap_text}")
+
+
 def cmd_report(args) -> int:
     if args.registry:
         with open(args.registry, "w") as fh:
@@ -348,6 +363,9 @@ def cmd_report(args) -> int:
             main = ("test_accuracy" if "test_accuracy" in means else "ari")
             score = _manifest_field(means, main, _NUMBER, at + "means.")
             print(f"  {key}: {main}={score:.4f} ({entry.get('label')})")
+            if "solver" in entry:
+                print("    " + _solver_line(_manifest_field(entry, "solver", dict, at),
+                                            at + "solver."))
         elif "scores" in entry:
             scores = _manifest_field(entry, "scores", dict, at)
             score, ami, fm = (_manifest_field(scores, name, _NUMBER, at + "scores.")

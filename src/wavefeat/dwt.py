@@ -64,7 +64,9 @@ class WaveletSpec:
 
 
 def _normalize_order(order) -> str:
-    if isinstance(order, float) and order == int(order):
+    # is_integer, not int(order), which raises on inf and NaN: those orders
+    # are looked up as "inf" and "nan" and rejected like any other
+    if isinstance(order, float) and order.is_integer():
         return str(int(order))
     return str(order)
 

@@ -49,8 +49,8 @@ class MissingLabelError(DataFormatError):
 
 class InvalidDatasetError(DataFormatError):
     """Dataset values break the schema: a non-finite wavenumber or intensity,
-    a wavenumber grid that is not strictly monotone, or fewer than 2
-    samples."""
+    a wavenumber grid that is not strictly monotone, fewer than 2 samples,
+    or, for classification, fewer than 2 classes."""
 
 
 class NumericalError(WavefeatError, ArithmeticError):

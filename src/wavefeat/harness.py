@@ -691,7 +691,7 @@ class CvReport:
     stds: dict
     runtime_seconds: float
     warnings: list = field(default_factory=list)
-    lr_fits: list = field(default_factory=list)  # (converged, n_iter) per LR fit
+    lr_fits: list = field(default_factory=list)  # (converged, n_iter, gap) per LR fit
 
     def to_dict(self) -> dict:
         out = {
@@ -708,10 +708,12 @@ class CvReport:
             "warnings": self.warnings,
         }
         if self.config.model.kind == "lr":
+            gaps = [gap for _, _, gap in self.lr_fits if gap is not None]
             out["solver"] = {
                 "fits_attempted": len(self.lr_fits),
-                "fits_converged": sum(conv for conv, _ in self.lr_fits),
-                "max_n_iter": max((n_it for _, n_it in self.lr_fits), default=0),
+                "fits_converged": sum(conv for conv, _, _ in self.lr_fits),
+                "max_n_iter": max((n_it for _, n_it, _ in self.lr_fits), default=0),
+                "max_gap": max(gaps) if gaps else None,
             }
         return out
 
@@ -746,7 +748,7 @@ def _fit_and_score(config: PipelineConfig, memo: FoldMemo) -> tuple:
     fitted = fit_pipeline(config, memo.data, memo.train_idx, memo)
     scores = _score_classification(fitted, memo)
     model = fitted.model
-    lr_fit = ((model.converged, model.n_iter)
+    lr_fit = ((model.converged, model.n_iter, model.duality_gap)
               if isinstance(model, models.LrModel) else None)
     return scores, time.perf_counter() - t0, fitted.warnings, lr_fit
 

@@ -8,11 +8,13 @@ floor variance and weigh most, instead of being ignored.  Logistic regression
 minimizes mean logistic loss plus a ridge or a lasso penalty.  The ridge
 solution lies in the row space of the m training rows, so Newton's method
 solves it in min(m, n) coordinates plus the intercept, not in the n feature
-coordinates.  The lasso is solved by accelerated proximal gradient (FISTA),
-which yields exact zeros; it picks its step by backtracking on a
-sufficient-decrease test, starting from the global Lipschitz bound, and stops
-when the KKT residual of the full objective (the largest entry of its
-minimum-norm subgradient) is at most the tolerance.  Clustering is
+coordinates.  The lasso is solved by the barrier method of Koh, Kim & Boyd
+(JMLR 2007), whose Newton systems, like the ridge's, are solved in the
+m-dimensional row space, with the one-vs-rest classes stepping together; it
+stops at a duality gap of 1e-10, and Newton's method on the support with
+the signs fixed then gives exact zeros.  A lasso class converges when the
+KKT residual of the full objective (the largest entry of its minimum-norm
+subgradient) is at most the tolerance.  Clustering is
 agglomerative on the distance matrix of ``pairwise_distances`` (the
 euclidean and cosine matrices read one Gram matrix, ``gram_matrix``), and
 ``cut_tree`` and ``dendrogram_export`` read the merge list ``hac_fit``
@@ -180,6 +182,15 @@ class LrModel:
     inverse_reg: float       # C = 1/lambda
     converged: bool
     n_iter: int
+    duality_gap: float | None = None  # largest of the classes' (l1); None for l2
+
+
+def _logistic_terms(z):
+    """sigma(-z) and sigma(z) sigma(-z) of margins z; the second is formed as
+    e s s with e = exp(z), which stays above 0 where 1 - s rounds to 0."""
+    e = np.exp(np.clip(z, -500, 500))
+    s = 1.0 / (1.0 + e)
+    return s, e * s * s
 
 
 def _newton_binary_l2(ra, q, y, lam, grad_tol, max_iter, x0):
@@ -206,15 +217,13 @@ def _newton_binary_l2(ra, q, y, lam, grad_tol, max_iter, x0):
     t = x0
     f, z = loss(t)
     for it in range(max_iter + 1):
-        e = np.exp(np.clip(z, -500, 500))
-        s = 1.0 / (1.0 + e)  # sigma(-z)
+        s, curv = _logistic_terms(z)
         grad = ra.T @ (-y * s / m) + ridge * t
         if max(np.max(np.abs(q @ grad[:-1])), abs(grad[-1])) <= grad_tol:
             return t, True, it
         if it == max_iter:
             break
-        # sigma(z) sigma(-z) as e s s, which stays above 0 where 1 - s is 0
-        hess = (ra.T * (e * s * s / m)) @ ra
+        hess = (ra.T * (curv / m)) @ ra
         hess[np.diag_indices(k)] += ridge
         try:
             p = np.linalg.solve(hess, -grad)
@@ -238,89 +247,263 @@ def _newton_binary_l2(ra, q, y, lam, grad_tol, max_iter, x0):
     return t, False, it
 
 
-def _fit_binary_l1(xa, y, lam, grad_tol, max_iter, x0, lip):
-    """FISTA with backtracking and adaptive restart on the smooth logistic
-    loss + lam * ||w||_1 (intercept unpenalized); xa is the data with a
-    trailing column of ones.  The proximal step, sign(v) * max(|v| - lam/L, 0),
-    yields exact zeros.
+GAP_TOL = 1e-10       # the barrier stops at this duality gap
+T_GROWTH = 8.0        # t grows by at most this factor per step
 
-    Step size: each iteration first tries L/2, then doubles L until the
-    sufficient-decrease test f(p) <= f(z) + <grad f(z), p - z> + L/2 ||p - z||^2
-    holds at the proximal point p of the extrapolated point z.  ``lip`` is
-    the global bound sigma_max(xa)^2 / (4 m): it is the first L, and since
-    the test holds at or above it, L is never raised past it.
 
-    Stopping rule: the KKT residual at z (the largest entry of the
-    minimum-norm subgradient of the full objective) is at most grad_tol; z is
-    then returned.  The residual is tested in parts, cheapest first, and the
-    test stops at the first part above grad_tol: the intercept gradient
-    |g_b|, then the zero weights, max |g_j| - lam, then the support,
-    max |g_j + lam sign(w_j)|.  A NaN in any part reads as not converged.
-    The residual does not depend on the step, and it is never smaller than
-    the gradient-mapping residual |prox step| * L.
+def _l1_residuals(x, ys, lam, w, b):
+    """KKT residual per class of mean logistic loss + lam ||w||_1: the
+    largest entry of the minimum-norm subgradient, max(|g_b|, max over the
+    zero weights of |g_j| - lam, max over the support of
+    |g_j + lam sign(w_j)|).  ys holds one +-1 target row per class, w one
+    weight row.  A NaN anywhere gives NaN."""
+    s, _ = _logistic_terms(ys * (w @ x.T + b[:, None]))
+    coef = -ys * s / ys.shape[1]
+    g = coef @ x
+    sub = np.where(w != 0.0, np.abs(g + lam * np.sign(w)), np.abs(g) - lam)
+    return np.maximum(np.max(sub, axis=1), np.abs(np.sum(coef, axis=1)))
 
-    The iteration's vectors live in buffers allocated once per solve.  Each
-    floating-point operation, and its order, is that of the plain formulas
-    above, so the iterates are the same bits as theirs; ``tests/test_models.py``
-    keeps the plain form as its reference.
-    """
-    m = xa.shape[0]
-    lip_max = lip
-    neg_y = -y
-    wb, zb = x0.copy(), x0.copy()
-    new, step = np.empty_like(wb), np.empty_like(wb)
-    shrunk = np.empty(wb.size - 1)
-    coef = np.empty(m)
-    xw = xz = xa @ wb  # margins before the labels: X w + b and X z + b
-    t_acc = 1.0
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        loss_z = np.add.reduce(np.logaddexp(0.0, neg_y * xz)) / m
-        np.minimum(np.maximum(y * xz, -500.0, out=coef), 500.0, out=coef)
-        np.exp(coef, out=coef)
-        coef += 1.0
-        np.divide(neg_y, coef, out=coef)
-        coef /= m
-        grad = xa.T @ coef
-        g, w = grad[:-1], zb[:-1]  # KKT residual at z, cheapest part first
-        if (abs(grad[-1]) <= grad_tol
-                and np.maximum.reduce(np.abs(g), where=w == 0.0,
-                                      initial=lam) - lam <= grad_tol
-                and np.maximum.reduce(np.abs(g + lam * np.sign(w)),
-                                      where=w != 0.0, initial=0.0) <= grad_tol):
-            wb = zb
-            converged = True
+
+def _best_intercepts(xw, ys, b):
+    """The intercept that minimises each class's mean logistic loss at fixed
+    margins xw (X w, per class row), by Newton's method from b with each
+    step clipped to 1, which keeps it from overshooting where the loss is
+    nearly linear."""
+    for _ in range(100):
+        s, curv = _logistic_terms(ys * (xw + b[:, None]))
+        step = np.clip(np.sum(ys * s, axis=1) / np.sum(curv, axis=1), -1.0, 1.0)
+        b = b + step
+        if np.all(np.abs(step) <= 1e-13 * (1.0 + np.abs(b))):
             break
-        lip /= 2.0
-        while True:
-            np.subtract(zb, np.divide(grad, lip, out=new), out=new)
-            v = new[:-1]
-            np.abs(v, out=shrunk)
-            shrunk -= lam / lip
-            np.maximum(shrunk, 0.0, out=shrunk)
-            np.sign(v, out=v)
-            v *= shrunk
-            np.subtract(new, zb, out=step)
-            xnew = xa @ new
-            loss_new = np.add.reduce(np.logaddexp(0.0, neg_y * xnew)) / m
-            if (lip >= lip_max or loss_new
-                    <= loss_z + grad @ step + 0.5 * lip * (step @ step)):
+    return b
+
+
+def _duality_bounds(x, ys, lam, w, b):
+    """(primal value, dual value) per class of mean logistic loss +
+    lam ||w||_1 at w; the dual value is a lower bound on the optimum.
+
+    The primal value is taken at the intercept that is optimal for w, and
+    the dual point is theta = sigma(-z) / m there, so sum(theta y) = 0; it is
+    scaled by min(1, lam / ||X^T (y theta)||_inf) to make it dual feasible
+    (Koh, Kim & Boyd 2007, sec. 2.3).  The dual value is
+    -mean(p log p + (1 - p) log(1 - p)) at p = m theta, with 0 log 0 = 0."""
+    m = ys.shape[1]
+    xw = w @ x.T
+    z = ys * (xw + _best_intercepts(xw, ys, b)[:, None])
+    s, _ = _logistic_terms(z)
+    g_max = np.max(np.abs((ys * s / m) @ x), axis=1)
+    p = s * (lam / np.maximum(g_max, lam))[:, None]
+    q = 1.0 - p
+    entropy = (p * np.log(np.where(p > 0.0, p, 1.0))
+               + q * np.log(np.where(q > 0.0, q, 1.0)))
+    primal = np.mean(np.logaddexp(0.0, -z), axis=1) + lam * np.sum(np.abs(w), axis=1)
+    return primal, -np.mean(entropy, axis=1)
+
+
+def _barrier_l1(x, ys, lam, max_iter, w, b):
+    """The one-vs-rest classes of an l1 fit, stepped together by the
+    barrier method of Koh, Kim & Boyd ("An interior-point method for
+    large-scale l1-regularized logistic regression", JMLR 8, 2007).
+
+    Each class minimises t (mean loss + lam sum(u)) - sum log(u + w)
+    - sum log(u - w) over (w, u, b) by Newton's method, from u = |w| + 1 and
+    t = 1 / lam.  The iterate is held as p = u + w and q = u - w, which a
+    step keeps positive exactly.  u is eliminated: its Schur complement adds
+    S = diag(2 / (u^2 + w^2)) to the w block, which leaves S + t X^T D X, with
+    D the loss curvature per row over m, plus the intercept row.  By the
+    Woodbury identity that system is solved through the m x m matrix
+    K = diag(1 / (t d)) + X S^-1 X^T (Boyd & Vandenberghe, Convex
+    Optimization, app. C.4), with b by block elimination:
+    K [a, q] = [1, X S^-1 r_w], db = (r_b - sum q) / sum a,
+    dw = S^-1 (r_w - X^T (q + a db)).  Each class's K is the product of
+    X S^-1/2 with itself, formed in one reused (m, n) buffer, and the
+    classes' systems are solved in one batched call.
+
+    The step starts at 1, or at 0.99 of the largest step that keeps p and q
+    positive, and is halved until phi_t falls by 0.01 of the decrease the
+    gradient predicts.  After a step of at least 0.5, t becomes
+    max(T_GROWTH min(2n / gap, t), t), where the gap is the primal value
+    less the best dual value so far (_duality_bounds).  A class stops at a
+    gap of at most GAP_TOL, after max_iter steps, or when 50 halvings find no
+    decrease.  Returns w, u, b, the steps and the best dual value of every
+    class.
+    """
+    c, m = ys.shape
+    n = x.shape[1]
+    p = np.abs(w) + 1.0 + w
+    q = np.abs(w) + 1.0 - w
+    t = np.full(c, 1.0 / lam)
+    steps = np.zeros(c, dtype=int)
+    lower = np.full(c, -np.inf)
+    buf = np.empty((m, n))
+    kmat = np.empty((c, m, m))
+    diag = np.arange(m)
+    live = np.arange(c) if max_iter > 0 else np.arange(0)
+    while live.size:
+        k = live.size
+        pl, ql, bl, tl, yl = p[live], q[live], b[live], t[live], ys[live]
+        wl = 0.5 * (pl - ql)
+        z = yl * (wl @ x.T + bl[:, None])
+        s, curv = _logistic_terms(z)
+        coef = -yl * s / m
+        gb = tl * np.sum(coef, axis=1)
+        ip, iq = 1.0 / pl, 1.0 / ql
+        gw = tl[:, None] * (coef @ x) + iq - ip
+        gu = (tl * lam)[:, None] - iq - ip
+        sq = pl * pl + ql * ql
+        half_sq = 0.25 * sq                         # S^-1
+        uws = (pl - ql) * (pl + ql) / sq            # u w S
+        rw = -gw - uws * gu
+        roots = np.sqrt(half_sq)
+        for j in range(k):
+            np.multiply(x, roots[j], out=buf)
+            np.matmul(buf, buf.T, out=kmat[j])
+        km = kmat[:k]
+        km[:, diag, diag] += m / (tl[:, None] * curv)
+        v = (rw * half_sq) @ x.T
+        # explicit (k, m, 2) right-hand sides: numpy 2 reads a (k, m) b as
+        # k vectors, numpy 1 as one (k, m) matrix
+        sol = np.linalg.solve(km, np.stack((np.ones_like(v), v), axis=2))
+        a, qv = sol[..., 0], sol[..., 1]
+        db = (-gb - np.sum(qv, axis=1)) / np.sum(a, axis=1)
+        dw = (rw - (qv + a * db[:, None]) @ x) * half_sq
+        pq = pl * ql
+        du = uws * dw - gu * pq * pq / sq
+        slope = np.sum(gw * dw + gu * du, axis=1) + gb * db
+        # phi_t(step) - phi_t(0), with the barrier terms as log1p of the
+        # relative changes of p and q
+        rp, rq = (du + dw) * ip, (du - dw) * iq
+        worst = np.min(np.minimum(rp, rq), axis=1)
+        step = np.where(worst < 0.0, np.minimum(1.0, -0.99 / np.minimum(worst, -1e-300)), 1.0)
+        rsum, rprod = rp + rq, rp * rq
+        dz = yl * (dw @ x.T + db[:, None])
+        loss0 = np.mean(np.logaddexp(0.0, -z), axis=1)
+        lin = lam * np.sum(du, axis=1)
+        pending = np.arange(k)
+        for _ in range(50):
+            sp = step[pending][:, None]
+            loss = np.mean(np.logaddexp(0.0, -(z[pending] + sp * dz[pending])), axis=1)
+            change = (tl[pending] * (loss - loss0[pending] + sp[:, 0] * lin[pending])
+                      - np.sum(np.log1p(sp * (rsum[pending] + sp * rprod[pending])), axis=1))
+            pending = pending[change > 0.01 * sp[:, 0] * slope[pending]]
+            if not pending.size:
                 break
-            lip *= 2.0
-        d = np.subtract(new, wb, out=wb)
-        # restart the momentum when it points against the step direction,
-        # (z - new) . d > 0, which is step . d < 0 exactly
-        if step @ d < 0:
-            t_acc = 1.0
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        beta = (t_acc - 1.0) / t_next
-        np.multiply(d, beta, out=zb)
-        zb += new
-        xz = (1.0 + beta) * xnew - beta * xw  # X z without a mat-vec
-        wb, new, xw = new, d, xnew
-        t_acc = t_next
-    return wb, converged, it
+            step[pending] /= 2.0
+        step[pending] = 0.0
+        st = step[:, None]
+        pl, ql, bl = pl + st * (du + dw), ql + st * (du - dw), bl + step * db
+        primal, dual = _duality_bounds(x, yl, lam, 0.5 * (pl - ql), bl)
+        lower[live] = np.maximum(lower[live], dual)
+        gap = primal - lower[live]
+        t[live] = np.where(step >= 0.5, np.maximum(
+            T_GROWTH * np.minimum(2 * n / np.maximum(gap, GAP_TOL), tl), tl), tl)
+        p[live], q[live], b[live] = pl, ql, bl
+        steps[live] += 1
+        stop = (gap <= GAP_TOL) | (step == 0.0) | (steps[live] >= max_iter)
+        live = live[~stop]
+    return 0.5 * (p - q), 0.5 * (p + q), b, steps, lower
+
+
+def _polish_l1(x, y, lam, w, b, tol, budget):
+    """Newton's method on the support of w with the signs held fixed, where
+    the objective is smooth: mean loss + lam sum(sign_j w_j).  A step ends
+    at the first weight it would carry across 0, which is then set to 0 and
+    leaves the support.  Once the gradient on the support and of b is at most
+    tol, the zero weight with the largest |g_j| > lam + tol joins with the
+    sign -sign(g_j); when there is none, the weights meet the KKT conditions
+    to tol with exact zeros.  Steps are halved until the objective falls by
+    1e-4 of the decrease the gradient predicts, and a full step is taken
+    where that decrease is below the objective's rounding.  Returns w, b and
+    the steps taken, at most budget; a full step that leaves the gradient
+    above tol ends the polish, since the gradient is then at its rounding
+    level."""
+    m = y.size
+    signs = np.sign(w)
+    steps = 0
+    blind = False
+    while steps < budget:
+        cols = np.flatnonzero(signs)
+        xs = x[:, cols]
+        z = y * (xs @ w[cols] + b)
+        s, curv = _logistic_terms(z)
+        coef = -y * s / m
+        grad = np.append(coef @ xs + lam * signs[cols], np.sum(coef))
+        if np.max(np.abs(grad)) <= tol:
+            g = coef @ x
+            excess = np.where(signs == 0.0, np.abs(g) - lam, -np.inf)
+            j = int(np.argmax(excess))
+            if not excess[j] > tol:
+                break
+            signs[j] = -np.sign(g[j])
+            blind = False
+            continue
+        if blind:
+            break
+        xb = np.column_stack([xs, np.ones(m)])
+        hess = (xb.T * (curv / m)) @ xb
+        try:
+            p = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            p = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        pw = p[:-1]
+        against = signs[cols] * pw < 0.0
+        if np.any(against & (w[cols] == 0.0)):
+            break  # a joining weight would leave the wrong way: rounding level
+        reach = np.full(cols.size, np.inf)
+        np.divide(-w[cols], pw, out=reach, where=against)
+        first = int(np.argmin(reach)) if cols.size else 0
+        limit = min(1.0, reach[first]) if cols.size else 1.0
+        step = limit
+        slope = float(grad @ p)
+        dz = y * (xs @ pw + p[-1])
+        loss0 = np.mean(np.logaddexp(0.0, -z))
+        blind = -slope <= 1e-10 * loss0
+        if not blind:
+            pen = lam * float(signs[cols] @ pw)
+            for _ in range(50):
+                change = np.mean(np.logaddexp(0.0, -(z + step * dz))) - loss0 + step * pen
+                if change <= 1e-4 * step * slope:
+                    break
+                step /= 2.0
+            else:
+                break
+        w[cols] += step * pw
+        b += step * p[-1]
+        if step == limit < 1.0:
+            w[cols[first]] = 0.0
+            signs[cols[first]] = 0.0
+        steps += 1
+    return w, b, steps
+
+
+def _fit_l1(x, ys, lam, grad_tol, max_iter, x0):
+    """(weights, intercepts, KKT residual, Newton steps, duality gap) of the
+    l1 problem of every class (ys: one +-1 target row per class), all from
+    the start x0 = (w, b).
+
+    The barrier method steps the classes together (_barrier_l1); then each
+    class is polished (_polish_l1) from the weights with
+    |w_j| > (1 - 1e-6) u_j, which on the central path are those with |g_j|
+    within 1e-6 lam of lam, to a tolerance of grad_tol / 1000.  The gap is
+    taken against the best dual value seen.  A class whose start already
+    meets the KKT test takes no step."""
+    c = ys.shape[0]
+    w = np.tile(x0[:-1], (c, 1))
+    b = np.full(c, x0[-1])
+    steps = np.zeros(c, dtype=int)
+    lower = np.full(c, -np.inf)
+    todo = np.flatnonzero(~(_l1_residuals(x, ys, lam, w, b) <= grad_tol))
+    if todo.size:
+        wt, ut, bt, steps[todo], lower[todo] = _barrier_l1(
+            x, ys[todo], lam, max_iter, w[todo], b[todo])
+        wt[np.abs(wt) <= (1.0 - 1e-6) * ut] = 0.0
+        for i, k in enumerate(todo):
+            w[k], b[k], n_polish = _polish_l1(x, ys[k], lam, wt[i], bt[i],
+                                              1e-3 * grad_tol, max_iter - steps[k])
+            steps[k] += n_polish
+    primal, dual = _duality_bounds(x, ys, lam, w, b)
+    return (w, b, _l1_residuals(x, ys, lam, w, b), steps,
+            primal - np.maximum(lower, dual))
 
 
 def lr_fit(x: np.ndarray, labels, penalty: str = "l2", inverse_reg: float = 1.0,
@@ -340,18 +523,19 @@ def lr_fit(x: np.ndarray, labels, penalty: str = "l2", inverse_reg: float = 1.0,
     (Hastie & Tibshirani, Biostatistics 2004).  Newton's method solves it
     (see _newton_binary_l2) from beta = Q^T w0, the start x0 projected onto
     the span, and stops when the largest entry of the full-space gradient
-    (Q g_beta, g_b) is at most grad_tol; n_iter counts Newton steps.
+    (Q g_beta, g_b) is at most grad_tol.
 
-    The l1 problem is solved by backtracking FISTA (see
-    _fit_binary_l1), which starts from the Lipschitz bound
-    sigma_max([x, 1])^2 / (4 m), computed once per fit and shared by the
-    classes, and stops when the largest entry of the minimum-norm
-    subgradient (the KKT residual) is at most grad_tol.  That test reads the
-    intercept gradient first, then the zero weights, then the support, and
-    stops at the first part above grad_tol; a NaN is never converged.
-    ``x0`` is the start (w, b) of every class.  A class that fails to
-    converge within max_iter iterations produces a warning; the model is
-    still returned.
+    The l1 problem is solved by a barrier method whose Newton systems are
+    m x m, with the classes stepping together (see _barrier_l1), until the
+    duality gap is at most GAP_TOL; then Newton's method on the support
+    with the signs fixed gives exact zeros (see _polish_l1).  A class
+    converges when its KKT residual, the largest entry of the minimum-norm
+    subgradient, is at most grad_tol; ``duality_gap`` is the largest gap of
+    the classes at the returned weights.
+
+    ``x0`` is the start (w, b) of every class.  n_iter is the most Newton
+    steps any class took, at most max_iter.  A class that does not converge
+    produces a warning; the model is still returned.
     """
     if penalty not in PENALTIES:
         raise InvalidConfigError(f"penalty must be one of {PENALTIES}")
@@ -360,38 +544,36 @@ def lr_fit(x: np.ndarray, labels, penalty: str = "l2", inverse_reg: float = 1.0,
     x, labels, classes = _check_fit_inputs(x, labels)
     lam = 1.0 / inverse_reg
     m, n = x.shape
+    start = np.zeros(n + 1) if x0 is None else np.asarray(x0, dtype=float)
+    arr_labels = np.asarray(labels, dtype=object)
+    ys = np.array([np.where(arr_labels == cls, 1.0, -1.0) for cls in classes])
+    gap = None
     if penalty == "l1":
-        xa = np.column_stack([x, np.ones(m)])
-        lip = np.linalg.norm(xa, 2) ** 2 / (4.0 * m)
+        weights, intercepts, residual, n_iters, gaps = _fit_l1(
+            x, ys, lam, grad_tol, max_iter, start)
+        converged = residual <= grad_tol
+        gap = float(np.max(gaps))
     else:
         q, r = np.linalg.qr(x.T)  # x^T = q r, q: n x min(m, n)
         ra = np.column_stack([r.T, np.ones(m)])
-    weights = np.empty((len(classes), n))
-    intercepts = np.empty(len(classes))
-    all_converged = True
-    worst_iter = 0
-    for i, cls in enumerate(classes):
-        y = np.where(np.asarray(labels, dtype=object) == cls, 1.0, -1.0)
-        start = np.zeros(n + 1) if x0 is None else np.asarray(x0, dtype=float)
-        if penalty == "l2":
-            tb, conv, n_it = _newton_binary_l2(
+        weights = np.empty((len(classes), n))
+        intercepts = np.empty(len(classes))
+        converged = np.empty(len(classes), dtype=bool)
+        n_iters = np.empty(len(classes), dtype=int)
+        for i, y in enumerate(ys):
+            tb, converged[i], n_iters[i] = _newton_binary_l2(
                 ra, q, y, lam, grad_tol, max_iter,
                 np.append(q.T @ start[:-1], start[-1]))
-            wb = np.append(q @ tb[:-1], tb[-1])
-        else:
-            wb, conv, n_it = _fit_binary_l1(xa, y, lam, grad_tol, max_iter,
-                                            start, lip)
-        weights[i] = wb[:-1]
-        intercepts[i] = wb[-1]
-        all_converged &= conv
-        worst_iter = max(worst_iter, n_it)
+            weights[i] = q @ tb[:-1]
+            intercepts[i] = tb[-1]
+    for cls, conv in zip(classes, converged):
         if not conv:
             warnings.warn(
                 f"logistic regression for class {cls!r} did not reach "
                 f"tolerance {grad_tol} in {max_iter} iterations",
                 RuntimeWarning, stacklevel=2)
     return LrModel(classes, weights, intercepts, penalty, inverse_reg,
-                   all_converged, worst_iter)
+                   bool(np.all(converged)), int(np.max(n_iters)), gap)
 
 
 def lr_scores(model: LrModel, x: np.ndarray) -> np.ndarray:

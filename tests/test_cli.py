@@ -8,7 +8,7 @@ from wavefeat import cli, dataio
 from wavefeat.harness import PipelineConfig, fit_pipeline, load_pipeline
 
 
-def test_gridsearch_manifest_records_runtime_and_solver_outcome(tmp_path):
+def test_gridsearch_manifest_records_runtime_and_solver_outcome(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(
         {"class_count": 3, "samples_per_class": [6, 6, 6], "grid_points": 128}))
@@ -35,7 +35,14 @@ def test_gridsearch_manifest_records_runtime_and_solver_outcome(tmp_path):
     # two repeats of 2-fold CV: four fits, each converged
     assert solver["fits_attempted"] == 4
     assert solver["fits_converged"] == 4
-    assert 0 < solver["max_n_iter"] < 5000
+    assert 0 < solver["max_n_iter"] <= 100
+    assert 0.0 <= solver["max_gap"] <= 1e-9
+    capsys.readouterr()
+    assert cli.main(["report", "--run-dir", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert (f"LR fits converged 4/4, Newton steps at most {solver['max_n_iter']}, "
+            f"largest duality gap {solver['max_gap']:.1e}") in printed
+    assert printed.count("LR fits converged") == 1  # the LDA winner has none
 
 
 def _tiny_dataset(tmp_path, name="data.csv"):
@@ -274,7 +281,11 @@ def test_report_on_a_bad_manifest_exits_3(tmp_path, capsys, text):
      "winners.lr|WTT|d0.means.test_accuracy must be a number"),
     ({"grid_skipped": [1]}, "grid_skipped must be a JSON object"),
     ({"wall_time_seconds": "1s"}, "wall_time_seconds must be a number"),
-], ids=["winners", "fits", "hits", "sha256", "scores", "means", "skipped", "wall"])
+    ({"winners": {"lr|WTT|d0": {"means": {"test_accuracy": 0.9}, "solver": {
+        "fits_attempted": 4, "fits_converged": 4, "max_n_iter": 30, "max_gap": "0"}}}},
+     "winners.lr|WTT|d0.solver.max_gap must be a number"),
+], ids=["winners", "fits", "hits", "sha256", "scores", "means", "skipped", "wall",
+        "max-gap"])
 def test_report_on_a_manifest_with_a_mistyped_field_exits_3(
         tmp_path, capsys, manifest, message):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -455,6 +466,36 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, stage
                     ["train", "--data", str(data), "--config", str(config),
                      "--out-dir", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gridsearch", "cluster"])
+@pytest.mark.parametrize("order", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_non_finite_dwt_order_exits_2(tmp_path, capsys, command, order):
+    # json writes these as the literals Infinity and NaN, which json reads back
+    data = _tiny_dataset(tmp_path)
+    task, model = (("classification", {"kind": "lda"}) if command == "gridsearch" else
+                   ("clustering", {"kind": "hac", "affinity": "euclidean",
+                                   "linkage": "ward"}))
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"schema": "wavefeat-grid", task: {
+        "preprocess": {"derivative_order": 0},
+        "decomposition": {**DWT, "order": [order]}, "model": model}}))
+    assert cli.main([command, "--data", str(data), "--config", str(config),
+                     "--folds", "2", "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: unsupported order '{order}' for daubechies" in err
+    assert "Traceback" not in err
+
+
+def test_one_class_dataset_in_gridsearch_exits_3(tmp_path, capsys):
+    data = _tiny_dataset(tmp_path)
+    lines = data.read_text().splitlines()
+    one_class = [lines[0]] + ["c0," + line.split(",", 1)[1] for line in lines[1:]]
+    data.write_text("\n".join(one_class) + "\n")
+    assert cli.main(["gridsearch", "--data", str(data), "--folds", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    assert (f"data error: {data}: classification needs at least 2 classes, found 1"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("fields, message", [

@@ -407,6 +407,11 @@ def test_pipeline_archive_round_trip(data, tmp_path, config, numpy_labels):
         return
     _assert_identical(loaded.model, fitted.model)
     assert loaded.predict(block) == fitted.predict(block)
+    if config.model.kind == "lr":
+        # the l1 solver's duality gap goes through the archive's JSON header
+        gap = loaded.model.duality_gap
+        assert (gap is None) == (config.model.penalty == "l2")
+        assert gap == fitted.model.duality_gap
     if numpy_labels:
         for model in (fitted.model, loaded.model):
             assert model.classes == [0, 1, 2]

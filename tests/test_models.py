@@ -417,19 +417,102 @@ class TestLrL1:
             assert abs(obj_a - obj_b) <= 1e-8
 
     def test_warm_start_from_solution_stops_at_first_iteration(self, sparse_problem):
+        # a start that already meets the KKT test is returned before any step
         x, y = sparse_problem
-        xa = np.column_stack([x, np.ones(len(y))])
-        lip = np.linalg.norm(xa, 2) ** 2 / (4.0 * len(y))
-        yy = _binary_targets(y, 1)
-        wb, conv, _ = M._fit_binary_l1(xa, yy, 0.1, 1e-6, 5000, np.zeros(9), lip)
-        assert conv
-        again, conv, n_it = M._fit_binary_l1(xa, yy, 0.1, 1e-6, 5000, wb, lip)
-        assert conv and n_it == 1
-        assert np.array_equal(again, wb)
+        yy = _binary_targets(y, 1)[None]
+        w, b, residual, steps, _ = M._fit_l1(x, yy, 0.1, 1e-6, 5000, np.zeros(9))
+        assert residual[0] <= 1e-6 and steps[0] > 0
+        start = np.append(w[0], b[0])
+        w2, b2, residual2, steps2, _ = M._fit_l1(x, yy, 0.1, 1e-6, 5000, start)
+        assert steps2[0] == 0 and residual2[0] <= 1e-6
+        assert np.append(w2[0], b2[0]).tobytes() == start.tobytes()
+
+    def test_weights_have_exact_zeros_and_meet_the_kkt_conditions(self):
+        x, y = _wide_problem(m=40, n=300)
+        model = M.lr_fit(x, y, "l1", 10.0)
+        assert model.converged
+        for i, cls in enumerate(model.classes):
+            w = model.weights[i]
+            assert 0 < np.count_nonzero(w) < 40
+            _, kkt = _l1_objective_and_kkt(
+                x, _binary_targets(y, cls), np.append(w, model.intercepts[i]), 0.1)
+            assert kkt <= 1e-9
+
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_polish_drops_and_adds_weights_to_reach_the_support(self, change):
+        # from the solution with one weight too many (a zero weight set to
+        # its loss-gradient's sign, which the polish carries back across 0)
+        # or one too few, the polish ends on the solution's zeros
+        x, labels = _wide_problem(m=40, n=300)
+        y = _binary_targets(labels, 1)
+        w, b, _, _, _ = M._fit_l1(x, y[None], 0.1, 1e-6, 5000, np.zeros(301))
+        w, b = w[0], b[0]
+        z = y * (x @ w + b)
+        g = (-y / (1.0 + np.exp(z)) / 40) @ x
+        start = w.copy()
+        if change == "extra":
+            j = int(np.argmax(np.where(w == 0.0, np.abs(g), -np.inf)))
+            start[j] = 1e-3 * np.sign(g[j])
+        else:
+            j = int(np.argmax(np.abs(w)))
+            start[j] = 0.0
+        got, got_b, steps = M._polish_l1(x, y, 0.1, start, b, 1e-9, 100)
+        assert steps > 0 and np.sign(got[j]) == np.sign(w[j])
+        assert np.array_equal(got != 0.0, w != 0.0)
+        _, kkt = _l1_objective_and_kkt(x, y, np.append(got, got_b), 0.1)
+        assert kkt <= 1e-9
+
+    def test_classes_in_lock_step_agree_with_each_class_alone(self, synth_fold):
+        xa, _, labels = synth_fold
+        x = xa[:, :-1]
+        ys = np.array([_binary_targets(labels, c) for c in sorted(set(labels))])
+        lam = 1.0 / (100 * 40)
+        w, b, residual, steps, gaps = M._fit_l1(x, ys, lam, 1e-6, 5000,
+                                                np.zeros(xa.shape[1]))
+        assert np.all(residual <= 1e-6)
+        assert np.all(gaps <= 1e-9)
+        for k, y in enumerate(ys):
+            wk, bk, _, steps_k, _ = M._fit_l1(x, y[None], lam, 1e-6, 5000,
+                                              np.zeros(xa.shape[1]))
+            together, _ = _l1_objective_and_kkt(x, y, np.append(w[k], b[k]), lam)
+            alone, _ = _l1_objective_and_kkt(x, y, np.append(wk[0], bk[0]), lam)
+            assert abs(together - alone) <= 1e-10
+            assert np.array_equal(w[k] != 0.0, wk[0] != 0.0)
+
+    def test_badly_scaled_features_converge_within_the_step_cap(self, synth_fold):
+        # features of the size of a smoothed second derivative, at a C large
+        # enough to offset them: 5,000 FISTA iterations did not converge here
+        xa, _, labels = synth_fold
+        x = 0.002 * xa[:, :-1]
+        model = M.lr_fit(x, labels, "l1", 100.0 * 4000)
+        assert model.converged and model.n_iter <= 100
+        assert model.duality_gap <= 1e-9
+        for i, cls in enumerate(model.classes):
+            _, kkt = _l1_objective_and_kkt(
+                x, _binary_targets(labels, cls),
+                np.append(model.weights[i], model.intercepts[i]), 1.0 / (100 * 4000))
+            assert kkt <= 1e-6
+
+    def test_duality_bounds_at_saturated_margins(self):
+        # margins far past where sigma rounds to 0 or 1: the dual's entropy
+        # meets 0 log 0, which must read as 0 and not warn
+        x = np.array([[1.0], [-1.0], [2.0], [-2.0]])
+        ys = np.array([[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
+        for scale in (40.0, 800.0):
+            w = np.array([[scale], [scale]])
+            primal, dual = M._duality_bounds(x, ys, 0.1, w, np.zeros(2))
+            assert np.all(np.isfinite(primal)) and np.all(np.isfinite(dual))
+            assert np.all(dual <= primal)
+
+    def test_l2_fits_report_no_gap(self, sparse_problem):
+        x, y = sparse_problem
+        assert M.lr_fit(x, y, "l2", 10.0).duality_gap is None
+        assert M.lr_fit(x, y, "l1", 10.0).duality_gap <= 1e-9
 
 
-# The solver written as plain formulas, one temporary per operation: the
-# reference that the buffered version matches bit for bit.
+# A long reference solve: FISTA with backtracking, written as plain formulas
+# and run to a KKT residual of 1e-10, against which the barrier solver's
+# objective, KKT residual and support are checked.
 
 def _reference_soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
@@ -494,15 +577,24 @@ def synth_fold():
     return _with_ones(x - x.mean(axis=0)) + (data.labels[::2],)
 
 
-def _assert_same_solve(xa, y, lam, max_iter, x0, lip):
-    got = M._fit_binary_l1(xa, y, lam, 1e-6, max_iter, x0, lip)
-    want = _reference_fit_binary_l1(xa, y, lam, 1e-6, max_iter, x0, lip)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1:] == want[1:]
-    return got
+def _assert_matches_reference(xa, y, lam, x0, lip):
+    """The barrier solve from x0 against the reference solve from x0: the
+    objective is not above the reference's and within 1e-10 of it, the KKT
+    residual is at most 1e-9 and the zero weights are the same."""
+    x = xa[:, :-1]
+    w, b, residual, steps, gap = M._fit_l1(x, y[None], lam, 1e-6, 5000, x0)
+    got = np.append(w[0], b[0])
+    want, conv, _ = _reference_fit_binary_l1(xa, y, lam, 1e-10, 100000, x0, lip)
+    assert conv
+    obj, kkt = _l1_objective_and_kkt(x, y, got, lam)
+    ref, _ = _l1_objective_and_kkt(x, y, want, lam)
+    assert obj <= ref + 1e-15 and ref - obj <= 1e-10
+    assert kkt <= 1e-9 and residual[0] <= 1e-9
+    assert np.array_equal(got[:-1] != 0.0, want[:-1] != 0.0)
+    assert 0.0 <= gap[0] <= 1e-9 and 0 < steps[0] <= 100
 
 
-class TestBitIdenticalToReference:
+class TestAgainstReferenceSolve:
     def test_sparse_problem_both_classes_and_a_random_start(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((60, 8))
@@ -512,30 +604,26 @@ class TestBitIdenticalToReference:
         starts = (np.zeros(9), np.random.default_rng(13).standard_normal(9))
         for yy in (y, -y):
             for x0 in starts:
-                _, conv, _ = _assert_same_solve(xa, yy, 0.1, 5000, x0, lip)
-                assert conv
+                _assert_matches_reference(xa, yy, 0.1, x0, lip)
 
     @pytest.mark.parametrize("lam", [0.01, 1.0 / (100 * 40)])
     @pytest.mark.parametrize("cls", ["class_0", "class_3"])
     def test_synth_fold(self, synth_fold, lam, cls):
         xa, lip, labels = synth_fold
-        y = _binary_targets(labels, cls)
-        _, conv, _ = _assert_same_solve(xa, y, lam, 5000,
-                                        np.zeros(xa.shape[1]), lip)
-        assert conv
+        _assert_matches_reference(xa, _binary_targets(labels, cls), lam,
+                                  np.zeros(xa.shape[1]), lip)
 
     def test_synth_fold_random_start(self, synth_fold):
         xa, lip, labels = synth_fold
         x0 = np.random.default_rng(14).standard_normal(xa.shape[1]) * 1e-3
-        _, conv, _ = _assert_same_solve(xa, _binary_targets(labels, "class_1"),
-                                        0.01, 5000, x0, lip)
-        assert conv
+        _assert_matches_reference(xa, _binary_targets(labels, "class_1"), 0.01,
+                                  x0, lip)
 
     def test_synth_fold_iteration_cap(self, synth_fold):
-        xa, lip, labels = synth_fold
-        _, conv, n_it = _assert_same_solve(xa, _binary_targets(labels, "class_2"),
-                                           0.01, 50, np.zeros(xa.shape[1]), lip)
-        assert not conv and n_it == 50
+        xa, _, labels = synth_fold
+        with pytest.warns(RuntimeWarning, match="did not reach"):
+            model = M.lr_fit(xa[:, :-1], labels, "l1", 100.0, max_iter=5)
+        assert not model.converged and model.n_iter == 5
 
 
 class TestPairwiseDistances:

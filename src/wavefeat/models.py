@@ -361,8 +361,8 @@ def _barrier_l1(x, ys, lam, max_iter, w, b):
         km = kmat[:k]
         km[:, diag, diag] += m / (tl[:, None] * curv)
         v = (rw * half_sq) @ x.T
-        # explicit (k, m, 2) right-hand sides: numpy 2 reads a (k, m) b as
-        # k vectors, numpy 1 as one (k, m) matrix
+        # explicit (k, m, 2) right-hand sides: numpy 1 reads a (k, m) b as
+        # k vectors, numpy 2 as one (k, m) matrix
         sol = np.linalg.solve(km, np.stack((np.ones_like(v), v), axis=2))
         a, qv = sol[..., 0], sol[..., 1]
         db = (-gb - np.sum(qv, axis=1)) / np.sum(a, axis=1)
@@ -481,18 +481,26 @@ def _fit_l1(x, ys, lam, grad_tol, max_iter, x0):
     l1 problem of every class (ys: one +-1 target row per class), all from
     the start x0 = (w, b).
 
-    The barrier method steps the classes together (_barrier_l1); then each
-    class is polished (_polish_l1) from the weights with
+    A column that is zero in every row has a zero gradient, so its weight is
+    0 at the optimum and takes no part in any step: the solve leaves such
+    columns out.  A class whose start meets the KKT test takes no step, and
+    neither does one that meets it once b is the best intercept for the
+    start's w, as every class does when lam is so large that w = 0 is the
+    solution.  The other classes step together by the barrier method
+    (_barrier_l1); then each is polished (_polish_l1) from the weights with
     |w_j| > (1 - 1e-6) u_j, which on the central path are those with |g_j|
     within 1e-6 lam of lam, to a tolerance of grad_tol / 1000.  The gap is
-    taken against the best dual value seen.  A class whose start already
-    meets the KKT test takes no step."""
+    taken against the best dual value seen."""
     c = ys.shape[0]
-    w = np.tile(x0[:-1], (c, 1))
+    cols = np.flatnonzero(np.any(x != 0.0, axis=0))
+    x = x[:, cols]
+    w = np.tile(x0[cols], (c, 1))
     b = np.full(c, x0[-1])
     steps = np.zeros(c, dtype=int)
     lower = np.full(c, -np.inf)
     todo = np.flatnonzero(~(_l1_residuals(x, ys, lam, w, b) <= grad_tol))
+    b[todo] = _best_intercepts(w[todo] @ x.T, ys[todo], b[todo])
+    todo = todo[~(_l1_residuals(x, ys[todo], lam, w[todo], b[todo]) <= grad_tol)]
     if todo.size:
         wt, ut, bt, steps[todo], lower[todo] = _barrier_l1(
             x, ys[todo], lam, max_iter, w[todo], b[todo])
@@ -502,7 +510,9 @@ def _fit_l1(x, ys, lam, grad_tol, max_iter, x0):
                                               1e-3 * grad_tol, max_iter - steps[k])
             steps[k] += n_polish
     primal, dual = _duality_bounds(x, ys, lam, w, b)
-    return (w, b, _l1_residuals(x, ys, lam, w, b), steps,
+    weights = np.zeros((c, x0.size - 1))
+    weights[:, cols] = w
+    return (weights, b, _l1_residuals(x, ys, lam, w, b), steps,
             primal - np.maximum(lower, dual))
 
 
@@ -525,8 +535,8 @@ def lr_fit(x: np.ndarray, labels, penalty: str = "l2", inverse_reg: float = 1.0,
     the span, and stops when the largest entry of the full-space gradient
     (Q g_beta, g_b) is at most grad_tol.
 
-    The l1 problem is solved by a barrier method whose Newton systems are
-    m x m, with the classes stepping together (see _barrier_l1), until the
+    The l1 problem (see _fit_l1) is solved by a barrier method whose Newton
+    systems are m x m, with the classes stepping together (_barrier_l1), until the
     duality gap is at most GAP_TOL; then Newton's method on the support
     with the signs fixed gives exact zeros (see _polish_l1).  A class
     converges when its KKT residual, the largest entry of the minimum-norm

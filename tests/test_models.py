@@ -462,6 +462,30 @@ class TestLrL1:
         _, kkt = _l1_objective_and_kkt(x, y, np.append(got, got_b), 0.1)
         assert kkt <= 1e-9
 
+    def test_lambda_past_the_largest_gradient_gives_zero_weights_without_a_step(
+            self, sparse_problem):
+        # w = 0 is optimal once lam >= ||X^T c||_inf at the best intercept,
+        # which is the log-odds of the class
+        x, y = sparse_problem
+        model = M.lr_fit(x, y, "l1", 0.1)
+        assert model.converged and model.n_iter == 0
+        assert not np.any(model.weights)
+        share = np.mean(np.asarray(y) == 1)
+        assert model.intercepts[1] == pytest.approx(np.log(share / (1 - share)),
+                                                    abs=1e-12)
+
+    def test_columns_zero_in_every_row_get_zero_weight(self, sparse_problem):
+        x, y = sparse_problem
+        wide = np.insert(x, [0, 3, 8], 0.0, axis=1)
+        zero = [0, 4, 10]
+        x0 = np.zeros(12)
+        x0[zero] = 5.0  # a start with weight on the zero columns
+        narrow, padded = M.lr_fit(x, y, "l1", 10.0), M.lr_fit(wide, y, "l1", 10.0, x0=x0)
+        assert padded.converged and not np.any(padded.weights[:, zero])
+        kept = np.delete(padded.weights, zero, axis=1)
+        assert np.max(np.abs(kept - narrow.weights)) <= 1e-8
+        assert np.array_equal(kept != 0.0, narrow.weights != 0.0)
+
     def test_classes_in_lock_step_agree_with_each_class_alone(self, synth_fold):
         xa, _, labels = synth_fold
         x = xa[:, :-1]

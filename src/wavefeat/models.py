@@ -261,7 +261,7 @@ def _l1_residuals(x, ys, lam, w, b):
     coef = -ys * s / ys.shape[1]
     g = coef @ x
     sub = np.where(w != 0.0, np.abs(g + lam * np.sign(w)), np.abs(g) - lam)
-    return np.maximum(np.max(sub, axis=1), np.abs(np.sum(coef, axis=1)))
+    return np.maximum(np.max(sub, axis=1, initial=-np.inf), np.abs(np.sum(coef, axis=1)))
 
 
 def _best_intercepts(xw, ys, b):
@@ -291,7 +291,7 @@ def _duality_bounds(x, ys, lam, w, b):
     xw = w @ x.T
     z = ys * (xw + _best_intercepts(xw, ys, b)[:, None])
     s, _ = _logistic_terms(z)
-    g_max = np.max(np.abs((ys * s / m) @ x), axis=1)
+    g_max = np.max(np.abs((ys * s / m) @ x), axis=1, initial=0.0)
     p = s * (lam / np.maximum(g_max, lam))[:, None]
     q = 1.0 - p
     entropy = (p * np.log(np.where(p > 0.0, p, 1.0))
@@ -486,8 +486,9 @@ def _fit_l1(x, ys, lam, grad_tol, max_iter, x0):
     columns out.  A class whose start meets the KKT test takes no step, and
     neither does one that meets it once b is the best intercept for the
     start's w, as every class does when lam is so large that w = 0 is the
-    solution.  The other classes step together by the barrier method
-    (_barrier_l1); then each is polished (_polish_l1) from the weights with
+    solution.  When every column is zero, w = 0 with the best intercept is
+    the solution and no class steps.  The other classes step together by
+    the barrier method (_barrier_l1); then each is polished (_polish_l1) from the weights with
     |w_j| > (1 - 1e-6) u_j, which on the central path are those with |g_j|
     within 1e-6 lam of lam, to a tolerance of grad_tol / 1000.  The gap is
     taken against the best dual value seen."""
@@ -501,7 +502,7 @@ def _fit_l1(x, ys, lam, grad_tol, max_iter, x0):
     todo = np.flatnonzero(~(_l1_residuals(x, ys, lam, w, b) <= grad_tol))
     b[todo] = _best_intercepts(w[todo] @ x.T, ys[todo], b[todo])
     todo = todo[~(_l1_residuals(x, ys[todo], lam, w[todo], b[todo]) <= grad_tol)]
-    if todo.size:
+    if todo.size and cols.size:
         wt, ut, bt, steps[todo], lower[todo] = _barrier_l1(
             x, ys[todo], lam, max_iter, w[todo], b[todo])
         wt[np.abs(wt) <= (1.0 - 1e-6) * ut] = 0.0

@@ -487,6 +487,23 @@ def test_non_finite_dwt_order_exits_2(tmp_path, capsys, command, order):
     assert "Traceback" not in err
 
 
+def test_gridsearch_with_every_feature_thresholded_to_zero_fits_l1(tmp_path):
+    # a hard threshold at the block's largest magnitude (q = 1) keeps no
+    # coefficient, so the L1 model sees only zero columns
+    data = _tiny_dataset(tmp_path)
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"schema": "wavefeat-grid", "classification": {
+        "preprocess": {"derivative_order": 0}, "decomposition": DWT,
+        "transform": {"kind": "threshold", "threshold_kind": "hard", "tau_quantile": 1},
+        "model": {"kind": "lr", "penalty": "l1", "inverse_reg": 10.0}}}))
+    out = tmp_path / "out"
+    assert cli.main(["gridsearch", "--data", str(data), "--config", str(config),
+                     "--folds", "2", "--out-dir", str(out)]) == 0
+    solver = json.loads((out / "manifest.json").read_text())["best"]["solver"]
+    assert solver["fits_converged"] == solver["fits_attempted"] == 2
+    assert solver["max_n_iter"] == 0
+
+
 def test_one_class_dataset_in_gridsearch_exits_3(tmp_path, capsys):
     data = _tiny_dataset(tmp_path)
     lines = data.read_text().splitlines()

@@ -486,6 +486,19 @@ class TestLrL1:
         assert np.max(np.abs(kept - narrow.weights)) <= 1e-8
         assert np.array_equal(kept != 0.0, narrow.weights != 0.0)
 
+    def test_features_zero_in_every_column_give_the_log_odds_intercepts(self):
+        # no column is left to solve for: w = 0 and each intercept is the
+        # log-odds of its class, taken without a step
+        labels = ["a"] * 4 + ["b"] * 5 + ["c"] * 3
+        x0 = np.arange(8.0)  # a start with weight on every (zero) column
+        model = M.lr_fit(np.zeros((12, 7)), labels, "l1", 10.0, x0=x0)
+        assert model.converged and model.n_iter == 0
+        assert not np.any(model.weights)
+        share = np.array([4, 5, 3]) / 12
+        assert np.allclose(model.intercepts, np.log(share / (1 - share)),
+                           rtol=0.0, atol=1e-12)
+        assert 0.0 <= model.duality_gap <= 1e-12
+
     def test_classes_in_lock_step_agree_with_each_class_alone(self, synth_fold):
         xa, _, labels = synth_fold
         x = xa[:, :-1]

@@ -145,13 +145,19 @@ def _classification_table(cells: dict, model_kind: str, spaces: list[str]) -> st
     return "\n".join(lines) + "\n"
 
 
-def cmd_gridsearch(args) -> int:
-    t_start = time.perf_counter()
-    data = _load_data(args)
+def _require_classes(args, data, task: str) -> None:
+    """Reject a dataset of one class: a classifier has nothing to tell apart,
+    and any clustering matches the one class, so every score would read 1."""
     n_classes = len(set(data.labels))
     if n_classes < 2:
         raise InvalidDatasetError(
-            f"{args.data}: classification needs at least 2 classes, found {n_classes}")
+            f"{args.data}: {task} needs at least 2 classes, found {n_classes}")
+
+
+def cmd_gridsearch(args) -> int:
+    t_start = time.perf_counter()
+    data = _load_data(args)
+    _require_classes(args, data, "classification")
     doc = load_grid_document(args.config)
     grid = grid_for_task(doc, "classification")
     seed = 0 if args.seed is None else args.seed
@@ -217,6 +223,7 @@ def cmd_gridsearch(args) -> int:
 def cmd_cluster(args) -> int:
     t_start = time.perf_counter()
     data = _load_data(args)
+    _require_classes(args, data, "clustering")
     doc = load_grid_document(args.config)
     grid = grid_for_task(doc, "clustering")
     seed = 0 if args.seed is None else args.seed

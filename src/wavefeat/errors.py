@@ -50,7 +50,7 @@ class MissingLabelError(DataFormatError):
 class InvalidDatasetError(DataFormatError):
     """Dataset values break the schema: a non-finite wavenumber or intensity,
     a wavenumber grid that is not strictly monotone, fewer than 2 samples,
-    or, for classification, fewer than 2 classes."""
+    or, for classification and clustering, fewer than 2 classes."""
 
 
 class NumericalError(WavefeatError, ArithmeticError):

@@ -58,7 +58,8 @@ import numpy as np
 
 from . import dwt as dwt_mod
 from . import models, wtt
-from .errors import InvalidConfigError, InvalidInputError, is_count, is_number
+from .errors import (InvalidConfigError, InvalidInputError, NumericalError,
+                     is_count, is_number)
 from .features import (DwtTransform, FeatureMap, ThresholdRule, WttTransform,
                        extract_features, magnitude_quantile)
 from .metrics import (accuracy, adjusted_mutual_info, adjusted_rand,
@@ -531,7 +532,9 @@ class FittedPipeline:
 def _fit_stage(stage: Stage, config, memo: FoldMemo, key, prev, blocks) -> tuple:
     """The stage's state, fitted on the fitting rows ``blocks[0]``, and its
     output on each block (none for the model).  ``blocks`` is None for the
-    first stage, which reads the signal of the memo's rows."""
+    first stage, which reads the signal of the memo's rows.  The loader
+    admits finite data only, so an output that is not finite overflowed in
+    the stage's arithmetic, which raises ``NumericalError``."""
     if blocks is None:
         target = _pow2_target(config, memo.data.wavenumbers)
         full = memo.signals.block(config.preprocess.derivative_order, target)
@@ -542,7 +545,12 @@ def _fit_stage(stage: Stage, config, memo: FoldMemo, key, prev, blocks) -> tuple
     state = stage.fit(config, memo, key, prev, blocks[0])
     if stage.name == "model":
         return state, None
-    return state, [stage.apply(state, x) for x in blocks]
+    out = [stage.apply(state, x) for x in blocks]
+    for block in out:
+        for part in block if isinstance(block, tuple) else (block,):
+            if part is not None and not np.isfinite(part).all():
+                raise NumericalError(f"the {stage.name} stage's output is not finite")
+    return state, out
 
 
 @contextmanager

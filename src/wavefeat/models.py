@@ -10,9 +10,10 @@ solution lies in the row space of the m training rows, so Newton's method
 solves it in min(m, n) coordinates plus the intercept, not in the n feature
 coordinates.  The lasso is solved by the barrier method of Koh, Kim & Boyd
 (JMLR 2007), whose Newton systems, like the ridge's, are solved in the
-m-dimensional row space, with the one-vs-rest classes stepping together; it
-stops at a duality gap of 1e-10, and Newton's method on the support with
-the signs fixed then gives exact zeros.  A lasso class converges when the
+m-dimensional row space, with the one-vs-rest classes stepping together and
+gap-safe screening leaving out of each class's systems the columns that are
+zero at the optimum; it stops at a duality gap of 1e-10, and Newton's method
+on the support with the signs fixed then gives exact zeros.  A lasso class converges when the
 KKT residual of the full objective (the largest entry of its minimum-norm
 subgradient) is at most the tolerance.  Clustering is
 agglomerative on the distance matrix of ``pairwise_distances`` (the
@@ -279,25 +280,27 @@ def _best_intercepts(xw, ys, b):
 
 
 def _duality_bounds(x, ys, lam, w, b):
-    """(primal value, dual value) per class of mean logistic loss +
+    """(primal value, dual value, g, scale) per class of mean logistic loss +
     lam ||w||_1 at w; the dual value is a lower bound on the optimum.
 
     The primal value is taken at the intercept that is optimal for w, and
-    the dual point is theta = sigma(-z) / m there, so sum(theta y) = 0; it is
-    scaled by min(1, lam / ||X^T (y theta)||_inf) to make it dual feasible
-    (Koh, Kim & Boyd 2007, sec. 2.3).  The dual value is
-    -mean(p log p + (1 - p) log(1 - p)) at p = m theta, with 0 log 0 = 0."""
+    the dual point is theta = sigma(-z) / m there, so sum(theta y) = 0.  With
+    g = X^T (y theta), it is scaled by scale = lam / max(||g||_inf, lam) to
+    make it dual feasible (Koh, Kim & Boyd 2007, sec. 2.3).  The dual value
+    is -mean(p log p + (1 - p) log(1 - p)) at p = m scale theta, with
+    0 log 0 = 0."""
     m = ys.shape[1]
     xw = w @ x.T
     z = ys * (xw + _best_intercepts(xw, ys, b)[:, None])
     s, _ = _logistic_terms(z)
-    g_max = np.max(np.abs((ys * s / m) @ x), axis=1, initial=0.0)
-    p = s * (lam / np.maximum(g_max, lam))[:, None]
+    g = (ys * s / m) @ x
+    scale = lam / np.maximum(np.max(np.abs(g), axis=1, initial=0.0), lam)
+    p = s * scale[:, None]
     q = 1.0 - p
     entropy = (p * np.log(np.where(p > 0.0, p, 1.0))
                + q * np.log(np.where(q > 0.0, q, 1.0)))
     primal = np.mean(np.logaddexp(0.0, -z), axis=1) + lam * np.sum(np.abs(w), axis=1)
-    return primal, -np.mean(entropy, axis=1)
+    return primal, -np.mean(entropy, axis=1), g, scale
 
 
 def _barrier_l1(x, ys, lam, max_iter, w, b):
@@ -316,8 +319,9 @@ def _barrier_l1(x, ys, lam, max_iter, w, b):
     Optimization, app. C.4), with b by block elimination:
     K [a, q] = [1, X S^-1 r_w], db = (r_b - sum q) / sum a,
     dw = S^-1 (r_w - X^T (q + a db)).  Each class's K is the product of
-    X S^-1/2 with itself, formed in one reused (m, n) buffer, and the
-    classes' systems are solved in one batched call.
+    X S^-1/2 with itself over the columns the class keeps (below), formed in
+    one reused buffer, and the classes' systems are solved in one batched
+    call.
 
     The step starts at 1, or at 0.99 of the largest step that keeps p and q
     positive, and is halved until phi_t falls by 0.01 of the decrease the
@@ -325,8 +329,27 @@ def _barrier_l1(x, ys, lam, max_iter, w, b):
     max(T_GROWTH min(2n / gap, t), t), where the gap is the primal value
     less the best dual value so far (_duality_bounds).  A class stops at a
     gap of at most GAP_TOL, after max_iter steps, or when 50 halvings find no
-    decrease.  Returns w, u, b, the steps and the best dual value of every
-    class.
+    decrease.
+
+    After every step, gap-safe screening (Ndiaye, Fercoq, Gramfort & Salmon,
+    "Gap Safe Screening Rules for Sparsity Enforcing Penalties", JMLR 18,
+    2017) drops the columns whose weight is 0 in every optimum.  The dual
+    value D(p) = -mean(p log p + (1 - p) log(1 - p)) of _duality_bounds has
+    Hessian -diag(1 / p + 1 / (1 - p)) / m, so it is (4 / m)-strongly
+    concave in p, and its optimum p* is unique.  For the feasible point p of
+    this step, D(p*) - D(p) >= (2 / m) ||p - p*||^2, and D(p*) is at most the
+    primal value P, so ||p - p*|| <= sqrt(m (P - D(p)) / 2): the gap is the
+    one at this p, not against the best dual value seen.  A weight can be
+    non-zero at the optimum only where |x_j^T (y p*)| / m = lam, and
+    |x_j^T (y p*)| / m <= scale |g_j| + ||x_j|| sqrt((P - D(p)) / (2 m)),
+    with g and scale as _duality_bounds returns them.  So class c drops
+    column j once that bound is below lam (1 - 1e-9): its weight is fixed at
+    0 (p = q = u), and the column leaves the class's K, gradient and step.
+    When the columns some live class keeps fall below 3/4 of the working
+    set, x and the iterates are cut down to them; the duality bounds then
+    read the reduced problem, whose optimum is the full one.  Returns w, u,
+    b, the steps, the best dual value and the (classes, n) mask of the
+    columns each class kept.
     """
     c, m = ys.shape
     n = x.shape[1]
@@ -335,48 +358,58 @@ def _barrier_l1(x, ys, lam, max_iter, w, b):
     t = np.full(c, 1.0 / lam)
     steps = np.zeros(c, dtype=int)
     lower = np.full(c, -np.inf)
-    buf = np.empty((m, n))
+    kept = np.ones((c, n), dtype=bool)
+    # the working set: the columns some live class keeps, their part of x
+    # and their norms
+    cols, xs, norms = np.arange(n), x, np.sqrt(np.einsum("ij,ij->j", x, x))
+    buf = np.empty(m * n)
     kmat = np.empty((c, m, m))
     diag = np.arange(m)
     live = np.arange(c) if max_iter > 0 else np.arange(0)
     while live.size:
         k = live.size
-        pl, ql, bl, tl, yl = p[live], q[live], b[live], t[live], ys[live]
+        at = np.ix_(live, cols)
+        pl, ql, kl = p[at], q[at], kept[at]
+        bl, tl, yl = b[live], t[live], ys[live]
         wl = 0.5 * (pl - ql)
-        z = yl * (wl @ x.T + bl[:, None])
+        z = yl * (wl @ xs.T + bl[:, None])
         s, curv = _logistic_terms(z)
         coef = -yl * s / m
         gb = tl * np.sum(coef, axis=1)
         ip, iq = 1.0 / pl, 1.0 / ql
-        gw = tl[:, None] * (coef @ x) + iq - ip
+        gw = tl[:, None] * (coef @ xs) + iq - ip
         gu = (tl * lam)[:, None] - iq - ip
         sq = pl * pl + ql * ql
-        half_sq = 0.25 * sq                         # S^-1
+        half_sq = np.where(kl, 0.25 * sq, 0.0)      # S^-1, 0 where dropped
         uws = (pl - ql) * (pl + ql) / sq            # u w S
         rw = -gw - uws * gu
         roots = np.sqrt(half_sq)
         for j in range(k):
-            np.multiply(x, roots[j], out=buf)
-            np.matmul(buf, buf.T, out=kmat[j])
+            idx = np.flatnonzero(kl[j])
+            part = buf[:m * idx.size].reshape(m, idx.size)
+            # idx is in range; mode "raise" would gather into a temporary
+            np.take(xs, idx, axis=1, out=part, mode="clip")
+            part *= roots[j, idx]
+            np.matmul(part, part.T, out=kmat[j])
         km = kmat[:k]
         km[:, diag, diag] += m / (tl[:, None] * curv)
-        v = (rw * half_sq) @ x.T
+        v = (rw * half_sq) @ xs.T
         # explicit (k, m, 2) right-hand sides: numpy 1 reads a (k, m) b as
         # k vectors, numpy 2 as one (k, m) matrix
         sol = np.linalg.solve(km, np.stack((np.ones_like(v), v), axis=2))
         a, qv = sol[..., 0], sol[..., 1]
         db = (-gb - np.sum(qv, axis=1)) / np.sum(a, axis=1)
-        dw = (rw - (qv + a * db[:, None]) @ x) * half_sq
+        dw = (rw - (qv + a * db[:, None]) @ xs) * half_sq
         pq = pl * ql
-        du = uws * dw - gu * pq * pq / sq
+        du = np.where(kl, uws * dw - gu * pq * pq / sq, 0.0)
         slope = np.sum(gw * dw + gu * du, axis=1) + gb * db
         # phi_t(step) - phi_t(0), with the barrier terms as log1p of the
         # relative changes of p and q
         rp, rq = (du + dw) * ip, (du - dw) * iq
-        worst = np.min(np.minimum(rp, rq), axis=1)
+        worst = np.min(np.minimum(rp, rq), axis=1, initial=0.0)
         step = np.where(worst < 0.0, np.minimum(1.0, -0.99 / np.minimum(worst, -1e-300)), 1.0)
         rsum, rprod = rp + rq, rp * rq
-        dz = yl * (dw @ x.T + db[:, None])
+        dz = yl * (dw @ xs.T + db[:, None])
         loss0 = np.mean(np.logaddexp(0.0, -z), axis=1)
         lin = lam * np.sum(du, axis=1)
         pending = np.arange(k)
@@ -392,16 +425,26 @@ def _barrier_l1(x, ys, lam, max_iter, w, b):
         step[pending] = 0.0
         st = step[:, None]
         pl, ql, bl = pl + st * (du + dw), ql + st * (du - dw), bl + step * db
-        primal, dual = _duality_bounds(x, yl, lam, 0.5 * (pl - ql), bl)
+        primal, dual, g, scale = _duality_bounds(xs, yl, lam, 0.5 * (pl - ql), bl)
         lower[live] = np.maximum(lower[live], dual)
         gap = primal - lower[live]
         t[live] = np.where(step >= 0.5, np.maximum(
             T_GROWTH * np.minimum(2 * n / np.maximum(gap, GAP_TOL), tl), tl), tl)
-        p[live], q[live], b[live] = pl, ql, bl
+        # gap-safe screening: the sphere is centred on this step's dual point
+        radius = np.sqrt(np.maximum(primal - dual, 0.0) / (2 * m))
+        drop = kl & (scale[:, None] * np.abs(g) + norms * radius[:, None]
+                     < lam * (1.0 - 1e-9))
+        kl &= ~drop
+        u = 0.5 * (pl + ql)
+        p[at], q[at], kept[at] = np.where(drop, u, pl), np.where(drop, u, ql), kl
+        b[live] = bl
         steps[live] += 1
         stop = (gap <= GAP_TOL) | (step == 0.0) | (steps[live] >= max_iter)
         live = live[~stop]
-    return 0.5 * (p - q), 0.5 * (p + q), b, steps, lower
+        union = np.any(kl[~stop], axis=0)
+        if np.count_nonzero(union) < 0.75 * cols.size:
+            cols, xs, norms = cols[union], xs[:, union], norms[union]
+    return 0.5 * (p - q), 0.5 * (p + q), b, steps, lower, kept
 
 
 def _polish_l1(x, y, lam, w, b, tol, budget):
@@ -488,10 +531,15 @@ def _fit_l1(x, ys, lam, grad_tol, max_iter, x0):
     start's w, as every class does when lam is so large that w = 0 is the
     solution.  When every column is zero, w = 0 with the best intercept is
     the solution and no class steps.  The other classes step together by
-    the barrier method (_barrier_l1); then each is polished (_polish_l1) from the weights with
-    |w_j| > (1 - 1e-6) u_j, which on the central path are those with |g_j|
-    within 1e-6 lam of lam, to a tolerance of grad_tol / 1000.  The gap is
-    taken against the best dual value seen."""
+    the barrier method (_barrier_l1), which leaves out of each class's
+    steps the columns that gap-safe screening proves zero; then each is
+    polished (_polish_l1) from the weights with |w_j| > (1 - 1e-6) u_j,
+    which on the central path are those with |g_j| within 1e-6 lam of lam,
+    to a tolerance of grad_tol / 1000.  The polish, the KKT residual and the
+    final duality bounds read every column, so a column dropped in error
+    would join again in the polish, and the KKT test would still hold the
+    fit to the full problem.  The gap is taken against the best dual value
+    seen."""
     c = ys.shape[0]
     cols = np.flatnonzero(np.any(x != 0.0, axis=0))
     x = x[:, cols]
@@ -503,14 +551,14 @@ def _fit_l1(x, ys, lam, grad_tol, max_iter, x0):
     b[todo] = _best_intercepts(w[todo] @ x.T, ys[todo], b[todo])
     todo = todo[~(_l1_residuals(x, ys[todo], lam, w[todo], b[todo]) <= grad_tol)]
     if todo.size and cols.size:
-        wt, ut, bt, steps[todo], lower[todo] = _barrier_l1(
+        wt, ut, bt, steps[todo], lower[todo], _ = _barrier_l1(
             x, ys[todo], lam, max_iter, w[todo], b[todo])
         wt[np.abs(wt) <= (1.0 - 1e-6) * ut] = 0.0
         for i, k in enumerate(todo):
             w[k], b[k], n_polish = _polish_l1(x, ys[k], lam, wt[i], bt[i],
                                               1e-3 * grad_tol, max_iter - steps[k])
             steps[k] += n_polish
-    primal, dual = _duality_bounds(x, ys, lam, w, b)
+    primal, dual, _, _ = _duality_bounds(x, ys, lam, w, b)
     weights = np.zeros((c, x0.size - 1))
     weights[:, cols] = w
     return (weights, b, _l1_residuals(x, ys, lam, w, b), steps,
@@ -538,7 +586,10 @@ def lr_fit(x: np.ndarray, labels, penalty: str = "l2", inverse_reg: float = 1.0,
 
     The l1 problem (see _fit_l1) is solved by a barrier method whose Newton
     systems are m x m, with the classes stepping together (_barrier_l1), until the
-    duality gap is at most GAP_TOL; then Newton's method on the support
+    duality gap is at most GAP_TOL.  After each step, gap-safe screening
+    drops from a class's systems the columns whose weight the dual point
+    proves 0 at the optimum, so most steps form their m x m matrices from
+    a fraction of the columns.  Then Newton's method on the support
     with the signs fixed gives exact zeros (see _polish_l1).  A class
     converges when its KKT residual, the largest entry of the minimum-norm
     subgradient, is at most grad_tol; ``duality_gap`` is the largest gap of

@@ -1,5 +1,6 @@
 """Tests for the command-line entry points."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -512,6 +513,43 @@ def test_one_class_dataset_in_gridsearch_exits_3(tmp_path, capsys):
     assert cli.main(["gridsearch", "--data", str(data), "--folds", "2",
                      "--out-dir", str(tmp_path / "out")]) == 3
     assert (f"data error: {data}: classification needs at least 2 classes, found 1"
+            in capsys.readouterr().err)
+
+
+def test_one_class_dataset_in_cluster_exits_3(tmp_path, capsys):
+    # any clustering matches the one class, so ARI, AMI and FM would read 1
+    data = _tiny_dataset(tmp_path)
+    lines = data.read_text().splitlines()
+    one_class = [lines[0]] + ["c0," + line.split(",", 1)[1] for line in lines[1:]]
+    data.write_text("\n".join(one_class) + "\n")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(CLUSTER_GRID))
+    assert cli.main(["cluster", "--data", str(data), "--config", str(grid),
+                     "--folds", "2", "--out-dir", str(tmp_path / "out")]) == 3
+    assert (f"data error: {data}: clustering needs at least 2 classes, found 1"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "table_clustering.tsv").exists()
+
+
+@pytest.mark.parametrize("command", ["gridsearch", "cluster"])
+def test_features_that_overflow_exit_4(tmp_path, capsys, command):
+    # the golden synth set scaled to intensities of up to 1e308: the data
+    # are finite, and centring them overflows, which is arithmetic
+    golden = Path(__file__).resolve().parent / "golden"
+    data = tmp_path / "data.csv"
+    assert cli.main(["synth", "--config", str(golden / "synth.json"), "--seed", "3",
+                     "--out", str(data)]) == 0
+    header, *lines = data.read_text().splitlines()
+    labels = [line.split(",", 1)[0] for line in lines]
+    values = np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
+    values *= 1e308 / np.max(np.abs(values))
+    data.write_text("\n".join([header] + [
+        label + "," + ",".join(repr(float(v)) for v in row)
+        for label, row in zip(labels, values)]) + "\n")
+    args = ["--folds", "2"] + (["--repeats", "1"] if command == "gridsearch" else [])
+    assert cli.main([command, "--data", str(data), "--config", str(golden / "grid.json"),
+                     "--out-dir", str(tmp_path / "out"), *args]) == 4
+    assert ("numerical failure: the preprocess stage's output is not finite"
             in capsys.readouterr().err)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from wavefeat.errors import InvalidConfigError, InvalidInputError, NumericalError
 from wavefeat import harness, models as M
+from wavefeat.features import ThresholdRule, magnitude_quantile, sign_quantize, threshold
 from wavefeat.harness import PipelineConfig, fit_pipeline
 from wavefeat.metrics import adjusted_rand
 from wavefeat.preprocess import LabeledDataset
@@ -537,9 +538,24 @@ class TestLrL1:
         ys = np.array([[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
         for scale in (40.0, 800.0):
             w = np.array([[scale], [scale]])
-            primal, dual = M._duality_bounds(x, ys, 0.1, w, np.zeros(2))
+            primal, dual, _, _ = M._duality_bounds(x, ys, 0.1, w, np.zeros(2))
             assert np.all(np.isfinite(primal)) and np.all(np.isfinite(dual))
             assert np.all(dual <= primal)
+
+    def test_screening_drops_most_columns_within_a_few_steps(self, synth_fold):
+        # the hard-thresholded fold at C = 100, as the classify workload fits
+        # it: each class takes more than 20 steps, and after 20 every class
+        # forms its Newton system from fewer than half of the columns
+        xa, _, labels = synth_fold
+        x = threshold(xa[:, :-1], ThresholdRule("hard", magnitude_quantile(xa[:, :-1], 0.9)))
+        ys = np.array([_binary_targets(labels, c) for c in sorted(set(labels))])
+        c, n = ys.shape[0], x.shape[1]
+        *_, kept = M._barrier_l1(x, ys, 0.01, 20, np.zeros((c, n)), np.zeros(c))
+        assert np.all(kept.sum(axis=1) < n / 2)
+        w, _, _, steps, _, kept = M._barrier_l1(x, ys, 0.01, 5000, np.zeros((c, n)),
+                                                np.zeros(c))
+        assert np.all(steps > 20) and np.all(kept.sum(axis=1) < 40)
+        assert not np.any(w[~kept])
 
     def test_l2_fits_report_no_gap(self, sparse_problem):
         x, y = sparse_problem
@@ -655,6 +671,26 @@ class TestAgainstReferenceSolve:
         x0 = np.random.default_rng(14).standard_normal(xa.shape[1]) * 1e-3
         _assert_matches_reference(xa, _binary_targets(labels, "class_1"), 0.01,
                                   x0, lip)
+
+    @pytest.mark.parametrize("lam", [0.01, 1.0 / (100 * 40)])
+    @pytest.mark.parametrize("features", ["centred", "sign"])
+    def test_columns_the_barrier_drops_are_zero_in_the_reference(
+            self, synth_fold, features, lam):
+        # a column is dropped only where the dual optimum proves it zero in
+        # every optimum; sign features repeat columns, so there the optimum
+        # is not unique
+        xa, _, labels = synth_fold
+        x = xa[:, :-1]
+        if features == "sign":
+            x = sign_quantize(x, magnitude_quantile(x, 0.97))
+        xa, lip = _with_ones(x)
+        y = _binary_targets(labels, "class_0")
+        n = x.shape[1]
+        *_, kept = M._barrier_l1(x, y[None], lam, 5000, np.zeros((1, n)), np.zeros(1))
+        want, conv, _ = _reference_fit_binary_l1(xa, y, lam, 1e-10, 100000,
+                                                 np.zeros(n + 1), lip)
+        assert conv and np.count_nonzero(~kept[0]) > n / 2
+        assert not np.any(want[:-1][~kept[0]])
 
     def test_synth_fold_iteration_cap(self, synth_fold):
         xa, _, labels = synth_fold

@@ -13,9 +13,9 @@ coordinates.  The lasso is solved by the barrier method of Koh, Kim & Boyd
 m-dimensional row space, with the one-vs-rest classes stepping together and
 gap-safe screening leaving out of each class's systems the columns that are
 zero at the optimum; it stops at a duality gap of 1e-10, and Newton's method
-on the support with the signs fixed then gives exact zeros.  A lasso class converges when the
-KKT residual of the full objective (the largest entry of its minimum-norm
-subgradient) is at most the tolerance.  Clustering is
+on the support with the signs fixed then gives exact zeros.  A lasso class
+converges when the KKT residual of the full objective (the largest entry of
+its minimum-norm subgradient) is at most the tolerance.  Clustering is
 agglomerative on the distance matrix of ``pairwise_distances`` (the
 euclidean and cosine matrices read one Gram matrix, ``gram_matrix``), and
 ``cut_tree`` and ``dendrogram_export`` read the merge list ``hac_fit``

@@ -6,7 +6,8 @@ pipeline on the full dataset and save it as one .npz archive), cluster
 (clustering search + full-dataset clustering with dendrogram export),
 report (render a run manifest; optionally dump the wavelet filter registry).
 
-Exit codes: 0 ok, 2 usage/config error, 3 data error, 4 numerical failure.
+Exit codes: 0 ok, 2 usage/config error or an output that cannot be written,
+3 data error, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -499,6 +500,11 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # the loaders turn read failures into data and config errors, so
+        # what reaches here is an output path
+        print(f"cannot write: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

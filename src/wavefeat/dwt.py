@@ -9,12 +9,15 @@ mode replaces border extension with circular indexing and stores exactly
 ``ceil(n/2)`` coefficients per branch.
 
 All transforms operate along the last axis, so a whole (n_samples, n_points)
-block can be decomposed in one call.
+block can be decomposed in one call.  A multilevel transform is one flat
+array: the approximation, then the details coarsest first.  The signal
+length, the filter length and the mode fix every block's length, so the
+inverse takes the flat array and needs no other bookkeeping.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,85 +232,50 @@ def max_level(n: int, w: WaveletSpec) -> int:
     return int(math.floor(math.log2(n / denom)))
 
 
-@dataclass
-class DwtCoeffs:
-    """Multilevel transform output with bookkeeping for exact inversion.
-
-    ``details`` are coarsest-first; ``level_lengths[i]`` is the length the
-    i-th synthesis step must restore (so the last entry is original_length).
-    """
-
-    approx: np.ndarray
-    details: list = field(default_factory=list)
-    level_lengths: list = field(default_factory=list)
-    wavelet: WaveletSpec | None = None
-    mode: str = "symmetric"
-    original_length: int = 0
-
-    def block_sizes(self) -> list[int]:
-        return [self.approx.shape[-1]] + [d.shape[-1] for d in self.details]
-
-
-def wavedec(x: np.ndarray, w: WaveletSpec, mode: str, level: int) -> DwtCoeffs:
-    """Recursive analysis of the approximation branch down to ``level``."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
+def _check_level(n: int, w: WaveletSpec, level: int) -> None:
     lmax = max_level(n, w)
     if level < 1 or level > lmax:
         raise InvalidInputError(
             f"level {level} out of range 1..{lmax} for n={n}, filter {w.name}")
-    details_fine_first = []
-    lengths = []
+
+
+def wavedec(x: np.ndarray, w: WaveletSpec, mode: str, level: int) -> np.ndarray:
+    """Recursive analysis of the approximation branch down to ``level``.
+
+    Returns the flat coefficient array along the last axis: the
+    approximation, then the details coarsest first.
+    """
+    x = np.asarray(x, dtype=float)
+    _check_level(x.shape[-1], w, level)
+    details = []
     cur = x
     for _ in range(level):
-        lengths.append(cur.shape[-1])
         cur, det = dwt_single(cur, w, mode)
-        details_fine_first.append(det)
-    return DwtCoeffs(
-        approx=cur,
-        details=details_fine_first[::-1],
-        level_lengths=lengths[::-1],
-        wavelet=w,
-        mode=mode,
-        original_length=n,
-    )
+        details.append(det)
+    return np.concatenate([cur] + details[::-1], axis=-1)
 
 
-def waverec(c: DwtCoeffs) -> np.ndarray:
-    """Invert :func:`wavedec`, restoring exactly ``original_length`` samples."""
-    if c.wavelet is None:
-        raise InvalidInputError("coefficients carry no wavelet")
-    if len(c.details) != len(c.level_lengths):
-        raise InvalidInputError("inconsistent bookkeeping lengths")
-    cur = c.approx
-    for det, out_len in zip(c.details, c.level_lengths):
-        if det.shape[-1] != cur.shape[-1]:
-            raise InvalidInputError("inconsistent detail block length")
-        cur = idwt_single(cur, det, c.wavelet, c.mode, out_len)
-    if cur.shape[-1] != c.original_length:
-        raise InvalidInputError("bookkeeping does not restore the original length")
-    return cur
+def waverec(vec: np.ndarray, w: WaveletSpec, mode: str, level: int, n: int) -> np.ndarray:
+    """Invert :func:`wavedec` of a length-n signal, restoring n samples.
 
-
-def flatten(c: DwtCoeffs) -> np.ndarray:
-    """Concatenate approx then details coarsest-to-finest (last axis)."""
-    return np.concatenate([c.approx] + list(c.details), axis=-1)
-
-
-def unflatten(vec: np.ndarray, template: DwtCoeffs) -> DwtCoeffs:
-    """Rebuild a coefficient set from a flat vector using a template's shape."""
+    Each analysis step maps length k to ``ceil(k/2)`` under periodization and
+    to ``floor((k + L - 1)/2)`` otherwise, so n, L and the mode give every
+    block's length.
+    """
     vec = np.asarray(vec, dtype=float)
-    sizes = template.block_sizes()
-    if vec.shape[-1] != sum(sizes):
+    _check_level(n, w, level)
+    lengths = [n]  # the input length of each analysis step, finest first
+    for _ in range(level):
+        k = lengths[-1]
+        lengths.append((k + 1) // 2 if mode == "periodization"
+                       else (k + w.filter_length - 1) // 2)
+    if vec.shape[-1] != lengths[-1] + sum(lengths[1:]):
         raise InvalidInputError(
-            f"flat length {vec.shape[-1]} does not match blocks {sizes}")
-    splits = np.cumsum(sizes)[:-1]
-    parts = np.split(vec, splits, axis=-1)
-    return DwtCoeffs(
-        approx=parts[0],
-        details=list(parts[1:]),
-        level_lengths=list(template.level_lengths),
-        wavelet=template.wavelet,
-        mode=template.mode,
-        original_length=template.original_length,
-    )
+            f"flat length {vec.shape[-1]} does not match level-{level} "
+            f"blocks of a length-{n} signal")
+    start = lengths[-1]
+    cur = vec[..., :start]
+    for k, out_len in zip(lengths[:0:-1], lengths[-2::-1]):
+        cur = idwt_single(cur, vec[..., start:start + k], w, mode, out_len)
+        start += k
+    return cur

@@ -1,11 +1,13 @@
 """Non-linear feature maps applied on top of an invertible linear transform.
 
 The transform ``W`` is anything exposing ``forward`` (signal -> flat
-coefficient vector) and ``inverse`` (flat vector -> signal); wrappers for the
-wavelet filter bank and the adaptive SVD bank live here.  On top of that the
-module provides hard/soft thresholding, sign quantization of thresholded
-coefficients, and contrasting (removing the soft-thresholded reconstruction
-from the signal to emphasize what the threshold would discard).
+coefficient array) and ``inverse`` (flat array -> signal); ``DwtTransform``
+and ``WttTransform`` give the wavelet filter bank and the adaptive SVD bank
+that one interface.  On the coefficients the module provides the kinds of
+the config's transform: hard/soft thresholding, sign quantization of
+hard-thresholded coefficients, and contrasting (removing the
+soft-thresholded reconstruction from the signal to emphasize what the
+threshold would discard).
 """
 from __future__ import annotations
 
@@ -18,18 +20,6 @@ from . import dwt, wtt
 from .errors import InvalidConfigError, InvalidInputError
 
 THRESHOLD_KINDS = ("hard", "soft")
-
-
-@dataclass(frozen=True)
-class ThresholdRule:
-    kind: str
-    tau: float
-
-    def __post_init__(self):
-        if self.kind not in THRESHOLD_KINDS:
-            raise InvalidInputError(f"threshold kind must be one of {THRESHOLD_KINDS}")
-        if self.tau < 0:
-            raise InvalidInputError("tau must be non-negative")
 
 
 def magnitude_quantile(c: np.ndarray, q: float) -> float:
@@ -57,33 +47,35 @@ def magnitude_quantile(c: np.ndarray, q: float) -> float:
     return lo + (hi - lo) * gamma
 
 
-def threshold(v: np.ndarray, rule: ThresholdRule) -> np.ndarray:
+def threshold(v: np.ndarray, kind: str, tau: float) -> np.ndarray:
     """Element-wise hard or soft thresholding.
 
     hard keeps entries with |c| strictly greater than tau; soft shrinks every
     entry toward zero by tau: sign(c) * max(|c| - tau, 0), built in one
-    buffer.
+    buffer.  An unknown kind or a negative tau raises InvalidInputError.
     """
+    if kind not in THRESHOLD_KINDS:
+        raise InvalidInputError(f"threshold kind must be one of {THRESHOLD_KINDS}")
+    if tau < 0:
+        raise InvalidInputError("tau must be non-negative")
     v = np.asarray(v, dtype=float)
-    if rule.kind == "hard":
-        return np.where(np.abs(v) > rule.tau, v, 0.0)
+    if kind == "hard":
+        return np.where(np.abs(v) > tau, v, 0.0)
     out = np.abs(v)
-    out -= rule.tau
+    out -= tau
     np.maximum(out, 0.0, out=out)
     return np.multiply(np.sign(v), out, out=out)
 
 
 def sign_quantize(v: np.ndarray, tau: float) -> np.ndarray:
     """Sign of the hard-thresholded entries; values land in {-1, 0, +1}."""
-    if tau < 0:
-        raise InvalidInputError("tau must be non-negative")
-    return np.sign(threshold(v, ThresholdRule("hard", tau)))
+    return np.sign(threshold(v, "hard", tau))
 
 
 class DwtTransform:
     """Multilevel wavelet transform pinned to one signal length.
 
-    Fixing the length makes the flattened coefficient layout a well-defined
+    Fixing the length makes the flat coefficient array a well-defined
     invertible linear map.
     """
 
@@ -102,18 +94,17 @@ class DwtTransform:
         self.mode = mode
         self.level = level
         self.signal_length = signal_length
-        self._template = dwt.wavedec(
-            np.zeros(signal_length), wavelet, mode, level)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.signal_length:
             raise InvalidInputError(
                 f"expected length {self.signal_length}, got {x.shape[-1]}")
-        return dwt.flatten(dwt.wavedec(x, self.wavelet, self.mode, self.level))
+        return dwt.wavedec(x, self.wavelet, self.mode, self.level)
 
     def inverse(self, vec: np.ndarray) -> np.ndarray:
-        return dwt.waverec(dwt.unflatten(vec, self._template))
+        return dwt.waverec(vec, self.wavelet, self.mode, self.level,
+                           self.signal_length)
 
 
 class WttTransform:
@@ -124,10 +115,10 @@ class WttTransform:
         self.signal_length = bank.signal_length
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return wtt.flatten_wtt(wtt.wtt_forward(x, self.bank))
+        return wtt.wtt_forward(x, self.bank)
 
     def inverse(self, vec: np.ndarray) -> np.ndarray:
-        return wtt.wtt_inverse(wtt.unflatten_wtt(vec, self.bank), self.bank)
+        return wtt.wtt_inverse(vec, self.bank)
 
 
 def contrast(x: np.ndarray, transform, tau: float,
@@ -138,42 +129,24 @@ def contrast(x: np.ndarray, transform, tau: float,
     part the soft threshold clipped, so every entry of W(result) lies in
     [-tau, tau].  ``coeffs``, when given, is ``transform.forward(x)``.
     """
-    if tau < 0:
-        raise InvalidInputError("tau must be non-negative")
     if coeffs is None:
         coeffs = transform.forward(x)
-    kept = threshold(coeffs, ThresholdRule("soft", tau))
+    kept = threshold(coeffs, "soft", tau)
     return np.asarray(x, dtype=float) - transform.inverse(kept)
 
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """A fitted coefficient-space feature extractor.
-
-    kind:
-      identity  - features are the (preprocessed) signal itself
-      coeffs    - flattened transform coefficients, optionally thresholded
-      sign      - sign-quantized hard-thresholded coefficients
-      contrast  - signal minus the soft-threshold reconstruction
-    """
+    """A fitted feature extractor: a kind of the config's transform (none,
+    threshold, sign or contrast) on the coefficients of ``transform``, the
+    decomposition; None means the features are the signal itself.
+    ``threshold_kind`` (hard or soft) is read by kind threshold, and ``tau``
+    by every kind but none."""
 
     kind: str
     transform: object | None = None
-    rule: ThresholdRule | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "coeffs", "sign", "contrast"):
-            raise InvalidConfigError(f"unknown feature map kind {self.kind!r}")
-        if self.kind == "identity":
-            if self.transform is not None or self.rule is not None:
-                raise InvalidConfigError("identity map takes no transform or rule")
-        else:
-            if self.transform is None:
-                raise InvalidConfigError(f"{self.kind} map requires a transform")
-        if self.kind == "sign" and (self.rule is None or self.rule.kind != "hard"):
-            raise InvalidConfigError("sign quantization uses a hard threshold")
-        if self.kind == "contrast" and (self.rule is None or self.rule.kind != "soft"):
-            raise InvalidConfigError("contrasting uses a soft threshold")
+    threshold_kind: str | None = None
+    tau: float | None = None
 
 
 def extract_features(x: np.ndarray, fm: FeatureMap,
@@ -184,12 +157,14 @@ def extract_features(x: np.ndarray, fm: FeatureMap,
     a caller that needs it too.
     """
     x = np.asarray(x, dtype=float)
-    if fm.kind == "identity":
+    if fm.transform is None:
         return x
     if coeffs is None:
         coeffs = fm.transform.forward(x)
-    if fm.kind == "coeffs":
-        return threshold(coeffs, fm.rule) if fm.rule is not None else coeffs
+    if fm.kind == "none":
+        return coeffs
+    if fm.kind == "threshold":
+        return threshold(coeffs, fm.threshold_kind, fm.tau)
     if fm.kind == "sign":
-        return sign_quantize(coeffs, fm.rule.tau)
-    return contrast(x, fm.transform, fm.rule.tau, coeffs)
+        return sign_quantize(coeffs, fm.tau)
+    return contrast(x, fm.transform, fm.tau, coeffs)

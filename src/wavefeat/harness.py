@@ -7,11 +7,12 @@ resample), which is stateless, and the ordered list ``STAGES``:
 
 1. preprocess: feature-axis scaler -> abs;
 2. decompose: a fixed DWT, or a WTT filter bank trained on the block, plus
-   the coefficients of the block;
-3. features: tau, a quantile of the block's coefficient magnitudes found
-   by one selection (``features.magnitude_quantile``, equal to
-   ``np.quantile``), then threshold, sign or contrast (the signal itself
-   without a decomposition);
+   the block's flat coefficient array;
+3. features: the config's transform kind (none, threshold, sign or
+   contrast) on those coefficients, with tau a quantile of the block's
+   coefficient magnitudes found by one selection
+   (``features.magnitude_quantile``, equal to ``np.quantile``); without a
+   decomposition the features are the signal itself;
 4. model: LDA, one-vs-rest LR, or HAC.
 
 Each stage has ``fit`` (fitting block -> state) and ``apply(state, block)``.
@@ -60,8 +61,8 @@ from . import dwt as dwt_mod
 from . import models, wtt
 from .errors import (InvalidConfigError, InvalidInputError, NumericalError,
                      is_count, is_number)
-from .features import (DwtTransform, FeatureMap, ThresholdRule, WttTransform,
-                       extract_features, magnitude_quantile)
+from .features import (DwtTransform, FeatureMap, WttTransform, extract_features,
+                       magnitude_quantile)
 from .metrics import (accuracy, adjusted_mutual_info, adjusted_rand,
                       f1_weighted, fowlkes_mallows)
 from .preprocess import (LabeledDataset, PreprocessConfig, ScalerStats,
@@ -432,24 +433,12 @@ def _apply_decompose(transform, y: np.ndarray) -> tuple:
     return y, (None if transform is None else transform.forward(y))
 
 
-def _feature_map(t: TransformSpec, transform, tau: float | None) -> FeatureMap:
-    if transform is None:
-        return FeatureMap("identity")
-    if t.kind == "none":
-        return FeatureMap("coeffs", transform)
-    if t.kind == "threshold":
-        return FeatureMap("coeffs", transform, ThresholdRule(t.threshold_kind, tau))
-    if t.kind == "sign":
-        return FeatureMap("sign", transform, ThresholdRule("hard", tau))
-    return FeatureMap("contrast", transform, ThresholdRule("soft", tau))
-
-
 def _fit_features(config, fold, key, transform, signal_coeffs):
     t = config.transform
     tau = None
     if transform is not None and t.kind != "none":
         tau = magnitude_quantile(signal_coeffs[1], t.tau_quantile)
-    return _feature_map(t, transform, tau)
+    return FeatureMap(t.kind, transform, t.threshold_kind, tau)
 
 
 def _apply_features(fm: FeatureMap, signal_coeffs: tuple) -> np.ndarray:
@@ -638,7 +627,7 @@ def save_pipeline(path: str, fitted: FittedPipeline) -> None:
     if pre.scaler is not None:
         arrays.update(scaler_mean=pre.scaler.mean, scaler_std=pre.scaler.std)
     header = {"config": fitted.config.to_dict(),
-              "tau": None if fm.rule is None else fm.rule.tau, "model": None}
+              "tau": fm.tau, "model": None}
     if isinstance(transform, WttTransform):
         header["wtt_ranks"] = list(transform.bank.ranks)
         arrays.update({f"wtt_filter_{k}": u
@@ -680,7 +669,8 @@ def load_pipeline(path: str) -> FittedPipeline:
         model = cls(**header["model"], **{name[len("model_"):]: value
                                           for name, value in arrays.items()
                                           if name.startswith("model_")})
-    fm = _feature_map(config.transform, transform, header["tau"])
+    t = config.transform
+    fm = FeatureMap(t.kind, transform, t.threshold_kind, header["tau"])
     return FittedPipeline(config, (pre, transform, fm, model), train_features=None)
 
 

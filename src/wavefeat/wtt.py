@@ -14,7 +14,10 @@ Layout: each level's (rows, cols) unfolding of every signal in a batch is
 held transposed, as a row-major (batch, cols, rows) array, so consecutive
 samples fill a row and a plain row-major reshape moves from one level to
 the next.  A level is then one matrix product, ``block @ u`` forward and
-``block @ u.T`` inverse, on the (batch * cols, rows) view.
+``block @ u.T`` inverse, on the (batch * cols, rows) view.  The
+coefficients of a signal are one flat array along its last axis: the
+details of levels 1..d-1, then the core.  The bank's ranks fix every
+block's length, so the inverse takes the flat array and the bank.
 
 Banks are trained on a stack of signals (the stack is treated as one extra
 slowest mode whose filter is discarded; one signal is a stack of one), and
@@ -22,7 +25,7 @@ then applied to any signal of the same length.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,17 +59,6 @@ class WttFilterBank:
         for u in self.filters:
             if u.ndim != 2 or u.shape[0] != u.shape[1]:
                 raise InvalidInputError("filters must be square matrices")
-
-
-@dataclass
-class WttCoeffs:
-    """Per-level detail blocks plus the final retained core."""
-
-    details: list = field(default_factory=list)  # level order, flattened blocks
-    core: np.ndarray | None = None
-
-    def block_sizes(self) -> list[int]:
-        return [d.shape[-1] for d in self.details] + [self.core.shape[-1]]
 
 
 def _clipped_ranks(rank: int, d: int, tail_sizes: list[int]) -> list[int]:
@@ -111,86 +103,51 @@ def train_group_filters(signals: np.ndarray, rank: int) -> WttFilterBank:
     return WttFilterBank(tuple(filters), tuple(ranks), n, rank)
 
 
-def wtt_forward(x: np.ndarray, bank: WttFilterBank) -> WttCoeffs:
-    """Apply the bank; emits per-level detail blocks and the final core.
+def wtt_forward(x: np.ndarray, bank: WttFilterBank) -> np.ndarray:
+    """Apply the bank along the last axis of x, of any leading shape.
 
-    Accepts a single signal or an (n_samples, n_points) block; blocks keep
-    their leading axis in every output block.
+    Returns the flat coefficient array: the details of levels 1..d-1, then
+    the final core.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[-1] != bank.signal_length:
+    n = bank.signal_length
+    if x.shape[-1] != n:
         raise InvalidInputError(
-            f"signal length {x.shape[-1]} does not match bank length {bank.signal_length}")
-    batch = x.shape[0]
-    details = []
-    a = x
+            f"signal length {x.shape[-1]} does not match bank length {n}")
+    a = x.reshape(-1, n)
+    batch = a.shape[0]
+    blocks = []
     for u, r_k in zip(bank.filters, bank.ranks):
         rows = u.shape[0]
         b = (a.reshape(-1, rows) @ u).reshape(batch, -1, rows)
-        det = b[..., r_k:].reshape(batch, -1)
-        details.append(det[0] if single else det)
+        blocks.append(b[..., r_k:].reshape(batch, -1))
         a = b[..., :r_k]
-    core = a.reshape(batch, -1)
-    return WttCoeffs(details=details, core=core[0] if single else core)
+    blocks.append(a.reshape(batch, -1))
+    return np.concatenate(blocks, axis=-1).reshape(x.shape)
 
 
-def wtt_inverse(c: WttCoeffs, bank: WttFilterBank) -> np.ndarray:
+def wtt_inverse(vec: np.ndarray, bank: WttFilterBank) -> np.ndarray:
     """Exact inverse of :func:`wtt_forward` for the producing bank."""
-    core = np.asarray(c.core, dtype=float)
-    single = core.ndim == 1
-    details = [np.asarray(d, dtype=float) for d in c.details]
-    if single:
-        core = core[None, :]
-        details = [d[None, :] for d in details]
-    if len(details) != bank.depth:
-        raise InvalidInputError("detail count does not match bank depth")
-    batch = core.shape[0]
-    # remaining column count at level k is 2^(d-1-k)
+    vec = np.asarray(vec, dtype=float)
     n = bank.signal_length
-    cols = [n // (2 ** (k + 1)) for k in range(bank.depth)]
-    r_last = bank.ranks[-1]
-    if core.size != batch * r_last * cols[-1]:
-        raise InvalidInputError("core size does not match bank shape")
-    a = core
+    if vec.shape[-1] != n:
+        raise InvalidInputError(
+            f"flat length {vec.shape[-1]} does not match bank length {n}")
+    flat = vec.reshape(-1, n)
+    batch = flat.shape[0]
+    # the blocks are read from the back: the core, then each level's details
+    end = n - bank.ranks[-1] * (n // 2 ** bank.depth)
+    a = flat[:, end:]
     for k in range(bank.depth - 1, -1, -1):
         u = bank.filters[k]
         rows = u.shape[0]
         r_k = bank.ranks[k]
-        det = details[k]
-        expect = batch * (rows - r_k) * cols[k]
-        if det.size != expect:
-            raise InvalidInputError(
-                f"level-{k + 1} detail block has {det.size} elements, expected {expect}")
+        cols = n // 2 ** (k + 1)  # columns left at level k
+        start = end - (rows - r_k) * cols
+        det = flat[:, start:end]
+        end = start
         b = np.concatenate(
-            [a.reshape(batch * cols[k], r_k),
-             det.reshape(batch * cols[k], rows - r_k)], axis=1)
+            [a.reshape(batch * cols, r_k),
+             det.reshape(batch * cols, rows - r_k)], axis=1)
         a = b @ u.T
-    a = a.reshape(batch, n)
-    return a[0] if single else a
-
-
-def flatten_wtt(c: WttCoeffs) -> np.ndarray:
-    """Details level 1..d-1 then core, concatenated along the last axis."""
-    return np.concatenate(list(c.details) + [c.core], axis=-1)
-
-
-def unflatten_wtt(vec: np.ndarray, bank: WttFilterBank) -> WttCoeffs:
-    """Split a flat vector back into per-level blocks for the given bank."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape[-1] != bank.signal_length:
-        raise InvalidInputError(
-            f"flat length {vec.shape[-1]} does not match bank length {bank.signal_length}")
-    n = bank.signal_length
-    sizes = []
-    r_prev = 1
-    for k, r_k in enumerate(bank.ranks):
-        cols = n // (2 ** (k + 1))
-        sizes.append((r_prev * 2 - r_k) * cols)
-        r_prev = r_k
-    splits = np.cumsum(sizes)
-    parts = np.split(vec, splits, axis=-1)
-    return WttCoeffs(details=list(parts[:-1]), core=parts[-1])
-
+    return a.reshape(vec.shape)

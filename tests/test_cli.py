@@ -566,3 +566,27 @@ def test_synth_config_with_a_malformed_field_exits_2(tmp_path, capsys, fields,
                      "--out", str(tmp_path / "data.csv")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "data.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["report", "synth", "gridsearch", "cluster"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
+    # report's registry in a directory that does not exist; a regular file
+    # where the other commands make their output directory
+    data = _tiny_dataset(tmp_path)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(CLUSTER_GRID))
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    argv = {
+        "report": ["report", "--registry", str(tmp_path / "nope" / "x.tsv")],
+        "synth": ["synth", "--out", str(blocker / "d.csv")],
+        "gridsearch": ["gridsearch", "--data", str(data), "--folds", "2",
+                       "--out-dir", str(blocker)],
+        "cluster": ["cluster", "--data", str(data), "--config", str(grid),
+                    "--folds", "2", "--out-dir", str(blocker)],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write: ")
+    assert "Traceback" not in err

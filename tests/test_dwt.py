@@ -124,8 +124,7 @@ class TestMultilevel:
         x = rng.standard_normal(64)
         c = dwt.wavedec(x, w, "symmetric", 1)
         a, d = dwt.dwt_single(x, w, "symmetric")
-        assert np.array_equal(c.approx, a)
-        assert np.array_equal(c.details[0], d)
+        assert np.array_equal(c, np.concatenate([a, d]))
 
     def test_max_level_haar_1024(self):
         w = dwt.lookup_wavelet("daubechies", 1)
@@ -144,7 +143,7 @@ class TestMultilevel:
         w = dwt.lookup_wavelet("daubechies", 4)
         x = rng.standard_normal(64)
         c = dwt.wavedec(x, w, "symmetric", 3)
-        assert np.max(np.abs(dwt.waverec(c) - x)) <= 1e-10
+        assert np.max(np.abs(dwt.waverec(c, w, "symmetric", 3, 64) - x)) <= 1e-10
 
     @pytest.mark.parametrize("mode", dwt.PADDING_MODES)
     def test_round_trip_modes_sample(self, mode):
@@ -160,12 +159,13 @@ class TestMultilevel:
                     continue
                 x = rng.standard_normal((3, n))
                 c = dwt.wavedec(x, w, mode, lmax)
-                assert np.max(np.abs(dwt.waverec(c) - x)) <= 1e-8, (name, mode, n)
+                back = dwt.waverec(c, w, mode, lmax, n)
+                assert np.max(np.abs(back - x)) <= 1e-8, (name, mode, n)
 
     def test_zero_coeffs_zero_signal(self):
         w = dwt.lookup_wavelet("daubechies", 2)
         c = dwt.wavedec(np.zeros(32), w, "periodic", 2)
-        assert np.max(np.abs(dwt.waverec(c))) == 0.0
+        assert np.max(np.abs(dwt.waverec(c, w, "periodic", 2, 32))) == 0.0
 
     def test_energy_conservation_orthogonal_periodization(self):
         rng = np.random.default_rng(4)
@@ -176,7 +176,7 @@ class TestMultilevel:
                 continue
             lmax = dwt.max_level(128, w)
             c = dwt.wavedec(x, w, "periodization", lmax)
-            e = np.sum(dwt.flatten(c) ** 2)
+            e = np.sum(c ** 2)
             assert abs(e - e0) / e0 <= 1e-9, w.name
 
     def test_constant_kills_details(self):
@@ -184,44 +184,40 @@ class TestMultilevel:
         for w in dwt.iter_registry():
             if w.family not in ORTHOGONAL_FAMILIES:
                 continue
-            c = dwt.wavedec(x, w, "periodization", dwt.max_level(128, w))
-            for det in c.details:
-                assert np.max(np.abs(det)) <= 1e-10, w.name
+            level = dwt.max_level(128, w)
+            c = dwt.wavedec(x, w, "periodization", level)
+            # the approximation holds 128 / 2**level coefficients
+            assert np.max(np.abs(c[128 >> level:])) <= 1e-10, w.name
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
         w = dwt.lookup_wavelet("coiflet", 2)
         x, y = rng.standard_normal((2, 50))
-        ca = dwt.flatten(dwt.wavedec(2.0 * x + 3.0 * y, w, "reflect", 2))
-        cb = 2.0 * dwt.flatten(dwt.wavedec(x, w, "reflect", 2)) + \
-            3.0 * dwt.flatten(dwt.wavedec(y, w, "reflect", 2))
+        ca = dwt.wavedec(2.0 * x + 3.0 * y, w, "reflect", 2)
+        cb = 2.0 * dwt.wavedec(x, w, "reflect", 2) + \
+            3.0 * dwt.wavedec(y, w, "reflect", 2)
         assert np.max(np.abs(ca - cb)) <= 1e-10
 
 
 class TestFlatten:
     def test_level1_haar_layout(self):
         w = dwt.lookup_wavelet("daubechies", 1)
-        c = dwt.wavedec(np.array([1.0, 2, 3, 4]), w, "periodization", 1)
-        flat = dwt.flatten(c)
+        x = np.array([1.0, 2, 3, 4])
+        flat = dwt.wavedec(x, w, "periodization", 1)
+        a, d = dwt.dwt_single(x, w, "periodization")
         assert flat.shape == (4,)
-        assert np.array_equal(flat[:2], c.approx)
-        assert np.array_equal(flat[2:], c.details[0])
+        assert np.array_equal(flat[:2], a)
+        assert np.array_equal(flat[2:], d)
 
-    def test_unflatten_round_trip(self):
-        rng = np.random.default_rng(6)
-        w = dwt.lookup_wavelet("symlet", 3)
-        x = rng.standard_normal(96)
-        c = dwt.wavedec(x, w, "smooth", 3)
-        flat = dwt.flatten(c)
-        assert flat.shape[-1] == sum(c.block_sizes())
-        c2 = dwt.unflatten(flat, c)
-        assert np.max(np.abs(dwt.waverec(c2) - x)) <= 1e-8
-
-    def test_unflatten_length_check(self):
+    def test_waverec_length_check(self):
         w = dwt.lookup_wavelet("daubechies", 2)
-        c = dwt.wavedec(np.zeros(32), w, "zero", 2)
-        with pytest.raises(InvalidInputError):
-            dwt.unflatten(np.zeros(sum(c.block_sizes()) + 1), c)
+        x = np.zeros((2, 33))
+        for mode in ("zero", "periodization"):
+            flat = dwt.wavedec(x, w, mode, 2)
+            assert dwt.waverec(flat, w, mode, 2, 33).shape == x.shape
+            for wrong in (flat[..., :-1], np.concatenate([flat, flat[..., :1]], axis=-1)):
+                with pytest.raises(InvalidInputError):
+                    dwt.waverec(wrong, w, mode, 2, 33)
 
 
 # The analysis and synthesis steps as first written, with an index-array
@@ -276,10 +272,18 @@ def _reference_idwt_single(a, d, w, mode, out_length):
     return out[..., L - 2:L - 2 + out_length]
 
 
-def _reference_waverec_periodization(c):
-    cur = c.approx
-    for det, out_len in zip(c.details, c.level_lengths):
-        cur = _reference_idwt_periodization(cur, det, c.wavelet, out_len)
+def _reference_waverec_periodization(flat, x, w, level):
+    """The inverse of x's flat coefficients, split by the lengths that the
+    analysis steps of x give."""
+    lengths, cur = [x.shape[-1]], x
+    for _ in range(level):
+        cur, _ = dwt.dwt_single(cur, w, "periodization")
+        lengths.append(cur.shape[-1])
+    sizes = [lengths[-1]] + lengths[:0:-1]  # approx, then details coarsest first
+    parts = np.split(flat, np.cumsum(sizes)[:-1], axis=-1)
+    cur = parts[0]
+    for det, out_len in zip(parts[1:], lengths[-2::-1]):
+        cur = _reference_idwt_periodization(cur, det, w, out_len)
     return cur
 
 
@@ -352,11 +356,10 @@ class TestBitIdenticalToReference:
         w = dwt.lookup_wavelet("daubechies", 4)
         level = dwt.max_level(n, w)
         for x, _ in _blocks(spectra_block[n]):
-            c = dwt.wavedec(x, w, "periodization", level)
-            flat = dwt.flatten(c)
+            flat = dwt.wavedec(x, w, "periodization", level)
             shrunk = np.sign(flat) * np.maximum(np.abs(flat) - 0.5, 0.0)
-            c2 = dwt.unflatten(shrunk, c)
-            _same_bits(dwt.waverec(c2), _reference_waverec_periodization(c2))
+            _same_bits(dwt.waverec(shrunk, w, "periodization", level, n),
+                       _reference_waverec_periodization(shrunk, x, w, level))
 
     @pytest.mark.parametrize("mode", [m for m in dwt.PADDING_MODES
                                       if m != "periodization"])

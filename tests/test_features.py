@@ -3,44 +3,43 @@ import numpy as np
 import pytest
 
 from wavefeat import dwt, wtt
-from wavefeat.errors import InvalidConfigError, InvalidInputError
-from wavefeat.features import (DwtTransform, FeatureMap, ThresholdRule,
-                               WttTransform, contrast, extract_features,
-                               magnitude_quantile, sign_quantize, threshold)
+from wavefeat.errors import InvalidInputError
+from wavefeat.features import (DwtTransform, FeatureMap, WttTransform,
+                               contrast, extract_features, magnitude_quantile,
+                               sign_quantize, threshold)
 
 
 class TestThreshold:
     def test_hard_example(self):
-        out = threshold(np.array([3.0, -0.5, 1.2]), ThresholdRule("hard", 1.0))
+        out = threshold(np.array([3.0, -0.5, 1.2]), "hard", 1.0)
         assert np.array_equal(out, [3.0, 0.0, 1.2])
 
     def test_soft_example(self):
-        out = threshold(np.array([3.0, -0.5, 1.2]), ThresholdRule("soft", 1.0))
+        out = threshold(np.array([3.0, -0.5, 1.2]), "soft", 1.0)
         assert np.allclose(out, [2.0, 0.0, 0.2])
 
     def test_tau_zero_identity(self):
         v = np.array([1.0, -2.0, 0.5, 0.0])
-        assert np.array_equal(threshold(v, ThresholdRule("hard", 0.0)), v)
-        assert np.array_equal(threshold(v, ThresholdRule("soft", 0.0)), v)
+        assert np.array_equal(threshold(v, "hard", 0.0), v)
+        assert np.array_equal(threshold(v, "soft", 0.0), v)
 
     def test_hard_boundary_strict(self):
         # |c| == tau is dropped
-        out = threshold(np.array([1.0, -1.0, 1.0001]), ThresholdRule("hard", 1.0))
+        out = threshold(np.array([1.0, -1.0, 1.0001]), "hard", 1.0)
         assert np.array_equal(out, [0.0, 0.0, 1.0001])
 
     def test_soft_contraction(self):
         rng = np.random.default_rng(0)
         u, v = rng.standard_normal((2, 100))
-        rule = ThresholdRule("soft", 0.7)
-        lhs = np.linalg.norm(threshold(u, rule) - threshold(v, rule))
+        lhs = np.linalg.norm(threshold(u, "soft", 0.7) - threshold(v, "soft", 0.7))
         assert lhs <= np.linalg.norm(u - v) + 1e-12
 
     def test_hard_minus_soft_structure(self):
         rng = np.random.default_rng(1)
         v = rng.standard_normal(200)
         tau = 0.8
-        delta = threshold(v, ThresholdRule("hard", tau)) - \
-            threshold(v, ThresholdRule("soft", tau))
+        delta = threshold(v, "hard", tau) - \
+            threshold(v, "soft", tau)
         assert np.all(np.abs(delta) <= tau + 1e-12)
         nz = delta != 0
         assert np.all(np.sign(delta[nz]) == np.sign(v[nz]))
@@ -56,15 +55,15 @@ class TestThreshold:
                              -np.nextafter(tau, 0.0), np.nextafter(tau, 9.0)]])
         for block in (v, v[:696].reshape(24, 29), v[:696].reshape(24, 29).T):
             want = np.sign(block) * np.maximum(np.abs(block) - tau, 0.0)
-            got = threshold(block, ThresholdRule("soft", tau))
+            got = threshold(block, "soft", tau)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
-            ThresholdRule("medium", 1.0)
+            threshold(np.ones(3), "medium", 1.0)
         with pytest.raises(InvalidInputError):
-            ThresholdRule("hard", -0.1)
+            threshold(np.ones(3), "hard", -0.1)
 
 
 class TestMagnitudeQuantile:
@@ -208,13 +207,13 @@ class TestTransforms:
 class TestExtractFeatures:
     def test_identity_pipeline(self):
         x = np.arange(5.0)
-        fm = FeatureMap("identity")
+        fm = FeatureMap("none")
         assert np.array_equal(extract_features(x, fm), x)
 
     def test_sign_codomain_haar(self):
         w = dwt.lookup_wavelet("daubechies", 1)
         tr = DwtTransform(w, "periodization", 1, 4)
-        fm = FeatureMap("sign", tr, ThresholdRule("hard", 0.5))
+        fm = FeatureMap("sign", tr, None, 0.5)
         out = extract_features(np.array([1.0, 2.0, 3.0, 4.0]), fm)
         assert out.shape == (4,)
         assert set(np.unique(out)).issubset({-1.0, 0.0, 1.0})
@@ -222,27 +221,26 @@ class TestExtractFeatures:
     def test_full_composition_matches_manual(self, wtt_transform):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(64)
-        rule = ThresholdRule("hard", 0.6)
-        fm = FeatureMap("coeffs", wtt_transform, rule)
-        manual = threshold(wtt_transform.forward(x), rule)
+        fm = FeatureMap("threshold", wtt_transform, "hard", 0.6)
+        manual = threshold(wtt_transform.forward(x), "hard", 0.6)
         assert np.array_equal(extract_features(x, fm), manual)
 
     def test_batch_equals_per_sample(self, wtt_transform):
         rng = np.random.default_rng(12)
         xs = rng.standard_normal((3, 64))
-        fm = FeatureMap("coeffs", wtt_transform, ThresholdRule("soft", 0.2))
+        fm = FeatureMap("threshold", wtt_transform, "soft", 0.2)
         batch = extract_features(xs, fm)
         for i in range(3):
             assert np.allclose(batch[i], extract_features(xs[i], fm), atol=1e-12)
 
     def test_invalid_configs(self, wtt_transform):
-        with pytest.raises(InvalidConfigError):
-            FeatureMap("coeffs")  # transform required
-        with pytest.raises(InvalidConfigError):
-            FeatureMap("sign", wtt_transform, ThresholdRule("soft", 0.1))
-        with pytest.raises(InvalidConfigError):
-            FeatureMap("contrast", wtt_transform, ThresholdRule("hard", 0.1))
-        with pytest.raises(InvalidConfigError):
-            FeatureMap("identity", wtt_transform)
-        with pytest.raises(InvalidConfigError):
-            FeatureMap("quantize", wtt_transform)
+        # the config's transform rules are checked where the config is read;
+        # an unknown threshold kind or a negative tau is rejected by the
+        # threshold that every kind goes through
+        x = np.random.default_rng(13).standard_normal(64)
+        for fm in (FeatureMap("threshold", wtt_transform, "medium", 0.1),
+                   FeatureMap("threshold", wtt_transform, "soft", -0.1),
+                   FeatureMap("sign", wtt_transform, None, -0.1),
+                   FeatureMap("contrast", wtt_transform, None, -0.1)):
+            with pytest.raises(InvalidInputError):
+                extract_features(x, fm)

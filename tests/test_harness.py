@@ -1,6 +1,7 @@
 """Tests for the pipeline stage list, its per-fold memo, grid search,
 repeated CV, the pipeline archive and the seeded splits."""
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -273,7 +274,7 @@ def test_held_out_rows_do_not_reach_the_fitted_state(data, config):
     b = fit_pipeline(config, other, train_idx)
     _assert_identical(a.states, b.states)
     _assert_identical(a.train_features, b.train_features)
-    assert a.states[0].scaler is not None and a.states[2].rule is not None
+    assert a.states[0].scaler is not None and a.states[2].tau is not None
     if config.task == "classification":
         block = data.intensities[test_idx]
         assert a.predict(block) == b.predict(block)
@@ -421,6 +422,31 @@ def test_pipeline_archive_round_trip(data, tmp_path, config, numpy_labels):
         assert fitted.model.complement_inv_var > 0
 
 
+_LR_HEADER = ["classes", "converged", "duality_gap", "inverse_reg", "n_iter", "penalty"]
+_PRE_ARRAYS = ["pipeline", "wavenumbers", "scaler_mean", "scaler_std"]
+
+
+@pytest.mark.parametrize("config,header_keys,files", [
+    (LEAKAGE_CONFIGS[0], ["config", "model", "tau", "wtt_ranks"],
+     _PRE_ARRAYS + [f"wtt_filter_{k}" for k in range(6)]
+     + ["model_weights", "model_intercepts"]),
+    (ARCHIVE_CASES[2][1], ["config", "model", "tau"],
+     _PRE_ARRAYS + ["model_weights", "model_intercepts"]),
+], ids=["wtt", "dwt"])
+def test_pipeline_archive_layout(data, tmp_path, config, header_keys, files):
+    # the names on disk, which archives written by earlier versions carry
+    fitted = fit_pipeline(config, data, np.arange(data.n_samples))
+    path = tmp_path / "pipeline.npz"
+    harness.save_pipeline(path, fitted)
+    with np.load(path) as archive:
+        assert sorted(archive.files) == sorted(files)
+        header = json.loads(str(archive["pipeline"]))
+    assert sorted(header) == header_keys
+    assert sorted(header["model"]) == _LR_HEADER
+    assert header["config"] == config.to_dict()
+    assert header["tau"] == fitted.states[2].tau
+
+
 def test_load_pipeline_rejects_other_archives(tmp_path):
     path = tmp_path / "other.npz"
     np.savez(path, header=np.array("{}"))
@@ -484,6 +510,9 @@ def test_grid_counts_cross_stage_skips():
     ("model", {"kind": "hac", "affinity": "cosine", "linkage": "ward"}),
     ("model", {"kind": "lda", "shrinkage": 0.1}),
     ("transform", {"kind": "threshold", "threshold_kind": "medium", "tau_quantile": 0.9}),
+    ("transform", {"kind": "sign", "threshold_kind": "soft", "tau_quantile": 0.9}),
+    ("transform", {"kind": "contrast", "threshold_kind": "hard", "tau_quantile": 0.9}),
+    ("transform", {"kind": "quantize", "tau_quantile": 0.9}),
     ("decomposition", {"kind": "wtt", "rank": 0}),
     ("decomposition", {"kind": "none", "rank": 2}),
 ])

@@ -6,7 +6,7 @@ import pytest
 
 from wavefeat.errors import InvalidConfigError, InvalidInputError, NumericalError
 from wavefeat import harness, models as M
-from wavefeat.features import ThresholdRule, magnitude_quantile, sign_quantize, threshold
+from wavefeat.features import magnitude_quantile, sign_quantize, threshold
 from wavefeat.harness import PipelineConfig, fit_pipeline
 from wavefeat.metrics import adjusted_rand
 from wavefeat.preprocess import LabeledDataset
@@ -547,7 +547,7 @@ class TestLrL1:
         # it: each class takes more than 20 steps, and after 20 every class
         # forms its Newton system from fewer than half of the columns
         xa, _, labels = synth_fold
-        x = threshold(xa[:, :-1], ThresholdRule("hard", magnitude_quantile(xa[:, :-1], 0.9)))
+        x = threshold(xa[:, :-1], "hard", magnitude_quantile(xa[:, :-1], 0.9))
         ys = np.array([_binary_targets(labels, c) for c in sorted(set(labels))])
         c, n = ys.shape[0], x.shape[1]
         *_, kept = M._barrier_l1(x, ys, 0.01, 20, np.zeros((c, n)), np.zeros(c))
@@ -556,6 +556,31 @@ class TestLrL1:
                                                 np.zeros(c))
         assert np.all(steps > 20) and np.all(kept.sum(axis=1) < 40)
         assert not np.any(w[~kept])
+
+    def test_a_dual_point_that_proves_nothing_drops_nothing(self, synth_fold,
+                                                           monkeypatch):
+        # the screening sphere is centred on the step's own dual point: from
+        # step K + 1 on, every step's dual value reads primal - 1e6, so its
+        # sphere bounds no column below lam, while the best dual value seen
+        # still makes the gap small
+        xa, _, labels = synth_fold
+        x = threshold(xa[:, :-1], "hard", magnitude_quantile(xa[:, :-1], 0.9))
+        ys = np.array([_binary_targets(labels, c) for c in sorted(set(labels))])
+        c, n = ys.shape[0], x.shape[1]
+        k = 10
+        *_, want = M._barrier_l1(x, ys, 0.01, k, np.zeros((c, n)), np.zeros(c))
+        bounds, calls = M._duality_bounds, []
+
+        def proving_nothing(*args):
+            primal, dual, g, scale = bounds(*args)
+            calls.append(dual)
+            return primal, dual if len(calls) <= k else primal - 1e6, g, scale
+
+        monkeypatch.setattr(M, "_duality_bounds", proving_nothing)
+        _, _, _, steps, _, kept = M._barrier_l1(x, ys, 0.01, 60, np.zeros((c, n)),
+                                                np.zeros(c))
+        assert np.all(steps > k) and len(calls) > k
+        assert np.array_equal(kept, want)
 
     def test_l2_fits_report_no_gap(self, sparse_problem):
         x, y = sparse_problem

@@ -83,11 +83,11 @@ class TestForwardInverse:
         c0 = 3.0
         bank = wtt.train_group_filters(np.full(8, c0)[None], 1)
         c = wtt.wtt_forward(np.full(8, c0), bank)
-        for det in c.details:
-            assert np.max(np.abs(det)) <= 1e-12
-        assert np.allclose(np.abs(c.core), [2 * c0, 2 * c0])
+        details, core = c[:-2], c[-2:]  # the rank-1 core holds 2 coefficients
+        assert np.max(np.abs(details)) <= 1e-12
+        assert np.allclose(np.abs(core), [2 * c0, 2 * c0])
         # norm sqrt(8) * c preserved
-        assert abs(np.linalg.norm(c.core) - np.sqrt(8) * c0) <= 1e-12
+        assert abs(np.linalg.norm(core) - np.sqrt(8) * c0) <= 1e-12
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 6])
     def test_round_trip(self, rank):
@@ -103,7 +103,7 @@ class TestForwardInverse:
         for _ in range(100):
             x = rng.standard_normal(128)
             c = wtt.wtt_forward(x, bank)
-            assert abs(np.linalg.norm(wtt.flatten_wtt(c)) - np.linalg.norm(x)) <= 1e-10
+            assert abs(np.linalg.norm(c) - np.linalg.norm(x)) <= 1e-10
 
     def test_zero_coefficients(self):
         rng = np.random.default_rng(8)
@@ -115,9 +115,9 @@ class TestForwardInverse:
         rng = np.random.default_rng(9)
         bank = wtt.train_group_filters(rng.standard_normal(32)[None], 2)
         x, y = rng.standard_normal((2, 32))
-        fx = wtt.flatten_wtt(wtt.wtt_forward(x, bank))
-        fy = wtt.flatten_wtt(wtt.wtt_forward(y, bank))
-        fxy = wtt.flatten_wtt(wtt.wtt_forward(2 * x - y, bank))
+        fx = wtt.wtt_forward(x, bank)
+        fy = wtt.wtt_forward(y, bank)
+        fxy = wtt.wtt_forward(2 * x - y, bank)
         assert np.max(np.abs(fxy - (2 * fx - fy))) <= 1e-10
 
     def test_dimension_bookkeeping(self):
@@ -125,8 +125,7 @@ class TestForwardInverse:
         x = rng.standard_normal(64)
         for rank in range(1, 9):
             bank = wtt.train_group_filters(x[None], rank)
-            c = wtt.wtt_forward(x, bank)
-            assert sum(c.block_sizes()) == 64
+            assert wtt.wtt_forward(x, bank).shape == (64,)
 
     def test_adaptivity_rank1_detail_minimal(self):
         # the trained level-1 filter drops the least possible energy among
@@ -134,7 +133,8 @@ class TestForwardInverse:
         rng = np.random.default_rng(11)
         x = rng.standard_normal(64)
         bank = wtt.train_group_filters(x[None], 1)
-        trained = np.linalg.norm(wtt.wtt_forward(x, bank).details[0])
+        # at rank 1, the level-1 details are the first 32 coefficients
+        trained = np.linalg.norm(wtt.wtt_forward(x, bank)[:32])
         pairs = x.reshape(2, -1, order="F")
         for theta in np.linspace(0, np.pi, 181):
             q = np.array([[np.cos(theta), -np.sin(theta)],
@@ -145,11 +145,10 @@ class TestForwardInverse:
     def test_mismatched_blocks_rejected(self):
         rng = np.random.default_rng(12)
         bank = wtt.train_group_filters(rng.standard_normal(32)[None], 2)
-        c = wtt.wtt_forward(rng.standard_normal(32), bank)
-        assert c.details[-1].size > 0
-        c.details[-1] = c.details[-1][:-1]
-        with pytest.raises(InvalidInputError):
-            wtt.wtt_inverse(c, bank)
+        c = wtt.wtt_forward(rng.standard_normal((2, 32)), bank)
+        for wrong in (c[..., :-1], np.concatenate([c, c[..., :1]], axis=-1)):
+            with pytest.raises(InvalidInputError):
+                wtt.wtt_inverse(wrong, bank)
 
 
 class TestFlatten:
@@ -157,29 +156,25 @@ class TestFlatten:
         rng = np.random.default_rng(13)
         x = rng.standard_normal(64)
         bank = wtt.train_group_filters(x[None], 2)
-        c = wtt.wtt_forward(x, bank)
-        flat = wtt.flatten_wtt(c)
+        flat = wtt.wtt_forward(x, bank)
         assert flat.shape == (64,)
-        sizes = c.block_sizes()
-        assert np.array_equal(flat[:sizes[0]], c.details[0])
-        assert np.array_equal(flat[-sizes[-1]:], c.core)
-
-    def test_unflatten_round_trip(self):
-        rng = np.random.default_rng(14)
-        x = rng.standard_normal(128)
-        bank = wtt.train_group_filters(x[None], 3)
-        c = wtt.wtt_forward(x, bank)
-        c2 = wtt.unflatten_wtt(wtt.flatten_wtt(c), bank)
-        assert np.max(np.abs(wtt.wtt_inverse(c2, bank) - x)) <= 1e-10
+        details, core = _reference_forward(x[None], bank)
+        assert np.allclose(flat[:details[0].shape[-1]], details[0][0], atol=1e-12)
+        assert np.allclose(flat[-core.shape[-1]:], core[0], atol=1e-12)
 
     def test_batch_flatten(self):
         rng = np.random.default_rng(15)
         xs = rng.standard_normal((5, 64))
         bank = wtt.train_group_filters(xs, 2)
-        flat = wtt.flatten_wtt(wtt.wtt_forward(xs, bank))
+        flat = wtt.wtt_forward(xs, bank)
         assert flat.shape == (5, 64)
-        single = wtt.flatten_wtt(wtt.wtt_forward(xs[2], bank))
+        single = wtt.wtt_forward(xs[2], bank)
         assert np.allclose(flat[2], single, atol=1e-12)
+        stacked = wtt.wtt_forward(xs[:4].reshape(2, 2, 64), bank)
+        assert stacked.shape == (2, 2, 64)
+        assert np.allclose(stacked.reshape(4, 64), flat[:4], atol=1e-12)
+        back = wtt.wtt_inverse(stacked, bank)
+        assert np.max(np.abs(back.reshape(4, 64) - xs[:4])) <= 1e-10
 
 
 class TestSerialization:
@@ -279,17 +274,14 @@ class TestBitIdenticalToReference:
         for got, want in zip(bank.filters, filters):
             _same_bits(got, want)
         for x in (block[7], block[7:8], block[:60], block):
-            c = wtt.wtt_forward(x, bank)
-            rows = np.atleast_2d(x)
-            details, core = _reference_forward(rows, bank)
-            got = [np.atleast_2d(v) for v in c.details + [c.core]]
-            for g, want in zip(got, details + [core]):
-                _same_bits(g, want)
-            flat = wtt.flatten_wtt(c)
+            flat = wtt.wtt_forward(x, bank)
+            assert flat.shape == x.shape
+            details, core = _reference_forward(np.atleast_2d(x), bank)
+            _same_bits(np.atleast_2d(flat), np.concatenate(details + [core], axis=-1))
             shrunk = np.sign(flat) * np.maximum(np.abs(flat) - 0.5, 0.0)
-            c2 = wtt.unflatten_wtt(shrunk, bank)
-            want = _reference_inverse([np.atleast_2d(v) for v in c2.details],
-                                      np.atleast_2d(c2.core), bank)
-            back = wtt.wtt_inverse(c2, bank)
+            ends = np.cumsum([d.shape[-1] for d in details])
+            *details, core = np.split(np.atleast_2d(shrunk), ends, axis=-1)
+            want = _reference_inverse(details, core, bank)
+            back = wtt.wtt_inverse(shrunk, bank)
             assert back.shape == x.shape
             _same_bits(np.atleast_2d(back), want)

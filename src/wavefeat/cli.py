@@ -501,8 +501,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
-        # the loaders turn read failures into data and config errors, so
-        # what reaches here is an output path
+        # the loaders report read failures, so this is an output path
         print(f"cannot write: {exc}", file=sys.stderr)
         return 2
 

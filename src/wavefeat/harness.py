@@ -435,9 +435,7 @@ def _apply_decompose(transform, y: np.ndarray) -> tuple:
 
 def _fit_features(config, fold, key, transform, signal_coeffs):
     t = config.transform
-    tau = None
-    if transform is not None and t.kind != "none":
-        tau = magnitude_quantile(signal_coeffs[1], t.tau_quantile)
+    tau = None if t.kind == "none" else magnitude_quantile(signal_coeffs[1], t.tau_quantile)
     return FeatureMap(t.kind, transform, t.threshold_kind, tau)
 
 

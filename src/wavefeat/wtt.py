@@ -54,11 +54,17 @@ class WttFilterBank:
         return len(self.filters)
 
     def __post_init__(self):
+        # an archive's bank too: both transforms take block lengths from the ranks
         if len(self.ranks) != len(self.filters):
             raise InvalidInputError("ranks and filters length mismatch")
-        for u in self.filters:
-            if u.ndim != 2 or u.shape[0] != u.shape[1]:
-                raise InvalidInputError("filters must be square matrices")
+        if self.signal_length != 2 ** (self.depth + 1):
+            raise InvalidInputError(
+                f"signal length {self.signal_length} does not match bank depth {self.depth}")
+        r_prev = 1
+        for u, r_k in zip(self.filters, self.ranks):
+            if u.shape != (2 * r_prev, 2 * r_prev) or not 1 <= r_k <= 2 * r_prev:
+                raise InvalidInputError("filter sizes do not match the ranks")
+            r_prev = r_k
 
 
 def _clipped_ranks(rank: int, d: int, tail_sizes: list[int]) -> list[int]:

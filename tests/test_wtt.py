@@ -40,6 +40,19 @@ class TestTrainFilters:
         with pytest.raises(InvalidInputError):
             wtt.train_group_filters(np.zeros(8)[None], 0)
 
+    def test_bank_whose_ranks_do_not_match_its_filters_rejected(self):
+        # a bank read from an archive: every block length follows from the ranks
+        rng = np.random.default_rng(17)
+        bank = wtt.train_group_filters(rng.standard_normal((4, 64)), 2)
+        assert bank.ranks == (2, 2, 2, 2, 2)
+        for ranks, length in [((2, 3, 2, 2, 2), 64), ((1, 2, 2, 2, 2), 64),
+                              ((2, 2, 2, 2, 2), 128)]:
+            with pytest.raises(InvalidInputError):
+                wtt.WttFilterBank(bank.filters, ranks, length, 2)
+        with pytest.raises(InvalidInputError):
+            wtt.WttFilterBank(bank.filters[:1] + (np.eye(3),) + bank.filters[2:],
+                              bank.ranks, 64, 2)
+
     def test_orthogonality(self):
         rng = np.random.default_rng(2)
         bank = wtt.train_group_filters(rng.standard_normal(64)[None], 3)

@@ -38,8 +38,7 @@ class TestThreshold:
         rng = np.random.default_rng(1)
         v = rng.standard_normal(200)
         tau = 0.8
-        delta = threshold(v, "hard", tau) - \
-            threshold(v, "soft", tau)
+        delta = threshold(v, "hard", tau) - threshold(v, "soft", tau)
         assert np.all(np.abs(delta) <= tau + 1e-12)
         nz = delta != 0
         assert np.all(np.sign(delta[nz]) == np.sign(v[nz]))

@@ -510,11 +510,11 @@ def test_grid_counts_cross_stage_skips():
     ("model", {"kind": "hac", "affinity": "cosine", "linkage": "ward"}),
     ("model", {"kind": "lda", "shrinkage": 0.1}),
     ("transform", {"kind": "threshold", "threshold_kind": "medium", "tau_quantile": 0.9}),
+    ("decomposition", {"kind": "wtt", "rank": 0}),
+    ("decomposition", {"kind": "none", "rank": 2}),
     ("transform", {"kind": "sign", "threshold_kind": "soft", "tau_quantile": 0.9}),
     ("transform", {"kind": "contrast", "threshold_kind": "hard", "tau_quantile": 0.9}),
     ("transform", {"kind": "quantize", "tau_quantile": 0.9}),
-    ("decomposition", {"kind": "wtt", "rank": 0}),
-    ("decomposition", {"kind": "none", "rank": 2}),
 ])
 def test_grid_invalid_value_raises(section, value):
     doc = dict(CLASSIFICATION_GRID)

@@ -172,8 +172,8 @@ class TestFlatten:
         flat = wtt.wtt_forward(x, bank)
         assert flat.shape == (64,)
         details, core = _reference_forward(x[None], bank)
-        assert np.allclose(flat[:details[0].shape[-1]], details[0][0], atol=1e-12)
-        assert np.allclose(flat[-core.shape[-1]:], core[0], atol=1e-12)
+        assert np.array_equal(flat[:details[0].shape[-1]], details[0][0])
+        assert np.array_equal(flat[-core.shape[-1]:], core[0])
 
     def test_batch_flatten(self):
         rng = np.random.default_rng(15)

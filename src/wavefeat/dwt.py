@@ -145,12 +145,6 @@ def pad(x: np.ndarray, mode: str, left: int, right: int) -> np.ndarray:
     return np.pad(x, width, mode="wrap")
 
 
-def _even_extend(x: np.ndarray) -> np.ndarray:
-    if x.shape[-1] % 2 == 1:
-        return np.concatenate([x, x[..., -1:]], axis=-1)
-    return x
-
-
 def dwt_single(x: np.ndarray, w: WaveletSpec, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """One analysis step: filter + downsample along the last axis.
 
@@ -170,11 +164,8 @@ def dwt_single(x: np.ndarray, w: WaveletSpec, mode: str) -> tuple[np.ndarray, np
     if n < L:
         raise InvalidInputError(f"signal length {n} shorter than filter length {L}")
     if mode == "periodization":
-        xe = _even_extend(x)
-        k = xe.shape[-1] // 2
-        ext = np.concatenate([xe[..., -L:], xe], axis=-1)
-        win = np.lib.stride_tricks.sliding_window_view(ext, L, axis=-1)
-        win = win[..., 2:2 + 2 * k:2, ::-1]
+        ext = pad(x, mode, L, 0)
+        win = np.lib.stride_tricks.sliding_window_view(ext, L, axis=-1)[..., 2::2, ::-1]
         return win @ w.dec_lo, win @ w.dec_hi
     ext = pad(x, mode, L - 1, L - 1)
     win = np.lib.stride_tricks.sliding_window_view(ext, L, axis=-1)[..., 1::2, :]

@@ -640,13 +640,24 @@ def save_pipeline(path: str, fitted: FittedPipeline) -> None:
 def load_pipeline(path: str) -> FittedPipeline:
     """Read a ``save_pipeline`` archive.  Each stage is rebuilt through the
     helpers its fit uses; ``train_features`` is None, and so is the model of
-    a clustering pipeline."""
+    a clustering pipeline.  A header that ``save_pipeline`` could not have
+    written raises ``InvalidInputError``."""
     with np.load(path, allow_pickle=False) as archive:
         if "pipeline" not in archive.files:
             raise InvalidInputError(f"{path} is not a pipeline archive")
-        header = json.loads(str(archive["pipeline"]))
+        try:
+            header = json.loads(str(archive["pipeline"]))
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"{path}: the header is not JSON") from exc
         arrays = {name: archive[name] for name in archive.files}
+    if not (isinstance(header, dict) and {"config", "tau", "model"} <= header.keys()):
+        raise InvalidInputError(f"{path}: the header must be an object with "
+                                "config, tau and model")
     config = PipelineConfig.from_dict(header["config"])
+    t, tau = config.transform, header["tau"]
+    if not (tau is None if t.kind == "none" else is_number(tau) and tau >= 0):
+        raise InvalidInputError(f"{path}: tau must be null for transform kind none "
+                                f"and a finite number >= 0 otherwise, got {tau!r}")
     wn = arrays["wavenumbers"]
     scaler = (ScalerStats(arrays["scaler_mean"], arrays["scaler_std"])
               if "scaler_mean" in arrays else None)
@@ -658,17 +669,27 @@ def load_pipeline(path: str) -> FittedPipeline:
     elif isinstance(spec, DwtSpec):
         transform = _dwt_transform(spec, length)
     else:
-        ranks = tuple(header["wtt_ranks"])
+        ranks = header.get("wtt_ranks")
+        if not (isinstance(ranks, list) and all(map(is_count, ranks))
+                and all(f"wtt_filter_{k}" in arrays for k in range(len(ranks)))):
+            raise InvalidInputError(f"{path}: wtt_ranks must list one count per "
+                                    "wtt_filter_<k> array")
         filters = tuple(arrays[f"wtt_filter_{k}"] for k in range(len(ranks)))
-        transform = WttTransform(wtt.WttFilterBank(filters, ranks, length, spec.rank))
+        transform = WttTransform(wtt.WttFilterBank(filters, tuple(ranks), length, spec.rank))
+    state = header["model"]
+    if not (state is None if config.task == "clustering" else isinstance(state, dict)):
+        raise InvalidInputError(f"{path}: model must be an object for classification "
+                                "and null for clustering")
     model = None
-    if header["model"] is not None:
+    if state is not None:
         cls = models.LdaModel if config.model.kind == "lda" else models.LrModel
-        model = cls(**header["model"], **{name[len("model_"):]: value
-                                          for name, value in arrays.items()
-                                          if name.startswith("model_")})
-    t = config.transform
-    fm = FeatureMap(t.kind, transform, t.threshold_kind, header["tau"])
+        try:
+            model = cls(**state, **{name[len("model_"):]: value
+                                    for name, value in arrays.items()
+                                    if name.startswith("model_")})
+        except TypeError as exc:  # a field the model class does not take, or lacks
+            raise InvalidInputError(f"{path}: {exc}") from exc
+    fm = FeatureMap(t.kind, transform, t.threshold_kind, tau)
     return FittedPipeline(config, (pre, transform, fm, model), train_features=None)
 
 

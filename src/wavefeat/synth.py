@@ -4,8 +4,12 @@ Produces class-structured absorbance-like signals on a descending
 wavenumber grid: every class shares a set of strong common bands (with
 per-sample amplitude jitter and a global scale factor), while class
 identity is carried by a few narrow minor bands.  A random smooth
-polynomial baseline and white noise are added per sample, which makes raw
-signals deliberately hard to cluster.
+polynomial baseline, a Gaussian-smoothed drift and white noise are added
+per sample, which makes raw signals deliberately hard to cluster.
+
+The drift's smoothing is a numpy transcription of scipy's
+``gaussian_filter1d`` in reflect mode, byte-identical to it, so the
+generator needs numpy only.
 """
 from __future__ import annotations
 
@@ -71,6 +75,8 @@ class SyntheticSpec:
             raise InvalidInputError("class_count and grid_points must be positive")
         if self.baseline_degree < 0 or self.seed < 0:
             raise InvalidInputError("baseline_degree and seed must not be negative")
+        if self.drift_width <= 0:
+            raise InvalidInputError("drift_width must be positive")
         if (not _is_list(self.samples_per_class)
                 or len(self.samples_per_class) != self.class_count
                 or not all(is_count(c) for c in self.samples_per_class)):
@@ -103,10 +109,26 @@ def _gauss(wn: np.ndarray, pos: float, width: float) -> np.ndarray:
     return np.exp(-0.5 * ((wn - pos) / width) ** 2)
 
 
+def _gaussian_smooth(x: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter1d(x, sigma, mode="reflect")``, byte
+    for byte: the kernel of scipy's ``_gaussian_kernel1d``, cut at 4 sigma,
+    on the half-sample mirror of x, summed in the order of the symmetric
+    branch of its ``NI_Correlate1D``, outermost pair of taps first."""
+    r = int(4.0 * float(sigma) + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = w / w.sum()
+    n = x.shape[0]
+    ext = np.pad(x, r, mode="symmetric")
+    out = ext[r:r + n] * w[r]
+    for j in range(r, 0, -1):
+        out += (ext[r - j:r - j + n] + ext[r + j:r + j + n]) * w[r - j]
+    return out
+
+
 def _smooth_drift(rng, n: int, width_bins: float, sigma: float) -> np.ndarray:
-    """Unit-normalized Gaussian-smoothed noise scaled to sigma."""
-    from scipy.ndimage import gaussian_filter1d
-    raw = gaussian_filter1d(rng.standard_normal(n), width_bins, mode="reflect")
+    """Unit-normalized Gaussian-smoothed noise scaled to sigma: one draw of
+    n normals per sample, smoothed by ``_gaussian_smooth``."""
+    raw = _gaussian_smooth(rng.standard_normal(n), width_bins)
     std = raw.std()
     if std == 0:
         return np.zeros(n)

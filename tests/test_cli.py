@@ -557,7 +557,10 @@ def test_features_that_overflow_exit_4(tmp_path, capsys, command):
     ({"samples_per_class": 5}, "samples_per_class must list one integer count"),
     ({"common_peaks": [[1650.0, 80.0]]}, "a peak set lists peaks of three numbers"),
     ({"seed": "x"}, "seed must be integers"),
-], ids=["samples-per-class-int", "two-number-peak", "seed-str"])
+    ({"drift_width": -40}, "drift_width must be positive"),
+    ({"drift_width": 0}, "drift_width must be positive"),
+], ids=["samples-per-class-int", "two-number-peak", "seed-str", "drift-width-negative",
+        "drift-width-zero"])
 def test_synth_config_with_a_malformed_field_exits_2(tmp_path, capsys, fields,
                                                      message):
     spec = tmp_path / "spec.json"

@@ -447,6 +447,64 @@ def test_pipeline_archive_layout(data, tmp_path, config, header_keys, files):
     assert header["tau"] == fitted.states[2].tau
 
 
+def _set(**fields):
+    return lambda header, arrays: {**header, **fields}
+
+
+def _drop(name):
+    def edit(header, arrays):
+        arrays.pop(name, None)
+        return {k: v for k, v in header.items() if k != name}
+    return edit
+
+
+def _set_model(**fields):
+    return lambda header, arrays: {**header, "model": {**header["model"], **fields}}
+
+
+# (id, index into ARCHIVE_CASES, edit of the header and arrays; a string
+# is written as the header's text)
+HEADER_EDITS = [
+    ("not-json", 1, lambda header, arrays: json.dumps(header)[:-1]),
+    ("not-an-object", 1, lambda header, arrays: [header]),
+    ("tau-string", 1, _set(tau="0.5")),
+    ("tau-null", 1, _set(tau=None)),
+    ("tau-list", 1, _set(tau=[1])),
+    ("tau-negative", 1, _set(tau=-0.5)),
+    ("tau-missing", 1, _drop("tau")),
+    ("tau-under-kind-none", 0, _set(tau=0.5)),
+    ("config-missing", 1, _drop("config")),
+    ("model-missing", 1, _drop("model")),
+    ("model-null-for-lda", 1, _set(model=None)),
+    ("model-field-unknown", 1, _set_model(depth=3)),
+    ("model-field-twice", 2, _set_model(weights=[0.0])),
+    ("model-array-missing", 1, _drop("model_means")),
+    ("model-for-hac", 4, _set(model={"classes": [0, 1]})),
+    ("wtt-ranks-missing", 3, _drop("wtt_ranks")),
+    ("wtt-ranks-string", 3, _set(wtt_ranks="1,2")),
+    ("wtt-ranks-floats", 3,
+     lambda header, arrays: {**header, "wtt_ranks": [float(r) for r in header["wtt_ranks"]]}),
+    ("wtt-rank-without-filter", 3,
+     lambda header, arrays: {**header, "wtt_ranks": header["wtt_ranks"] + [1]}),
+    ("wtt-filter-missing", 3, _drop("wtt_filter_5")),
+]
+
+
+@pytest.mark.parametrize("case,edit", [edit[1:] for edit in HEADER_EDITS],
+                         ids=[edit[0] for edit in HEADER_EDITS])
+def test_load_pipeline_rejects_a_malformed_header(data, tmp_path, case, edit):
+    fitted = fit_pipeline(ARCHIVE_CASES[case][1], data, np.arange(data.n_samples))
+    path = tmp_path / "pipeline.npz"
+    harness.save_pipeline(path, fitted)
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    header = edit(json.loads(str(arrays.pop("pipeline"))), arrays)
+    text = header if isinstance(header, str) else json.dumps(header)
+    np.savez(path, pipeline=np.array(text), **arrays)
+    with pytest.raises(InvalidInputError):
+        harness.load_pipeline(path)
+
+
 def test_load_pipeline_rejects_other_archives(tmp_path):
     path = tmp_path / "other.npz"
     np.savez(path, header=np.array("{}"))

@@ -1,8 +1,10 @@
 """Which scipy modules a CLI process loads.
 
-Importing the package loads no scipy module, and neither a classification
-run nor a clustering run loads one at all.  Each command runs in a fresh
-interpreter, since this test process has imported scipy already.
+Importing the package loads no scipy module, and neither writing a
+synthetic set, nor a classification run, nor a clustering run loads one at
+all: numpy is the package's only runtime dependency, and scipy is the
+tests' reference.  Each command runs in a fresh interpreter, since this
+test process has imported scipy already.
 """
 import json
 import os
@@ -51,6 +53,16 @@ def _command(name: str, data: Path, out_dir: Path) -> list[str]:
     args = [name, "--data", str(data), "--config", str(GOLDEN / "grid.json"),
             "--seed", "3", "--folds", "2", "--out-dir", str(out_dir)]
     return args + ["--repeats", "1"] if name == "gridsearch" else args
+
+
+@pytest.mark.parametrize("config", [[], ["--config", str(GOLDEN / "synth.json")]],
+                         ids=["default", "golden"])
+def test_synth_loads_no_scipy(tmp_path, config):
+    result = _run_child(["synth", *config, "--seed", "3",
+                         "--out", str(tmp_path / "data.csv")])
+    assert result["code"] == 0
+    assert result["after_import"] == []
+    assert result["after_run"] == []
 
 
 def test_classification_run_loads_no_scipy(golden_data, tmp_path):

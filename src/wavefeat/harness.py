@@ -653,6 +653,9 @@ def load_pipeline(path: str) -> FittedPipeline:
     if not (isinstance(header, dict) and {"config", "tau", "model"} <= header.keys()):
         raise InvalidInputError(f"{path}: the header must be an object with "
                                 "config, tau and model")
+    if "wavenumbers" not in arrays or ("scaler_mean" in arrays) != ("scaler_std" in arrays):
+        raise InvalidInputError(f"{path}: the archive lacks its wavenumbers or half "
+                                "of its scaler")
     config = PipelineConfig.from_dict(header["config"])
     t, tau = config.transform, header["tau"]
     if not (tau is None if t.kind == "none" else is_number(tau) and tau >= 0):

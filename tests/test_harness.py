@@ -464,7 +464,7 @@ def _set_model(**fields):
 
 # (id, index into ARCHIVE_CASES, edit of the header and arrays; a string
 # is written as the header's text)
-HEADER_EDITS = [
+ARCHIVE_EDITS = [
     ("not-json", 1, lambda header, arrays: json.dumps(header)[:-1]),
     ("not-an-object", 1, lambda header, arrays: [header]),
     ("tau-string", 1, _set(tau="0.5")),
@@ -474,6 +474,8 @@ HEADER_EDITS = [
     ("tau-missing", 1, _drop("tau")),
     ("tau-under-kind-none", 0, _set(tau=0.5)),
     ("config-missing", 1, _drop("config")),
+    ("wavenumbers-missing", 1, _drop("wavenumbers")),
+    ("scaler-std-missing", 1, _drop("scaler_std")),
     ("model-missing", 1, _drop("model")),
     ("model-null-for-lda", 1, _set(model=None)),
     ("model-field-unknown", 1, _set_model(depth=3)),
@@ -490,9 +492,9 @@ HEADER_EDITS = [
 ]
 
 
-@pytest.mark.parametrize("case,edit", [edit[1:] for edit in HEADER_EDITS],
-                         ids=[edit[0] for edit in HEADER_EDITS])
-def test_load_pipeline_rejects_a_malformed_header(data, tmp_path, case, edit):
+@pytest.mark.parametrize("case,edit", [edit[1:] for edit in ARCHIVE_EDITS],
+                         ids=[edit[0] for edit in ARCHIVE_EDITS])
+def test_load_pipeline_rejects_a_malformed_archive(data, tmp_path, case, edit):
     fitted = fit_pipeline(ARCHIVE_CASES[case][1], data, np.arange(data.n_samples))
     path = tmp_path / "pipeline.npz"
     harness.save_pipeline(path, fitted)

@@ -1,10 +1,9 @@
 """Command-line entry points.
 
-Commands: synth (write a synthetic dataset), gridsearch (two-stage
-cross-validated search + repeated CV of the winners), train (fit one
-pipeline on the full dataset and save it as one .npz archive), cluster
-(clustering search + full-dataset clustering with dendrogram export),
-report (render a run manifest; optionally dump the wavelet filter registry).
+Four commands: synth (write a synthetic dataset), gridsearch (two-stage
+cross-validated search + repeated CV of the winners), cluster (clustering
+search + full-dataset clustering with dendrogram export), report (render a
+run manifest; optionally dump the wavelet filter registry).
 
 Exit codes: 0 ok, 2 usage/config error or an output that cannot be written,
 3 data error, 4 numerical failure.
@@ -25,8 +24,7 @@ from .errors import (DataFormatError, InvalidConfigError, InvalidDatasetError,
                      InvalidInputError, NumericalError)
 from .grids import grid_for_task, load_grid_document, load_json_config
 from .harness import (DwtSpec, FoldMemo, PipelineConfig, SignalTable,
-                      final_clustering, fit_pipeline, grid_search, repeated_cv,
-                      save_pipeline, spec_from_dict)
+                      final_clustering, grid_search, repeated_cv, spec_from_dict)
 
 DERIV_NAMES = {0: "f", 1: "f'", 2: "f''"}
 
@@ -305,28 +303,6 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    t_start = time.perf_counter()
-    data = _load_data(args)
-    if not args.config:
-        raise InvalidConfigError("train requires --config with one pipeline config")
-    config = PipelineConfig.from_dict(load_json_config(args.config))
-    os.makedirs(args.out_dir, exist_ok=True)
-    fitted = fit_pipeline(config, data, np.arange(data.n_samples))
-    save_pipeline(os.path.join(args.out_dir, "pipeline.npz"), fitted)
-    _write_manifest(args.out_dir, {
-        "command": "train",
-        "data": {"path": os.path.abspath(args.data), "sha256": _digest(args.data)},
-        "config": config.to_dict(),
-        "outputs": {"pipeline": "pipeline.npz"},
-        "warnings": fitted.warnings,
-        "wall_time_seconds": time.perf_counter() - t_start,
-    })
-    print(f"fitted {config.label()} on {data.n_samples} samples; "
-          f"output: pipeline.npz")
-    return 0
-
-
 def _solver_line(solver: dict, where: str) -> str:
     """One line on an LR winner's fits: converged of attempted, the most
     Newton steps and the largest duality gap (l1 only)."""
@@ -444,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=dataio.FORMATS, default=None,
                        help="dataset format (default: sniff by extension)")
         p.add_argument("--config", default=None,
-                       help="grid / pipeline / generator config file (JSON)")
+                       help="grid / generator config file (JSON)")
         p.add_argument("--out-dir", default="wavefeat_out")
 
     def search(p):
@@ -473,10 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_cluster)
     search(p_cluster)
     p_cluster.set_defaults(func=cmd_cluster)
-
-    p_train = sub.add_parser("train", help="fit one pipeline, save it")
-    common(p_train)
-    p_train.set_defaults(func=cmd_train)
 
     p_report = sub.add_parser("report", help="render a run manifest")
     p_report.add_argument("--run-dir", default=None)

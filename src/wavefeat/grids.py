@@ -50,7 +50,7 @@ class ConfigGrid(list):
 
 def expand_grid(doc: dict) -> ConfigGrid:
     """Expand one task section ({preprocess, decomposition, transform, model})."""
-    check_stage_keys(doc, "grid section")
+    check_stage_keys(doc)
     preps = [spec_from_dict(PreprocessConfig, e)
              for e in _expand_section(doc["preprocess"])]
     decs = [decomposition_from_dict(e)

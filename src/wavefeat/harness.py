@@ -41,14 +41,9 @@ tree is scored by ARI alone, the selection metric; the final clusterings
 also report AMI and FM.  ``repeated_cv`` runs all repeats of the winners
 of a grid search as one run of the same fold loop, so they share each
 fold's memo.
-
-``save_pipeline`` writes a fitted pipeline to one ``.npz`` archive: a JSON
-header and every learned array.  ``load_pipeline`` rebuilds the stages
-through the helpers the fits use, so the features come out bit for bit.
 """
 from __future__ import annotations
 
-import json
 import time
 import warnings
 from contextlib import contextmanager
@@ -167,19 +162,19 @@ def spec_from_dict(cls, fields: dict):
         raise InvalidConfigError(f"{cls.__name__}: {exc}") from exc
 
 
-def check_stage_keys(doc, what: str) -> None:
-    """A pipeline document (a pipeline config, or a task section of a grid)
-    is a mapping of the stage keys, of which preprocess and model are
-    required; anything else raises InvalidConfigError."""
+def check_stage_keys(doc) -> None:
+    """A task section of a grid is a mapping of the stage keys, of which
+    preprocess and model are required; anything else raises
+    InvalidConfigError."""
     if not isinstance(doc, dict):
-        raise InvalidConfigError(f"{what} must be a JSON object")
+        raise InvalidConfigError("grid section must be a JSON object")
     unknown = sorted(set(doc) - set(STAGE_KEYS))
     if unknown:
         raise InvalidConfigError(
-            f"{what}: unknown keys {unknown}; expected {list(STAGE_KEYS)}")
+            f"grid section: unknown keys {unknown}; expected {list(STAGE_KEYS)}")
     missing = [k for k in ("preprocess", "model") if k not in doc]
     if missing:
-        raise InvalidConfigError(f"{what}: missing {missing}")
+        raise InvalidConfigError(f"grid section: missing {missing}")
 
 
 def decomposition_from_dict(d: dict | None) -> DwtSpec | WttSpec | None:
@@ -233,16 +228,6 @@ class PipelineConfig:
         else:
             out["decomposition"] = {"kind": "dwt", **asdict(self.decomposition)}
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        check_stage_keys(d, "pipeline config")
-        return cls(
-            preprocess=spec_from_dict(PreprocessConfig, d["preprocess"]),
-            decomposition=decomposition_from_dict(d.get("decomposition")),
-            transform=spec_from_dict(TransformSpec, d.get("transform", {})),
-            model=spec_from_dict(ModelSpec, d["model"]),
-        )
 
     def label(self) -> str:
         """Short human-readable identifier used in leaderboards."""
@@ -412,20 +397,14 @@ def _fit_preprocess(config, fold, key, prev, y) -> Preprocessor:
                         fit_scaler(y, config.preprocess))
 
 
-def _dwt_transform(spec: DwtSpec, signal_length: int) -> DwtTransform:
-    return DwtTransform(dwt_mod.lookup_wavelet(spec.family, spec.order),
-                        spec.mode, spec.level, signal_length)
-
-
 def _fit_decompose(config, fold, key, prev, y):
     spec = config.decomposition
     if spec is None:
-        transform = None
-    elif isinstance(spec, DwtSpec):
-        transform = _dwt_transform(spec, y.shape[-1])
-    else:
-        transform = WttTransform(wtt.train_group_filters(y, spec.rank))
-    return transform
+        return None
+    if isinstance(spec, DwtSpec):
+        return DwtTransform(dwt_mod.lookup_wavelet(spec.family, spec.order),
+                            spec.mode, spec.level, y.shape[-1])
+    return WttTransform(wtt.train_group_filters(y, spec.rank))
 
 
 def _apply_decompose(transform, y: np.ndarray) -> tuple:
@@ -497,7 +476,7 @@ class FittedPipeline:
 
     config: PipelineConfig
     states: tuple
-    train_features: np.ndarray | None  # features of the fitting block; None when loaded
+    train_features: np.ndarray | None  # features of the fitting block; None in a stack
     held_out_features: np.ndarray | None = None  # of the memo's held-out rows
     warnings: list = field(default_factory=list)
 
@@ -613,87 +592,6 @@ def fit_pipeline(config: PipelineConfig | list, data: LabeledDataset, train_idx,
                                distances=[states[-1] for states, _ in fits])
     return [FittedPipeline(c, (*states[:-1], tree), None, warnings=caught + linked)
             for c, (states, caught), tree in zip(configs, fits, trees)]
-
-
-def save_pipeline(path: str, fitted: FittedPipeline) -> None:
-    """Write a fitted pipeline to one ``.npz``: the JSON header ``pipeline``
-    (config, tau, WTT ranks, the model's scalar fields) and every learned
-    array.  A clustering pipeline is written without its linkage tree,
-    which describes the fitting block only."""
-    pre, transform, fm = fitted.states[:3]
-    arrays = {"wavenumbers": pre.wavenumbers}
-    if pre.scaler is not None:
-        arrays.update(scaler_mean=pre.scaler.mean, scaler_std=pre.scaler.std)
-    header = {"config": fitted.config.to_dict(),
-              "tau": fm.tau, "model": None}
-    if isinstance(transform, WttTransform):
-        header["wtt_ranks"] = list(transform.bank.ranks)
-        arrays.update({f"wtt_filter_{k}": u
-                       for k, u in enumerate(transform.bank.filters)})
-    if fitted.config.task == "classification":
-        state = vars(fitted.model)
-        header["model"] = {k: v for k, v in state.items() if not isinstance(v, np.ndarray)}
-        arrays.update({f"model_{k}": v for k, v in state.items() if isinstance(v, np.ndarray)})
-    np.savez(path, pipeline=np.array(json.dumps(header)), **arrays)
-
-
-def load_pipeline(path: str) -> FittedPipeline:
-    """Read a ``save_pipeline`` archive.  Each stage is rebuilt through the
-    helpers its fit uses; ``train_features`` is None, and so is the model of
-    a clustering pipeline.  A header that ``save_pipeline`` could not have
-    written raises ``InvalidInputError``."""
-    with np.load(path, allow_pickle=False) as archive:
-        if "pipeline" not in archive.files:
-            raise InvalidInputError(f"{path} is not a pipeline archive")
-        try:
-            header = json.loads(str(archive["pipeline"]))
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"{path}: the header is not JSON") from exc
-        arrays = {name: archive[name] for name in archive.files}
-    if not (isinstance(header, dict) and {"config", "tau", "model"} <= header.keys()):
-        raise InvalidInputError(f"{path}: the header must be an object with "
-                                "config, tau and model")
-    if "wavenumbers" not in arrays or ("scaler_mean" in arrays) != ("scaler_std" in arrays):
-        raise InvalidInputError(f"{path}: the archive lacks its wavenumbers or half "
-                                "of its scaler")
-    config = PipelineConfig.from_dict(header["config"])
-    t, tau = config.transform, header["tau"]
-    if not (tau is None if t.kind == "none" else is_number(tau) and tau >= 0):
-        raise InvalidInputError(f"{path}: tau must be null for transform kind none "
-                                f"and a finite number >= 0 otherwise, got {tau!r}")
-    wn = arrays["wavenumbers"]
-    scaler = (ScalerStats(arrays["scaler_mean"], arrays["scaler_std"])
-              if "scaler_mean" in arrays else None)
-    pre = Preprocessor(wn, config.preprocess, _pow2_target(config, wn), scaler)
-    length = wn.size if pre.target is None else pre.target.size
-    spec = config.decomposition
-    if spec is None:
-        transform = None
-    elif isinstance(spec, DwtSpec):
-        transform = _dwt_transform(spec, length)
-    else:
-        ranks = header.get("wtt_ranks")
-        if not (isinstance(ranks, list) and all(map(is_count, ranks))
-                and all(f"wtt_filter_{k}" in arrays for k in range(len(ranks)))):
-            raise InvalidInputError(f"{path}: wtt_ranks must list one count per "
-                                    "wtt_filter_<k> array")
-        filters = tuple(arrays[f"wtt_filter_{k}"] for k in range(len(ranks)))
-        transform = WttTransform(wtt.WttFilterBank(filters, tuple(ranks), length, spec.rank))
-    state = header["model"]
-    if not (state is None if config.task == "clustering" else isinstance(state, dict)):
-        raise InvalidInputError(f"{path}: model must be an object for classification "
-                                "and null for clustering")
-    model = None
-    if state is not None:
-        cls = models.LdaModel if config.model.kind == "lda" else models.LrModel
-        try:
-            model = cls(**state, **{name[len("model_"):]: value
-                                    for name, value in arrays.items()
-                                    if name.startswith("model_")})
-        except TypeError as exc:  # a field the model class does not take, or lacks
-            raise InvalidInputError(f"{path}: {exc}") from exc
-    fm = FeatureMap(t.kind, transform, t.threshold_kind, tau)
-    return FittedPipeline(config, (pre, transform, fm, model), train_features=None)
 
 
 # ----------------------------------------------------------------------

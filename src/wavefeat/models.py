@@ -78,20 +78,14 @@ class LdaModel:
         return lin - quad + self.log_priors
 
 
-def _plain_labels(labels) -> list:
-    """Labels with numpy scalars turned into Python ones, so a model holds
-    the class values that the pipeline archive (``harness.save_pipeline``)
-    writes as JSON and gives back."""
-    return [v.item() if isinstance(v, np.generic) else v for v in labels]
-
-
 def _check_fit_inputs(x, labels) -> tuple[np.ndarray, list, list]:
-    """(x as a float array, plain labels, sorted classes) after checking that
-    x is a finite 2-D array with one label per row and at least 2 classes."""
+    """(x as a float array, labels as a list, sorted classes) after checking
+    that x is a finite 2-D array with one label per row and at least 2
+    classes."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise InvalidInputError("expected (n_samples, n_features)")
-    labels = _plain_labels(labels)
+    labels = list(labels)
     if len(labels) != x.shape[0]:
         raise InvalidInputError("one label per sample required")
     if not np.all(np.isfinite(x)):

@@ -13,7 +13,7 @@ generator needs numpy only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,12 @@ DEFAULT_CLASS_PEAKS = (
     ((1582.0, 10.0, 0.12), (1412.0, 9.0, 0.20), (917.0, 11.0, 0.14)),
     ((1667.0, 12.0, 0.16), (1215.0, 8.0, 0.12), (758.0, 10.0, 0.18)),
 )
+
+
+# the drift's Gaussian width in grid bins: squared, it must not underflow,
+# and its kernel radius int(4 sigma + 0.5) is at most 10 x grid_points
+MIN_DRIFT_BINS = 1e-100
+MAX_DRIFT_BINS_PER_POINT = 2.5
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,14 @@ class SyntheticSpec:
             raise InvalidInputError("baseline_degree and seed must not be negative")
         if self.drift_width <= 0:
             raise InvalidInputError("drift_width must be positive")
+        bin_width = abs(self.grid_end - self.grid_start) / (self.grid_points - 1)
+        lo = MIN_DRIFT_BINS * bin_width
+        hi = MAX_DRIFT_BINS_PER_POINT * self.grid_points * bin_width
+        if not lo <= self.drift_width <= hi:
+            raise InvalidInputError(
+                f"drift_width must lie in [{lo:g}, {hi:g}] cm^-1, that is "
+                f"{MIN_DRIFT_BINS:g} to {MAX_DRIFT_BINS_PER_POINT:g} x grid_points "
+                f"grid bins, got {self.drift_width!r}")
         if (not _is_list(self.samples_per_class)
                 or len(self.samples_per_class) != self.class_count
                 or not all(is_count(c) for c in self.samples_per_class)):

@@ -47,24 +47,10 @@ class WttFilterBank:
     filters: tuple          # U_1 .. U_{d-1}, each (r_{k-1}*2) x (r_{k-1}*2)
     ranks: tuple            # r_1 .. r_{d-1}
     signal_length: int      # 2^d
-    requested_rank: int
 
     @property
     def depth(self) -> int:
         return len(self.filters)
-
-    def __post_init__(self):
-        # an archive's bank too: both transforms take block lengths from the ranks
-        if len(self.ranks) != len(self.filters):
-            raise InvalidInputError("ranks and filters length mismatch")
-        if self.signal_length != 2 ** (self.depth + 1):
-            raise InvalidInputError(
-                f"signal length {self.signal_length} does not match bank depth {self.depth}")
-        r_prev = 1
-        for u, r_k in zip(self.filters, self.ranks):
-            if u.shape != (2 * r_prev, 2 * r_prev) or not 1 <= r_k <= 2 * r_prev:
-                raise InvalidInputError("filter sizes do not match the ranks")
-            r_prev = r_k
 
 
 def _clipped_ranks(rank: int, d: int, tail_sizes: list[int]) -> list[int]:
@@ -106,7 +92,7 @@ def train_group_filters(signals: np.ndarray, rank: int) -> WttFilterBank:
         filters.append(u)
         a = (a @ u)[:, :r_k]
         r_prev = r_k
-    return WttFilterBank(tuple(filters), tuple(ranks), n, rank)
+    return WttFilterBank(tuple(filters), tuple(ranks), n)
 
 
 def wtt_forward(x: np.ndarray, bank: WttFilterBank) -> np.ndarray:

@@ -5,8 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavefeat import cli, dataio
-from wavefeat.harness import PipelineConfig, fit_pipeline, load_pipeline
+from wavefeat import cli
 
 
 def test_gridsearch_manifest_records_runtime_and_solver_outcome(tmp_path, capsys):
@@ -162,49 +161,11 @@ def test_synth_config_unknown_key_exits_2(tmp_path, capsys):
     assert "grid_pionts" in capsys.readouterr().err
 
 
-PIPELINE = {"preprocess": {"derivative_order": 0, "center": True},
-            "model": {"kind": "lda"}}
-
-
-@pytest.mark.parametrize("change", [
-    {"drop": "preprocess"},
-    {"drop": "model"},
-    {"add": {"tranform": {"kind": "none"}}},
-], ids=["no-preprocess", "no-model", "unknown-key"])
-def test_train_config_stage_keys_exit_2(tmp_path, capsys, change):
-    data = _tiny_dataset(tmp_path)
-    doc = {k: v for k, v in PIPELINE.items() if k != change.get("drop")}
-    doc.update(change.get("add", {}))
-    config = tmp_path / "pipeline.json"
-    config.write_text(json.dumps(doc))
-    assert cli.main(["train", "--data", str(data), "--config", str(config),
-                     "--out-dir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "usage error: pipeline config" in err
-    assert change.get("drop", "tranform") in err
-
-
-def test_train_config_with_all_stage_keys_runs(tmp_path):
-    data = _tiny_dataset(tmp_path)
-    config = tmp_path / "pipeline.json"
-    config.write_text(json.dumps({**PIPELINE, "decomposition": {"kind": "none"},
-                                  "transform": {"kind": "none"}}))
-    out = tmp_path / "out"
-    assert cli.main(["train", "--data", str(data), "--config", str(config),
-                     "--out-dir", str(out)]) == 0
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "pipeline.npz"]
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["outputs"] == {"pipeline": "pipeline.npz"}
-    dataset = dataio.load_dataset(str(data))
-    fitted = fit_pipeline(PipelineConfig.from_dict(json.loads(config.read_text())),
-                          dataset, np.arange(dataset.n_samples))
-    loaded = load_pipeline(str(out / "pipeline.npz"))
-    assert loaded.predict(dataset.intensities) == fitted.predict(dataset.intensities)
-
-
 @pytest.mark.parametrize("argv", [
     ["synth", "--jobs", "2"], ["synth", "--stratify"],
-    ["train", "--jobs", "2"], ["train", "--stratify"], ["train", "--seed", "1"],
+    # not a command: argparse rejects it as an invalid choice
+    ["train", "--data", "x.csv"],
+    ["report", "--seed", "1"], ["report", "--stratify"],
     # the folds run one after another; only --jobs 1 is accepted
     ["gridsearch", "--jobs", "2"], ["cluster", "--jobs", "2"],
 ])
@@ -215,17 +176,27 @@ def test_flags_a_command_does_not_read_exit_2(argv):
 
 
 def test_grid_section_unknown_key_exits_2(tmp_path, capsys):
+    # a section maps stage keys only, and preprocess and model are required
     data = _tiny_dataset(tmp_path)
     grid = tmp_path / "grid.json"
-    doc = json.loads(json.dumps(CLUSTER_GRID))
-    doc["clustering"]["models"] = doc["clustering"].pop("model")
-    grid.write_text(json.dumps(doc))
-    assert cli.main(["cluster", "--data", str(data), "--config", str(grid),
-                     "--folds", "2", "--out-dir", str(tmp_path / "out")]) == 2
-    assert "usage error: grid section: unknown keys ['models']" in capsys.readouterr().err
+    section = CLUSTER_GRID["clustering"]
+    without = {key: {k: v for k, v in section.items() if k != key}
+               for key in ("preprocess", "model")}
+    cases = [
+        (without["preprocess"], "missing ['preprocess']"),
+        (without["model"], "missing ['model']"),
+        ({**section, "tranform": {"kind": "none"}}, "unknown keys ['tranform']"),
+        ({**without["model"], "models": section["model"]}, "unknown keys ['models']"),
+    ]
+    capsys.readouterr()
+    for doc, message in cases:
+        grid.write_text(json.dumps({"schema": "wavefeat-grid", "clustering": doc}))
+        assert cli.main(["cluster", "--data", str(data), "--config", str(grid),
+                         "--folds", "2", "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"usage error: grid section: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["synth", "train", "gridsearch", "cluster"])
+@pytest.mark.parametrize("command", ["synth", "gridsearch", "cluster"])
 def test_config_that_is_not_json_exits_2(tmp_path, capsys, command):
     data = _tiny_dataset(tmp_path)
     config = tmp_path / "broken.json"
@@ -335,11 +306,11 @@ def test_cluster_with_non_finite_distances_in_a_stack_exits_4(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("command", ["gridsearch", "cluster", "train"])
+@pytest.mark.parametrize("command", ["gridsearch", "cluster"])
 def test_missing_or_unreadable_input_file_exits_2_or_3(tmp_path, capsys, command):
     data = _tiny_dataset(tmp_path)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(PIPELINE if command == "train" else CLUSTER_GRID))
+    config.write_text(json.dumps(CLUSTER_GRID))
     out = ["--out-dir", str(tmp_path / "out")]
     cases = [
         (["--data", str(data), "--config", str(tmp_path / "nope.json")], 2,
@@ -440,7 +411,7 @@ DWT = {"kind": "dwt", "family": "daubechies", "order": 4, "mode": "periodization
      "rank must be an integer >= 1, got 2.5"),
     ("gridsearch", {"decomposition": {**DWT, "level": "3"}, "model": {"kind": "lda"}},
      "level must be an integer >= 1 or null, got '3'"),
-    ("train", {"decomposition": {**DWT, "level": 2.5}, "model": {"kind": "lda"}},
+    ("gridsearch", {"decomposition": {**DWT, "level": 2.5}, "model": {"kind": "lda"}},
      "level must be an integer >= 1 or null, got 2.5"),
     ("gridsearch", {"model": {"kind": "lr", "penalty": "l2", "inverse_reg": "100"}},
      "inverse_reg must be a finite positive number, got '100'"),
@@ -455,17 +426,13 @@ DWT = {"kind": "dwt", "family": "daubechies", "order": 4, "mode": "periodization
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, stages,
                                                 message):
     data = _tiny_dataset(tmp_path)
-    doc = {"preprocess": {"derivative_order": 0}, **stages}
-    if command != "train":
-        task = "clustering" if command == "cluster" else "classification"
-        doc = {"schema": "wavefeat-grid", task: doc}
+    task = "clustering" if command == "cluster" else "classification"
+    doc = {"schema": "wavefeat-grid",
+           task: {"preprocess": {"derivative_order": 0}, **stages}}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert cli.main([command, "--data", str(data), "--config", str(config),
-                     "--folds", "2", "--out-dir", str(tmp_path / "out")]
-                    if command != "train" else
-                    ["train", "--data", str(data), "--config", str(config),
-                     "--out-dir", str(tmp_path / "out")]) == 2
+                     "--folds", "2", "--out-dir", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
 
 
@@ -559,8 +526,13 @@ def test_features_that_overflow_exit_4(tmp_path, capsys, command):
     ({"seed": "x"}, "seed must be integers"),
     ({"drift_width": -40}, "drift_width must be positive"),
     ({"drift_width": 0}, "drift_width must be positive"),
+    # sigma squared underflows; a kernel far wider than the grid, which ran
+    # out of memory or ran for minutes
+    ({"drift_width": 1e-200}, "drift_width must lie in [1.00063e-100, 4002.5] cm^-1"),
+    ({"drift_width": 1e5}, "drift_width must lie in [1.00063e-100, 4002.5] cm^-1"),
+    ({"drift_width": 1e16}, "drift_width must lie in [1.00063e-100, 4002.5] cm^-1"),
 ], ids=["samples-per-class-int", "two-number-peak", "seed-str", "drift-width-negative",
-        "drift-width-zero"])
+        "drift-width-zero", "drift-width-1e-200", "drift-width-1e5", "drift-width-1e16"])
 def test_synth_config_with_a_malformed_field_exits_2(tmp_path, capsys, fields,
                                                      message):
     spec = tmp_path / "spec.json"

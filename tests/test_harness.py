@@ -1,7 +1,6 @@
 """Tests for the pipeline stage list, its per-fold memo, grid search,
-repeated CV, the pipeline archive and the seeded splits."""
+repeated CV and the seeded splits."""
 import dataclasses
-import json
 import warnings
 
 import numpy as np
@@ -10,8 +9,8 @@ import pytest
 from wavefeat import harness, models, wtt
 from wavefeat.errors import InvalidConfigError, InvalidInputError
 from wavefeat.grids import expand_grid, grid_for_task, load_grid_document
-from wavefeat.harness import (FoldMemo, PipelineConfig, fit_pipeline,
-                              grid_search, kfold_split, repeated_cv)
+from wavefeat.harness import (FoldMemo, fit_pipeline, grid_search, kfold_split,
+                              repeated_cv)
 from wavefeat.metrics import accuracy, f1_weighted
 from wavefeat.preprocess import LabeledDataset
 from wavefeat.synth import SyntheticSpec, synth_dataset
@@ -50,9 +49,11 @@ def clustering_grid():
 
 
 def _config(decomposition, transform, model, derivative_order=0):
-    return PipelineConfig.from_dict({
+    # a section without lists expands to exactly one config
+    (config,) = expand_grid({
         "preprocess": {"derivative_order": derivative_order, "center": True},
         "decomposition": decomposition, "transform": transform, "model": model})
+    return config
 
 
 # ----------------------------------------------------------------------
@@ -367,154 +368,6 @@ def test_linking_warnings_are_recorded_not_shown(data, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the pipeline archive
-# ----------------------------------------------------------------------
-
-DWT_DB4 = {"kind": "dwt", "family": "daubechies", "order": 4, "mode": "periodization"}
-
-# (id, config, whether the labels are numpy integers)
-ARCHIVE_CASES = [
-    # 100 raw features from 16 rows: the pooled covariance is rank-deficient
-    ("lda-raw-wide", _config({"kind": "none"}, {"kind": "none"}, {"kind": "lda"}), False),
-    ("lda-dwt-numpy-labels",
-     _config(DWT_DB4, {"kind": "sign", "tau_quantile": 0.9}, {"kind": "lda"}), True),
-    ("lr-l1-dwt-numpy-labels",
-     _config(DWT_DB4, {"kind": "threshold", "threshold_kind": "hard", "tau_quantile": 0.9},
-             {"kind": "lr", "penalty": "l1", "inverse_reg": 10.0}), True),
-    # the 100-point grid is resampled to 128 points for the WTT
-    ("lr-l2-wtt", LEAKAGE_CONFIGS[0], False),
-    ("hac-wtt-contrast", LEAKAGE_CONFIGS[2], False),
-]
-
-
-@pytest.mark.parametrize("config,numpy_labels", [case[1:] for case in ARCHIVE_CASES],
-                         ids=[case[0] for case in ARCHIVE_CASES])
-def test_pipeline_archive_round_trip(data, tmp_path, config, numpy_labels):
-    if numpy_labels:
-        data = LabeledDataset(data.wavenumbers, data.intensities,
-                              np.unique(data.labels, return_inverse=True)[1])
-    fitted = fit_pipeline(config, data, np.arange(1, data.n_samples))
-    path = tmp_path / "pipeline.npz"
-    harness.save_pipeline(path, fitted)
-    loaded = harness.load_pipeline(path)
-    # preprocessor, decomposition (WTT filters and ranks) and feature map
-    _assert_identical(loaded.states[:3], fitted.states[:3])
-    block = data.intensities
-    assert loaded.features(block).tobytes() == fitted.features(block).tobytes()
-    if config.task == "clustering":
-        assert loaded.model is None  # the linkage tree is not saved
-        with pytest.raises(InvalidConfigError):
-            loaded.predict(block)
-        return
-    _assert_identical(loaded.model, fitted.model)
-    assert loaded.predict(block) == fitted.predict(block)
-    if config.model.kind == "lr":
-        # the l1 solver's duality gap goes through the archive's JSON header
-        gap = loaded.model.duality_gap
-        assert (gap is None) == (config.model.penalty == "l2")
-        assert gap == fitted.model.duality_gap
-    if numpy_labels:
-        for model in (fitted.model, loaded.model):
-            assert model.classes == [0, 1, 2]
-            assert all(type(c) is int for c in model.classes)
-        assert all(type(p) is int for p in loaded.predict(block))
-    if config.decomposition is None:
-        assert fitted.model.complement_inv_var > 0
-
-
-_LR_HEADER = ["classes", "converged", "duality_gap", "inverse_reg", "n_iter", "penalty"]
-_PRE_ARRAYS = ["pipeline", "wavenumbers", "scaler_mean", "scaler_std"]
-
-
-@pytest.mark.parametrize("config,header_keys,files", [
-    (LEAKAGE_CONFIGS[0], ["config", "model", "tau", "wtt_ranks"],
-     _PRE_ARRAYS + [f"wtt_filter_{k}" for k in range(6)]
-     + ["model_weights", "model_intercepts"]),
-    (ARCHIVE_CASES[2][1], ["config", "model", "tau"],
-     _PRE_ARRAYS + ["model_weights", "model_intercepts"]),
-], ids=["wtt", "dwt"])
-def test_pipeline_archive_layout(data, tmp_path, config, header_keys, files):
-    # the names on disk, which archives written by earlier versions carry
-    fitted = fit_pipeline(config, data, np.arange(data.n_samples))
-    path = tmp_path / "pipeline.npz"
-    harness.save_pipeline(path, fitted)
-    with np.load(path) as archive:
-        assert sorted(archive.files) == sorted(files)
-        header = json.loads(str(archive["pipeline"]))
-    assert sorted(header) == header_keys
-    assert sorted(header["model"]) == _LR_HEADER
-    assert header["config"] == config.to_dict()
-    assert header["tau"] == fitted.states[2].tau
-
-
-def _set(**fields):
-    return lambda header, arrays: {**header, **fields}
-
-
-def _drop(name):
-    def edit(header, arrays):
-        arrays.pop(name, None)
-        return {k: v for k, v in header.items() if k != name}
-    return edit
-
-
-def _set_model(**fields):
-    return lambda header, arrays: {**header, "model": {**header["model"], **fields}}
-
-
-# (id, index into ARCHIVE_CASES, edit of the header and arrays; a string
-# is written as the header's text)
-ARCHIVE_EDITS = [
-    ("not-json", 1, lambda header, arrays: json.dumps(header)[:-1]),
-    ("not-an-object", 1, lambda header, arrays: [header]),
-    ("tau-string", 1, _set(tau="0.5")),
-    ("tau-null", 1, _set(tau=None)),
-    ("tau-list", 1, _set(tau=[1])),
-    ("tau-negative", 1, _set(tau=-0.5)),
-    ("tau-missing", 1, _drop("tau")),
-    ("tau-under-kind-none", 0, _set(tau=0.5)),
-    ("config-missing", 1, _drop("config")),
-    ("wavenumbers-missing", 1, _drop("wavenumbers")),
-    ("scaler-std-missing", 1, _drop("scaler_std")),
-    ("model-missing", 1, _drop("model")),
-    ("model-null-for-lda", 1, _set(model=None)),
-    ("model-field-unknown", 1, _set_model(depth=3)),
-    ("model-field-twice", 2, _set_model(weights=[0.0])),
-    ("model-array-missing", 1, _drop("model_means")),
-    ("model-for-hac", 4, _set(model={"classes": [0, 1]})),
-    ("wtt-ranks-missing", 3, _drop("wtt_ranks")),
-    ("wtt-ranks-string", 3, _set(wtt_ranks="1,2")),
-    ("wtt-ranks-floats", 3,
-     lambda header, arrays: {**header, "wtt_ranks": [float(r) for r in header["wtt_ranks"]]}),
-    ("wtt-rank-without-filter", 3,
-     lambda header, arrays: {**header, "wtt_ranks": header["wtt_ranks"] + [1]}),
-    ("wtt-filter-missing", 3, _drop("wtt_filter_5")),
-]
-
-
-@pytest.mark.parametrize("case,edit", [edit[1:] for edit in ARCHIVE_EDITS],
-                         ids=[edit[0] for edit in ARCHIVE_EDITS])
-def test_load_pipeline_rejects_a_malformed_archive(data, tmp_path, case, edit):
-    fitted = fit_pipeline(ARCHIVE_CASES[case][1], data, np.arange(data.n_samples))
-    path = tmp_path / "pipeline.npz"
-    harness.save_pipeline(path, fitted)
-    with np.load(path) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    header = edit(json.loads(str(arrays.pop("pipeline"))), arrays)
-    text = header if isinstance(header, str) else json.dumps(header)
-    np.savez(path, pipeline=np.array(text), **arrays)
-    with pytest.raises(InvalidInputError):
-        harness.load_pipeline(path)
-
-
-def test_load_pipeline_rejects_other_archives(tmp_path):
-    path = tmp_path / "other.npz"
-    np.savez(path, header=np.array("{}"))
-    with pytest.raises(InvalidInputError):
-        harness.load_pipeline(path)
-
-
-# ----------------------------------------------------------------------
 # seeded splits
 # ----------------------------------------------------------------------
 
@@ -599,10 +452,10 @@ def test_preprocess_value_of_the_wrong_type_raises(fields, message):
     doc = {**CLASSIFICATION_GRID, "preprocess": {"derivative_order": 0, **fields}}
     with pytest.raises(InvalidInputError) as grid_exc:
         expand_grid(doc)
-    with pytest.raises(InvalidInputError) as config_exc:
-        PipelineConfig.from_dict({"preprocess": doc["preprocess"],
-                                  "model": {"kind": "lda"}})
-    assert str(grid_exc.value) == str(config_exc.value) == message
+    assert str(grid_exc.value) == message
+
+
+DWT_DB4 = {"kind": "dwt", "family": "daubechies", "order": 4, "mode": "periodization"}
 
 
 @pytest.mark.parametrize("q", [True, False, "0.9", None, float("nan"), -0.1, 1.5])

@@ -5,7 +5,8 @@ import pytest
 from wavefeat.dataio import load_dataset
 from wavefeat.errors import (DataFormatError, GridMismatchError, InvalidDatasetError,
                              InvalidInputError)
-from wavefeat.harness import PipelineConfig, Preprocessor, fit_pipeline
+from wavefeat.grids import expand_grid
+from wavefeat.harness import Preprocessor, fit_pipeline
 from wavefeat.preprocess import (LabeledDataset, PreprocessConfig, apply_scaler,
                                  derivative_matrix, fit_scaler, pow2_grid,
                                  resample_matrix)
@@ -150,7 +151,7 @@ class TestResamplePow2:
         wn = np.linspace(0, 1, 1024)
         assert np.array_equal(pow2_grid(wn), wn)
         data = LabeledDataset(wn, rng.standard_normal((4, 1024)), ["a", "b"] * 2)
-        config = PipelineConfig.from_dict({
+        (config,) = expand_grid({
             "preprocess": {}, "decomposition": {"kind": "wtt", "rank": 1},
             "model": {"kind": "hac", "affinity": "euclidean", "linkage": "average"}})
         fitted = fit_pipeline(config, data, np.arange(4))

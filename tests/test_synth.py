@@ -1,6 +1,6 @@
 """Tests for the synthetic generator's drift smoothing, a numpy transcription
-of scipy's ``gaussian_filter1d``, and for numpy being the package's only
-runtime dependency."""
+of scipy's ``gaussian_filter1d``, the range of its width, and for numpy being
+the package's only runtime dependency."""
 import json
 from pathlib import Path
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from wavefeat import synth
+from wavefeat.errors import InvalidInputError
 from wavefeat.synth import SyntheticSpec, synth_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +42,19 @@ def test_dataset_equals_the_one_smoothed_by_scipy(monkeypatch, spec):
     assert ours.intensities.tobytes() == theirs.intensities.tobytes()
     assert ours.wavenumbers.tobytes() == theirs.wavenumbers.tobytes()
     assert ours.labels == theirs.labels
+
+
+def test_drift_widths_at_the_ends_of_their_range_build_finite_data():
+    # sigma of 1e-100 bins squares without underflow, and sigma of
+    # 2.5 x grid_points bins has a kernel radius of 10 x grid_points
+    small = dict(class_count=2, samples_per_class=(1, 1), grid_points=64)
+    bin_width = 1600.0 / 63
+    for bins in (synth.MIN_DRIFT_BINS, synth.MAX_DRIFT_BINS_PER_POINT * 64):
+        data = synth_dataset(SyntheticSpec(**small, drift_width=bins * bin_width))
+        assert np.isfinite(data.intensities).all()
+    for bins in (synth.MIN_DRIFT_BINS / 2, synth.MAX_DRIFT_BINS_PER_POINT * 64 * 1.01):
+        with pytest.raises(InvalidInputError, match="drift_width must lie in"):
+            SyntheticSpec(**small, drift_width=bins * bin_width)
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -1,14 +1,11 @@
 """Tests for the adaptive SVD filter bank."""
-import os
 
 import numpy as np
 import pytest
 
-from wavefeat import harness, wtt
+from wavefeat import wtt
 from wavefeat.errors import InvalidInputError
-from wavefeat.harness import PipelineConfig, fit_pipeline
 from wavefeat.numerics import svd_left
-from wavefeat.preprocess import LabeledDataset
 
 
 class TestTrainFilters:
@@ -39,19 +36,6 @@ class TestTrainFilters:
     def test_bad_rank(self):
         with pytest.raises(InvalidInputError):
             wtt.train_group_filters(np.zeros(8)[None], 0)
-
-    def test_bank_whose_ranks_do_not_match_its_filters_rejected(self):
-        # a bank read from an archive: every block length follows from the ranks
-        rng = np.random.default_rng(17)
-        bank = wtt.train_group_filters(rng.standard_normal((4, 64)), 2)
-        assert bank.ranks == (2, 2, 2, 2, 2)
-        for ranks, length in [((2, 3, 2, 2, 2), 64), ((1, 2, 2, 2, 2), 64),
-                              ((2, 2, 2, 2, 2), 128)]:
-            with pytest.raises(InvalidInputError):
-                wtt.WttFilterBank(bank.filters, ranks, length, 2)
-        with pytest.raises(InvalidInputError):
-            wtt.WttFilterBank(bank.filters[:1] + (np.eye(3),) + bank.filters[2:],
-                              bank.ranks, 64, 2)
 
     def test_orthogonality(self):
         rng = np.random.default_rng(2)
@@ -188,29 +172,6 @@ class TestFlatten:
         assert np.allclose(stacked.reshape(4, 64), flat[:4], atol=1e-12)
         back = wtt.wtt_inverse(stacked, bank)
         assert np.max(np.abs(back.reshape(4, 64) - xs[:4])) <= 1e-10
-
-
-class TestSerialization:
-    def test_bit_exact_round_trip(self, tmp_path):
-        # the bank of a WTT pipeline, saved and read back through its archive
-        rng = np.random.default_rng(16)
-        data = LabeledDataset(np.arange(128.0), rng.standard_normal((6, 128)),
-                              [0, 0, 0, 1, 1, 1])
-        config = PipelineConfig.from_dict({
-            "preprocess": {"derivative_order": 0, "center": False},
-            "decomposition": {"kind": "wtt", "rank": 4}, "transform": {"kind": "none"},
-            "model": {"kind": "lda"}})
-        fitted = fit_pipeline(config, data, np.arange(6))
-        bank = fitted.states[1].bank
-        assert bank.requested_rank == 4
-        path = os.path.join(tmp_path, "bank.npz")
-        harness.save_pipeline(path, fitted)
-        loaded = harness.load_pipeline(path).states[1].bank
-        assert loaded.ranks == bank.ranks
-        assert loaded.signal_length == bank.signal_length
-        assert loaded.requested_rank == bank.requested_rank
-        for a, b in zip(loaded.filters, bank.filters):
-            assert a.tobytes() == b.tobytes()
 
 
 # Training and both transforms as first written, on column-major reshapes

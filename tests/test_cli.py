@@ -175,6 +175,30 @@ def test_flags_a_command_does_not_read_exit_2(argv):
     assert exc.value.code == 2
 
 
+PIPELINE = {"preprocess": {"derivative_order": 0, "center": True},
+            "model": {"kind": "lda"}}
+
+
+@pytest.mark.parametrize("change", [
+    {"drop": "preprocess"},
+    {"drop": "model"},
+    {"add": {"tranform": {"kind": "none"}}},
+], ids=["no-preprocess", "no-model", "unknown-key"])
+def test_train_config_stage_keys_exit_2(tmp_path, capsys, change):
+    # the one-pipeline stage document, read as a gridsearch classification section
+    data = _tiny_dataset(tmp_path)
+    doc = {k: v for k, v in PIPELINE.items() if k != change.get("drop")}
+    doc.update(change.get("add", {}))
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"schema": "wavefeat-grid", "classification": doc}))
+    capsys.readouterr()
+    assert cli.main(["gridsearch", "--data", str(data), "--config", str(config),
+                     "--folds", "2", "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "usage error: grid section" in err
+    assert change.get("drop", "tranform") in err
+
+
 def test_grid_section_unknown_key_exits_2(tmp_path, capsys):
     # a section maps stage keys only, and preprocess and model are required
     data = _tiny_dataset(tmp_path)

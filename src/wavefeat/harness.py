@@ -2,8 +2,9 @@
 list, grid search over shared prefixes, repeated CV, and full-dataset
 clustering.
 
-A pipeline is the signal (derivative, then for WTT the power-of-two spline
-resample), which is stateless, and the ordered list ``STAGES``:
+A pipeline is the signal (derivative, then, when the config has a
+decomposition, the power-of-two spline resample), which is stateless, and
+the ordered list ``STAGES``:
 
 1. preprocess: feature-axis scaler -> abs;
 2. decompose: a fixed DWT, or a WTT filter bank trained on the block, plus
@@ -299,7 +300,7 @@ class SignalTable:
     power-of-two resample.  Blocks are computed at first use and kept, keyed
     by (derivative order, resample flag); a resampled block is built from
     the unresampled block of its order, so each order costs one derivative
-    and at most one resample."""
+    and at most one resample, which its DWT and WTT configs share."""
 
     def __init__(self, wavenumbers: np.ndarray, intensities: np.ndarray):
         self.wavenumbers, self.intensities = wavenumbers, intensities
@@ -366,7 +367,8 @@ class Preprocessor:
 
     wavenumbers: np.ndarray
     config: PreprocessConfig
-    target: np.ndarray | None        # power-of-two grid; None keeps the input grid
+    # the power-of-two grid, for any decomposition; None keeps the input grid
+    target: np.ndarray | None
     scaler: ScalerStats | None = None
 
     def resampled(self, block) -> np.ndarray:
@@ -379,13 +381,10 @@ class Preprocessor:
         return np.abs(y) if self.config.take_abs else y
 
 
-def _needs_pow2(config: PipelineConfig) -> bool:
-    return isinstance(config.decomposition, WttSpec)
-
-
 def _pow2_target(config: PipelineConfig, wn: np.ndarray) -> np.ndarray | None:
-    """The grid to resample to, or None to keep ``wn``."""
-    if not _needs_pow2(config):
+    """The grid to resample to, or None to keep ``wn``: every decomposition
+    reads the power-of-two signal."""
+    if config.decomposition is None:
         return None
     target = pow2_grid(wn)
     return None if target.size == wn.size and np.allclose(target, wn) else target
@@ -462,7 +461,7 @@ class Stage(NamedTuple):
 
 
 STAGES = (
-    Stage("preprocess", lambda c: (c.preprocess, _needs_pow2(c)),
+    Stage("preprocess", lambda c: (c.preprocess, c.decomposition is not None),
           _fit_preprocess, Preprocessor.scaled),
     Stage("decompose", lambda c: c.decomposition, _fit_decompose, _apply_decompose),
     Stage("features", lambda c: c.transform, _fit_features, _apply_features),

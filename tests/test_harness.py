@@ -153,7 +153,7 @@ def test_wtt_trainings_equal_distinct_fold_preprocess_rank_keys(
     for stage in ("preprocess", "decompose", "features", "distances"):
         assert result.fits[stage] + result.memo_hits[stage] > result.fits[stage] > 0
     # each (preprocess, pow2) key once per fold: three derivative orders,
-    # with and without the WTT resample
+    # with and without the resample that every decomposition reads
     assert result.fits["preprocess"] == k * 3 * 2
 
 
@@ -217,10 +217,31 @@ def test_each_cv_run_computes_each_signal_once(data, clustering_grid, monkeypatc
         grid = expand_grid(CLASSIFICATION_GRID)
         repeated_cv(grid, data, seed=5, repeats=2, k=3)  # one run over both repeats
     orders = sorted({c.preprocess.derivative_order for c in grid})
-    wtt_orders = {c.preprocess.derivative_order for c in grid
-                  if isinstance(c.decomposition, harness.WttSpec)}
+    pow2_orders = {c.preprocess.derivative_order for c in grid
+                   if c.decomposition is not None}
     assert sorted(calls["derivative"]) == orders
-    assert calls["resample"] == [data.intensities.shape] * len(wtt_orders)
+    assert calls["resample"] == [data.intensities.shape] * len(pow2_orders)
+
+
+def test_dwt_and_wtt_read_one_resampled_signal(monkeypatch):
+    # the default 1,600-point set: DWT and WTT configs of one derivative
+    # order share its one resample, and both give 2,048 coefficients
+    data = synth_dataset(SyntheticSpec())
+    calls = []
+    resample = harness.resample_matrix
+    monkeypatch.setattr(harness, "resample_matrix",
+                        lambda wn, y, new_wn: calls.append(y.shape) or
+                        resample(wn, y, new_wn))
+    grid = expand_grid({
+        "preprocess": {"derivative_order": 1, "center": True},
+        "decomposition": [{"kind": "dwt", "family": "daubechies", "order": 4,
+                           "mode": "periodization"}, {"kind": "wtt", "rank": 2}],
+        "model": {"kind": "hac", "affinity": "euclidean", "linkage": "average"}})
+    rows = np.arange(data.n_samples)
+    memo = FoldMemo(data, rows)
+    fitted = [fit_pipeline(config, data, rows, memo) for config in grid]
+    assert calls == [data.intensities.shape] == [(80, 1600)]
+    assert [f.train_features.shape for f in fitted] == [(80, 2048)] * 2
 
 
 # ----------------------------------------------------------------------

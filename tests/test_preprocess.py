@@ -146,16 +146,21 @@ class TestStandardScale:
 
 class TestResamplePow2:
     def test_pow2_uniform_unchanged(self):
-        # a uniform power-of-two grid is its own target: WTT skips the resample
+        # a uniform power-of-two grid is its own target: WTT and DWT skip
+        # the resample
         rng = np.random.default_rng(4)
         wn = np.linspace(0, 1, 1024)
         assert np.array_equal(pow2_grid(wn), wn)
         data = LabeledDataset(wn, rng.standard_normal((4, 1024)), ["a", "b"] * 2)
-        (config,) = expand_grid({
-            "preprocess": {}, "decomposition": {"kind": "wtt", "rank": 1},
-            "model": {"kind": "hac", "affinity": "euclidean", "linkage": "average"}})
-        fitted = fit_pipeline(config, data, np.arange(4))
-        assert fitted.states[0].target is None
+        for decomposition in ({"kind": "wtt", "rank": 1},
+                              {"kind": "dwt", "family": "daubechies", "order": 4,
+                               "mode": "periodization"}):
+            (config,) = expand_grid({
+                "preprocess": {}, "decomposition": decomposition,
+                "model": {"kind": "hac", "affinity": "euclidean", "linkage": "average"}})
+            fitted = fit_pipeline(config, data, np.arange(4))
+            assert fitted.states[0].target is None
+            assert fitted.train_features.shape == (4, 1024)
 
     def test_linear_reproduction(self):
         wn = np.linspace(2000.0, 400.0, 1000)

@@ -1,13 +1,12 @@
-"""Non-linear feature maps applied on top of an invertible linear transform.
+"""Non-linear feature maps on the coefficients of a decomposition.
 
-The transform ``W`` is anything exposing ``forward`` (signal -> flat
-coefficient array) and ``inverse`` (flat array -> signal); ``DwtTransform``
-and ``WttTransform`` give the wavelet filter bank and the adaptive SVD bank
-that one interface.  On the coefficients the module provides the kinds of
-the config's transform: hard/soft thresholding, sign quantization of
-hard-thresholded coefficients, and contrasting (removing the
-soft-thresholded reconstruction from the signal to emphasize what the
-threshold would discard).
+A decomposition is anything exposing ``forward`` (signal -> flat
+coefficient array); ``DwtTransform`` and ``WttTransform`` give the wavelet
+filter bank and the adaptive SVD bank that one interface.  On the
+coefficients the module provides the kinds of the config's transform:
+hard/soft thresholding, sign quantization of hard-thresholded
+coefficients, and contrasting (clipping the coefficients to the part a
+soft threshold would discard).
 """
 from __future__ import annotations
 
@@ -76,7 +75,7 @@ class DwtTransform:
     """Multilevel wavelet transform pinned to one signal length.
 
     Fixing the length makes the flat coefficient array a well-defined
-    invertible linear map.
+    linear map.
     """
 
     def __init__(self, wavelet: dwt.WaveletSpec, mode: str, level: int | None,
@@ -102,13 +101,9 @@ class DwtTransform:
                 f"expected length {self.signal_length}, got {x.shape[-1]}")
         return dwt.wavedec(x, self.wavelet, self.mode, self.level)
 
-    def inverse(self, vec: np.ndarray) -> np.ndarray:
-        return dwt.waverec(vec, self.wavelet, self.mode, self.level,
-                           self.signal_length)
-
 
 class WttTransform:
-    """Trained adaptive filter bank as an invertible linear map."""
+    """Trained adaptive filter bank as a linear map."""
 
     def __init__(self, bank: wtt.WttFilterBank):
         self.bank = bank
@@ -117,54 +112,42 @@ class WttTransform:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return wtt.wtt_forward(x, self.bank)
 
-    def inverse(self, vec: np.ndarray) -> np.ndarray:
-        return wtt.wtt_inverse(vec, self.bank)
 
+def contrast(c: np.ndarray, tau: float) -> np.ndarray:
+    """The coefficients clipped to [-tau, tau]: the part of each that a soft
+    threshold at tau removes, c - soft(c, tau).
 
-def contrast(x: np.ndarray, transform, tau: float,
-             coeffs: np.ndarray | None = None) -> np.ndarray:
-    """Remove the soft-thresholded reconstruction from the signal.
-
-    The residual's coefficients under the same transform are exactly the
-    part the soft threshold clipped, so every entry of W(result) lies in
-    [-tau, tau].  ``coeffs``, when given, is ``transform.forward(x)``.
+    Contrast is defined on the coefficients for every transform.  For an
+    orthonormal W (a WTT bank; an orthogonal DWT family in periodization
+    mode on a power-of-two length) clip(Wx) has the pairwise distances and
+    inner products of the signal-domain residual x - W^T soft(Wx, tau).  A
+    negative tau raises InvalidInputError, as in ``threshold``.
     """
-    if coeffs is None:
-        coeffs = transform.forward(x)
-    kept = threshold(coeffs, "soft", tau)
-    return np.asarray(x, dtype=float) - transform.inverse(kept)
+    if tau < 0:
+        raise InvalidInputError("tau must be non-negative")
+    return np.clip(c, -tau, tau)
 
 
 @dataclass(frozen=True)
 class FeatureMap:
     """A fitted feature extractor: a kind of the config's transform (none,
-    threshold, sign or contrast) on the coefficients of ``transform``, the
-    decomposition; None means the features are the signal itself.
-    ``threshold_kind`` (hard or soft) is read by kind threshold, and ``tau``
-    by every kind but none."""
+    threshold, sign or contrast) on the coefficients of the decomposition;
+    without a decomposition the kind is none and the features are the signal
+    itself.  ``threshold_kind`` (hard or soft) is read by kind threshold,
+    and ``tau`` by every kind but none."""
 
     kind: str
-    transform: object | None = None
     threshold_kind: str | None = None
     tau: float | None = None
 
 
-def extract_features(x: np.ndarray, fm: FeatureMap,
-                     coeffs: np.ndarray | None = None) -> np.ndarray:
-    """Apply a fitted feature map to one signal (or a batch on axis 0).
-
-    ``coeffs``, when given, is ``fm.transform.forward(x)``, computed once by
-    a caller that needs it too.
-    """
-    x = np.asarray(x, dtype=float)
-    if fm.transform is None:
-        return x
-    if coeffs is None:
-        coeffs = fm.transform.forward(x)
+def extract_features(c: np.ndarray, fm: FeatureMap) -> np.ndarray:
+    """Apply a fitted feature map to the coefficients of one signal (or a
+    batch on axis 0), or to the signal when there is no decomposition."""
     if fm.kind == "none":
-        return coeffs
+        return c
     if fm.kind == "threshold":
-        return threshold(coeffs, fm.threshold_kind, fm.tau)
+        return threshold(c, fm.threshold_kind, fm.tau)
     if fm.kind == "sign":
-        return sign_quantize(coeffs, fm.tau)
-    return contrast(x, fm.transform, fm.tau, coeffs)
+        return sign_quantize(c, fm.tau)
+    return contrast(c, fm.tau)

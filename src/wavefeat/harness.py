@@ -7,8 +7,9 @@ decomposition, the power-of-two spline resample), which is stateless, and
 the ordered list ``STAGES``:
 
 1. preprocess: feature-axis scaler -> abs;
-2. decompose: a fixed DWT, or a WTT filter bank trained on the block, plus
-   the block's flat coefficient array;
+2. decompose: a fixed DWT, or a WTT filter bank trained on the block; its
+   output is the block's flat coefficient array, or the block itself
+   without a decomposition;
 3. features: the config's transform kind (none, threshold, sign or
    contrast) on those coefficients, with tau a quantile of the block's
    coefficient magnitudes found by one selection
@@ -406,19 +407,15 @@ def _fit_decompose(config, fold, key, prev, y):
     return WttTransform(wtt.train_group_filters(y, spec.rank))
 
 
-def _apply_decompose(transform, y: np.ndarray) -> tuple:
-    """(signal, its coefficients or None)."""
-    return y, (None if transform is None else transform.forward(y))
+def _apply_decompose(transform, y: np.ndarray) -> np.ndarray:
+    """The coefficients of ``y``, or ``y`` itself without a decomposition."""
+    return y if transform is None else transform.forward(y)
 
 
-def _fit_features(config, fold, key, transform, signal_coeffs):
+def _fit_features(config, fold, key, transform, coeffs) -> FeatureMap:
     t = config.transform
-    tau = None if t.kind == "none" else magnitude_quantile(signal_coeffs[1], t.tau_quantile)
-    return FeatureMap(t.kind, transform, t.threshold_kind, tau)
-
-
-def _apply_features(fm: FeatureMap, signal_coeffs: tuple) -> np.ndarray:
-    return extract_features(signal_coeffs[0], fm, signal_coeffs[1])
+    tau = None if t.kind == "none" else magnitude_quantile(coeffs, t.tau_quantile)
+    return FeatureMap(t.kind, t.threshold_kind, tau)
 
 
 def _fit_model(config, fold, key, fm, feats):
@@ -464,7 +461,8 @@ STAGES = (
     Stage("preprocess", lambda c: (c.preprocess, c.decomposition is not None),
           _fit_preprocess, Preprocessor.scaled),
     Stage("decompose", lambda c: c.decomposition, _fit_decompose, _apply_decompose),
-    Stage("features", lambda c: c.transform, _fit_features, _apply_features),
+    Stage("features", lambda c: c.transform, _fit_features,
+          lambda fm, coeffs: extract_features(coeffs, fm)),
     Stage("model", lambda c: c.model, _fit_model, _apply_model),
 )
 
@@ -511,10 +509,8 @@ def _fit_stage(stage: Stage, config, memo: FoldMemo, key, prev, blocks) -> tuple
     if stage.name == "model":
         return state, None
     out = [stage.apply(state, x) for x in blocks]
-    for block in out:
-        for part in block if isinstance(block, tuple) else (block,):
-            if part is not None and not np.isfinite(part).all():
-                raise NumericalError(f"the {stage.name} stage's output is not finite")
+    if not all(np.isfinite(block).all() for block in out):
+        raise NumericalError(f"the {stage.name} stage's output is not finite")
     return state, out
 
 

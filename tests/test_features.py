@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from wavefeat import dwt, wtt
-from wavefeat.errors import InvalidInputError
+from wavefeat.errors import InvalidConfigError, InvalidInputError
 from wavefeat.features import (DwtTransform, FeatureMap, WttTransform,
                                contrast, extract_features, magnitude_quantile,
                                sign_quantize, threshold)
+from wavefeat.models import pairwise_distances
 
 
 class TestThreshold:
@@ -150,96 +151,141 @@ def dwt_transform():
     return DwtTransform(w, "periodization", 3, 64)
 
 
-class TestContrast:
-    def test_tau_zero_gives_zero_signal(self, wtt_transform):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(64)
-        out = contrast(x, wtt_transform, 0.0)
-        assert np.max(np.abs(out)) <= 1e-10
+def _matrix(transform) -> np.ndarray:
+    """W of the forward map, from the forward map of the identity: row i
+    of ``forward(I)`` is W e_i, so the result is its transpose."""
+    return transform.forward(np.eye(transform.signal_length)).T
 
-    def test_tau_above_max_returns_x(self, wtt_transform):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal(64)
-        tau = float(np.max(np.abs(wtt_transform.forward(x)))) + 1.0
-        assert np.allclose(contrast(x, wtt_transform, tau), x, atol=1e-12)
+
+class TestContrast:
+    """``contrast(c, tau)`` clips coefficients to [-tau, tau]."""
+
+    def test_tau_zero_gives_zero_signal(self):
+        c = np.random.default_rng(5).standard_normal(64)
+        assert not contrast(c, 0.0).any()
+
+    def test_tau_above_max_returns_x(self):
+        c = np.random.default_rng(6).standard_normal((3, 64))
+        tau = float(np.max(np.abs(c))) + 1.0
+        assert np.array_equal(contrast(c, tau), c)
 
     @pytest.mark.parametrize("transform_name", ["wtt", "dwt"])
     def test_clip_bound(self, transform_name, wtt_transform, dwt_transform):
+        # what the soft threshold keeps plus the contrast is the coefficients
         tr = wtt_transform if transform_name == "wtt" else dwt_transform
         rng = np.random.default_rng(7)
         tau = 0.4
-        for _ in range(20):
-            x = rng.standard_normal(64)
-            resid = tr.forward(contrast(x, tr, tau))
-            assert np.max(np.abs(resid)) <= tau + 1e-10
+        c = tr.forward(rng.standard_normal((20, 64)))
+        out = contrast(c, tau)
+        assert np.max(np.abs(out)) <= tau
+        inside = np.abs(c) <= tau
+        assert np.array_equal(out[inside], c[inside])
+        assert np.array_equal(out[~inside], tau * np.sign(c[~inside]))
+        assert np.allclose(threshold(c, "soft", tau) + out, c, rtol=0, atol=1e-15)
 
     def test_orthogonal_norm_bound(self, wtt_transform):
         rng = np.random.default_rng(8)
         tau = 0.3
-        for _ in range(20):
-            x = rng.standard_normal(64)
-            out = contrast(x, wtt_transform, tau)
-            assert np.linalg.norm(out) <= tau * np.sqrt(64) + 1e-10
+        out = contrast(wtt_transform.forward(rng.standard_normal((20, 64))), tau)
+        assert np.all(np.linalg.norm(out, axis=1) <= tau * np.sqrt(64))
+
+    def test_negative_tau_raises(self):
+        with pytest.raises(InvalidInputError):
+            contrast(np.ones(3), -0.1)
+
+    @pytest.mark.parametrize("name", ["wtt", "db4", "sym4", "coif2"])
+    def test_same_geometry_as_the_signal_domain_residual(self, name):
+        # the contrast as first defined, x - W^-1 soft(Wx, tau), built with
+        # the inverse kernels: for an orthonormal W its pairwise distances
+        # and inner products are those of clip(Wx, -tau, tau)
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((12, 256)).cumsum(axis=1)
+        if name == "wtt":
+            bank = wtt.train_group_filters(x, 3)
+            c = wtt.wtt_forward(x, bank)
+            inverse = lambda v: wtt.wtt_inverse(v, bank)  # noqa: E731
+        else:
+            w = dwt.lookup_wavelet({"db": "daubechies", "sym": "symlet",
+                                    "coif": "coiflet"}[name[:-1]], name[-1])
+            level = dwt.max_level(256, w)
+            c = dwt.wavedec(x, w, "periodization", level)
+            inverse = lambda v: dwt.waverec(  # noqa: E731
+                v, w, "periodization", level, 256)
+        tau = magnitude_quantile(c, 0.9)
+        old = x - inverse(threshold(c, "soft", tau))
+        new = contrast(c, tau)
+        for a, b in ((new @ new.T, old @ old.T),
+                     (pairwise_distances(new, "euclidean"),
+                      pairwise_distances(old, "euclidean"))):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 class TestTransforms:
-    def test_dwt_transform_round_trip(self, dwt_transform):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal(64)
-        assert np.max(np.abs(dwt_transform.inverse(dwt_transform.forward(x)) - x)) <= 1e-10
+    def test_dwt_transform_is_orthonormal(self):
+        # orthogonal families in periodization on a power-of-two length
+        for family, order in (("daubechies", 2), ("symlet", 4), ("coiflet", 2)):
+            w = dwt.lookup_wavelet(family, order)
+            mat = _matrix(DwtTransform(w, "periodization", None, 64))
+            assert np.max(np.abs(mat @ mat.T - np.eye(64))) <= 1e-12, w.name
 
     def test_dwt_transform_level_default_max(self):
         w = dwt.lookup_wavelet("daubechies", 1)
         tr = DwtTransform(w, "periodization", None, 64)
         assert tr.level == 6
 
+    def test_dwt_transform_level_out_of_range(self):
+        w = dwt.lookup_wavelet("daubechies", 1)
+        with pytest.raises(InvalidConfigError):
+            DwtTransform(w, "periodization", 7, 64)
+
     def test_dwt_transform_length_check(self, dwt_transform):
         with pytest.raises(InvalidInputError):
             dwt_transform.forward(np.zeros(65))
 
-    def test_wtt_transform_round_trip(self, wtt_transform):
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal((4, 64))
-        assert np.max(np.abs(wtt_transform.inverse(wtt_transform.forward(x)) - x)) <= 1e-10
+    def test_wtt_transform_is_orthonormal(self, wtt_transform):
+        mat = _matrix(wtt_transform)
+        assert np.max(np.abs(mat @ mat.T - np.eye(64))) <= 1e-12
 
 
 class TestExtractFeatures:
     def test_identity_pipeline(self):
         x = np.arange(5.0)
         fm = FeatureMap("none")
-        assert np.array_equal(extract_features(x, fm), x)
+        assert extract_features(x, fm) is x
 
     def test_sign_codomain_haar(self):
         w = dwt.lookup_wavelet("daubechies", 1)
         tr = DwtTransform(w, "periodization", 1, 4)
-        fm = FeatureMap("sign", tr, None, 0.5)
-        out = extract_features(np.array([1.0, 2.0, 3.0, 4.0]), fm)
+        fm = FeatureMap("sign", None, 0.5)
+        out = extract_features(tr.forward(np.array([1.0, 2.0, 3.0, 4.0])), fm)
         assert out.shape == (4,)
         assert set(np.unique(out)).issubset({-1.0, 0.0, 1.0})
 
     def test_full_composition_matches_manual(self, wtt_transform):
         rng = np.random.default_rng(11)
-        x = rng.standard_normal(64)
-        fm = FeatureMap("threshold", wtt_transform, "hard", 0.6)
-        manual = threshold(wtt_transform.forward(x), "hard", 0.6)
-        assert np.array_equal(extract_features(x, fm), manual)
+        c = wtt_transform.forward(rng.standard_normal(64))
+        for fm, manual in (
+                (FeatureMap("threshold", "hard", 0.6), threshold(c, "hard", 0.6)),
+                (FeatureMap("sign", None, 0.6), sign_quantize(c, 0.6)),
+                (FeatureMap("contrast", None, 0.6), np.clip(c, -0.6, 0.6))):
+            assert np.array_equal(extract_features(c, fm), manual)
 
     def test_batch_equals_per_sample(self, wtt_transform):
         rng = np.random.default_rng(12)
-        xs = rng.standard_normal((3, 64))
-        fm = FeatureMap("threshold", wtt_transform, "soft", 0.2)
-        batch = extract_features(xs, fm)
+        c = wtt_transform.forward(rng.standard_normal((3, 64)))
+        fm = FeatureMap("threshold", "soft", 0.2)
+        batch = extract_features(c, fm)
         for i in range(3):
-            assert np.allclose(batch[i], extract_features(xs[i], fm), atol=1e-12)
+            assert np.array_equal(batch[i], extract_features(c[i], fm))
 
-    def test_invalid_configs(self, wtt_transform):
+    def test_invalid_configs(self):
         # the config's transform rules are checked where the config is read;
         # an unknown threshold kind or a negative tau is rejected by the
-        # threshold that every kind goes through
-        x = np.random.default_rng(13).standard_normal(64)
-        for fm in (FeatureMap("threshold", wtt_transform, "medium", 0.1),
-                   FeatureMap("threshold", wtt_transform, "soft", -0.1),
-                   FeatureMap("sign", wtt_transform, None, -0.1),
-                   FeatureMap("contrast", wtt_transform, None, -0.1)):
+        # threshold or the clip of every kind
+        c = np.random.default_rng(13).standard_normal(64)
+        for fm in (FeatureMap("threshold", "medium", 0.1),
+                   FeatureMap("threshold", "soft", -0.1),
+                   FeatureMap("sign", None, -0.1),
+                   FeatureMap("contrast", None, -0.1)):
             with pytest.raises(InvalidInputError):
-                extract_features(x, fm)
+                extract_features(c, fm)

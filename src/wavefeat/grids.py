@@ -30,13 +30,15 @@ def _expand_mapping(entry: dict) -> list[dict]:
     return [dict(zip(keys, combo)) for combo in itertools.product(*value_lists)]
 
 
-def _expand_section(section) -> list[dict]:
-    if isinstance(section, dict):
-        section = [section]
-    out = []
-    for entry in section:
-        out.extend(_expand_mapping(entry))
-    return out
+def _expand_section(doc: dict, key: str) -> list[dict]:
+    """Stage ``key``'s fields: an object or a list of objects (absent: kind
+    none); anything else raises InvalidConfigError."""
+    section = doc.get(key, {"kind": "none"})
+    entries = [section] if isinstance(section, dict) else section
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise InvalidConfigError(
+            f"grid section: {key} must be an object or a list of objects")
+    return [combo for entry in entries for combo in _expand_mapping(entry)]
 
 
 class ConfigGrid(list):
@@ -52,12 +54,12 @@ def expand_grid(doc: dict) -> ConfigGrid:
     """Expand one task section ({preprocess, decomposition, transform, model})."""
     check_stage_keys(doc)
     preps = [spec_from_dict(PreprocessConfig, e)
-             for e in _expand_section(doc["preprocess"])]
+             for e in _expand_section(doc, "preprocess")]
     decs = [decomposition_from_dict(e)
-            for e in _expand_section(doc.get("decomposition", {"kind": "none"}))]
+            for e in _expand_section(doc, "decomposition")]
     transforms = [spec_from_dict(TransformSpec, e)
-                  for e in _expand_section(doc.get("transform", {"kind": "none"}))]
-    mdls = [spec_from_dict(ModelSpec, e) for e in _expand_section(doc["model"])]
+                  for e in _expand_section(doc, "transform")]
+    mdls = [spec_from_dict(ModelSpec, e) for e in _expand_section(doc, "model")]
     configs, skipped = [], Counter()
     for parts in itertools.product(preps, decs, transforms, mdls):
         try:

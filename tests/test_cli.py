@@ -212,6 +212,14 @@ def test_grid_section_unknown_key_exits_2(tmp_path, capsys):
         ({**section, "tranform": {"kind": "none"}}, "unknown keys ['tranform']"),
         ({**without["model"], "models": section["model"]}, "unknown keys ['models']"),
     ]
+    # a stage entry is an object or a list of objects
+    cases += [({**section, key: value},
+               f"{key} must be an object or a list of objects")
+              for key, value in (("decomposition", None), ("decomposition", [5]),
+                                 ("decomposition", "dwt"), ("decomposition", [None]),
+                                 ("preprocess", None), ("preprocess", 3),
+                                 ("preprocess", ["x"]), ("transform", True),
+                                 ("model", [{"kind": "lda"}, 1]))]
     capsys.readouterr()
     for doc, message in cases:
         grid.write_text(json.dumps({"schema": "wavefeat-grid", "clustering": doc}))

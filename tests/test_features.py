@@ -193,26 +193,26 @@ class TestContrast:
         with pytest.raises(InvalidInputError):
             contrast(np.ones(3), -0.1)
 
-    @pytest.mark.parametrize("name", ["wtt", "db4", "sym4", "coif2"])
-    def test_same_geometry_as_the_signal_domain_residual(self, name):
+    @pytest.mark.parametrize("family,order", [(None, None), ("daubechies", 4),
+                                              ("symlet", 4), ("coiflet", 2)],
+                             ids=["wtt", "db4", "sym4", "coif2"])
+    def test_same_geometry_as_the_signal_domain_residual(self, family, order):
         # the contrast as first defined, x - W^-1 soft(Wx, tau), built with
         # the inverse kernels: for an orthonormal W its pairwise distances
         # and inner products are those of clip(Wx, -tau, tau)
-        rng = np.random.default_rng(17)
-        x = rng.standard_normal((12, 256)).cumsum(axis=1)
-        if name == "wtt":
+        x = np.random.default_rng(17).standard_normal((12, 256)).cumsum(axis=1)
+        if family is None:
             bank = wtt.train_group_filters(x, 3)
             c = wtt.wtt_forward(x, bank)
-            inverse = lambda v: wtt.wtt_inverse(v, bank)  # noqa: E731
+            tau = magnitude_quantile(c, 0.9)
+            old = x - wtt.wtt_inverse(threshold(c, "soft", tau), bank)
         else:
-            w = dwt.lookup_wavelet({"db": "daubechies", "sym": "symlet",
-                                    "coif": "coiflet"}[name[:-1]], name[-1])
+            w = dwt.lookup_wavelet(family, order)
             level = dwt.max_level(256, w)
             c = dwt.wavedec(x, w, "periodization", level)
-            inverse = lambda v: dwt.waverec(  # noqa: E731
-                v, w, "periodization", level, 256)
-        tau = magnitude_quantile(c, 0.9)
-        old = x - inverse(threshold(c, "soft", tau))
+            tau = magnitude_quantile(c, 0.9)
+            old = x - dwt.waverec(threshold(c, "soft", tau), w, "periodization",
+                                  level, 256)
         new = contrast(c, tau)
         for a, b in ((new @ new.T, old @ old.T),
                      (pairwise_distances(new, "euclidean"),

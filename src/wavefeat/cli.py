@@ -17,6 +17,11 @@ import os
 import sys
 import time
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 
 from . import __version__, dataio, dwt, models, synth
@@ -48,6 +53,15 @@ def _write_manifest(out_dir: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set so far, in MiB, as ``ru_maxrss``
+    reports it (KiB on Linux, bytes on macOS); None without ``resource``."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def _self_describing_header(kind: str) -> str:
     return f"# wavefeat v{__version__} {kind}\n"
 
@@ -73,7 +87,9 @@ def _feature_space(config: PipelineConfig, split_sign: bool) -> str:
 
 
 _NUMBER = (int, float)
-_KIND_NAMES = {dict: "a JSON object", str: "a string", _NUMBER: "a number"}
+_NUMBER_OR_NULL = (int, float, type(None))
+_KIND_NAMES = {dict: "a JSON object", str: "a string", _NUMBER: "a number",
+               _NUMBER_OR_NULL: "a number or null"}
 
 
 def _manifest_field(doc: dict, key: str, kind, where: str, default=None):
@@ -210,6 +226,7 @@ def cmd_gridsearch(args) -> int:
         "winners": {f"{k[0]}|{k[1]}|d{k[2]}": rep.to_dict()
                     for k, rep in final.items()},
         "wall_time_seconds": time.perf_counter() - t_start,
+        "peak_rss_mb": _peak_rss_mb(),
     })
     best = result.best
     print(f"evaluated {len(grid)} configs; best {result.selection_metric}="
@@ -243,7 +260,7 @@ def cmd_cluster(args) -> int:
 
     finals: dict = {}
     for (space, d), report in winners.items():
-        labels, tree, scores, _ = final_clustering(report.config, data, signals)
+        tree, scores = final_clustering(report.config, data, signals)
         dendro = models.dendrogram_export(tree, list(data.labels))
         fname = f"dendrogram_{space.replace(' ', '')}_d{d}.json"
         with open(os.path.join(args.out_dir, fname), "w") as fh:
@@ -296,6 +313,7 @@ def cmd_cluster(args) -> int:
         "winners": {f"{s}|d{d}": cell for (s, d), cell in finals.items()},
         "ari_ordering_wtt_dwt_original": ordering_flag,
         "wall_time_seconds": time.perf_counter() - t_start,
+        "peak_rss_mb": _peak_rss_mb(),
     })
     print(f"evaluated {len(grid)} configs; ARI ordering WTT>=DWT>=original: "
           f"{ordering_flag}")
@@ -383,7 +401,10 @@ def cmd_report(args) -> int:
                 fh.write(f"{key}\t{val:.6f}\n")
         print(f"wrote {out}")
     wall = _manifest_field(manifest, "wall_time_seconds", _NUMBER, where, float("nan"))
-    print(f"wall time: {wall:.1f}s")
+    # null where ``resource`` is missing; older manifests have no such field
+    rss = _manifest_field(manifest, "peak_rss_mb", _NUMBER_OR_NULL, where)
+    rss_text = "-" if rss is None else f"{rss:.1f} MB"
+    print(f"wall time: {wall:.1f}s, peak RSS {rss_text}")
     return 0
 
 

@@ -643,17 +643,6 @@ def _score_classification(fitted: FittedPipeline, memo: FoldMemo) -> dict:
     return scores
 
 
-def _score_clustering(tree: models.LinkageTree, true: list) -> tuple[dict, list]:
-    """Scores and labels of the fitting rows cut at the true class count."""
-    pred = models.cut_tree(tree, len(set(true)))
-    scores = {
-        "ari": adjusted_rand(true, pred),
-        "ami": adjusted_mutual_info(true, pred),
-        "fm": fowlkes_mallows(true, pred),
-    }
-    return scores, pred
-
-
 def _fit_and_score(config: PipelineConfig, memo: FoldMemo) -> tuple:
     """(scores, seconds, warnings, LR outcome or None) of one classification
     config on the memo's fold."""
@@ -783,11 +772,15 @@ def final_clustering(config: PipelineConfig, data: LabeledDataset,
     that reads the signal table ``signals`` of ``data`` (a new one when
     None).
 
-    Returns (labels, LinkageTree, scores dict, FittedPipeline).
+    Returns the LinkageTree and its ARI, AMI and FM scores, cut at the true
+    class count; the fitted pipeline and its features are freed on return.
     """
     if config.task != "clustering":
         raise InvalidConfigError("final_clustering requires a clustering config")
     rows = np.arange(data.n_samples)
-    fitted = fit_pipeline(config, data, rows, FoldMemo(data, rows, signals=signals))
-    scores, pred = _score_clustering(fitted.model, data.labels)
-    return pred, fitted.model, scores, fitted
+    tree = fit_pipeline(config, data, rows, FoldMemo(data, rows, signals=signals)).model
+    true = data.labels
+    pred = models.cut_tree(tree, len(set(true)))
+    return tree, {"ari": adjusted_rand(true, pred),
+                  "ami": adjusted_mutual_info(true, pred),
+                  "fm": fowlkes_mallows(true, pred)}

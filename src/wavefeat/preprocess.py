@@ -16,7 +16,11 @@ every process).  It does the floating-point operations of scipy's
 ``PPoly`` it builds, so its output is byte-identical wherever LAPACK's
 ``gtsv``, which that spline calls, makes no row interchange: always on a
 uniform grid, and on any grid whose spacing does not more than double between
-neighbouring intervals.  Elsewhere the two agree to rounding.
+neighbouring intervals.  Elsewhere the two agree to rounding.  It solves the
+knot slopes of all rows in one pass, then builds and evaluates the
+polynomial pieces ``SPLINE_BLOCK_ROWS`` rows at a time: each row's
+arithmetic is unchanged, and the scratch memory stays a small multiple of
+the output.
 """
 from __future__ import annotations
 
@@ -28,6 +32,8 @@ from .errors import InvalidDatasetError, InvalidInputError, is_count
 
 DERIVATIVE_ORDERS = (0, 1, 2)
 SCALE_AXES = ("feature", "sample")
+# rows of one coefficient stack in resample_matrix
+SPLINE_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -206,13 +212,13 @@ def resample_matrix(wavenumbers: np.ndarray, y: np.ndarray, new_wn: np.ndarray) 
     has its strides, wherever ``gtsv`` makes no row interchange (see the
     module docstring).
 
-    The polynomial coefficients are built as one (4, n_points - 1, rows)
-    stack, as ``PPoly`` holds them, and each power is gathered from it into
-    one reused buffer.  Evaluating from per-point gathers without the stack
-    saves memory but runs slower: the large block freed here keeps glibc's
-    dynamic mmap threshold high for the rest of the run, and without it the
-    later allocations of a clustering run page-faulted about three times as
-    often.
+    The knot slopes of all rows are solved in one pass.  The polynomial
+    coefficients are then built, as ``PPoly`` holds them, for
+    ``SPLINE_BLOCK_ROWS`` rows at a time into one reused
+    (4, n_points - 1, block) stack, and each block is evaluated into its
+    columns of the output.  Every operation acts on each row alone, so the
+    blocks change no byte; they bound the scratch memory to about three
+    times the output.
     """
     x = np.asarray(wavenumbers, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -230,29 +236,43 @@ def resample_matrix(wavenumbers: np.ndarray, y: np.ndarray, new_wn: np.ndarray) 
     b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
     b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
     s = _natural_slopes(dx.tolist(), b)
-    c = np.empty((4,) + slope.shape)  # highest power first
-    t = np.add(s[:-1], s[1:], out=c[0])
-    t -= 2 * slope
-    t /= dxr
-    np.subtract(slope, s[:-1], out=c[1])
-    c[1] /= dxr
-    c[1] -= t
-    t /= dxr
-    c[2] = s[:-1]
-    c[3] = y[:-1]
     new = np.asarray(new_wn, dtype=float)
     idx = np.clip(np.searchsorted(x, new, "right") - 1, 0, n - 2)
     h = (new - x[idx])[:, None]
-    res = np.take(c[3], idx, axis=0)
-    res += 0.0  # PPoly sums from 0.0, which turns -0.0 into 0.0
-    term = np.take(c[2], idx, axis=0)
-    term *= h
-    res += term
     h2 = h * h
-    np.take(c[1], idx, axis=0, out=term)
-    term *= h2
-    res += term
-    np.take(c[0], idx, axis=0, out=term)
-    term *= h2 * h
-    res += term
+    h3 = h2 * h
+    rows = y.shape[1]
+    res = np.empty((new.size, rows))  # returned transposed, as PPoly's output
+    width = min(SPLINE_BLOCK_ROWS, rows)
+    stack = np.empty(4 * (n - 1) * width)
+    terms = np.empty(new.size * width)
+    for lo in range(0, rows, SPLINE_BLOCK_ROWS):
+        hi = min(lo + SPLINE_BLOCK_ROWS, rows)
+        w, cols = hi - lo, slice(lo, hi)
+        # contiguous buffers, and mode "clip" for indices already in range,
+        # so that np.take neither copies its input nor buffers its output
+        c = stack[:4 * (n - 1) * w].reshape(4, n - 1, w)  # highest power first
+        term = terms[:new.size * w].reshape(new.size, w)
+        sb, sl = s[:, cols], slope[:, cols]
+        t = np.add(sb[:-1], sb[1:], out=c[0])
+        t -= 2 * sl
+        t /= dxr
+        np.subtract(sl, sb[:-1], out=c[1])
+        c[1] /= dxr
+        c[1] -= t
+        t /= dxr
+        c[2] = sb[:-1]
+        c[3] = y[:-1, cols]
+        out = res[:, cols]
+        np.take(c[3], idx, axis=0, out=term, mode="clip")
+        np.add(term, 0.0, out=out)  # PPoly sums from 0.0, which turns -0.0 into 0.0
+        np.take(c[2], idx, axis=0, out=term, mode="clip")
+        term *= h
+        out += term
+        np.take(c[1], idx, axis=0, out=term, mode="clip")
+        term *= h2
+        out += term
+        np.take(c[0], idx, axis=0, out=term, mode="clip")
+        term *= h3
+        out += term
     return res.T

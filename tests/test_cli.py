@@ -43,6 +43,9 @@ def test_gridsearch_manifest_records_runtime_and_solver_outcome(tmp_path, capsys
     assert (f"LR fits converged 4/4, Newton steps at most {solver['max_n_iter']}, "
             f"largest duality gap {solver['max_gap']:.1e}") in printed
     assert printed.count("LR fits converged") == 1  # the LDA winner has none
+    assert manifest["peak_rss_mb"] > 0
+    assert (f"wall time: {manifest['wall_time_seconds']:.1f}s, "
+            f"peak RSS {manifest['peak_rss_mb']:.1f} MB") in printed
 
 
 def _tiny_dataset(tmp_path, name="data.csv"):
@@ -123,6 +126,48 @@ def test_cluster_manifest_records_stage_counters_and_skips(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "preprocess 4/12" in printed and "model 16/0" in printed
     assert "grid points skipped: 4 (transform 'contrast' requires a decomposition)" in printed
+    assert manifest["peak_rss_mb"] > 0
+    assert f"peak RSS {manifest['peak_rss_mb']:.1f} MB" in printed
+
+
+def test_peak_rss_is_null_without_the_resource_module(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "resource", None)
+    data = _tiny_dataset(tmp_path)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(CLUSTER_GRID))
+    out = tmp_path / "out"
+    assert cli.main(["cluster", "--data", str(data), "--config", str(grid),
+                     "--folds", "2", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["peak_rss_mb"] is None
+    capsys.readouterr()
+    assert cli.main(["report", "--run-dir", str(out)]) == 0
+    assert "peak RSS -\n" in capsys.readouterr().out
+
+
+def test_peak_rss_counts_kib_on_linux_and_bytes_on_macos(monkeypatch):
+    class Usage:
+        ru_maxrss = 3 << 20
+
+    class Resource:
+        RUSAGE_SELF = 0
+
+        @staticmethod
+        def getrusage(who):
+            return Usage
+
+    monkeypatch.setattr(cli, "resource", Resource)
+    monkeypatch.setattr(cli.sys, "platform", "linux")
+    assert cli._peak_rss_mb() == 3 << 10
+    monkeypatch.setattr(cli.sys, "platform", "darwin")
+    assert cli._peak_rss_mb() == 3
+
+
+def test_report_renders_a_manifest_without_peak_rss(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"command": "cluster", "wall_time_seconds": 2.5}))
+    assert cli.main(["report", "--run-dir", str(tmp_path)]) == 0
+    assert "wall time: 2.5s, peak RSS -\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("kind", ["swapped", "repeated"])
@@ -285,11 +330,12 @@ def test_report_on_a_bad_manifest_exits_3(tmp_path, capsys, text):
      "winners.lr|WTT|d0.means.test_accuracy must be a number"),
     ({"grid_skipped": [1]}, "grid_skipped must be a JSON object"),
     ({"wall_time_seconds": "1s"}, "wall_time_seconds must be a number"),
+    ({"peak_rss_mb": "120 MB"}, "peak_rss_mb must be a number or null"),
     ({"winners": {"lr|WTT|d0": {"means": {"test_accuracy": 0.9}, "solver": {
         "fits_attempted": 4, "fits_converged": 4, "max_n_iter": 30, "max_gap": "0"}}}},
      "winners.lr|WTT|d0.solver.max_gap must be a number"),
 ], ids=["winners", "fits", "hits", "sha256", "scores", "means", "skipped", "wall",
-        "max-gap"])
+        "peak-rss", "max-gap"])
 def test_report_on_a_manifest_with_a_mistyped_field_exits_3(
         tmp_path, capsys, manifest, message):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))

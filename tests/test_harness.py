@@ -2,6 +2,7 @@
 repeated CV and the seeded splits."""
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from wavefeat.errors import InvalidConfigError, InvalidInputError
 from wavefeat.grids import expand_grid, grid_for_task, load_grid_document
 from wavefeat.harness import (FoldMemo, fit_pipeline, grid_search, kfold_split,
                               repeated_cv)
-from wavefeat.metrics import accuracy, f1_weighted
+from wavefeat.metrics import (accuracy, adjusted_mutual_info, adjusted_rand, f1_weighted,
+                              fowlkes_mallows)
 from wavefeat.preprocess import LabeledDataset
 from wavefeat.synth import SyntheticSpec, synth_dataset
 
@@ -369,6 +371,47 @@ def test_a_stack_of_clustering_configs_fits_like_each_alone(data):
         assert fitted.model.linkage == config.model.linkage
     with pytest.raises(InvalidConfigError):
         fit_pipeline([LEAKAGE_CONFIGS[2], LEAKAGE_CONFIGS[0]], data, rows)
+
+
+FINAL_CONFIGS = [
+    _config({"kind": "none"}, {"kind": "none"},
+            {"kind": "hac", "affinity": "euclidean", "linkage": "ward"}),
+    _config({"kind": "dwt", "family": "daubechies", "order": 4,
+             "mode": "periodization"}, {"kind": "contrast", "tau_quantile": 0.9},
+            {"kind": "hac", "affinity": "euclidean", "linkage": "average"},
+            derivative_order=1),
+    LEAKAGE_CONFIGS[2],
+]
+
+
+@pytest.mark.parametrize("config", FINAL_CONFIGS, ids=lambda c: c.label())
+@pytest.mark.parametrize("shared", [False, True], ids=["own-signals", "shared-signals"])
+def test_final_clustering_cuts_a_fresh_fit_of_all_rows(data, config, shared):
+    signals = harness.SignalTable(data.wavenumbers, data.intensities) if shared else None
+    tree, scores = harness.final_clustering(config, data, signals)
+    fresh = fit_pipeline(config, data, np.arange(data.n_samples)).model
+    assert tree == fresh
+    pred = models.cut_tree(fresh, len(set(data.labels)))
+    assert scores == {"ari": adjusted_rand(data.labels, pred),
+                      "ami": adjusted_mutual_info(data.labels, pred),
+                      "fm": fowlkes_mallows(data.labels, pred)}
+
+
+def test_final_clustering_frees_its_fitted_pipeline(data, monkeypatch):
+    fitted = []
+    original = harness.fit_pipeline
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        fitted.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(harness, "fit_pipeline", recorded)
+    # what the caller holds keeps no pipeline, nor its features, alive
+    result = harness.final_clustering(LEAKAGE_CONFIGS[2], data)
+    assert len(result) == 2 and len(fitted) == 1 and fitted[0]() is None
+    with pytest.raises(InvalidConfigError):
+        harness.final_clustering(LEAKAGE_CONFIGS[0], data)
 
 
 def test_linking_warnings_are_recorded_not_shown(data, monkeypatch):

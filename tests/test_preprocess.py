@@ -1,4 +1,6 @@
 """Tests for the dataset container and the block preprocessing steps."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from wavefeat.errors import (DataFormatError, GridMismatchError, InvalidDatasetE
                              InvalidInputError)
 from wavefeat.grids import expand_grid
 from wavefeat.harness import Preprocessor, fit_pipeline
-from wavefeat.preprocess import (LabeledDataset, PreprocessConfig, apply_scaler,
-                                 derivative_matrix, fit_scaler, pow2_grid,
+from wavefeat.preprocess import (SPLINE_BLOCK_ROWS, LabeledDataset, PreprocessConfig,
+                                 apply_scaler, derivative_matrix, fit_scaler, pow2_grid,
                                  resample_matrix)
 
 
@@ -219,7 +221,11 @@ class TestSplineMatchesScipy:
     """``resample_matrix`` does the floating-point operations of scipy's
     natural ``CubicSpline`` and its ``PPoly`` evaluation, so the bytes agree."""
 
-    @pytest.mark.parametrize("rows", [1, 60, 250, 500])
+    # row counts of a partial block, a full one, a last block of one row
+    # and one after two full blocks, besides the workloads' block sizes
+    @pytest.mark.parametrize("rows", [1, 60, 250, 500, SPLINE_BLOCK_ROWS - 1,
+                                      SPLINE_BLOCK_ROWS, SPLINE_BLOCK_ROWS + 1,
+                                      2 * SPLINE_BLOCK_ROWS + 1])
     @pytest.mark.parametrize("n", [2, 3, 4, 50, 801, 1600])
     @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
     def test_uniform_grid(self, n, rows, descending):
@@ -267,6 +273,22 @@ class TestSplineMatchesScipy:
         out, ref = resample_matrix(wn, y, grid), _scipy_resample(wn, y, grid)
         assert out.strides == ref.strides
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_scratch_memory_is_bounded(self):
+        """The coefficient stack is built a block of rows at a time, so a
+        500-row block peaks below four times its output (the whole-block
+        stack took 7.7 times)."""
+        rng = np.random.default_rng(2)
+        wn = np.linspace(400.0, 4000.0, 1600)
+        y, grid = _spectra(rng, 500, wn.size), pow2_grid(wn)
+        tracemalloc.start()
+        try:
+            out = resample_matrix(wn, y, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (500, 2048)
+        assert peak < 4 * out.nbytes
 
 
 class TestTakeAbs:

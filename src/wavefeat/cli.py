@@ -19,7 +19,7 @@ import time
 
 try:
     import resource
-except ImportError:  # not on Windows
+except ImportError:  # resource is Unix-only
     resource = None
 
 import numpy as np

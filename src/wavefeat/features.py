@@ -78,7 +78,7 @@ class DwtTransform:
     linear map.
     """
 
-    def __init__(self, wavelet: dwt.WaveletSpec, mode: str, level: int | None,
+    def __init__(self, wavelet: dwt.WaveletSpec, level: int | None,
                  signal_length: int):
         lmax = dwt.max_level(signal_length, wavelet)
         if lmax < 1:
@@ -90,7 +90,6 @@ class DwtTransform:
             raise InvalidConfigError(
                 f"level {level} out of range 1..{lmax} for length {signal_length}")
         self.wavelet = wavelet
-        self.mode = mode
         self.level = level
         self.signal_length = signal_length
 
@@ -99,7 +98,7 @@ class DwtTransform:
         if x.shape[-1] != self.signal_length:
             raise InvalidInputError(
                 f"expected length {self.signal_length}, got {x.shape[-1]}")
-        return dwt.wavedec(x, self.wavelet, self.mode, self.level)
+        return dwt.wavedec(x, self.wavelet, self.level)
 
 
 class WttTransform:
@@ -117,10 +116,10 @@ def contrast(c: np.ndarray, tau: float) -> np.ndarray:
     """The coefficients clipped to [-tau, tau]: the part of each that a soft
     threshold at tau removes, c - soft(c, tau).
 
-    Contrast is defined on the coefficients for every transform.  For an
-    orthonormal W (a WTT bank; an orthogonal DWT family in periodization
-    mode on a power-of-two length) clip(Wx) has the pairwise distances and
-    inner products of the signal-domain residual x - W^T soft(Wx, tau).  A
+    Contrast is defined on the coefficients for every transform.  Every
+    decomposition is an orthonormal W (a WTT bank, or a DWT of the
+    power-of-two resample), so clip(Wx) has the pairwise distances and inner
+    products of the signal-domain residual x - W^T soft(Wx, tau).  A
     negative tau raises InvalidInputError, as in ``threshold``.
     """
     if tau < 0:

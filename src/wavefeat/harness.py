@@ -78,14 +78,15 @@ STAGE_KEYS = ("preprocess", "decomposition", "transform", "model")
 class DwtSpec:
     family: str
     order: str
-    mode: str = "symmetric"
+    mode: str = "periodization"  # the one mode; the grids and labels carry it
     level: int | None = None  # None = deepest usable level
 
     def __post_init__(self):
         object.__setattr__(self, "order", dwt_mod._normalize_order(self.order))
         dwt_mod.lookup_wavelet(self.family, self.order)  # validates the pair
-        if self.mode not in dwt_mod.PADDING_MODES:
-            raise InvalidConfigError(f"unknown padding mode {self.mode!r}")
+        if self.mode != "periodization":
+            raise InvalidConfigError(
+                f"unsupported mode {self.mode!r}; the DWT runs in 'periodization' only")
         if self.level is not None and not (is_count(self.level) and self.level >= 1):
             raise InvalidConfigError(
                 f"level must be an integer >= 1 or null, got {self.level!r}")
@@ -403,7 +404,7 @@ def _fit_decompose(config, fold, key, prev, y):
         return None
     if isinstance(spec, DwtSpec):
         return DwtTransform(dwt_mod.lookup_wavelet(spec.family, spec.order),
-                            spec.mode, spec.level, y.shape[-1])
+                            spec.level, y.shape[-1])
     return WttTransform(wtt.train_group_filters(y, spec.rank))
 
 

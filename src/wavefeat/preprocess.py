@@ -93,7 +93,7 @@ def _uniform_spacing(wn: np.ndarray) -> float:
     d = np.diff(wn)
     h = d.mean()
     if np.max(np.abs(d - h)) > 1e-6 * abs(h):
-        raise InvalidInputError("derivative requires a uniform wavenumber grid")
+        raise InvalidDatasetError("derivative requires a uniform wavenumber grid")
     return float(h)
 
 
@@ -103,14 +103,15 @@ def derivative_matrix(wavenumbers: np.ndarray, y: np.ndarray, order: int) -> np.
 
     Central stencils on interior points, one-sided second-order stencils at
     the two endpoints; the output has the shape of the input.  Order 0
-    returns the block itself.
+    returns the block itself.  A grid that is not uniform or has fewer
+    than 5 points is a fault of the dataset: InvalidDatasetError.
     """
     if order == 0:
         return y
     if order not in (1, 2):
         raise InvalidInputError("order must be 1 or 2")
     if y.shape[-1] < 5:
-        raise InvalidInputError("derivative needs at least 5 points")
+        raise InvalidDatasetError("derivative needs at least 5 points")
     h = _uniform_spacing(np.asarray(wavenumbers, dtype=float))
     out = np.empty_like(y)
     if order == 1:

@@ -499,8 +499,13 @@ DWT = {"kind": "dwt", "family": "daubechies", "order": 4, "mode": "periodization
     ("gridsearch", {"decomposition": DWT, "transform": {"kind": "sign", "tau_quantile": True},
                     "model": {"kind": "lda"}},
      "tau_quantile must be a number in [0, 1], got True"),
+    ("gridsearch", {"decomposition": {**DWT, "mode": "symmetric"}, "model": {"kind": "lda"}},
+     "unsupported mode 'symmetric'; the DWT runs in 'periodization' only"),
+    ("cluster", {"decomposition": {**DWT, "family": "biorthogonal", "order": "2.2"},
+                 "model": {"kind": "hac", "affinity": "euclidean", "linkage": "ward"}},
+     "unknown family 'biorthogonal'"),
 ], ids=["wtt-rank-2.5", "dwt-level-str", "dwt-level-2.5", "lr-inverse-reg-str",
-        "center-str", "tau-quantile-bool"])
+        "center-str", "tau-quantile-bool", "dwt-mode-symmetric", "dwt-family-bior"])
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, stages,
                                                 message):
     data = _tiny_dataset(tmp_path)
@@ -548,6 +553,38 @@ def test_gridsearch_with_every_feature_thresholded_to_zero_fits_l1(tmp_path):
     solver = json.loads((out / "manifest.json").read_text())["best"]["solver"]
     assert solver["fits_converged"] == solver["fits_attempted"] == 2
     assert solver["max_n_iter"] == 0
+
+
+def test_dwt_entry_without_mode_runs_in_periodization(tmp_path):
+    data = _tiny_dataset(tmp_path)
+    config = tmp_path / "grid.json"
+    dwt_no_mode = {k: v for k, v in DWT.items() if k != "mode"}
+    config.write_text(json.dumps({"schema": "wavefeat-grid", "classification": {
+        "preprocess": {"derivative_order": 0}, "decomposition": dwt_no_mode,
+        "model": {"kind": "lda"}}}))
+    out = tmp_path / "out"
+    assert cli.main(["gridsearch", "--data", str(data), "--config", str(config),
+                     "--folds", "2", "--repeats", "1", "--out-dir", str(out)]) == 0
+    rows = (out / "leaderboard_classification.tsv").read_text().splitlines()
+    assert [r.split("\t")[3] for r in rows[2:]] == ["d0|dwt(db4,periodization,Lmax)|none|lda"]
+
+
+def test_non_uniform_grid_with_a_derivative_exits_3(tmp_path, capsys):
+    # strictly monotone, so the dataset loads; only the derivative needs a
+    # uniform grid
+    data = _tiny_dataset(tmp_path)
+    lines = data.read_text().splitlines()
+    header = lines[0].split(",")
+    header[1] = repr(float(header[2]) + 3 * (float(header[2]) - float(header[3])))
+    data.write_text("\n".join([",".join(header)] + lines[1:]) + "\n")
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"schema": "wavefeat-grid", "classification": {
+        "preprocess": {"derivative_order": 1}, "model": {"kind": "lda"}}}))
+    assert cli.main(["gridsearch", "--data", str(data), "--config", str(config),
+                     "--folds", "2", "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "data error: derivative requires a uniform wavenumber grid" in err
+    assert "Traceback" not in err
 
 
 def test_one_class_dataset_in_gridsearch_exits_3(tmp_path, capsys):

@@ -148,7 +148,7 @@ def wtt_transform():
 @pytest.fixture
 def dwt_transform():
     w = dwt.lookup_wavelet("daubechies", 2)
-    return DwtTransform(w, "periodization", 3, 64)
+    return DwtTransform(w, 3, 64)
 
 
 def _matrix(transform) -> np.ndarray:
@@ -209,10 +209,9 @@ class TestContrast:
         else:
             w = dwt.lookup_wavelet(family, order)
             level = dwt.max_level(256, w)
-            c = dwt.wavedec(x, w, "periodization", level)
+            c = dwt.wavedec(x, w, level)
             tau = magnitude_quantile(c, 0.9)
-            old = x - dwt.waverec(threshold(c, "soft", tau), w, "periodization",
-                                  level, 256)
+            old = x - dwt.waverec(threshold(c, "soft", tau), w, level, 256)
         new = contrast(c, tau)
         for a, b in ((new @ new.T, old @ old.T),
                      (pairwise_distances(new, "euclidean"),
@@ -222,21 +221,20 @@ class TestContrast:
 
 class TestTransforms:
     def test_dwt_transform_is_orthonormal(self):
-        # orthogonal families in periodization on a power-of-two length
-        for family, order in (("daubechies", 2), ("symlet", 4), ("coiflet", 2)):
-            w = dwt.lookup_wavelet(family, order)
-            mat = _matrix(DwtTransform(w, "periodization", None, 64))
-            assert np.max(np.abs(mat @ mat.T - np.eye(64))) <= 1e-12, w.name
+        # every registered wavelet, at its deepest level on a power-of-two length
+        for w in dwt.iter_registry():
+            mat = _matrix(DwtTransform(w, None, 256))
+            assert np.max(np.abs(mat @ mat.T - np.eye(256))) <= 1e-12, w.name
 
     def test_dwt_transform_level_default_max(self):
         w = dwt.lookup_wavelet("daubechies", 1)
-        tr = DwtTransform(w, "periodization", None, 64)
+        tr = DwtTransform(w, None, 64)
         assert tr.level == 6
 
     def test_dwt_transform_level_out_of_range(self):
         w = dwt.lookup_wavelet("daubechies", 1)
         with pytest.raises(InvalidConfigError):
-            DwtTransform(w, "periodization", 7, 64)
+            DwtTransform(w, 7, 64)
 
     def test_dwt_transform_length_check(self, dwt_transform):
         with pytest.raises(InvalidInputError):
@@ -255,7 +253,7 @@ class TestExtractFeatures:
 
     def test_sign_codomain_haar(self):
         w = dwt.lookup_wavelet("daubechies", 1)
-        tr = DwtTransform(w, "periodization", 1, 4)
+        tr = DwtTransform(w, 1, 4)
         fm = FeatureMap("sign", None, 0.5)
         out = extract_features(tr.forward(np.array([1.0, 2.0, 3.0, 4.0])), fm)
         assert out.shape == (4,)

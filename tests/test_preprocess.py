@@ -84,8 +84,12 @@ class TestDerivative:
 
     def test_non_uniform_grid_rejected(self):
         wn = np.array([0.0, 1.0, 2.5, 3.0, 4.0, 5.0])
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidDatasetError):
             _deriv(wn, np.zeros(6), 1)
+
+    def test_fewer_than_5_points_rejected(self):
+        with pytest.raises(InvalidDatasetError, match="at least 5 points"):
+            _deriv(np.arange(4.0), np.zeros(4), 2)
 
     def test_descending_grid_sign(self):
         wn = np.linspace(10.0, 1.0, 10)

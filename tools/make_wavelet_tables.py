@@ -10,9 +10,6 @@ Constructions used:
   * Coiflets (coif1-coif5): Newton refinement of the published tables onto
     the exact defining equations (orthonormality of even shifts, wavelet
     moments, scaling-function moments), 60-digit arithmetic.
-  * Biorthogonal splines (bior/rbio x.y): exact rational spline filters and
-    their duals; the high-pass pair and zero-padding alignment are fixed by
-    searching the small modulation/shift space for perfect reconstruction.
 
 Every generated filter quadruple is validated for perfect reconstruction
 before it is written out.
@@ -20,7 +17,6 @@ before it is written out.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -253,44 +249,12 @@ def refine_coiflet(n: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# spline biorthogonal families
+# assembly
 # ----------------------------------------------------------------------
 
-def spline_lowpass(order: int) -> list[Fraction]:
-    """Binomial spline filter: taps C(order, k) / 2^order (times sqrt2 later)."""
-    return [Fraction(math.comb(order, k), 2 ** order) for k in range(order + 1)]
-
-
-def dual_lowpass(n_rec: int, n_dec: int) -> list[Fraction]:
-    """Dual filter: (1+z)^n_dec / 2^n_dec times P_q((2 - z - 1/z)/4)."""
-    q = (n_rec + n_dec) // 2 - 1
-    # P_q(y) coefficients
-    p = [Fraction(math.comb(q + k, k)) for k in range(q + 1)]
-    # y = (2 - z - 1/z)/4 as a symmetric Laurent polynomial: offsets -1..1
-    y_poly = {-1: Fraction(-1, 4), 0: Fraction(1, 2), 1: Fraction(-1, 4)}
-
-    def lmul(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for i, ai in a.items():
-            for j, bj in b.items():
-                out[i + j] = out.get(i + j, Fraction(0)) + ai * bj
-        return out
-
-    acc = {0: Fraction(0)}
-    y_pow = {0: Fraction(1)}
-    for k in range(q + 1):
-        for off, val in y_pow.items():
-            acc[off] = acc.get(off, Fraction(0)) + p[k] * val
-        y_pow = lmul(y_pow, y_poly)
-    binom = {k: Fraction(math.comb(n_dec, k), 2 ** n_dec) for k in range(n_dec + 1)}
-    full = lmul(acc, binom)
-    lo = min(full)
-    hi = max(full)
-    return [full.get(i, Fraction(0)) for i in range(lo, hi + 1)]
-
-
 def validate_pr(dec_lo, dec_hi, rec_lo, rec_hi) -> bool:
-    """Round-trip a few random signals through the package's dwt convention."""
+    """Round-trip a few random signals of even and odd length through the
+    filter bank with symmetric border extension."""
     L = len(dec_lo)
     rng = np.random.default_rng(0)
     dl, dh = np.array(dec_lo), np.array(dec_hi)
@@ -313,38 +277,6 @@ def validate_pr(dec_lo, dec_hi, rec_lo, rec_hi) -> bool:
             return False
     return True
 
-
-def build_bior(n_rec: int, n_dec: int):
-    """Return (dec_lo, dec_hi, rec_lo, rec_hi) as mpf lists, equal length."""
-    rec_raw = [mp.mpf(f.numerator) / f.denominator * SQRT2 for f in spline_lowpass(n_rec)]
-    dec_raw = [mp.mpf(f.numerator) / f.denominator * SQRT2 for f in dual_lowpass(n_rec, n_dec)]
-
-    L = max(len(rec_raw), len(dec_raw))
-    if L % 2 == 1:
-        L += 1
-
-    def placements(raw):
-        pad = L - len(raw)
-        out = []
-        for left in range(pad + 1):
-            out.append([mp.mpf(0)] * left + raw + [mp.mpf(0)] * (pad - left))
-        return out
-
-    for rec_lo in placements(rec_raw):
-        for dec_lo in placements(dec_raw):
-            for s_hi in (1, -1):
-                for s_rh in (1, -1):
-                    dec_hi = [s_hi * (-1) ** k * rec_lo[k] for k in range(L)]
-                    rec_hi = [s_rh * (-1) ** k * dec_lo[k] for k in range(L)]
-                    quad = (dec_lo, dec_hi, rec_lo, rec_hi)
-                    if validate_pr(*[[float(v) for v in f] for f in quad]):
-                        return quad
-    raise RuntimeError(f"no PR alignment found for bior{n_rec}.{n_dec}")
-
-
-# ----------------------------------------------------------------------
-# assembly
-# ----------------------------------------------------------------------
 
 def orth_quadruple(h):
     """dec_lo -> (dec_lo, dec_hi, rec_lo, rec_hi) for an orthogonal filter.
@@ -386,25 +318,6 @@ def main() -> None:
         quad = orth_quadruple(h)
         assert validate_pr(*[[float(v) for v in f] for f in quad]), f"coif{n} PR failed"
         entries.append((f"coif{n}", quad))
-
-    bior_orders = [(1, 1), (1, 3), (1, 5), (2, 2), (2, 4), (2, 6), (2, 8),
-                   (3, 1), (3, 3), (3, 5), (3, 7)]
-    for nr, nd in bior_orders:
-        dec_lo, dec_hi, rec_lo, rec_hi = build_bior(nr, nd)
-        entries.append((f"bior{nr}.{nd}", (dec_lo, dec_hi, rec_lo, rec_hi)))
-        # reverse family: swap analysis/synthesis roles (reversed or plain,
-        # whichever satisfies perfect reconstruction)
-        candidates = [
-            (rec_lo[::-1], rec_hi[::-1], dec_lo[::-1], dec_hi[::-1]),
-            (rec_lo, rec_hi, dec_lo, dec_hi),
-        ]
-        r_quad = next(
-            (q for q in candidates
-             if validate_pr(*[[float(v) for v in f] for f in q])),
-            None,
-        )
-        assert r_quad is not None, f"rbio{nr}.{nd} PR failed"
-        entries.append((f"rbio{nr}.{nd}", r_quad))
 
     lines = [
         '"""Embedded wavelet filter tables.  Generated by tools/make_wavelet_tables.py;',

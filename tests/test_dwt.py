@@ -4,6 +4,7 @@ import pytest
 
 from wavefeat import dwt
 from wavefeat.errors import InvalidInputError, UnsupportedWaveletError
+from wavefeat.harness import DwtSpec
 
 SQ2 = np.sqrt(2.0)
 
@@ -105,13 +106,25 @@ class TestMultilevel:
         with pytest.raises(InvalidInputError):
             dwt.wavedec(x, w, dwt.max_level(64, w) + 1)
 
-    def test_round_trip_sample(self):
+    def test_round_trip_db4_symmetric(self):
+        # the name dates from the border-extension modes; the DWT now runs in
+        # periodization only, so this is db4's level-3 round trip on 64 points
+        rng = np.random.default_rng(2)
+        w = dwt.lookup_wavelet("daubechies", 4)
+        x = rng.standard_normal(64)
+        c = dwt.wavedec(x, w, 3)
+        assert np.max(np.abs(dwt.waverec(c, w, 3, 64) - x)) <= 1e-10
+
+    @pytest.mark.parametrize("mode", ["periodization"])
+    def test_round_trip_modes_sample(self, mode):
         # every level of a light sample of the registry, on even and odd
-        # lengths; the odd ones repeat their last sample, which the trim drops
+        # lengths; the odd ones repeat their last sample, which the trim drops.
+        # The wavelets come through a config's DWT entry in the one mode left.
         rng = np.random.default_rng(3)
         for name, order in (("daubechies", 2), ("daubechies", 4), ("symlet", 5),
                             ("coiflet", 1)):
-            w = dwt.lookup_wavelet(name, order)
+            spec = DwtSpec(name, order, mode)
+            w = dwt.lookup_wavelet(spec.family, spec.order)
             for n in (37, 64):
                 for level in range(1, dwt.max_level(n, w) + 1):
                     x = rng.standard_normal((3, n))

@@ -94,9 +94,10 @@ _KIND_NAMES = {dict: "a JSON object", str: "a string", _NUMBER: "a number",
 
 def _manifest_field(doc: dict, key: str, kind, where: str, default=None):
     """``doc[key]``, or ``default`` when the key is absent; DataFormatError
-    unless the value has type ``kind``.  ``where`` prefixes the message."""
+    unless the value has type ``kind``.  ``where`` prefixes the message.  No
+    kind admits a JSON boolean, which Python reads as an int."""
     value = doc.get(key, default)
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise DataFormatError(f"{where}{key} must be {_KIND_NAMES[kind]}")
     return value
 

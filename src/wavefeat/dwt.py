@@ -8,7 +8,8 @@ Analysis filters the even-length signal circularly,
 ``c[k] = v[2k+1]``, so each branch stores ``ceil(n/2)`` coefficients.
 Synthesis upsamples by two, convolves circularly with the reconstruction
 pair and sums the branches.  Every registered wavelet is orthogonal, so on a
-power-of-two length the multilevel transform is an orthonormal map.
+power-of-two length the multilevel transform is an orthonormal map, and the
+table stores only its ``dec_lo``: ``lookup_wavelet`` derives the other three.
 
 All transforms operate along the last axis, so a whole (n_samples, n_points)
 block can be decomposed in one call.  A multilevel transform is one flat
@@ -32,11 +33,10 @@ FAMILIES = {
     "coiflet": "coif",
 }
 
-SUPPORTED_ORDERS = {
-    "daubechies": tuple(str(i) for i in range(1, 9)),
-    "symlet": tuple(str(i) for i in range(2, 9)),
-    "coiflet": tuple(str(i) for i in range(1, 6)),
-}
+# one table entry per wavelet, "db4" etc.: the generator names the orders
+SUPPORTED_ORDERS = {family: tuple(name[len(prefix):] for name in FILTERS
+                                  if name.rstrip("0123456789") == prefix)
+                    for family, prefix in FAMILIES.items()}
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,8 @@ def _normalize_order(order) -> str:
 
 
 def lookup_wavelet(family: str, order) -> WaveletSpec:
-    """Fetch the embedded filter quadruple for (family, order)."""
+    """The filters of (family, order): the table's ``dec_lo``, and the three
+    that orthogonality makes its exact reversals and sign flips."""
     if family not in FAMILIES:
         raise UnsupportedWaveletError(
             f"unknown family {family!r}; supported: {sorted(FAMILIES)}")
@@ -77,9 +78,10 @@ def lookup_wavelet(family: str, order) -> WaveletSpec:
         raise UnsupportedWaveletError(
             f"unsupported order {order!r} for {family}; "
             f"supported: {SUPPORTED_ORDERS[family]}")
-    key = f"{FAMILIES[family]}{order_s}"
-    dec_lo, dec_hi, rec_lo, rec_hi = (np.asarray(f, dtype=float) for f in FILTERS[key])
-    return WaveletSpec(family, order_s, dec_lo, dec_hi, rec_lo, rec_hi)
+    dec_lo = np.array(FILTERS[f"{FAMILIES[family]}{order_s}"])
+    rec_lo = dec_lo[::-1].copy()
+    dec_hi = np.where(np.arange(rec_lo.size) % 2 == 1, 1.0, -1.0) * rec_lo
+    return WaveletSpec(family, order_s, dec_lo, dec_hi, rec_lo, dec_hi[::-1].copy())
 
 
 def iter_registry():
@@ -160,6 +162,8 @@ def max_level(n: int, w: WaveletSpec) -> int:
 
 def _check_level(n: int, w: WaveletSpec, level: int) -> None:
     lmax = max_level(n, w)
+    if lmax < 1:
+        raise InvalidInputError(f"signal length {n} too short for filter {w.name}")
     if level < 1 or level > lmax:
         raise InvalidInputError(
             f"level {level} out of range 1..{lmax} for n={n}, filter {w.name}")

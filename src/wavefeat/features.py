@@ -1,12 +1,11 @@
 """Non-linear feature maps on the coefficients of a decomposition.
 
-A decomposition is anything exposing ``forward`` (signal -> flat
-coefficient array); ``DwtTransform`` and ``WttTransform`` give the wavelet
-filter bank and the adaptive SVD bank that one interface.  On the
-coefficients the module provides the kinds of the config's transform:
-hard/soft thresholding, sign quantization of hard-thresholded
-coefficients, and contrasting (clipping the coefficients to the part a
-soft threshold would discard).
+A decomposition's coefficients are the flat array that ``dwt.wavedec`` or
+``wtt.wtt_forward`` returns for a signal, or for a block of signals along
+the last axis.  On them the module provides the kinds of the config's
+transform: hard/soft thresholding, sign quantization of hard-thresholded
+coefficients, and contrasting (clipping the coefficients to the part a soft
+threshold would discard).
 """
 from __future__ import annotations
 
@@ -15,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dwt, wtt
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidInputError
 
 THRESHOLD_KINDS = ("hard", "soft")
 
@@ -69,47 +67,6 @@ def threshold(v: np.ndarray, kind: str, tau: float) -> np.ndarray:
 def sign_quantize(v: np.ndarray, tau: float) -> np.ndarray:
     """Sign of the hard-thresholded entries; values land in {-1, 0, +1}."""
     return np.sign(threshold(v, "hard", tau))
-
-
-class DwtTransform:
-    """Multilevel wavelet transform pinned to one signal length.
-
-    Fixing the length makes the flat coefficient array a well-defined
-    linear map.
-    """
-
-    def __init__(self, wavelet: dwt.WaveletSpec, level: int | None,
-                 signal_length: int):
-        lmax = dwt.max_level(signal_length, wavelet)
-        if lmax < 1:
-            raise InvalidConfigError(
-                f"signal length {signal_length} too short for {wavelet.name}")
-        if level is None:
-            level = lmax
-        if not 1 <= level <= lmax:
-            raise InvalidConfigError(
-                f"level {level} out of range 1..{lmax} for length {signal_length}")
-        self.wavelet = wavelet
-        self.level = level
-        self.signal_length = signal_length
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.signal_length:
-            raise InvalidInputError(
-                f"expected length {self.signal_length}, got {x.shape[-1]}")
-        return dwt.wavedec(x, self.wavelet, self.level)
-
-
-class WttTransform:
-    """Trained adaptive filter bank as a linear map."""
-
-    def __init__(self, bank: wtt.WttFilterBank):
-        self.bank = bank
-        self.signal_length = bank.signal_length
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return wtt.wtt_forward(x, self.bank)
 
 
 def contrast(c: np.ndarray, tau: float) -> np.ndarray:

@@ -7,9 +7,9 @@ decomposition, the power-of-two spline resample), which is stateless, and
 the ordered list ``STAGES``:
 
 1. preprocess: feature-axis scaler -> abs;
-2. decompose: a fixed DWT, or a WTT filter bank trained on the block; its
-   output is the block's flat coefficient array, or the block itself
-   without a decomposition;
+2. decompose: a fixed DWT, whose state is its (wavelet, level), or the
+   WTT filter bank trained on the block; its output is the block's flat
+   coefficient array, or the block itself without a decomposition;
 3. features: the config's transform kind (none, threshold, sign or
    contrast) on those coefficients, with tau a quantile of the block's
    coefficient magnitudes found by one selection
@@ -58,8 +58,7 @@ from . import dwt as dwt_mod
 from . import models, wtt
 from .errors import (InvalidConfigError, InvalidInputError, NumericalError,
                      is_count, is_number)
-from .features import (DwtTransform, FeatureMap, WttTransform, extract_features,
-                       magnitude_quantile)
+from .features import FeatureMap, extract_features, magnitude_quantile
 from .metrics import (accuracy, adjusted_mutual_info, adjusted_rand,
                       f1_weighted, fowlkes_mallows)
 from .preprocess import (LabeledDataset, PreprocessConfig, ScalerStats,
@@ -399,21 +398,28 @@ def _fit_preprocess(config, fold, key, prev, y) -> Preprocessor:
 
 
 def _fit_decompose(config, fold, key, prev, y):
+    """None, the WTT bank trained on ``y``, or the DWT's (wavelet, level),
+    the level being the deepest the signal allows when the config's is null."""
     spec = config.decomposition
     if spec is None:
         return None
-    if isinstance(spec, DwtSpec):
-        return DwtTransform(dwt_mod.lookup_wavelet(spec.family, spec.order),
-                            spec.level, y.shape[-1])
-    return WttTransform(wtt.train_group_filters(y, spec.rank))
+    if isinstance(spec, WttSpec):
+        return wtt.train_group_filters(y, spec.rank)
+    w = dwt_mod.lookup_wavelet(spec.family, spec.order)
+    level = dwt_mod.max_level(y.shape[-1], w) if spec.level is None else spec.level
+    return w, level
 
 
-def _apply_decompose(transform, y: np.ndarray) -> np.ndarray:
+def _apply_decompose(state, y: np.ndarray) -> np.ndarray:
     """The coefficients of ``y``, or ``y`` itself without a decomposition."""
-    return y if transform is None else transform.forward(y)
+    if state is None:
+        return y
+    if isinstance(state, wtt.WttFilterBank):
+        return wtt.wtt_forward(y, state)
+    return dwt_mod.wavedec(y, *state)
 
 
-def _fit_features(config, fold, key, transform, coeffs) -> FeatureMap:
+def _fit_features(config, fold, key, prev, coeffs) -> FeatureMap:
     t = config.transform
     tau = None if t.kind == "none" else magnitude_quantile(coeffs, t.tau_quantile)
     return FeatureMap(t.kind, t.threshold_kind, tau)

@@ -334,8 +334,13 @@ def test_report_on_a_bad_manifest_exits_3(tmp_path, capsys, text):
     ({"winners": {"lr|WTT|d0": {"means": {"test_accuracy": 0.9}, "solver": {
         "fits_attempted": 4, "fits_converged": 4, "max_n_iter": 30, "max_gap": "0"}}}},
      "winners.lr|WTT|d0.solver.max_gap must be a number"),
+    # JSON booleans, which Python reads as the ints 1 and 0
+    ({"winners": {"lr|WTT|d0": {"means": {"test_accuracy": 0.9}, "solver": {
+        "fits_attempted": 4, "fits_converged": True, "max_n_iter": False}}}},
+     "winners.lr|WTT|d0.solver.fits_converged must be a number"),
+    ({"peak_rss_mb": False}, "peak_rss_mb must be a number or null"),
 ], ids=["winners", "fits", "hits", "sha256", "scores", "means", "skipped", "wall",
-        "peak-rss", "max-gap"])
+        "peak-rss", "max-gap", "solver-bool", "peak-rss-bool"])
 def test_report_on_a_manifest_with_a_mistyped_field_exits_3(
         tmp_path, capsys, manifest, message):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -504,8 +509,12 @@ DWT = {"kind": "dwt", "family": "daubechies", "order": 4, "mode": "periodization
     ("cluster", {"decomposition": {**DWT, "family": "biorthogonal", "order": "2.2"},
                  "model": {"kind": "hac", "affinity": "euclidean", "linkage": "ward"}},
      "unknown family 'biorthogonal'"),
+    # the tiny set resamples to 128 points, where db4's deepest level is 4
+    ("gridsearch", {"decomposition": {**DWT, "level": 20}, "model": {"kind": "lda"}},
+     "level 20 out of range 1..4"),
 ], ids=["wtt-rank-2.5", "dwt-level-str", "dwt-level-2.5", "lr-inverse-reg-str",
-        "center-str", "tau-quantile-bool", "dwt-mode-symmetric", "dwt-family-bior"])
+        "center-str", "tau-quantile-bool", "dwt-mode-symmetric", "dwt-family-bior",
+        "dwt-level-20"])
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, stages,
                                                 message):
     data = _tiny_dataset(tmp_path)

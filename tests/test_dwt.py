@@ -1,4 +1,6 @@
 """Tests for the wavelet filter banks."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,10 @@ class TestRegistry:
         lines = text.strip().split("\n")
         assert lines[0] == "family\torder\tfilter\ttaps"
         assert len(lines) == 1 + 20 * 4
+        # the bytes of the table that stored all four filters of each wavelet:
+        # deriving three of them from dec_lo moves no tap
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "01773efc154bbfb97dddcb19dcbe6d0af79731c77f80ef9e53135c7966a542be")
 
 
 class TestDwtSingle:
@@ -105,6 +111,10 @@ class TestMultilevel:
             dwt.wavedec(x, w, 0)
         with pytest.raises(InvalidInputError):
             dwt.wavedec(x, w, dwt.max_level(64, w) + 1)
+        # no level fits: 4 points are fewer than db4's 8 taps, and 8 give level 0
+        for n in (4, 8):
+            with pytest.raises(InvalidInputError, match=f"signal length {n} too short"):
+                dwt.wavedec(np.zeros(n), w, 1)
 
     def test_round_trip_db4_symmetric(self):
         # the name dates from the border-extension modes; the DWT now runs in

@@ -1,13 +1,16 @@
-"""Tests for thresholding, quantization, and contrasting."""
+"""Tests for thresholding, quantization and contrasting, on the coefficients
+of the DWT and WTT kernels, and for the decompose stage's state."""
 import numpy as np
 import pytest
 
 from wavefeat import dwt, wtt
-from wavefeat.errors import InvalidConfigError, InvalidInputError
-from wavefeat.features import (DwtTransform, FeatureMap, WttTransform,
-                               contrast, extract_features, magnitude_quantile,
-                               sign_quantize, threshold)
+from wavefeat.errors import InvalidInputError
+from wavefeat.features import (FeatureMap, contrast, extract_features,
+                               magnitude_quantile, sign_quantize, threshold)
+from wavefeat.grids import expand_grid
+from wavefeat.harness import fit_pipeline
 from wavefeat.models import pairwise_distances
+from wavefeat.synth import SyntheticSpec, synth_dataset
 
 
 class TestThreshold:
@@ -139,22 +142,23 @@ class TestSignQuantize:
 
 
 @pytest.fixture
-def wtt_transform():
+def wtt_bank():
     rng = np.random.default_rng(4)
-    bank = wtt.train_group_filters(rng.standard_normal((6, 64)), 3)
-    return WttTransform(bank)
+    return wtt.train_group_filters(rng.standard_normal((6, 64)), 3)
 
 
 @pytest.fixture
-def dwt_transform():
-    w = dwt.lookup_wavelet("daubechies", 2)
-    return DwtTransform(w, 3, 64)
+def forwards(wtt_bank):
+    """The WTT bank's forward map and db2's at level 3, both on 64 points."""
+    db2 = dwt.lookup_wavelet("daubechies", 2)
+    return {"wtt": lambda x: wtt.wtt_forward(x, wtt_bank),
+            "dwt": lambda x: dwt.wavedec(x, db2, 3)}
 
 
-def _matrix(transform) -> np.ndarray:
-    """W of the forward map, from the forward map of the identity: row i
-    of ``forward(I)`` is W e_i, so the result is its transpose."""
-    return transform.forward(np.eye(transform.signal_length)).T
+def _matrix(forward, n: int) -> np.ndarray:
+    """W of a forward map on n points, from the forward map of the identity:
+    row i of ``forward(I)`` is W e_i, so the result is its transpose."""
+    return forward(np.eye(n)).T
 
 
 class TestContrast:
@@ -170,12 +174,11 @@ class TestContrast:
         assert np.array_equal(contrast(c, tau), c)
 
     @pytest.mark.parametrize("transform_name", ["wtt", "dwt"])
-    def test_clip_bound(self, transform_name, wtt_transform, dwt_transform):
+    def test_clip_bound(self, transform_name, forwards):
         # what the soft threshold keeps plus the contrast is the coefficients
-        tr = wtt_transform if transform_name == "wtt" else dwt_transform
         rng = np.random.default_rng(7)
         tau = 0.4
-        c = tr.forward(rng.standard_normal((20, 64)))
+        c = forwards[transform_name](rng.standard_normal((20, 64)))
         out = contrast(c, tau)
         assert np.max(np.abs(out)) <= tau
         inside = np.abs(c) <= tau
@@ -183,10 +186,10 @@ class TestContrast:
         assert np.array_equal(out[~inside], tau * np.sign(c[~inside]))
         assert np.allclose(threshold(c, "soft", tau) + out, c, rtol=0, atol=1e-15)
 
-    def test_orthogonal_norm_bound(self, wtt_transform):
+    def test_orthogonal_norm_bound(self, wtt_bank):
         rng = np.random.default_rng(8)
         tau = 0.3
-        out = contrast(wtt_transform.forward(rng.standard_normal((20, 64))), tau)
+        out = contrast(wtt.wtt_forward(rng.standard_normal((20, 64)), wtt_bank), tau)
         assert np.all(np.linalg.norm(out, axis=1) <= tau * np.sqrt(64))
 
     def test_negative_tau_raises(self):
@@ -219,29 +222,48 @@ class TestContrast:
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
+def _fit_dwt(level):
+    """A DWT pipeline (db4, no transform, LDA) fitted on every row of a small
+    synthetic set; the decomposition reads its power-of-two resample."""
+    data = synth_dataset(SyntheticSpec(class_count=2, samples_per_class=(4, 4),
+                                       grid_points=100, seed=3))
+    (config,) = expand_grid({
+        "preprocess": {"derivative_order": 0, "center": True},
+        "decomposition": {"kind": "dwt", "family": "daubechies", "order": 4,
+                          "mode": "periodization", "level": level},
+        "transform": {"kind": "none"}, "model": {"kind": "lda"}})
+    return fit_pipeline(config, data, np.arange(data.n_samples))
+
+
 class TestTransforms:
+    """The decompose stage's state is the kernel's own: the DWT's (wavelet,
+    level) for ``dwt.wavedec``, or the bank for ``wtt.wtt_forward``."""
+
     def test_dwt_transform_is_orthonormal(self):
         # every registered wavelet, at its deepest level on a power-of-two length
         for w in dwt.iter_registry():
-            mat = _matrix(DwtTransform(w, None, 256))
+            level = dwt.max_level(256, w)
+            mat = _matrix(lambda x: dwt.wavedec(x, w, level), 256)
             assert np.max(np.abs(mat @ mat.T - np.eye(256))) <= 1e-12, w.name
 
     def test_dwt_transform_level_default_max(self):
-        w = dwt.lookup_wavelet("daubechies", 1)
-        tr = DwtTransform(w, None, 64)
-        assert tr.level == 6
+        # a null level is the deepest the fitted signal allows: 128 points
+        # after the resample, where db4's is 4
+        fitted = _fit_dwt(None)
+        w, level = fitted.states[1]
+        assert w.name == "db4"
+        assert fitted.train_features.shape[-1] == 128
+        assert level == dwt.max_level(128, w) == 4
 
     def test_dwt_transform_level_out_of_range(self):
         w = dwt.lookup_wavelet("daubechies", 1)
-        with pytest.raises(InvalidConfigError):
-            DwtTransform(w, 7, 64)
+        with pytest.raises(InvalidInputError, match="level 7 out of range 1..6"):
+            dwt.wavedec(np.zeros(64), w, 7)
+        with pytest.raises(InvalidInputError, match="level 5 out of range 1..4"):
+            _fit_dwt(5)
 
-    def test_dwt_transform_length_check(self, dwt_transform):
-        with pytest.raises(InvalidInputError):
-            dwt_transform.forward(np.zeros(65))
-
-    def test_wtt_transform_is_orthonormal(self, wtt_transform):
-        mat = _matrix(wtt_transform)
+    def test_wtt_transform_is_orthonormal(self, forwards):
+        mat = _matrix(forwards["wtt"], 64)
         assert np.max(np.abs(mat @ mat.T - np.eye(64))) <= 1e-12
 
 
@@ -253,24 +275,23 @@ class TestExtractFeatures:
 
     def test_sign_codomain_haar(self):
         w = dwt.lookup_wavelet("daubechies", 1)
-        tr = DwtTransform(w, 1, 4)
         fm = FeatureMap("sign", None, 0.5)
-        out = extract_features(tr.forward(np.array([1.0, 2.0, 3.0, 4.0])), fm)
+        out = extract_features(dwt.wavedec(np.array([1.0, 2.0, 3.0, 4.0]), w, 1), fm)
         assert out.shape == (4,)
         assert set(np.unique(out)).issubset({-1.0, 0.0, 1.0})
 
-    def test_full_composition_matches_manual(self, wtt_transform):
+    def test_full_composition_matches_manual(self, wtt_bank):
         rng = np.random.default_rng(11)
-        c = wtt_transform.forward(rng.standard_normal(64))
+        c = wtt.wtt_forward(rng.standard_normal(64), wtt_bank)
         for fm, manual in (
                 (FeatureMap("threshold", "hard", 0.6), threshold(c, "hard", 0.6)),
                 (FeatureMap("sign", None, 0.6), sign_quantize(c, 0.6)),
                 (FeatureMap("contrast", None, 0.6), np.clip(c, -0.6, 0.6))):
             assert np.array_equal(extract_features(c, fm), manual)
 
-    def test_batch_equals_per_sample(self, wtt_transform):
+    def test_batch_equals_per_sample(self, wtt_bank):
         rng = np.random.default_rng(12)
-        c = wtt_transform.forward(rng.standard_normal((3, 64)))
+        c = wtt.wtt_forward(rng.standard_normal((3, 64)), wtt_bank)
         fm = FeatureMap("threshold", "soft", 0.2)
         batch = extract_features(c, fm)
         for i in range(3):

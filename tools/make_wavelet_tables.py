@@ -11,8 +11,11 @@ Constructions used:
     the exact defining equations (orthonormality of even shifts, wavelet
     moments, scaling-function moments), 60-digit arithmetic.
 
-Every generated filter quadruple is validated for perfect reconstruction
-before it is written out.
+Each wavelet's table entry is its analysis low-pass filter, dec_lo; the
+other three filters of an orthogonal wavelet are exact reversals and sign
+flips of it, which dwt.lookup_wavelet derives.  Every filter is checked at
+60 digits against its defining equations, and as written, in float64, for
+orthonormality to its even shifts to 1e-12.
 """
 from __future__ import annotations
 
@@ -252,92 +255,39 @@ def refine_coiflet(n: int) -> list:
 # assembly
 # ----------------------------------------------------------------------
 
-def validate_pr(dec_lo, dec_hi, rec_lo, rec_hi) -> bool:
-    """Round-trip a few random signals of even and odd length through the
-    filter bank with symmetric border extension."""
-    L = len(dec_lo)
-    rng = np.random.default_rng(0)
-    dl, dh = np.array(dec_lo), np.array(dec_hi)
-    rl, rh = np.array(rec_lo), np.array(rec_hi)
-    for n in (max(2 * L, 16), max(2 * L, 16) + 7):
-        x = rng.standard_normal(n)
-        ext = np.pad(x, (L - 1, L - 1), mode="symmetric")
-        win = np.lib.stride_tricks.sliding_window_view(ext, L)
-        va = win @ dl[::-1]
-        vd = win @ dh[::-1]
-        a = va[1::2]
-        d = vd[1::2]
-        up_a = np.zeros(2 * a.size)
-        up_a[::2] = a
-        up_d = np.zeros(2 * d.size)
-        up_d[::2] = d
-        r = np.convolve(up_a, rl) + np.convolve(up_d, rh)
-        rec = r[L - 2:L - 2 + n]
-        if not np.allclose(rec, x, atol=1e-10):
-            return False
-    return True
-
-
-def orth_quadruple(h):
-    """dec_lo -> (dec_lo, dec_hi, rec_lo, rec_hi) for an orthogonal filter.
-
-    Ordering convention matches the common analysis layout: rec_lo is the
-    reverse of dec_lo and dec_hi[k] = (-1)^(k+1) dec_lo[L-1-k].
-    """
-    L = len(h)
-    dec_lo = list(h)
-    rec_lo = dec_lo[::-1]
-    dec_hi = [(-1) ** (k + 1) * rec_lo[k] for k in range(L)]
-    rec_hi = dec_hi[::-1]
-    return dec_lo, dec_hi, rec_lo, rec_hi
-
-
-def fmt(values) -> str:
-    return "(" + ", ".join(repr(float(v)) for v in values) + ")"
+def check_float_orthonormal(name: str, taps) -> None:
+    """Assert that the filter as written, in float64, is orthonormal to its
+    even shifts to 1e-12."""
+    h = np.array(taps)
+    for m in range(0, h.size, 2):
+        dot = float(h[:h.size - m] @ h[m:])
+        assert abs(dot - (m == 0)) <= 1e-12, f"{name}: shift {m} gives {dot!r}"
 
 
 def main() -> None:
-    entries = []
-
-    for n in range(1, 9):
-        h = make_daubechies(n)
-        h = h[::-1]  # store smallest-tap-first (analysis ordering)
-        quad = orth_quadruple(h)
-        assert validate_pr(*[[float(v) for v in f] for f in quad]), f"db{n} PR failed"
-        entries.append((f"db{n}", quad))
-
-    for n in range(2, 9):
-        h = make_symlet(n)
-        h = h[::-1]
-        quad = orth_quadruple(h)
-        assert validate_pr(*[[float(v) for v in f] for f in quad]), f"sym{n} PR failed"
-        entries.append((f"sym{n}", quad))
-
-    for n in range(1, 6):
-        h = refine_coiflet(n)
-        quad = orth_quadruple(h)
-        assert validate_pr(*[[float(v) for v in f] for f in quad]), f"coif{n} PR failed"
-        entries.append((f"coif{n}", quad))
+    # Daubechies and symlets are stored smallest tap first (analysis ordering)
+    entries = [(f"db{n}", make_daubechies(n)[::-1]) for n in range(1, 9)]
+    entries += [(f"sym{n}", make_symlet(n)[::-1]) for n in range(2, 9)]
+    entries += [(f"coif{n}", refine_coiflet(n)) for n in range(1, 6)]
 
     lines = [
         '"""Embedded wavelet filter tables.  Generated by tools/make_wavelet_tables.py;',
         'do not edit by hand."""',
         "",
-        "# name -> (dec_lo, dec_hi, rec_lo, rec_hi)",
+        "# name -> dec_lo; dwt.lookup_wavelet derives dec_hi, rec_lo and rec_hi",
         "FILTERS = {",
     ]
-    for name, (dl, dh, rl, rh) in entries:
-        lines.append(f'    "{name}": (')
-        for f in (dl, dh, rl, rh):
-            lines.append(f"        {fmt(f)},")
-        lines.append("    ),")
+    for name, h in entries:
+        taps = [float(v) for v in h]
+        check_float_orthonormal(name, taps)
+        lines.append(f'    "{name}": ({", ".join(map(repr, taps))}),')
     lines.append("}")
     lines.append("")
 
     out = "src/wavefeat/_wavelet_tables.py"
     with open(out, "w") as fh:
         fh.write("\n".join(lines))
-    print(f"wrote {len(entries)} filter banks to {out}")
+    print(f"wrote {len(entries)} filters to {out}")
 
 
 if __name__ == "__main__":

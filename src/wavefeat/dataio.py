@@ -4,15 +4,22 @@ Two formats carry the same schema (shared wavenumber grid, one labeled
 intensity row per sample):
 
 * delimited (.csv): header ``label,<wn_0>,<wn_1>,...`` then one row per
-  sample; floats are written with repr so a round trip is lossless.  The
-  loader checks each row's value count and label, then parses every
-  intensity in one ``np.loadtxt`` block; only when that parse fails does it
-  look for the offending row, so error messages still name it.
+  sample; floats are written with repr so a round trip is lossless.  Blank
+  lines are skipped.  The loader streams the rows: it checks each row's
+  value count and label as it reads it, and parses the intensities
+  ``CSV_BLOCK_ROWS`` rows at a time with ``np.loadtxt``, so it never holds
+  more than one block of the file's text.  Only when a block's parse fails
+  does it look for the offending row, so error messages still name it by
+  its line in the file.  Of two faulty rows the first in the file is
+  named; a row whose value count or label is wrong is named before its
+  intensities are read.
 * structured (.json): ``{"schema": "wavefeat-dataset", "version": 1,
   "wavenumbers": [...], "samples": [{"label": ..., "intensities": [...]}]}``.
 
-Every wavenumber and intensity must be a finite number; NaN or infinity is
-a ParseError naming the row (delimited) or the sample index (structured).
+Both formats are read as UTF-8 with an optional byte-order mark, as
+spreadsheets write it, and written as UTF-8 without one.  Every wavenumber
+and intensity must be a finite number; NaN or infinity is a ParseError
+naming the row (delimited) or the sample index (structured).
 Labels are strings in both formats: a structured label such as ``1`` is
 read as ``"1"``, so ``1`` and ``"1"`` name one class.  A file that cannot be
 read is a ParseError, and a file with fewer than 2 samples an
@@ -20,7 +27,9 @@ InvalidDatasetError.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -31,6 +40,7 @@ from .preprocess import LabeledDataset
 
 FORMATS = ("delimited", "structured")
 SCHEMA_NAME = "wavefeat-dataset"
+CSV_BLOCK_ROWS = 64  # rows of a delimited file parsed per np.loadtxt call
 
 
 def sniff_format(path: str) -> str:
@@ -41,7 +51,7 @@ def sniff_format(path: str) -> str:
 def save_dataset(path: str, data: LabeledDataset, format: str | None = None) -> None:
     fmt = format or sniff_format(path)
     if fmt == "delimited":
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             header = ["label"] + [repr(float(v)) for v in data.wavenumbers]
             fh.write(",".join(header) + "\n")
             for label, row in zip(data.labels, data.intensities):
@@ -56,7 +66,7 @@ def save_dataset(path: str, data: LabeledDataset, format: str | None = None) -> 
                 for label, row in zip(data.labels, data.intensities)
             ],
         }
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
             fh.write("\n")
     else:
@@ -84,47 +94,70 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
 
 
 def _load_delimited(path: str) -> tuple[np.ndarray, np.ndarray, list]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if len(lines) < 2:
-        raise ParseError(f"{path}: need a header row and at least one sample")
-    header = lines[0].split(",")
-    if not header or header[0].strip().lower() != "label":
-        raise MissingLabelError(f"{path}: first header column must be 'label'")
+    with open(path, encoding="utf-8-sig") as fh:
+        # (line number in the file, line) of every line that is not blank
+        numbered = ((i, ln) for i, ln in enumerate(fh, start=1) if not ln.isspace())
+        head_no, head = next(numbered, (0, ""))
+        first = next(numbered, None)
+        if first is None:
+            raise ParseError(f"{path}: need a header row and at least one sample")
+        header = head.rstrip("\n").split(",")
+        if header[0].strip().lower() != "label":
+            raise MissingLabelError(f"{path}: first header column must be 'label'")
+        try:
+            wn = np.array([float(v) for v in header[1:]])
+        except ValueError as exc:
+            raise ParseError(f"{path}: non-numeric wavenumber in header: {exc}") from exc
+        if not np.all(np.isfinite(wn)):
+            raise ParseError(f"{path}:{head_no}: non-finite wavenumber in header")
+        labels, blocks, block = [], [], []
+        for i, line in itertools.chain([first], numbered):
+            values = line.count(",")
+            label = line.split(",", 1)[0].rstrip("\n")
+            if values != wn.size or label.strip() == "":
+                if block:  # a row before this one may hold an earlier fault
+                    _parse_block(path, block, wn.size)
+                if values != wn.size:
+                    raise GridMismatchError(
+                        f"{path}:{i}: row has {values} values, grid has {wn.size}")
+                raise MissingLabelError(f"{path}:{i}: empty label")
+            labels.append(label)
+            block.append((i, line))
+            if len(block) == CSV_BLOCK_ROWS:
+                blocks.append(_parse_block(path, block, wn.size))
+                block = []
+    if block:
+        blocks.append(_parse_block(path, block, wn.size))
+    del block  # the last block's text is not held while the blocks are joined
+    rows = np.concatenate(blocks)
+    return wn, rows, labels
+
+
+def _parse_block(path: str, block: list, size: int) -> np.ndarray:
+    """The intensities of ``block``'s (line number, line) pairs as a
+    (rows, size) array; a ParseError names the first row that has a
+    non-numeric or a non-finite intensity."""
     try:
-        wn = np.array([float(v) for v in header[1:]])
+        rows = np.loadtxt([line for _, line in block], delimiter=",", comments=None,
+                          usecols=range(1, size + 1), ndmin=2)
     except ValueError as exc:
-        raise ParseError(f"{path}: non-numeric wavenumber in header: {exc}") from exc
-    if not np.all(np.isfinite(wn)):
-        raise ParseError(f"{path}:1: non-finite wavenumber in header")
-    labels = []
-    for i, line in enumerate(lines[1:], start=2):
-        if line.count(",") != wn.size:
-            raise GridMismatchError(
-                f"{path}:{i}: row has {line.count(',')} values, grid has {wn.size}")
-        label = line.split(",", 1)[0]
-        if label.strip() == "":
-            raise MissingLabelError(f"{path}:{i}: empty label")
-        labels.append(label)
-    try:
-        rows = np.loadtxt(lines[1:], delimiter=",", comments=None,
-                          usecols=range(1, wn.size + 1), ndmin=2)
-    except ValueError as exc:
-        for i, line in enumerate(lines[1:], start=2):
+        for i, line in block:
             try:
-                [float(v) for v in line.split(",")[1:]]
+                values = [float(v) for v in line.split(",")[1:]]
             except ValueError as row_exc:
                 raise ParseError(f"{path}:{i}: non-numeric intensity: {row_exc}") from exc
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"{path}:{i}: non-finite intensity") from exc
         raise ParseError(f"{path}: non-numeric intensity: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
-        raise ParseError(f"{path}:{bad[0] + 2}: non-finite intensity")
-    return wn, rows, labels
+        raise ParseError(f"{path}:{block[bad[0]][0]}: non-finite intensity")
+    return rows
 
 
 def _load_structured(path: str) -> tuple[np.ndarray, np.ndarray, list]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc

@@ -42,6 +42,7 @@ from .errors import InvalidConfigError, InvalidInputError, NumericalError
 AFFINITIES = ("euclidean", "manhattan", "cosine")
 LINKAGES = ("single", "complete", "average", "ward")
 PENALTIES = ("l1", "l2")
+GRAM_BLOCK_ROWS = 64  # most rows whose squares gram_matrix holds at once
 
 
 # ----------------------------------------------------------------------
@@ -655,9 +656,24 @@ def lr_predict(model: LrModel, x: np.ndarray) -> list:
 
 def gram_matrix(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x @ x.T, the row sums of squares): what the euclidean and the cosine
-    distances of ``pairwise_distances`` are built from."""
+    distances of ``pairwise_distances`` are built from.
+
+    The sums of squares are taken over near-equal blocks of at most
+    ``GRAM_BLOCK_ROWS`` rows, so the scratch is one block's squares, not a
+    copy of x.  Each sum is ``np.sum(x * x, axis=1)``'s to the bit: numpy
+    reduces a row in an order set by the memory layout, which a block of
+    rows keeps, and a block has at least 2 rows when x has (a lone row of
+    a column-major x would be summed pairwise, where 2 or more rows are
+    summed column by column).
+    """
     x = np.asarray(x, dtype=float)
-    return x @ x.T, np.sum(x * x, axis=1)
+    m = x.shape[0]
+    sq = np.empty(m)
+    blocks = -(-m // GRAM_BLOCK_ROWS)
+    for i in range(blocks):
+        rows = slice(i * m // blocks, (i + 1) * m // blocks)
+        sq[rows] = np.sum(x[rows] * x[rows], axis=1)
+    return x @ x.T, sq
 
 
 def pairwise_distances(x: np.ndarray, affinity: str,

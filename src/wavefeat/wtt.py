@@ -17,7 +17,11 @@ the next.  A level is then one matrix product, ``block @ u`` forward and
 ``block @ u.T`` inverse, on the (batch * cols, rows) view.  The
 coefficients of a signal are one flat array along its last axis: the
 details of levels 1..d-1, then the core.  The bank's ranks fix every
-block's length, so the inverse takes the flat array and the bank.
+block's length, so the inverse takes the flat array and the bank.  The
+forward copies each level's details straight into that preallocated
+(batch, n) array, and drops each level's input once the product is taken
+and the product once its core is copied out, so it holds under three
+times its output besides the input.
 
 Banks are trained on a stack of signals (the stack is treated as one extra
 slowest mode whose filter is discarded; one signal is a stack of one), and
@@ -108,14 +112,25 @@ def wtt_forward(x: np.ndarray, bank: WttFilterBank) -> np.ndarray:
             f"signal length {x.shape[-1]} does not match bank length {n}")
     a = x.reshape(-1, n)
     batch = a.shape[0]
-    blocks = []
+    out = None  # allocated at the first level with details
+    start = 0
     for u, r_k in zip(bank.filters, bank.ranks):
         rows = u.shape[0]
         b = (a.reshape(-1, rows) @ u).reshape(batch, -1, rows)
-        blocks.append(b[..., r_k:].reshape(batch, -1))
-        a = b[..., :r_k]
-    blocks.append(a.reshape(batch, -1))
-    return np.concatenate(blocks, axis=-1).reshape(x.shape)
+        a = None  # the level's input is not needed past its product
+        if r_k < rows:
+            if out is None:
+                out = np.empty((batch, n))
+            stop = start + b.shape[1] * (rows - r_k)
+            # splitting the last axis of a column slice is a view of out
+            out[:, start:stop].reshape(batch, -1, rows - r_k)[...] = b[..., r_k:]
+            start = stop
+        a = np.ascontiguousarray(b[..., :r_k])
+        b = None
+    if out is None:
+        out = np.empty((batch, n))
+    out[:, start:] = a.reshape(batch, -1)
+    return out.reshape(x.shape)
 
 
 def wtt_inverse(vec: np.ndarray, bank: WttFilterBank) -> np.ndarray:

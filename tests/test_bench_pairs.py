@@ -1,5 +1,11 @@
-"""Tests for the verdicts of tools/bench_pairs.py."""
+"""Tests for the verdicts of tools/bench_pairs.py, and for what it leaves
+behind when it is stopped."""
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -60,3 +66,65 @@ def test_higher_is_better_metrics_gain_upwards():
     assert summary["verdict"] == "gain"
     summary = bench_pairs.summarize(_runs("score", parent, [0.3] * 10), [SCORE])["score"]
     assert summary["verdict"] == "worse"
+
+
+# A driver that runs one child the way run_once runs perfbench/run.py; the
+# child starts a grandchild, as run.py starts child.py, and writes both pids
+DRIVER = """
+import signal, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import bench_pairs
+signal.signal(signal.SIGTERM, bench_pairs.stop)
+with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=sys.argv[2]) as work:
+    bench_pairs.run_in_group([sys.executable, "-c", sys.argv[3], sys.argv[4]], work)
+"""
+CHILD = """
+import os, subprocess, sys, time
+grandchild = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(30)"])
+with open(sys.argv[1] + ".part", "w") as fh:
+    fh.write(f"{os.getpid()} {grandchild.pid}")
+os.replace(sys.argv[1] + ".part", sys.argv[1])
+time.sleep(30)
+"""
+
+
+def _alive(pid):
+    """Whether pid runs; a zombie that no one has reaped yet does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _wait_for(condition, seconds=20.0):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_sigterm_kills_the_run_group_and_removes_the_temp_dir(tmp_path):
+    pids = tmp_path / "pids"
+    driver = subprocess.Popen([sys.executable, "-c", DRIVER, str(PATH.parent),
+                               str(tmp_path), CHILD, str(pids)])
+    try:
+        assert _wait_for(pids.exists), "the child never started"
+        assert len(list(tmp_path.glob("bench_pairs_*"))) == 1
+        running = [int(p) for p in pids.read_text().split()]
+        assert all(_alive(p) for p in running)
+        driver.send_signal(signal.SIGTERM)
+        assert driver.wait(timeout=20) == 128 + signal.SIGTERM
+        assert _wait_for(lambda: not any(_alive(p) for p in running))
+        assert not list(tmp_path.glob("bench_pairs_*"))
+    finally:
+        driver.kill()
+        driver.wait()
+        if pids.exists():  # the child leads its group
+            try:
+                os.killpg(int(pids.read_text().split()[0]), signal.SIGKILL)
+            except ProcessLookupError:
+                pass

@@ -1,12 +1,13 @@
 """Tests for dataset files: lossless round trips and row-named errors."""
+import codecs
 import json
 
 import numpy as np
 import pytest
 
-from wavefeat import cli
+from wavefeat import cli, dataio
 from wavefeat.dataio import load_dataset, save_dataset
-from wavefeat.errors import InvalidDatasetError
+from wavefeat.errors import DataFormatError, InvalidDatasetError, ParseError
 from wavefeat.preprocess import LabeledDataset
 
 
@@ -63,7 +64,7 @@ def test_fewer_than_2_samples_is_a_data_error_exit_3(tmp_path, capsys, name, tex
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("row, message", [
+BAD_ROWS = pytest.mark.parametrize("row, message", [
     ("x,1,1,1", "row has 3 values, grid has 4"),
     ("x,1,1,1,1,1", "row has 5 values, grid has 4"),
     (" ,1,1,1,1", "empty label"),
@@ -72,6 +73,9 @@ def test_fewer_than_2_samples_is_a_data_error_exit_3(tmp_path, capsys, name, tex
     ("x,1,1,nan,1", "non-finite intensity"),
     ("x,1,-inf,1,1", "non-finite intensity"),
 ], ids=["short", "long", "empty-label", "word", "empty-value", "nan", "inf"])
+
+
+@BAD_ROWS
 def test_bad_row_is_named_and_exits_3(tmp_path, capsys, row, message):
     rows = ["y,1,2,3,4", "z,5,6,7,8", "w,9,10,11,12", "v,13,14,15,16"]
     rows[2] = row
@@ -80,6 +84,99 @@ def test_bad_row_is_named_and_exits_3(tmp_path, capsys, row, message):
     assert cli.main(["cluster", "--data", str(path), "--folds", "2",
                      "--out-dir", str(tmp_path / "out")]) == 3
     assert f"{path}:4: {message}" in capsys.readouterr().err
+
+
+@BAD_ROWS
+def test_bad_row_after_blank_lines_is_named_by_its_line_in_the_file(
+        tmp_path, capsys, row, message):
+    rows = ["y,1,2,3,4", "", "  ", "z,5,6,7,8", row, "v,13,14,15,16"]
+    path = tmp_path / "bad.csv"
+    path.write_text("label,1,2,3,4\n" + "\n".join(rows) + "\n")
+    assert cli.main(["cluster", "--data", str(path), "--folds", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    assert f"{path}:6: {message}" in capsys.readouterr().err
+
+
+def _rows(count):
+    return [f"c{i % 3},{i},{i + 1},{i + 2},{i + 3}" for i in range(count)]
+
+
+@BAD_ROWS
+def test_bad_row_past_the_first_block_is_named(tmp_path, row, message):
+    rows = _rows(2 * dataio.CSV_BLOCK_ROWS + 5)
+    rows[dataio.CSV_BLOCK_ROWS + 7] = row
+    path = tmp_path / "bad.csv"
+    path.write_text("\nlabel,1,2,3,4\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataFormatError, match=f":{dataio.CSV_BLOCK_ROWS + 10}: {message}"):
+        load_dataset(str(path))
+
+
+def test_non_finite_wavenumber_is_named_by_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n\nlabel,1,inf,3\nx,1,2,3\ny,4,5,6\n")
+    with pytest.raises(ParseError, match=r"bad\.csv:3: non-finite wavenumber"):
+        load_dataset(str(path))
+
+
+@pytest.mark.parametrize("first, second, named", [
+    # the first faulty row in the file is named, whatever its fault
+    ("x,1,nan,3,4", "x,1,2", "3: non-finite intensity"),
+    ("x,1,2", "x,1,one,3,4", "3: row has 2 values, grid has 4"),
+    ("x,1,one,3,4", " ,1,2,3,4", "3: non-numeric intensity"),
+    ("x,1,inf,3,4", "x,1,one,3,4", "3: non-finite intensity"),
+    # within one row, the value count, then the label, then the values
+    ("x,1,one", "y,1,2,3,4", "3: row has 2 values, grid has 4"),
+    (" ,1,one,3,4", "y,1,2,3,4", "3: empty label"),
+    ("x,one,nan,3,4", "y,1,2,3,4", "3: non-numeric intensity"),
+], ids=["non-finite-then-short", "short-then-word", "word-then-empty-label",
+        "inf-then-word", "short-row-with-a-word", "empty-label-and-a-word",
+        "word-and-nan"])
+def test_of_two_faulty_rows_the_first_is_named(tmp_path, first, second, named):
+    rows = ["y,1,2,3,4", first, "z,5,6,7,8", second, "w,9,10,11,12"]
+    path = tmp_path / "bad.csv"
+    path.write_text("label,1,2,3,4\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(str(path))
+    assert f"bad.csv:{named}" in str(err.value)
+
+
+def test_a_fault_in_an_earlier_block_is_named_before_a_later_one(tmp_path):
+    rows = _rows(3 * dataio.CSV_BLOCK_ROWS)
+    rows[2 * dataio.CSV_BLOCK_ROWS + 1] = "x,1,2"
+    rows[dataio.CSV_BLOCK_ROWS - 1] = "x,1,2,nan,4"
+    path = tmp_path / "bad.csv"
+    path.write_text("label,1,2,3,4\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match=f":{dataio.CSV_BLOCK_ROWS + 1}: non-finite"):
+        load_dataset(str(path))
+
+
+def test_rows_over_several_blocks_with_blank_lines_load_in_order(tmp_path):
+    count = 2 * dataio.CSV_BLOCK_ROWS + 1
+    rows = _rows(count)
+    path = tmp_path / "many.csv"
+    path.write_text("label,1,2,3,4\n" + "\n\n".join(rows) + "\n")
+    data = load_dataset(str(path))
+    assert data.labels == [f"c{i % 3}" for i in range(count)]
+    want = np.arange(count)[:, None] + np.arange(4.0)
+    assert data.intensities.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["data.csv", "data.json"])
+def test_a_byte_order_mark_is_read_past(tmp_path, name):
+    # spreadsheets' "CSV UTF-8" starts the file with one
+    data = _awkward_dataset()
+    data.labels[0] = "Mentha \u00d7 piperita"
+    plain = tmp_path / name
+    save_dataset(str(plain), data)
+    text = plain.read_bytes()
+    assert not text.startswith(codecs.BOM_UTF8)
+    text.decode("utf-8")  # the JSON writer escapes the label to ASCII
+    marked = tmp_path / ("bom-" + name)
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    back, want = load_dataset(str(marked)), load_dataset(str(plain))
+    assert back.labels == want.labels == data.labels
+    assert back.wavenumbers.tobytes() == want.wavenumbers.tobytes()
+    assert back.intensities.tobytes() == want.intensities.tobytes()
 
 
 @pytest.mark.parametrize("wavenumbers, message", [

@@ -752,6 +752,23 @@ class TestPairwiseDistances:
             assert np.allclose(np.diag(d), 0.0)
 
 
+class TestGramMatrix:
+    # the row sums of squares as they were taken before the row blocks:
+    # numpy sums a contiguous row pairwise, and the rows of a column-major
+    # array column by column, so 65 rows (one past a block) column-major
+    # would differ in the last bits if a one-row block were cut off
+    @pytest.mark.parametrize("rows", [1, 2, 3, 64, 65, 129, 500])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bit_equal_to_the_whole_block_formula(self, rows, layout):
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((rows, 2 * 2048)) * 10.0 ** rng.integers(-3, 4, (rows, 2 * 2048))
+        x = {"C": x[:, :2048], "F": np.asfortranarray(x[:, :2048]),
+             "strided": np.asfortranarray(x)[:, ::2]}[layout]
+        g, sq = M.gram_matrix(x)
+        assert np.array_equal(g, x @ x.T)
+        assert sq.tobytes() == np.sum(x * x, axis=1).tobytes()
+
+
 def _hac_by_definition(x, linkage):
     """Reference HAC: merge the pair of clusters closest under the linkage's
     definition, computed from the members each time, until one is left."""

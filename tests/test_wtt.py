@@ -259,3 +259,43 @@ class TestBitIdenticalToReference:
             back = wtt.wtt_inverse(shrunk, bank)
             assert back.shape == x.shape
             _same_bits(np.atleast_2d(back), want)
+
+
+def _concatenating_forward(x, bank):
+    """The forward as it was before it wrote into its output: each level's
+    details copied into a list, then joined with ``np.concatenate``."""
+    x = np.asarray(x, dtype=float)
+    n = bank.signal_length
+    a = x.reshape(-1, n)
+    batch = a.shape[0]
+    blocks = []
+    for u, r_k in zip(bank.filters, bank.ranks):
+        rows = u.shape[0]
+        b = (a.reshape(-1, rows) @ u).reshape(batch, -1, rows)
+        blocks.append(b[..., r_k:].reshape(batch, -1))
+        a = b[..., :r_k]
+    blocks.append(a.reshape(batch, -1))
+    return np.concatenate(blocks, axis=-1).reshape(x.shape)
+
+
+class TestForwardWritesInPlace:
+    # 65 rows is one past a 64-row block; the spline hands the forward
+    # column-major blocks, and callers pass single signals and stacks
+    @pytest.mark.parametrize("rank", [1, 2, 6])
+    def test_bit_equal_to_the_concatenating_forward(self, wtt_block, rank):
+        bank = wtt.train_group_filters(wtt_block[:60], rank)
+        block = wtt_block[:65]
+        for x in (block, np.asfortranarray(block), block[:1], np.asfortranarray(block[:1]),
+                  block[3], block[:64].reshape(4, 16, 2048)):
+            got = wtt.wtt_forward(x, bank)
+            want = _concatenating_forward(x, bank)
+            assert got.shape == x.shape and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+            _same_bits(got, want)
+
+    def test_a_bank_without_details_returns_the_rotated_core(self):
+        # rank 2 on length 4 keeps both rows at its one level
+        x = np.random.default_rng(5).standard_normal((3, 4))
+        bank = wtt.train_group_filters(x, 2)
+        assert bank.ranks == (2,)
+        _same_bits(wtt.wtt_forward(x, bank), _concatenating_forward(x, bank))

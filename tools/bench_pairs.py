@@ -28,6 +28,11 @@ neither) and a verdict, the first of these that holds:
   bound, and not every run of the change is better than every run of the
   parent;
 - ``same``.
+
+Each benchmark run is started in a process group of its own.  When the
+tool is stopped (SIGTERM, or an interrupt), it kills that group, so neither
+``perfbench/run.py`` nor the ``child.py`` it started outlives it, and it
+removes the temporary directory.
 """
 from __future__ import annotations
 
@@ -35,6 +40,8 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -76,12 +83,34 @@ def outputs_digest(files: dict | None) -> str | None:
     return hashlib.sha256(json.dumps(files, sort_keys=True).encode()).hexdigest()
 
 
+def run_in_group(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """Run args in cwd, in a process group of its own, and capture its
+    output; on any exception, SIGTERM included (see ``stop``), kill the
+    whole group before passing the exception on."""
+    with subprocess.Popen(args, cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate()
+        except BaseException:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:  # the group has already exited
+                pass
+            raise
+    return subprocess.CompletedProcess(args, proc.returncode, out, err)
+
+
+def stop(signum, frame):
+    """SIGTERM handler: raise SystemExit, so that the running group is
+    killed and the temporary directory removed on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in tree: its metrics and output digests."""
-    done = subprocess.run(
+    done = run_in_group(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True)
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"], tree)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"benchmark failed in {tree}:\n{done.stdout}{done.stderr}")
@@ -146,6 +175,7 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, to give quartiles")
 
+    signal.signal(signal.SIGTERM, stop)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         commits = {"parent": export(args.parent, trees["parent"]),

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
+import re
 
 import numpy as np
 
@@ -133,20 +133,28 @@ def _load_delimited(path: str) -> tuple[np.ndarray, np.ndarray, list]:
     return wn, rows, labels
 
 
+def _intensities(lines: list, size: int) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None,
+                      usecols=range(1, size + 1), ndmin=2)
+
+
 def _parse_block(path: str, block: list, size: int) -> np.ndarray:
     """The intensities of ``block``'s (line number, line) pairs as a
     (rows, size) array; a ParseError names the first row that has a
-    non-numeric or a non-finite intensity."""
+    non-numeric or a non-finite intensity.  When the block fails to parse,
+    each row is parsed alone by the same parser, so the row named is one
+    that parser rejects (Python's ``float`` accepts more, ``1_0`` for one)."""
     try:
-        rows = np.loadtxt([line for _, line in block], delimiter=",", comments=None,
-                          usecols=range(1, size + 1), ndmin=2)
+        rows = _intensities([line for _, line in block], size)
     except ValueError as exc:
         for i, line in block:
             try:
-                values = [float(v) for v in line.split(",")[1:]]
+                row = _intensities([line], size)
             except ValueError as row_exc:
-                raise ParseError(f"{path}:{i}: non-numeric intensity: {row_exc}") from exc
-            if not all(map(math.isfinite, values)):
+                # the parser counts rows from 0 within what it was given
+                reason = re.sub(r" at row \d+,", " at", str(row_exc))
+                raise ParseError(f"{path}:{i}: non-numeric intensity: {reason}") from exc
+            if not np.isfinite(row).all():
                 raise ParseError(f"{path}:{i}: non-finite intensity") from exc
         raise ParseError(f"{path}: non-numeric intensity: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))

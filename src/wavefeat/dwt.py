@@ -100,25 +100,51 @@ def dump_registry() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _analyse_into(x: np.ndarray, w: WaveletSpec, lo: np.ndarray, hi: np.ndarray) -> None:
+    """One analysis step of x, written into ``lo`` and ``hi``.
+
+    Output i reads sample ``(2i + 1 - j) mod 2k`` of the even-length signal
+    at tap j, k being the output length.  Outputs ``L/2 - 1`` to
+    ``n // 2 - 1`` read inside x, so their windows are views of it.  Only
+    the outputs whose windows wrap round the start, and for an odd length
+    the last output, which reads the repeated last sample, read a copy: of
+    the at most ``2L - 4`` samples their windows hold.  Every window has
+    reversed strides, so numpy sums each output tap by tap in the same
+    order, whatever its block or layout.
+    """
+    L, n = w.filter_length, x.shape[-1]
+    k = lo.shape[-1]
+    h = L // 2 - 1
+    parts = [(slice(h, n // 2), x)]
+    if h:
+        wrap = np.minimum(np.arange(2 - L, L - 2) % (2 * k), n - 1)
+        parts.append((slice(0, h), x[..., wrap]))
+    if n % 2:
+        last = np.minimum(np.arange(n - L + 1, n + 1), n - 1)
+        parts.append((slice(k - 1, k), x[..., last]))
+    for out_part, src in parts:
+        # every second window of src, reversed: tap j of window i holds
+        # src[2i + L - 1 - j]
+        win = np.lib.stride_tricks.sliding_window_view(src, L, axis=-1)[..., ::2, ::-1]
+        np.matmul(win, w.dec_lo, out=lo[..., out_part])
+        np.matmul(win, w.dec_hi, out=hi[..., out_part])
+
+
 def dwt_single(x: np.ndarray, w: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
     """One analysis step: filter + downsample along the last axis.
 
-    The even-length signal is wrapped by L samples on the left, and output i
-    reads window ``2i + 2`` of a strided window view, reversed, which holds
-    ``x[(2i + 1 - j) mod n]`` at tap j; no block is copied beyond its wrap.
-    Every row is summed tap by tap in the same order, so a signal's
-    coefficients do not depend on its block.
+    Returns the approximation and the details, ``ceil(n/2)`` each.  Their
+    windows are views of x, apart from a copy of the few samples that the
+    edge outputs read (see ``_analyse_into``), so no block is copied.
     """
     x = np.asarray(x, dtype=float)
-    L = w.filter_length
-    n = x.shape[-1]
+    L, n = w.filter_length, x.shape[-1]
     if n < L:
         raise InvalidInputError(f"signal length {n} shorter than filter length {L}")
-    if n % 2 == 1:
-        x = np.concatenate([x, x[..., -1:]], axis=-1)
-    ext = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(L, 0)], mode="wrap")
-    win = np.lib.stride_tricks.sliding_window_view(ext, L, axis=-1)[..., 2::2, ::-1]
-    return win @ w.dec_lo, win @ w.dec_hi
+    shape = x.shape[:-1] + ((n + 1) // 2,)
+    lo, hi = np.empty(shape), np.empty(shape)
+    _analyse_into(x, w, lo, hi)
+    return lo, hi
 
 
 def idwt_single(approx: np.ndarray, detail: np.ndarray, w: WaveletSpec,
@@ -169,20 +195,37 @@ def _check_level(n: int, w: WaveletSpec, level: int) -> None:
             f"level {level} out of range 1..{lmax} for n={n}, filter {w.name}")
 
 
+def _step_lengths(n: int, w: WaveletSpec, level: int) -> list[int]:
+    """The input length of each analysis step of a length-n signal, finest
+    first, then the length of the last approximation: each step maps length
+    k to ``ceil(k/2)``."""
+    _check_level(n, w, level)
+    lengths = [n]
+    for _ in range(level):
+        lengths.append((lengths[-1] + 1) // 2)
+    return lengths
+
+
 def wavedec(x: np.ndarray, w: WaveletSpec, level: int) -> np.ndarray:
     """Recursive analysis of the approximation branch down to ``level``.
 
     Returns the flat coefficient array along the last axis: the
-    approximation, then the details coarsest first.
+    approximation, then the details coarsest first.  Each level writes its
+    details, and the last level its approximation too, straight into that
+    array; only the approximations of the levels above the last are held
+    apart, so the call holds under 1.8 times its output besides the input.
     """
     x = np.asarray(x, dtype=float)
-    _check_level(x.shape[-1], w, level)
-    details = []
+    lengths = _step_lengths(x.shape[-1], w, level)
+    out = np.empty(x.shape[:-1] + (lengths[-1] + sum(lengths[1:]),))
+    stop = out.shape[-1]
     cur = x
-    for _ in range(level):
-        cur, det = dwt_single(cur, w)
-        details.append(det)
-    return np.concatenate([cur] + details[::-1], axis=-1)
+    for step, k in enumerate(lengths[1:], start=1):
+        lo = out[..., :k] if step == level else np.empty(x.shape[:-1] + (k,))
+        _analyse_into(cur, w, lo, out[..., stop - k:stop])
+        stop -= k
+        cur = lo
+    return out
 
 
 def waverec(vec: np.ndarray, w: WaveletSpec, level: int, n: int) -> np.ndarray:
@@ -192,10 +235,7 @@ def waverec(vec: np.ndarray, w: WaveletSpec, level: int, n: int) -> np.ndarray:
     block's length.
     """
     vec = np.asarray(vec, dtype=float)
-    _check_level(n, w, level)
-    lengths = [n]  # the input length of each analysis step, finest first
-    for _ in range(level):
-        lengths.append((lengths[-1] + 1) // 2)
+    lengths = _step_lengths(n, w, level)
     if vec.shape[-1] != lengths[-1] + sum(lengths[1:]):
         raise InvalidInputError(
             f"flat length {vec.shape[-1]} does not match level-{level} "

@@ -23,7 +23,8 @@ applies every stage but the model to them and, in a classification fold,
 to the held-out rows.  ``FittedPipeline.features`` and ``predict`` take any
 block through the signal and the same list, so train and test cannot
 diverge.  A ``SignalTable`` computes the signal once per CV run, on all
-rows, and each fold slices its rows out of it.
+rows, and each fold gathers its rows out of it in one copy; a fit of all
+rows in order, as a final clustering is, reads the table's block itself.
 
 A stage's key is the key of the stage before it plus the config fields the
 stage reads, so two configs with equal keys share everything up to that
@@ -499,6 +500,22 @@ class FittedPipeline:
         return STAGES[-1].apply(self.model, self.features(block))
 
 
+def _signal_rows(full: np.ndarray, idx: np.ndarray, resampled: bool) -> np.ndarray:
+    """The rows ``idx`` of a signal table block, in the layout that
+    processing them alone gives: column-major for the spline's output,
+    row-major otherwise.  Later sums (scaler mean, WTT products) round by
+    it.  All rows in order are the block itself, which has that layout;
+    other rows are gathered in one copy."""
+    order = "F" if resampled else "C"
+    if np.array_equal(idx, np.arange(len(full))) and full.flags[f"{order}_CONTIGUOUS"]:
+        return full
+    if resampled:
+        # rows of the column-major block are columns of its row-major
+        # transpose; np.take would first copy a column-major source whole
+        return np.take(full.T, idx, axis=1).T
+    return full[idx]
+
+
 def _fit_stage(stage: Stage, config, memo: FoldMemo, key, prev, blocks) -> tuple:
     """The stage's state, fitted on the fitting rows ``blocks[0]``, and its
     output on each block (none for the model).  ``blocks`` is None for the
@@ -508,10 +525,7 @@ def _fit_stage(stage: Stage, config, memo: FoldMemo, key, prev, blocks) -> tuple
     if blocks is None:
         target = _pow2_target(config, memo.data.wavenumbers)
         full = memo.signals.block(config.preprocess.derivative_order, target)
-        # the layout that processing the rows alone gives: the spline's output
-        # is column-major, and later sums (scaler mean, WTT products) round by it
-        blocks = [full[idx] if target is None else np.asfortranarray(full[idx])
-                  for idx in memo.rows]
+        blocks = [_signal_rows(full, idx, target is not None) for idx in memo.rows]
     state = stage.fit(config, memo, key, prev, blocks[0])
     if stage.name == "model":
         return state, None

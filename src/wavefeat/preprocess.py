@@ -131,18 +131,20 @@ class ScalerStats:
     """Feature-axis statistics learned on a training block."""
 
     mean: np.ndarray
-    std: np.ndarray  # zero-variance positions carry std = 0 and are never divided
+    # None unless the config scales; zero-variance positions carry std = 0
+    # and are never divided
+    std: np.ndarray | None
 
 
 def fit_scaler(y: np.ndarray, cfg: PreprocessConfig) -> ScalerStats | None:
-    """Learn feature-axis mean/std on a training block; None if stateless."""
+    """Learn feature-axis mean, and std when the config scales, on a
+    training block; None if stateless."""
     if cfg.axis != "feature" or not (cfg.center or cfg.scale):
         return None
     if y.shape[0] < 2:
         raise InvalidInputError("feature-axis scaling needs at least 2 samples")
-    mean = y.mean(axis=0)
-    std = y.std(axis=0)  # population (divisor N)
-    return ScalerStats(mean=mean, std=std)
+    std = y.std(axis=0) if cfg.scale else None  # population (divisor N)
+    return ScalerStats(mean=y.mean(axis=0), std=std)
 
 
 def apply_scaler(y: np.ndarray, cfg: PreprocessConfig, stats: ScalerStats | None) -> np.ndarray:
@@ -154,12 +156,12 @@ def apply_scaler(y: np.ndarray, cfg: PreprocessConfig, stats: ScalerStats | None
     if not (cfg.center or cfg.scale):
         return y
     if cfg.axis == "feature":
-        if stats is None:
+        if stats is None or (cfg.scale and stats.std is None):
             raise InvalidInputError("feature-axis scaling requires fitted stats")
         mean, std = stats.mean, stats.std
     else:
         mean = y.mean(axis=-1, keepdims=True)
-        std = y.std(axis=-1, keepdims=True)
+        std = y.std(axis=-1, keepdims=True) if cfg.scale else None
     out = y
     if cfg.center:
         out = out - mean

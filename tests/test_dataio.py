@@ -70,9 +70,12 @@ BAD_ROWS = pytest.mark.parametrize("row, message", [
     (" ,1,1,1,1", "empty label"),
     ("x,1,one,1,1", "non-numeric intensity"),
     ("x,1,1,,1", "non-numeric intensity"),
+    # float() accepts it and np.loadtxt does not
+    ("x,1,1_0,1,1", "non-numeric intensity: could not convert string '1_0'"),
     ("x,1,1,nan,1", "non-finite intensity"),
     ("x,1,-inf,1,1", "non-finite intensity"),
-], ids=["short", "long", "empty-label", "word", "empty-value", "nan", "inf"])
+], ids=["short", "long", "empty-label", "word", "empty-value", "underscore", "nan",
+        "inf"])
 
 
 @BAD_ROWS

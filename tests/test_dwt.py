@@ -206,6 +206,27 @@ def _reference_dwt_single(x, w):
     return win @ w.dec_lo, win @ w.dec_hi
 
 
+def _padded_dwt_single(x, w):
+    """The analysis step as it was written before it read its windows from
+    the signal: the even-length signal wrapped by L samples on the left,
+    and output i read from window 2i + 2 of a strided view, reversed."""
+    L = w.filter_length
+    if x.shape[-1] % 2 == 1:
+        x = np.concatenate([x, x[..., -1:]], axis=-1)
+    ext = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(L, 0)], mode="wrap")
+    win = np.lib.stride_tricks.sliding_window_view(ext, L, axis=-1)[..., 2::2, ::-1]
+    return win @ w.dec_lo, win @ w.dec_hi
+
+
+def _concatenated_wavedec(x, w, level):
+    """``wavedec`` as the concatenation of the padded steps' outputs."""
+    details, cur = [], x
+    for _ in range(level):
+        cur, det = _padded_dwt_single(cur, w)
+        details.append(det)
+    return np.concatenate([cur] + details[::-1], axis=-1)
+
+
 def _reference_idwt_periodization(a, d, w, out_length):
     L = w.filter_length
     k = a.shape[-1]
@@ -323,3 +344,19 @@ class TestBitIdenticalToReference:
             shrunk = np.sign(flat) * np.maximum(np.abs(flat) - 0.5, 0.0)
             _same_bits(dwt.waverec(shrunk, w, level, n),
                        _reference_waverec_periodization(shrunk, x, w, level))
+
+
+@pytest.mark.parametrize("w", list(dwt.iter_registry()), ids=lambda w: w.name)
+def test_analysis_equals_the_pad_and_concatenate_formula(w):
+    # 1600 and 2000 reach odd lengths at deeper levels (25 and 13; 125 and
+    # 63), as do the odd signals; F-ordered blocks read strided windows
+    rng = np.random.default_rng(28)
+    L = w.filter_length
+    for n in (L, L + 1, 50, 101, 1600, 2000):
+        block = rng.standard_normal((2, 3, n))
+        for x in (block[0, 0], block[0], block,
+                  np.asfortranarray(block[0]), np.asfortranarray(block)):
+            for got, want in zip(dwt.dwt_single(x, w), _padded_dwt_single(x, w)):
+                _same_bits(got, want)
+            for level in range(1, dwt.max_level(n, w) + 1):
+                _same_bits(dwt.wavedec(x, w, level), _concatenated_wavedec(x, w, level))

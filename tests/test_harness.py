@@ -330,6 +330,45 @@ def test_signal_rows_are_the_rows_processed_alone(data, config, monkeypatch):
         assert y.tobytes("A") == alone.tobytes("A")
 
 
+def test_fold_rows_are_one_copy_with_the_layout_of_a_copy_of_the_rows(data):
+    # the spline's column-major block and the derivative's row-major one
+    signals = harness.SignalTable(data.wavenumbers, data.intensities)
+    target = harness.pow2_grid(data.wavenumbers)
+    rows = np.setdiff1d(np.arange(data.n_samples), kfold_split(data.n_samples, 4, 1)[0])
+    for full, resampled in ((signals.block(1, target), True), (signals.block(1, None), False)):
+        got = harness._signal_rows(full, rows, resampled)
+        want = np.asfortranarray(full[rows]) if resampled else full[rows]
+        assert got.strides == want.strides
+        assert got.tobytes("A") == want.tobytes("A")
+        assert not np.shares_memory(got, full)
+
+
+FINAL_CLUSTERING_CONFIGS = [
+    LEAKAGE_CONFIGS[2],
+    # uncentred raw signal: the block goes through every stage to HAC as is
+    dataclasses.replace(
+        _config({"kind": "none"}, {"kind": "none"}, {"kind": "hac", "affinity": "euclidean",
+                                         "linkage": "ward"}),
+        preprocess=harness.PreprocessConfig()),
+]
+
+
+@pytest.mark.parametrize("config", FINAL_CLUSTERING_CONFIGS, ids=lambda c: c.label())
+def test_a_final_clustering_reads_the_table_block_itself(data, config, monkeypatch):
+    signals = harness.SignalTable(data.wavenumbers, data.intensities)
+    target = harness._pow2_target(config, data.wavenumbers)
+    full = signals.block(config.preprocess.derivative_order, target)
+    before = full.copy(order="A")
+    seen = []  # the rows the preprocess stage is fitted on
+    fit_scaler = harness.fit_scaler
+    monkeypatch.setattr(harness, "fit_scaler",
+                        lambda y, cfg: seen.append(y) or fit_scaler(y, cfg))
+    harness.final_clustering(config, data, signals)
+    assert len(seen) == 1 and np.shares_memory(seen[0], full)
+    assert signals.block(config.preprocess.derivative_order, target) is full
+    assert full.strides == before.strides and full.tobytes("A") == before.tobytes("A")
+
+
 def test_memo_hit_returns_the_same_arrays(data):
     rows = np.arange(0, data.n_samples, 2)
     memo = FoldMemo(data, rows)

@@ -1,5 +1,5 @@
-"""Bounds on the traced peak memory of the CSV loader and of two kernels of
-the 500-spectrum clustering run.
+"""Bounds on the traced peak memory of the CSV loader and of three kernels
+of the 500-spectrum clustering run.
 
 tracemalloc counts the buffers numpy allocates, so each bound is a multiple
 of the result's own bytes, plus SLACK for small Python objects.  The
@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wavefeat import models, wtt
+from wavefeat import dwt, models, wtt
 from wavefeat.dataio import load_dataset, save_dataset
 from wavefeat.preprocess import LabeledDataset
 
@@ -60,3 +60,12 @@ def test_gram_matrix_holds_little_more_than_its_output(spectra):
     # (9.7 MiB for 1.9 MiB)
     (g, sq), peak = _traced_peak(models.gram_matrix, spectra)
     assert peak <= g.nbytes + sq.nbytes + SLACK
+
+
+def test_wavedec_holds_under_two_outputs(spectra):
+    # it used to peak at 2.0 outputs: a wrapped copy of each level's input,
+    # then the concatenation of the levels (15.6 MiB for 7.8 MiB)
+    w = dwt.lookup_wavelet("daubechies", 4)
+    for x in (spectra, np.asfortranarray(spectra)):
+        out, peak = _traced_peak(dwt.wavedec, x, w, dwt.max_level(x.shape[-1], w))
+        assert peak <= 1.8 * out.nbytes + SLACK

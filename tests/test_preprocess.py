@@ -148,6 +148,21 @@ class TestStandardScale:
         cfg = PreprocessConfig(center=True, axis="feature")
         with pytest.raises(InvalidInputError):
             apply_scaler(np.ones((2, 3)), cfg, None)
+        # stats fitted without scaling hold no std to scale by
+        stats = fit_scaler(np.eye(3), cfg)
+        with pytest.raises(InvalidInputError):
+            apply_scaler(np.ones((2, 3)), PreprocessConfig(center=True, scale=True), stats)
+
+    @pytest.mark.parametrize("axis", ["feature", "sample"])
+    def test_centring_alone_subtracts_the_mean_and_fits_no_std(self, axis):
+        arr = np.asfortranarray(np.random.default_rng(28).standard_normal((7, 33)))
+        cfg = PreprocessConfig(center=True, axis=axis)
+        stats = fit_scaler(arr, cfg)
+        assert stats is None if axis == "sample" else stats.std is None
+        mean = arr.mean(axis=0) if axis == "feature" else arr.mean(axis=-1, keepdims=True)
+        out = _scale(arr, cfg)
+        want = arr - mean
+        assert out.strides == want.strides and out.tobytes("A") == want.tobytes("A")
 
 
 class TestResamplePow2:

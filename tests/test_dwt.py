@@ -348,8 +348,9 @@ class TestBitIdenticalToReference:
 
 @pytest.mark.parametrize("w", list(dwt.iter_registry()), ids=lambda w: w.name)
 def test_analysis_equals_the_pad_and_concatenate_formula(w):
-    # 1600 and 2000 reach odd lengths at deeper levels (25 and 13; 125 and
-    # 63), as do the odd signals; F-ordered blocks read strided windows
+    # 1600 and 2000 reach odd lengths at deeper levels (25 from 1600, 125
+    # and 63 from 2000), as do the odd signals; F-ordered blocks read
+    # strided windows
     rng = np.random.default_rng(28)
     L = w.filter_length
     for n in (L, L + 1, 50, 101, 1600, 2000):

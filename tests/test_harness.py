@@ -347,8 +347,8 @@ FINAL_CLUSTERING_CONFIGS = [
     LEAKAGE_CONFIGS[2],
     # uncentred raw signal: the block goes through every stage to HAC as is
     dataclasses.replace(
-        _config({"kind": "none"}, {"kind": "none"}, {"kind": "hac", "affinity": "euclidean",
-                                         "linkage": "ward"}),
+        _config({"kind": "none"}, {"kind": "none"},
+                {"kind": "hac", "affinity": "euclidean", "linkage": "ward"}),
         preprocess=harness.PreprocessConfig()),
 ]
 

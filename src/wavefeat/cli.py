@@ -170,19 +170,43 @@ def _require_classes(args, data, task: str) -> None:
             f"{args.data}: {task} needs at least 2 classes, found {n_classes}")
 
 
+def _search(args, task: str) -> tuple:
+    """The start of a search command: load the data, check its classes,
+    expand the task's grid, build the command's one signal table, run the
+    grid search and write its leaderboard.  Returns (grid, table, result)."""
+    data = _load_data(args)
+    _require_classes(args, data, task)
+    grid = grid_for_task(load_grid_document(args.config), task)
+    os.makedirs(args.out_dir, exist_ok=True)
+    signals = SignalTable(data)
+    result = grid_search(grid, signals, seed=args.seed, k=args.folds,
+                         stratify=args.stratify)
+    _write_leaderboard(os.path.join(args.out_dir, f"leaderboard_{task}.tsv"), result)
+    return grid, signals, result
+
+
+def _write_run_manifest(args, grid, result, t_start: float, fields: dict) -> None:
+    """The manifest of a search command: the fields both commands write,
+    then the command's own ``fields``."""
+    _write_manifest(args.out_dir, {
+        "command": args.command,
+        "seed": args.seed,
+        "folds": args.folds,
+        "stratify": args.stratify,
+        "data": {"path": os.path.abspath(args.data), "sha256": _digest(args.data)},
+        "grid_size": len(grid),
+        "grid_skipped": grid.skipped,
+        "counters": {"fits": result.fits, "memo_hits": result.memo_hits},
+        "selection_metric": result.selection_metric,
+        **fields,
+        "wall_time_seconds": time.perf_counter() - t_start,
+        "peak_rss_mb": _peak_rss_mb(),
+    })
+
+
 def cmd_gridsearch(args) -> int:
     t_start = time.perf_counter()
-    data = _load_data(args)
-    _require_classes(args, data, "classification")
-    doc = load_grid_document(args.config)
-    grid = grid_for_task(doc, "classification")
-    seed = 0 if args.seed is None else args.seed
-    os.makedirs(args.out_dir, exist_ok=True)
-
-    result = grid_search(grid, data, seed=seed, k=args.folds,
-                         stratify=args.stratify)
-    _write_leaderboard(
-        os.path.join(args.out_dir, "leaderboard_classification.tsv"), result)
+    grid, signals, result = _search(args, "classification")
 
     # winners per (model kind, feature space, derivative), then repeated CV
     winners: dict = {}
@@ -196,8 +220,8 @@ def cmd_gridsearch(args) -> int:
     # grid order, so that winners with a common prefix share its fits
     position = {cfg: i for i, cfg in enumerate(grid)}
     keys = sorted(winners, key=lambda key: position[winners[key]])
-    final = dict(zip(keys, repeated_cv([winners[key] for key in keys], data,
-                                       seed=seed + 1, repeats=args.repeats,
+    final = dict(zip(keys, repeated_cv([winners[key] for key in keys], signals,
+                                       seed=args.seed + 1, repeats=args.repeats,
                                        k=args.folds, stratify=args.stratify)))
 
     model_kinds = sorted({k[0] for k in final})
@@ -212,22 +236,11 @@ def cmd_gridsearch(args) -> int:
             fh.write(_classification_table(cells, mk, spaces))
         table_paths.append(path)
 
-    _write_manifest(args.out_dir, {
-        "command": "gridsearch",
-        "seed": seed,
-        "folds": args.folds,
+    _write_run_manifest(args, grid, result, t_start, {
         "repeats": args.repeats,
-        "stratify": args.stratify,
-        "data": {"path": os.path.abspath(args.data), "sha256": _digest(args.data)},
-        "grid_size": len(grid),
-        "grid_skipped": grid.skipped,
-        "counters": {"fits": result.fits, "memo_hits": result.memo_hits},
-        "selection_metric": result.selection_metric,
         "best": result.best.to_dict(),
         "winners": {f"{k[0]}|{k[1]}|d{k[2]}": rep.to_dict()
                     for k, rep in final.items()},
-        "wall_time_seconds": time.perf_counter() - t_start,
-        "peak_rss_mb": _peak_rss_mb(),
     })
     best = result.best
     print(f"evaluated {len(grid)} configs; best {result.selection_metric}="
@@ -239,19 +252,7 @@ def cmd_gridsearch(args) -> int:
 
 def cmd_cluster(args) -> int:
     t_start = time.perf_counter()
-    data = _load_data(args)
-    _require_classes(args, data, "clustering")
-    doc = load_grid_document(args.config)
-    grid = grid_for_task(doc, "clustering")
-    seed = 0 if args.seed is None else args.seed
-    os.makedirs(args.out_dir, exist_ok=True)
-
-    # one signal table for the grid search and the final clusterings
-    signals = SignalTable(data.wavenumbers, data.intensities)
-    result = grid_search(grid, data, seed=seed, k=args.folds,
-                         stratify=args.stratify, signals=signals)
-    _write_leaderboard(
-        os.path.join(args.out_dir, "leaderboard_clustering.tsv"), result)
+    grid, signals, result = _search(args, "clustering")
 
     winners: dict = {}
     for report in result.leaderboard:
@@ -261,8 +262,8 @@ def cmd_cluster(args) -> int:
 
     finals: dict = {}
     for (space, d), report in winners.items():
-        tree, scores = final_clustering(report.config, data, signals)
-        dendro = models.dendrogram_export(tree, list(data.labels))
+        tree, scores = final_clustering(report.config, signals)
+        dendro = models.dendrogram_export(tree, list(signals.data.labels))
         fname = f"dendrogram_{space.replace(' ', '')}_d{d}.json"
         with open(os.path.join(args.out_dir, fname), "w") as fh:
             fh.write(json.dumps(dendro) + "\n")
@@ -301,20 +302,9 @@ def cmd_cluster(args) -> int:
     else:
         ordering_flag = "pass" if ari_w >= ari_d >= ari_o else "warn"
 
-    _write_manifest(args.out_dir, {
-        "command": "cluster",
-        "seed": seed,
-        "folds": args.folds,
-        "stratify": args.stratify,
-        "data": {"path": os.path.abspath(args.data), "sha256": _digest(args.data)},
-        "grid_size": len(grid),
-        "grid_skipped": grid.skipped,
-        "counters": {"fits": result.fits, "memo_hits": result.memo_hits},
-        "selection_metric": result.selection_metric,
+    _write_run_manifest(args, grid, result, t_start, {
         "winners": {f"{s}|d{d}": cell for (s, d), cell in finals.items()},
         "ari_ordering_wtt_dwt_original": ordering_flag,
-        "wall_time_seconds": time.perf_counter() - t_start,
-        "peak_rss_mb": _peak_rss_mb(),
     })
     print(f"evaluated {len(grid)} configs; ARI ordering WTT>=DWT>=original: "
           f"{ordering_flag}")
@@ -446,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default="wavefeat_out")
 
     def search(p):
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
         p.add_argument("--folds", type=_int_at_least(2), default=4)
         p.add_argument("--jobs", type=int, choices=(1,), default=1,
                        help="only 1; goes once the benchmark stops passing it")

@@ -49,8 +49,8 @@ class MissingLabelError(DataFormatError):
 
 class InvalidDatasetError(DataFormatError):
     """Dataset values break the schema: a non-finite wavenumber or intensity,
-    a wavenumber grid that is not strictly monotone, fewer than 2 samples,
-    or, for classification and clustering, fewer than 2 classes."""
+    a wavenumber grid that is empty or not strictly monotone, fewer than 2
+    samples, or, for classification and clustering, fewer than 2 classes."""
 
 
 class NumericalError(WavefeatError, ArithmeticError):

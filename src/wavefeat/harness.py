@@ -18,13 +18,15 @@ the ordered list ``STAGES``:
 4. model: LDA, one-vs-rest LR, or HAC.
 
 Each stage has ``fit`` (fitting block -> state) and ``apply(state, block)``.
-``fit_pipeline`` fits the list on the training rows of a fold only, and
-applies every stage but the model to them and, in a classification fold,
-to the held-out rows.  ``FittedPipeline.features`` and ``predict`` take any
-block through the signal and the same list, so train and test cannot
-diverge.  A ``SignalTable`` computes the signal once per CV run, on all
-rows, and each fold gathers its rows out of it in one copy; a fit of all
-rows in order, as a final clustering is, reads the table's block itself.
+``fit_pipeline`` fits the list on the fitting rows of a ``FoldMemo`` only,
+and applies every stage but the model to them and, in a classification
+fold, to the held-out rows.  ``FittedPipeline.features`` and ``predict``
+take any block through the signal and the same list, so train and test
+cannot diverge.  A ``SignalTable`` owns one dataset and computes each of
+its signals once, on all rows; a command builds one table, and its grid
+search, repeated CV and final clusterings all read it.  Each fold gathers
+its rows out of the table in one copy; a fit of all rows in order, as a
+final clustering is, reads the table's block itself.
 
 A stage's key is the key of the stage before it plus the config fields the
 stage reads, so two configs with equal keys share everything up to that
@@ -298,29 +300,36 @@ def kfold_split(n: int, k: int, seed: int, labels=None,
 # ----------------------------------------------------------------------
 
 class SignalTable:
-    """The signal of every row of a block of spectra: derivative, then the
-    power-of-two resample.  Blocks are computed at first use and kept, keyed
-    by (derivative order, resample flag); a resampled block is built from
-    the unresampled block of its order, so each order costs one derivative
-    and at most one resample, which its DWT and WTT configs share."""
+    """The signal of every row of ``data``: derivative, then the power-of-two
+    resample onto ``target``, which is None when the grid already is that
+    grid.  Blocks are computed at first use and kept, keyed by (derivative
+    order, resampled); a resampled block is built from the unresampled block
+    of its order, so each order costs one derivative and at most one
+    resample, which its DWT and WTT configs share."""
 
-    def __init__(self, wavenumbers: np.ndarray, intensities: np.ndarray):
-        self.wavenumbers, self.intensities = wavenumbers, intensities
+    def __init__(self, data: LabeledDataset):
+        self.data = data
+        wn = data.wavenumbers
+        target = pow2_grid(wn)
+        self.target = None if target.size == wn.size and np.allclose(target, wn) else target
         self._blocks: dict = {}
 
-    def block(self, order: int, target: np.ndarray | None) -> np.ndarray:
-        key = (order, target is not None)
+    def block(self, order: int, resampled: bool) -> np.ndarray:
+        """The signal of derivative ``order``, resampled when asked and the
+        table has a target."""
+        key = (order, resampled and self.target is not None)
         if key not in self._blocks:
+            wn = self.data.wavenumbers
             self._blocks[key] = (
-                derivative_matrix(self.wavenumbers, self.intensities, order)
-                if target is None else
-                resample_matrix(self.wavenumbers, self.block(order, None), target))
+                resample_matrix(wn, self.block(order, False), self.target) if key[1]
+                else derivative_matrix(wn, self.data.intensities, order))
         return self._blocks[key]
 
 
 class FoldMemo:
-    """One fold's rows (``rows``: the fitting rows, then any held-out rows),
-    the signal table of its run, and a last-key memo of its stage fits.
+    """One fold of the dataset of ``signals``: its rows (``rows``: the
+    fitting rows ``train_idx``, then any held-out rows), the signal table it
+    reads, and a last-key memo of its stage fits.
 
     ``fits`` and ``hits`` count computed and reused entries per name.
     """
@@ -329,15 +338,11 @@ class FoldMemo:
     # extend the old prefix, so they cannot hit again
     NAMES = ("preprocess", "decompose", "features", "gram", "distances", "model")
 
-    def __init__(self, data: LabeledDataset, train_idx, held_out_idx=None,
-                 signals: SignalTable | None = None):
-        self.data = data
-        self.train_idx = np.asarray(train_idx, dtype=int)
-        self.rows = [self.train_idx] + (
+    def __init__(self, signals: SignalTable, train_idx, held_out_idx=None):
+        self.signals = signals
+        self.rows = [np.asarray(train_idx, dtype=int)] + (
             [] if held_out_idx is None else [np.asarray(held_out_idx, dtype=int)])
-        self.signals = (SignalTable(data.wavenumbers, data.intensities)
-                        if signals is None else signals)
-        self.labels = [data.labels[i] for i in self.train_idx]
+        self.labels = [signals.data.labels[i] for i in self.rows[0]]
         self.fits = dict.fromkeys(self.NAMES, 0)
         self.hits = dict.fromkeys(self.NAMES, 0)
         self._last: dict = {}  # name -> (key, value, [(category, message)])
@@ -375,30 +380,24 @@ class Preprocessor:
 
     def resampled(self, block) -> np.ndarray:
         """The signal of ``block``: derivative, then the resample."""
-        table = SignalTable(self.wavenumbers, np.asarray(block, dtype=float))
-        return table.block(self.config.derivative_order, self.target)
+        y = derivative_matrix(self.wavenumbers, np.asarray(block, dtype=float),
+                              self.config.derivative_order)
+        return y if self.target is None else resample_matrix(self.wavenumbers, y, self.target)
 
     def scaled(self, y: np.ndarray) -> np.ndarray:
         y = apply_scaler(y, self.config, self.scaler)
         return np.abs(y) if self.config.take_abs else y
 
 
-def _pow2_target(config: PipelineConfig, wn: np.ndarray) -> np.ndarray | None:
-    """The grid to resample to, or None to keep ``wn``: every decomposition
-    reads the power-of-two signal."""
-    if config.decomposition is None:
-        return None
-    target = pow2_grid(wn)
-    return None if target.size == wn.size and np.allclose(target, wn) else target
-
-
-def _fit_preprocess(config, fold, key, prev, y) -> Preprocessor:
-    wn = fold.data.wavenumbers
-    return Preprocessor(wn, config.preprocess, _pow2_target(config, wn),
+def _fit_preprocess(config, fold, key, y) -> Preprocessor:
+    """Every decomposition reads the power-of-two signal."""
+    signals = fold.signals
+    target = None if config.decomposition is None else signals.target
+    return Preprocessor(signals.data.wavenumbers, config.preprocess, target,
                         fit_scaler(y, config.preprocess))
 
 
-def _fit_decompose(config, fold, key, prev, y):
+def _fit_decompose(config, fold, key, y):
     """None, the WTT bank trained on ``y``, or the DWT's (wavelet, level),
     the level being the deepest the signal allows when the config's is null."""
     spec = config.decomposition
@@ -420,13 +419,13 @@ def _apply_decompose(state, y: np.ndarray) -> np.ndarray:
     return dwt_mod.wavedec(y, *state)
 
 
-def _fit_features(config, fold, key, prev, coeffs) -> FeatureMap:
+def _fit_features(config, fold, key, coeffs) -> FeatureMap:
     t = config.transform
     tau = None if t.kind == "none" else magnitude_quantile(coeffs, t.tau_quantile)
     return FeatureMap(t.kind, t.threshold_kind, tau)
 
 
-def _fit_model(config, fold, key, fm, feats):
+def _fit_model(config, fold, key, feats):
     m = config.model
     if m.kind == "lda":
         return models.lda_fit(feats, fold.labels)
@@ -455,7 +454,7 @@ class Stage(NamedTuple):
     """One pipeline step.
 
     ``part(config)`` is what the stage reads of the config.
-    ``fit(config, fold, key, prev_state, x)`` returns the stage's state,
+    ``fit(config, fold, key, x)`` returns the stage's state,
     fitted on the fitting block ``x``; ``apply(state, x)`` maps any block.
     """
 
@@ -516,17 +515,17 @@ def _signal_rows(full: np.ndarray, idx: np.ndarray, resampled: bool) -> np.ndarr
     return full[idx]
 
 
-def _fit_stage(stage: Stage, config, memo: FoldMemo, key, prev, blocks) -> tuple:
+def _fit_stage(stage: Stage, config, memo: FoldMemo, key, blocks) -> tuple:
     """The stage's state, fitted on the fitting rows ``blocks[0]``, and its
     output on each block (none for the model).  ``blocks`` is None for the
     first stage, which reads the signal of the memo's rows.  The loader
     admits finite data only, so an output that is not finite overflowed in
     the stage's arithmetic, which raises ``NumericalError``."""
     if blocks is None:
-        target = _pow2_target(config, memo.data.wavenumbers)
-        full = memo.signals.block(config.preprocess.derivative_order, target)
-        blocks = [_signal_rows(full, idx, target is not None) for idx in memo.rows]
-    state = stage.fit(config, memo, key, prev, blocks[0])
+        resampled = config.decomposition is not None and memo.signals.target is not None
+        full = memo.signals.block(config.preprocess.derivative_order, resampled)
+        blocks = [_signal_rows(full, idx, resampled) for idx in memo.rows]
+    state = stage.fit(config, memo, key, blocks[0])
     if stage.name == "model":
         return state, None
     out = [stage.apply(state, x) for x in blocks]
@@ -553,21 +552,19 @@ def _fit_states(config: PipelineConfig, memo: FoldMemo) -> tuple[list, list]:
     states, key, blocks = [], (), None
     for stage in STAGES:
         key = (key, stage.part(config))
-        prev = states[-1] if states else None
         state, out = memo.get(
-            stage.name, key, lambda: _fit_stage(stage, config, memo, key, prev, blocks))
+            stage.name, key, lambda: _fit_stage(stage, config, memo, key, blocks))
         states.append(state)
         blocks = blocks if out is None else out
     return states, blocks
 
 
-def fit_pipeline(config: PipelineConfig | list, data: LabeledDataset, train_idx,
-                 memo: FoldMemo | None = None) -> FittedPipeline | list:
-    """Fit the stage list on the rows ``train_idx`` only.
+def fit_pipeline(config: PipelineConfig | list, memo: FoldMemo) -> FittedPipeline | list:
+    """Fit the stage list on the memo's fitting rows only.
 
-    ``memo`` is the FoldMemo of those rows, shared by the configs of one
-    fold; None fits every stage afresh.  When the memo has held-out rows,
-    their features are ``held_out_features``.
+    The configs of one fold share its memo; a fresh fit is
+    ``fit_pipeline(config, FoldMemo(SignalTable(data), rows))``.  When the
+    memo has held-out rows, their features are ``held_out_features``.
 
     A clustering config's model stage fits the distance matrix of the
     fitting rows, and ``models.hac_fit`` links it into the LinkageTree that
@@ -581,10 +578,6 @@ def fit_pipeline(config: PipelineConfig | list, data: LabeledDataset, train_idx,
     ``FittedPipeline.warnings`` instead of shown; those of a stack's
     linking go to every config of the stack.
     """
-    if memo is None:
-        memo = FoldMemo(data, train_idx)
-    elif memo.data is not data or not np.array_equal(memo.train_idx, train_idx):
-        raise InvalidInputError("the memo belongs to other fitting rows")
     if isinstance(config, PipelineConfig):
         with _recording() as caught:
             states, blocks = _fit_states(config, memo)
@@ -657,7 +650,7 @@ def _score_classification(fitted: FittedPipeline, memo: FoldMemo) -> dict:
     scores = {}
     for part, idx, feats in zip(("train", "test"), memo.rows,
                                 (fitted.train_features, fitted.held_out_features)):
-        true = [memo.data.labels[i] for i in idx]
+        true = [memo.signals.data.labels[i] for i in idx]
         pred = _apply_model(fitted.model, feats)
         scores.update({f"{part}_accuracy": accuracy(true, pred),
                        f"{part}_f1": f1_weighted(true, pred)})
@@ -668,7 +661,7 @@ def _fit_and_score(config: PipelineConfig, memo: FoldMemo) -> tuple:
     """(scores, seconds, warnings, LR outcome or None) of one classification
     config on the memo's fold."""
     t0 = time.perf_counter()
-    fitted = fit_pipeline(config, memo.data, memo.train_idx, memo)
+    fitted = fit_pipeline(config, memo)
     scores = _score_classification(fitted, memo)
     model = fitted.model
     lr_fit = ((model.converged, model.n_iter, model.duality_gap)
@@ -682,7 +675,7 @@ def _fit_and_score_clusterings(grid: list[PipelineConfig], memo: FoldMemo) -> li
     tree is cut and scored by ARI, the selection metric.  The configs share
     the fold's time equally."""
     t0 = time.perf_counter()
-    fitted = fit_pipeline(grid, memo.data, memo.train_idx, memo)
+    fitted = fit_pipeline(grid, memo)
     n_classes = len(set(memo.labels))
     scores = [{"ari": adjusted_rand(memo.labels, models.cut_tree(f.model, n_classes))}
               for f in fitted]
@@ -690,29 +683,25 @@ def _fit_and_score_clusterings(grid: list[PipelineConfig], memo: FoldMemo) -> li
     return [(score, share, f.warnings, None) for score, f in zip(scores, fitted)]
 
 
-def _cross_validate(grid: list[PipelineConfig], data: LabeledDataset,
-                    splits: list[list[np.ndarray]], seed: int | None,
-                    signals: SignalTable | None = None
+def _cross_validate(grid: list[PipelineConfig], signals: SignalTable,
+                    splits: list[list[np.ndarray]], seed: int | None
                     ) -> tuple[list[CvReport], list[tuple]]:
     """One CvReport per config, in grid order, over the folds of every
     k-fold split in ``splits`` (one per repeat), and the (fits, hits) counts
-    of each fold's memo.  The folds share one signal table: ``signals``, or
-    a new one when None.
+    of each fold's memo.  Every fold reads the table ``signals``.
 
     A config's runtime is the sum of its per-fold times; a shared stage
     counts towards the config that fitted it first.
     """
-    if signals is None:
-        signals = SignalTable(data.wavenumbers, data.intensities)
     cells, counts = [], []
     for folds in splits:
         for fold in folds:
-            rest = np.setdiff1d(np.arange(data.n_samples), fold)
+            rest = np.setdiff1d(np.arange(signals.data.n_samples), fold)
             if grid[0].task == "classification":
-                memo = FoldMemo(data, rest, fold, signals)
+                memo = FoldMemo(signals, rest, fold)
                 cells.append([_fit_and_score(config, memo) for config in grid])
             else:
-                memo = FoldMemo(data, rest, signals=signals)
+                memo = FoldMemo(signals, rest)
                 cells.append(_fit_and_score_clusterings(grid, memo))
             counts.append((memo.fits, memo.hits))
     reports = []
@@ -741,14 +730,13 @@ class GridSearchResult:
     memo_hits: dict = field(default_factory=dict)  # stage -> entries reused
 
 
-def grid_search(grid: list[PipelineConfig], data: LabeledDataset, seed: int,
-                k: int = 4, stratify: bool = False,
-                signals: SignalTable | None = None) -> GridSearchResult:
-    """Exhaustively evaluate a config lattice with one fixed seeded split.
+def grid_search(grid: list[PipelineConfig], signals: SignalTable, seed: int,
+                k: int = 4, stratify: bool = False) -> GridSearchResult:
+    """Exhaustively evaluate a config lattice on the dataset of ``signals``
+    with one fixed seeded split.
 
     Folds run in the outer loop, configs in grid order inside it, sharing
-    each fold's FoldMemo and the signal table ``signals`` of ``data`` (a new
-    one when None).
+    each fold's FoldMemo, and every fold reads the table ``signals``.
     """
     grid = list(grid)
     if not grid:
@@ -758,9 +746,10 @@ def grid_search(grid: list[PipelineConfig], data: LabeledDataset, seed: int,
         raise InvalidConfigError("grid mixes classification and clustering configs")
     task = tasks.pop()
     metric = SELECTION_METRIC[task]
+    data = signals.data
     folds = kfold_split(data.n_samples, k, seed,
                         labels=data.labels, stratify=stratify)
-    reports, counts = _cross_validate(grid, data, [folds], seed, signals)
+    reports, counts = _cross_validate(grid, signals, [folds], seed)
     order = sorted(range(len(grid)), key=lambda i: (-reports[i].means[metric], i))
     leaderboard = [reports[i] for i in order]
     return GridSearchResult(
@@ -772,34 +761,34 @@ def grid_search(grid: list[PipelineConfig], data: LabeledDataset, seed: int,
     )
 
 
-def repeated_cv(winners: list[PipelineConfig], data: LabeledDataset, seed: int,
+def repeated_cv(winners: list[PipelineConfig], signals: SignalTable, seed: int,
                 repeats: int = 25, k: int = 4,
                 stratify: bool = False) -> list[CvReport]:
-    """Repeat k-fold CV with derived seeds (seed + i); 25 x 4 = 100 runs.
+    """Repeat k-fold CV on the dataset of ``signals`` with derived seeds
+    (seed + i); 25 x 4 = 100 runs.
 
     All repeats are one run of the grid search's fold loop, so ``winners``
     share each fold's memo; give them in grid order.  Returns one CvReport
     per config, in the order given."""
     if any(config.task != "classification" for config in winners):
         raise InvalidConfigError("repeated_cv applies to classification configs")
+    data = signals.data
     splits = [kfold_split(data.n_samples, k, seed + rep, labels=data.labels,
                           stratify=stratify) for rep in range(repeats)]
-    return _cross_validate(winners, data, splits, seed)[0]
+    return _cross_validate(winners, signals, splits, seed)[0]
 
 
-def final_clustering(config: PipelineConfig, data: LabeledDataset,
-                     signals: SignalTable | None = None):
-    """Cluster the full dataset at the true class count, with a fresh memo
-    that reads the signal table ``signals`` of ``data`` (a new one when
-    None).
+def final_clustering(config: PipelineConfig, signals: SignalTable):
+    """Cluster the full dataset of ``signals`` at the true class count, with
+    a fresh memo of all its rows that reads that table.
 
     Returns the LinkageTree and its ARI, AMI and FM scores, cut at the true
     class count; the fitted pipeline and its features are freed on return.
     """
     if config.task != "clustering":
         raise InvalidConfigError("final_clustering requires a clustering config")
-    rows = np.arange(data.n_samples)
-    tree = fit_pipeline(config, data, rows, FoldMemo(data, rows, signals=signals)).model
+    data = signals.data
+    tree = fit_pipeline(config, FoldMemo(signals, np.arange(data.n_samples))).model
     true = data.labels
     pred = models.cut_tree(tree, len(set(true)))
     return tree, {"ari": adjusted_rand(true, pred),

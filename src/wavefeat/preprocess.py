@@ -54,6 +54,8 @@ class LabeledDataset:
             raise InvalidInputError("dataset needs at least 2 samples")
         if self.intensities.shape[1] != self.wavenumbers.size:
             raise InvalidInputError("grid length does not match sample length")
+        if self.wavenumbers.size == 0:
+            raise InvalidInputError("wavenumber grid has no points")
         if len(self.labels) != self.intensities.shape[0]:
             raise InvalidInputError("one label per sample required")
         if not (np.all(np.isfinite(self.wavenumbers))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavefeat import cli
+from wavefeat import cli, harness
 
 
 def test_gridsearch_manifest_records_runtime_and_solver_outcome(tmp_path, capsys):
@@ -472,6 +472,9 @@ def test_cluster_mixed_int_and_str_labels_are_one_class(tmp_path):
     ("gridsearch", "--repeats", "two", "expected an integer, got 'two'"),
     ("cluster", "--folds", "1", "must be at least 2, got 1"),
     ("cluster", "--folds", "0", "must be at least 2, got 0"),
+    # a negative seed used to reach the fold split and end in a traceback
+    ("gridsearch", "--seed", "-1", "must be at least 0, got -1"),
+    ("cluster", "--seed", "-1", "must be at least 0, got -1"),
 ])
 def test_bad_fold_or_repeat_count_exits_2_before_reading_data(
         tmp_path, capsys, command, flag, value, message):
@@ -480,7 +483,9 @@ def test_bad_fold_or_repeat_count_exits_2_before_reading_data(
         cli.main([command, "--data", str(tmp_path / "missing.csv"), flag, value,
                   "--out-dir", str(tmp_path / "out")])
     assert exc.value.code == 2
-    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {message}" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -578,6 +583,27 @@ def test_dwt_entry_without_mode_runs_in_periodization(tmp_path):
     assert [r.split("\t")[3] for r in rows[2:]] == ["d0|dwt(db4,periodization,Lmax)|none|lda"]
 
 
+def test_gridsearch_computes_each_signal_once(tmp_path, monkeypatch):
+    # the grid search and the repeated CV of its winners read one table
+    data = _tiny_dataset(tmp_path)  # 100 points, resampled to 128
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"schema": "wavefeat-grid", "classification": {
+        "preprocess": {"derivative_order": [0, 1], "center": True},
+        "decomposition": [{"kind": "none"}, DWT, {"kind": "wtt", "rank": 2}],
+        "model": {"kind": "lda"}}}))
+    calls = {"derivative": [], "resample": []}
+    derivative, resample = harness.derivative_matrix, harness.resample_matrix
+    monkeypatch.setattr(harness, "derivative_matrix", lambda wn, y, order: (
+        calls["derivative"].append(order) or derivative(wn, y, order)))
+    monkeypatch.setattr(harness, "resample_matrix", lambda wn, y, new_wn: (
+        calls["resample"].append(y.shape) or resample(wn, y, new_wn)))
+    assert cli.main(["gridsearch", "--data", str(data), "--config", str(config),
+                     "--folds", "2", "--repeats", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    assert sorted(calls["derivative"]) == [0, 1]
+    assert calls["resample"] == [(15, 100)] * 2
+
+
 def test_non_uniform_grid_with_a_derivative_exits_3(tmp_path, capsys):
     # strictly monotone, so the dataset loads; only the derivative needs a
     # uniform grid
@@ -620,6 +646,24 @@ def test_one_class_dataset_in_cluster_exits_3(tmp_path, capsys):
     assert (f"data error: {data}: clustering needs at least 2 classes, found 1"
             in capsys.readouterr().err)
     assert not (tmp_path / "out" / "table_clustering.tsv").exists()
+
+
+@pytest.mark.parametrize("name", ["data.csv", "data.json"])
+@pytest.mark.parametrize("command", ["gridsearch", "cluster"])
+def test_dataset_without_wavenumbers_exits_3(tmp_path, capsys, name, command):
+    # it used to load and then fail as a usage error of the grid search
+    data = tmp_path / name
+    if name == "data.csv":
+        data.write_text("label\na\nb\na\nb\n")
+    else:
+        data.write_text(json.dumps({
+            "schema": "wavefeat-dataset", "wavenumbers": [],
+            "samples": [{"label": c, "intensities": []} for c in "abab"]}))
+    assert cli.main([command, "--data", str(data), "--folds", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {data}: wavenumber grid has no points" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["gridsearch", "cluster"])

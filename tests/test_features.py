@@ -8,7 +8,7 @@ from wavefeat.errors import InvalidInputError
 from wavefeat.features import (FeatureMap, contrast, extract_features,
                                magnitude_quantile, sign_quantize, threshold)
 from wavefeat.grids import expand_grid
-from wavefeat.harness import fit_pipeline
+from wavefeat.harness import FoldMemo, SignalTable, fit_pipeline
 from wavefeat.models import pairwise_distances
 from wavefeat.synth import SyntheticSpec, synth_dataset
 
@@ -232,7 +232,7 @@ def _fit_dwt(level):
         "decomposition": {"kind": "dwt", "family": "daubechies", "order": 4,
                           "mode": "periodization", "level": level},
         "transform": {"kind": "none"}, "model": {"kind": "lda"}})
-    return fit_pipeline(config, data, np.arange(data.n_samples))
+    return fit_pipeline(config, FoldMemo(SignalTable(data), np.arange(data.n_samples)))
 
 
 class TestTransforms:

@@ -10,8 +10,8 @@ import pytest
 from wavefeat import harness, models, wtt
 from wavefeat.errors import InvalidConfigError, InvalidInputError
 from wavefeat.grids import expand_grid, grid_for_task, load_grid_document
-from wavefeat.harness import (FoldMemo, fit_pipeline, grid_search, kfold_split,
-                              repeated_cv)
+from wavefeat.harness import (FoldMemo, SignalTable, fit_pipeline, grid_search,
+                              kfold_split, repeated_cv)
 from wavefeat.metrics import (accuracy, adjusted_mutual_info, adjusted_rand, f1_weighted,
                               fowlkes_mallows)
 from wavefeat.preprocess import LabeledDataset
@@ -50,6 +50,11 @@ def clustering_grid():
     return grid_for_task(load_grid_document(), "clustering")
 
 
+def _fit(config, data, rows, held_out=None):
+    """A fresh fit on the rows of ``data``: its own table and memo."""
+    return fit_pipeline(config, FoldMemo(SignalTable(data), rows, held_out))
+
+
 def _config(decomposition, transform, model, derivative_order=0):
     # a section without lists expands to exactly one config
     (config,) = expand_grid({
@@ -66,12 +71,12 @@ def _config(decomposition, transform, model, derivative_order=0):
 def test_grid_search_equals_fresh_memo_per_config(data, clustering_grid, grid_name):
     grid = (clustering_grid if grid_name == "clustering"
             else expand_grid(CLASSIFICATION_GRID))
-    result = grid_search(grid, data, seed=2, k=3)
+    result = grid_search(grid, SignalTable(data), seed=2, k=3)
     folds = kfold_split(data.n_samples, 3, 2)
     by_label = {r.config.label(): r for r in result.leaderboard}
     assert len(by_label) == len(grid)
     for config in grid:
-        alone = harness._cross_validate([config], data, [folds], 2)[0][0]
+        alone = harness._cross_validate([config], SignalTable(data), [folds], 2)[0][0]
         shared = by_label[config.label()]
         assert shared.per_fold == alone.per_fold, config.label()
         assert shared.lr_fits == alone.lr_fits
@@ -96,14 +101,14 @@ def test_clustering_grid_search_equals_one_run_per_config(data, monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(models, "hac_fit", recorded)
-    result = grid_search(grid, data, seed=2, k=3)
+    result = grid_search(grid, SignalTable(data), seed=2, k=3)
     stacks = calls[:]
     assert [len(trees) for trees in stacks] == [len(grid)] * 3
     folds = kfold_split(data.n_samples, 3, 2)
     alone = []
     for i, config in enumerate(grid):
         calls.clear()
-        alone.append(harness._cross_validate([config], data, [folds], 2)[0][0])
+        alone.append(harness._cross_validate([config], SignalTable(data), [folds], 2)[0][0])
         assert [trees[0].merges for trees in calls] == [
             trees[i].merges for trees in stacks], config.label()
     order = sorted(range(len(grid)), key=lambda i: (-alone[i].means["ari"], i))
@@ -115,10 +120,10 @@ def test_clustering_grid_search_equals_one_run_per_config(data, monkeypatch):
 
 def test_repeated_cv_equals_per_config_repeats(data):
     grid = expand_grid(CLASSIFICATION_GRID)
-    reports = repeated_cv(grid, data, seed=5, repeats=2, k=3)
+    reports = repeated_cv(grid, SignalTable(data), seed=5, repeats=2, k=3)
     assert [r.config for r in reports] == list(grid)
     for config, report in zip(grid, reports):
-        alone = [harness._cross_validate([config], data,
+        alone = [harness._cross_validate([config], SignalTable(data),
                                          [kfold_split(data.n_samples, 3, 5 + rep)],
                                          5 + rep)[0][0]
                  for rep in range(2)]
@@ -130,7 +135,7 @@ def test_repeated_cv_equals_per_config_repeats(data):
 
 def test_repeated_cv_rejects_a_clustering_winner(data):
     with pytest.raises(InvalidConfigError):
-        repeated_cv([LEAKAGE_CONFIGS[0], LEAKAGE_CONFIGS[2]], data, seed=0,
+        repeated_cv([LEAKAGE_CONFIGS[0], LEAKAGE_CONFIGS[2]], SignalTable(data), seed=0,
                     repeats=1, k=3)
 
 
@@ -145,7 +150,7 @@ def test_wtt_trainings_equal_distinct_fold_preprocess_rank_keys(
 
     monkeypatch.setattr(wtt, "train_group_filters", counted)
     k = 3
-    result = grid_search(clustering_grid, data, seed=2, k=k)
+    result = grid_search(clustering_grid, SignalTable(data), seed=2, k=k)
     keys = {(c.preprocess, c.decomposition.rank) for c in clustering_grid
             if isinstance(c.decomposition, harness.WttSpec)}
     assert len(calls) == k * len(keys) == 18
@@ -164,11 +169,11 @@ def test_cross_validate_scores_equal_fresh_fits_on_raw_held_out_rows(data):
     # sliced out of column-major table blocks
     grid = expand_grid(CLASSIFICATION_GRID)
     folds = kfold_split(data.n_samples, 3, 2)
-    reports, _ = harness._cross_validate(grid, data, [folds], 2)
+    reports, _ = harness._cross_validate(grid, SignalTable(data), [folds], 2)
     for config, report in zip(grid, reports):
         for fold, row in zip(folds, report.per_fold):
             rest = np.setdiff1d(np.arange(data.n_samples), fold)
-            fitted = fit_pipeline(config, data, rest)
+            fitted = _fit(config, data, rest)
             scores = {}
             for part, idx in (("train", rest), ("test", fold)):
                 true = [data.labels[i] for i in idx]
@@ -186,8 +191,8 @@ def test_perturbed_held_out_rows_leave_the_fold_fits_unchanged(data):
     perturbed[fold] += rng.normal(0.0, 5.0, size=perturbed[fold].shape)
     other = LabeledDataset(data.wavenumbers, perturbed, data.labels)
     # the signal table of each run covers every row, the perturbed ones too
-    a, _ = harness._cross_validate(grid, data, [[fold]], 2)
-    b, _ = harness._cross_validate(grid, other, [[fold]], 2)
+    a, _ = harness._cross_validate(grid, SignalTable(data), [[fold]], 2)
+    b, _ = harness._cross_validate(grid, SignalTable(other), [[fold]], 2)
     for x, y in zip(a, b):
         for name in ("train_accuracy", "train_f1"):
             assert x.per_fold[0][name] == y.per_fold[0][name], x.config.label()
@@ -214,10 +219,11 @@ def test_each_cv_run_computes_each_signal_once(data, clustering_grid, monkeypatc
     monkeypatch.setattr(harness, "resample_matrix", counted_resample)
     if grid_name == "clustering":
         grid = clustering_grid
-        grid_search(grid, data, seed=2, k=3)
+        grid_search(grid, SignalTable(data), seed=2, k=3)
     else:
         grid = expand_grid(CLASSIFICATION_GRID)
-        repeated_cv(grid, data, seed=5, repeats=2, k=3)  # one run over both repeats
+        # one run over both repeats
+        repeated_cv(grid, SignalTable(data), seed=5, repeats=2, k=3)
     orders = sorted({c.preprocess.derivative_order for c in grid})
     pow2_orders = {c.preprocess.derivative_order for c in grid
                    if c.decomposition is not None}
@@ -240,8 +246,8 @@ def test_dwt_and_wtt_read_one_resampled_signal(monkeypatch):
                            "mode": "periodization"}, {"kind": "wtt", "rank": 2}],
         "model": {"kind": "hac", "affinity": "euclidean", "linkage": "average"}})
     rows = np.arange(data.n_samples)
-    memo = FoldMemo(data, rows)
-    fitted = [fit_pipeline(config, data, rows, memo) for config in grid]
+    memo = FoldMemo(SignalTable(data), rows)
+    fitted = [fit_pipeline(config, memo) for config in grid]
     assert calls == [data.intensities.shape] == [(80, 1600)]
     assert [f.train_features.shape for f in fitted] == [(80, 2048)] * 2
 
@@ -294,8 +300,8 @@ def test_held_out_rows_do_not_reach_the_fitted_state(data, config):
     rng = np.random.default_rng(0)
     perturbed[test_idx] += rng.normal(0.0, 5.0, size=perturbed[test_idx].shape)
     other = LabeledDataset(data.wavenumbers, perturbed, data.labels)
-    a = fit_pipeline(config, data, train_idx)
-    b = fit_pipeline(config, other, train_idx)
+    a = _fit(config, data, train_idx)
+    b = _fit(config, other, train_idx)
     _assert_identical(a.states, b.states)
     _assert_identical(a.train_features, b.train_features)
     assert a.states[0].scaler is not None and a.states[2].tau is not None
@@ -307,7 +313,7 @@ def test_held_out_rows_do_not_reach_the_fitted_state(data, config):
 @pytest.mark.parametrize("config", LEAKAGE_CONFIGS, ids=lambda c: c.label())
 def test_applying_the_stages_to_the_fitting_rows_repeats_the_fit(data, config):
     rows = np.arange(1, data.n_samples)
-    fitted = fit_pipeline(config, data, rows)
+    fitted = _fit(config, data, rows)
     again = fitted.features(data.intensities[rows])
     assert again.tobytes() == fitted.train_features.tobytes()
 
@@ -322,7 +328,7 @@ def test_signal_rows_are_the_rows_processed_alone(data, config, monkeypatch):
                         lambda y, *args: seen.append(y) or apply(y, *args))
     fold = kfold_split(data.n_samples, 4, 1)[0]
     rest = np.setdiff1d(np.arange(data.n_samples), fold)
-    fitted = fit_pipeline(config, data, rest, FoldMemo(data, rest, fold))
+    fitted = _fit(config, data, rest, fold)
     assert len(seen) == 2  # the fitting rows, then the held-out rows
     for y, idx in zip(seen, (rest, fold)):
         alone = fitted.states[0].resampled(data.intensities[idx])
@@ -332,15 +338,24 @@ def test_signal_rows_are_the_rows_processed_alone(data, config, monkeypatch):
 
 def test_fold_rows_are_one_copy_with_the_layout_of_a_copy_of_the_rows(data):
     # the spline's column-major block and the derivative's row-major one
-    signals = harness.SignalTable(data.wavenumbers, data.intensities)
-    target = harness.pow2_grid(data.wavenumbers)
+    signals = SignalTable(data)
     rows = np.setdiff1d(np.arange(data.n_samples), kfold_split(data.n_samples, 4, 1)[0])
-    for full, resampled in ((signals.block(1, target), True), (signals.block(1, None), False)):
+    for resampled in (True, False):
+        full = signals.block(1, resampled)
         got = harness._signal_rows(full, rows, resampled)
         want = np.asfortranarray(full[rows]) if resampled else full[rows]
         assert got.strides == want.strides
         assert got.tobytes("A") == want.tobytes("A")
         assert not np.shares_memory(got, full)
+
+
+def test_a_power_of_two_grid_is_its_own_target():
+    # a uniform 128-point grid: the resampled signal is the derivative itself
+    data = synth_dataset(dataclasses.replace(SPEC, grid_points=128))
+    signals = SignalTable(data)
+    assert signals.target is None
+    for order in (0, 1):
+        assert signals.block(order, True) is signals.block(order, False)
 
 
 FINAL_CLUSTERING_CONFIGS = [
@@ -355,43 +370,37 @@ FINAL_CLUSTERING_CONFIGS = [
 
 @pytest.mark.parametrize("config", FINAL_CLUSTERING_CONFIGS, ids=lambda c: c.label())
 def test_a_final_clustering_reads_the_table_block_itself(data, config, monkeypatch):
-    signals = harness.SignalTable(data.wavenumbers, data.intensities)
-    target = harness._pow2_target(config, data.wavenumbers)
-    full = signals.block(config.preprocess.derivative_order, target)
+    signals = SignalTable(data)
+    resampled = config.decomposition is not None
+    full = signals.block(config.preprocess.derivative_order, resampled)
     before = full.copy(order="A")
     seen = []  # the rows the preprocess stage is fitted on
     fit_scaler = harness.fit_scaler
     monkeypatch.setattr(harness, "fit_scaler",
                         lambda y, cfg: seen.append(y) or fit_scaler(y, cfg))
-    harness.final_clustering(config, data, signals)
+    harness.final_clustering(config, signals)
     assert len(seen) == 1 and np.shares_memory(seen[0], full)
-    assert signals.block(config.preprocess.derivative_order, target) is full
+    assert signals.block(config.preprocess.derivative_order, resampled) is full
     assert full.strides == before.strides and full.tobytes("A") == before.tobytes("A")
 
 
 def test_memo_hit_returns_the_same_arrays(data):
     rows = np.arange(0, data.n_samples, 2)
-    memo = FoldMemo(data, rows)
+    memo = FoldMemo(SignalTable(data), rows)
     thresholded = LEAKAGE_CONFIGS[0]
     plain = dataclasses.replace(thresholded, transform=harness.TransformSpec("none"))
-    first = fit_pipeline(thresholded, data, rows, memo)
-    second = fit_pipeline(plain, data, rows, memo)
+    first = fit_pipeline(thresholded, memo)
+    second = fit_pipeline(plain, memo)
     assert memo.hits["preprocess"] == memo.hits["decompose"] == 1
     assert memo.fits["features"] == 2
     assert first.states[0] is second.states[0]
     assert first.states[1] is second.states[1]   # one trained bank
-    fresh = fit_pipeline(plain, data, rows)
+    fresh = _fit(plain, data, rows)
     assert fresh.train_features.tobytes() == second.train_features.tobytes()
 
 
-def test_memo_of_other_rows_is_rejected(data):
-    memo = FoldMemo(data, np.arange(0, 10))
-    with pytest.raises(InvalidInputError):
-        fit_pipeline(LEAKAGE_CONFIGS[0], data, np.arange(1, 11), memo)
-
-
 def test_clustering_pipeline_has_no_predictor(data):
-    fitted = fit_pipeline(LEAKAGE_CONFIGS[2], data, np.arange(data.n_samples))
+    fitted = _fit(LEAKAGE_CONFIGS[2], data, np.arange(data.n_samples))
     assert fitted.model.n_leaves == data.n_samples
     with pytest.raises(InvalidConfigError):
         fitted.predict(data.intensities[:2])
@@ -402,14 +411,14 @@ def test_a_stack_of_clustering_configs_fits_like_each_alone(data):
     configs = [LEAKAGE_CONFIGS[2], dataclasses.replace(
         LEAKAGE_CONFIGS[2], model=harness.ModelSpec("hac", affinity="euclidean",
                                                     linkage="ward"))]
-    stack = fit_pipeline(configs, data, rows)
+    stack = _fit(configs, data, rows)
     for config, fitted in zip(configs, stack):
-        alone = fit_pipeline(config, data, rows)
+        alone = _fit(config, data, rows)
         assert fitted.config == config and fitted.train_features is None
         assert fitted.model.merges == alone.model.merges
         assert fitted.model.linkage == config.model.linkage
     with pytest.raises(InvalidConfigError):
-        fit_pipeline([LEAKAGE_CONFIGS[2], LEAKAGE_CONFIGS[0]], data, rows)
+        _fit([LEAKAGE_CONFIGS[2], LEAKAGE_CONFIGS[0]], data, rows)
 
 
 FINAL_CONFIGS = [
@@ -424,11 +433,13 @@ FINAL_CONFIGS = [
 
 
 @pytest.mark.parametrize("config", FINAL_CONFIGS, ids=lambda c: c.label())
-@pytest.mark.parametrize("shared", [False, True], ids=["own-signals", "shared-signals"])
+@pytest.mark.parametrize("shared", [True], ids=["shared-signals"])
 def test_final_clustering_cuts_a_fresh_fit_of_all_rows(data, config, shared):
-    signals = harness.SignalTable(data.wavenumbers, data.intensities) if shared else None
-    tree, scores = harness.final_clustering(config, data, signals)
-    fresh = fit_pipeline(config, data, np.arange(data.n_samples)).model
+    # a table its grid search has filled, as the cluster command's is
+    signals = SignalTable(data)
+    grid_search([config], signals, seed=2, k=3)
+    tree, scores = harness.final_clustering(config, signals)
+    fresh = _fit(config, data, np.arange(data.n_samples)).model
     assert tree == fresh
     pred = models.cut_tree(fresh, len(set(data.labels)))
     assert scores == {"ari": adjusted_rand(data.labels, pred),
@@ -447,10 +458,10 @@ def test_final_clustering_frees_its_fitted_pipeline(data, monkeypatch):
 
     monkeypatch.setattr(harness, "fit_pipeline", recorded)
     # what the caller holds keeps no pipeline, nor its features, alive
-    result = harness.final_clustering(LEAKAGE_CONFIGS[2], data)
+    result = harness.final_clustering(LEAKAGE_CONFIGS[2], SignalTable(data))
     assert len(result) == 2 and len(fitted) == 1 and fitted[0]() is None
     with pytest.raises(InvalidConfigError):
-        harness.final_clustering(LEAKAGE_CONFIGS[0], data)
+        harness.final_clustering(LEAKAGE_CONFIGS[0], SignalTable(data))
 
 
 def test_linking_warnings_are_recorded_not_shown(data, monkeypatch):
@@ -464,8 +475,8 @@ def test_linking_warnings_are_recorded_not_shown(data, monkeypatch):
     rows = np.arange(data.n_samples)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a shown warning fails the test
-        alone = fit_pipeline(LEAKAGE_CONFIGS[2], data, rows)
-        stack = fit_pipeline([LEAKAGE_CONFIGS[2]] * 2, data, rows)
+        alone = _fit(LEAKAGE_CONFIGS[2], data, rows)
+        stack = _fit([LEAKAGE_CONFIGS[2]] * 2, data, rows)
     for fitted in [alone, *stack]:
         assert fitted.warnings.count("linkage warning") == 1
 

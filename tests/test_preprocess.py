@@ -8,7 +8,7 @@ from wavefeat.dataio import load_dataset
 from wavefeat.errors import (DataFormatError, GridMismatchError, InvalidDatasetError,
                              InvalidInputError)
 from wavefeat.grids import expand_grid
-from wavefeat.harness import Preprocessor, fit_pipeline
+from wavefeat.harness import FoldMemo, Preprocessor, SignalTable, fit_pipeline
 from wavefeat.preprocess import (SPLINE_BLOCK_ROWS, LabeledDataset, PreprocessConfig,
                                  apply_scaler, derivative_matrix, fit_scaler, pow2_grid,
                                  resample_matrix)
@@ -179,7 +179,7 @@ class TestResamplePow2:
             (config,) = expand_grid({
                 "preprocess": {}, "decomposition": decomposition,
                 "model": {"kind": "hac", "affinity": "euclidean", "linkage": "average"}})
-            fitted = fit_pipeline(config, data, np.arange(4))
+            fitted = fit_pipeline(config, FoldMemo(SignalTable(data), np.arange(4)))
             assert fitted.states[0].target is None
             assert fitted.train_features.shape == (4, 1024)
 

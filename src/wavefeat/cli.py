@@ -171,11 +171,16 @@ def _require_classes(args, data, task: str) -> None:
 
 
 def _search(args, task: str) -> tuple:
-    """The start of a search command: load the data, check its classes,
-    expand the task's grid, build the command's one signal table, run the
-    grid search and write its leaderboard.  Returns (grid, table, result)."""
+    """The start of a search command: load the data, check its classes and
+    its sample count against ``--folds``, expand the task's grid, build the
+    command's one signal table, run the grid search and write its
+    leaderboard.  Nothing is written before the checks pass.  Returns
+    (grid, table, result)."""
     data = _load_data(args)
     _require_classes(args, data, task)
+    if args.folds > data.n_samples:
+        raise InvalidConfigError(f"--folds {args.folds} exceeds the {data.n_samples} "
+                                 f"samples of {args.data}")
     grid = grid_for_task(load_grid_document(args.config), task)
     os.makedirs(args.out_dir, exist_ok=True)
     signals = SignalTable(data)

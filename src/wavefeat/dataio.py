@@ -89,7 +89,7 @@ def load_dataset(path: str, format: str | None = None) -> LabeledDataset:
         raise ParseError(f"{path}: cannot decode: {exc}") from exc
     try:
         return LabeledDataset(wn, rows, labels)
-    except InvalidInputError as exc:
+    except (InvalidInputError, InvalidDatasetError) as exc:
         raise InvalidDatasetError(f"{path}: {exc}") from exc
 
 

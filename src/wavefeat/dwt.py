@@ -27,6 +27,8 @@ import numpy as np
 from ._wavelet_tables import FILTERS
 from .errors import InvalidInputError, UnsupportedWaveletError
 
+DEC_BLOCK_ROWS = 64  # signals per pass of wavedec's levels
+
 FAMILIES = {
     "daubechies": "db",
     "symlet": "sym",
@@ -210,21 +212,26 @@ def wavedec(x: np.ndarray, w: WaveletSpec, level: int) -> np.ndarray:
     """Recursive analysis of the approximation branch down to ``level``.
 
     Returns the flat coefficient array along the last axis: the
-    approximation, then the details coarsest first.  Each level writes its
-    details, and the last level its approximation too, straight into that
-    array; only the approximations of the levels above the last are held
-    apart, so the call holds under 1.8 times its output besides the input.
+    approximation, then the details coarsest first.  The levels run on
+    ``DEC_BLOCK_ROWS`` signals at a time; each writes its details, and the
+    last level its approximation too, straight into that array, and only
+    the block's approximations of the levels above the last are held
+    apart, so the call holds its output and under one row block besides
+    the input.
     """
     x = np.asarray(x, dtype=float)
     lengths = _step_lengths(x.shape[-1], w, level)
     out = np.empty(x.shape[:-1] + (lengths[-1] + sum(lengths[1:]),))
-    stop = out.shape[-1]
-    cur = x
-    for step, k in enumerate(lengths[1:], start=1):
-        lo = out[..., :k] if step == level else np.empty(x.shape[:-1] + (k,))
-        _analyse_into(cur, w, lo, out[..., stop - k:stop])
-        stop -= k
-        cur = lo
+    signals, flat = x.reshape(-1, x.shape[-1]), out.reshape(-1, out.shape[-1])
+    for first in range(0, len(signals), DEC_BLOCK_ROWS):
+        cur = signals[first:first + DEC_BLOCK_ROWS]
+        dest = flat[first:first + DEC_BLOCK_ROWS]
+        stop = dest.shape[-1]
+        for step, k in enumerate(lengths[1:], start=1):
+            lo = dest[:, :k] if step == level else np.empty((len(cur), k))
+            _analyse_into(cur, w, lo, dest[:, stop - k:stop])
+            stop -= k
+            cur = lo
     return out
 
 

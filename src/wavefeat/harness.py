@@ -26,7 +26,9 @@ cannot diverge.  A ``SignalTable`` owns one dataset and computes each of
 its signals once, on all rows; a command builds one table, and its grid
 search, repeated CV and final clusterings all read it.  Each fold gathers
 its rows out of the table in one copy; a fit of all rows in order, as a
-final clustering is, reads the table's block itself.
+final clustering is, reads the table's block itself.  A final clustering's
+one config shares no prefix with another, so its memo stores no stage
+output, and the fit holds one stage's output once the next has read it.
 
 A stage's key is the key of the stage before it plus the config fields the
 stage reads, so two configs with equal keys share everything up to that
@@ -366,6 +368,17 @@ class FoldMemo:
         for category, message in last[2]:
             warnings.warn(message, category)
         return last[1]
+
+
+class _UnsharedMemo(FoldMemo):
+    """The memo of a fit whose config shares no prefix with another, as a
+    final clustering's one config does: ``get`` computes and stores
+    nothing, so the fit holds one stage's output once the next stage has
+    read it.  Fits are still counted."""
+
+    def get(self, name: str, key, compute: Callable):
+        self.fits[name] += 1
+        return compute()
 
 
 @dataclass(frozen=True, eq=False)
@@ -779,8 +792,9 @@ def repeated_cv(winners: list[PipelineConfig], signals: SignalTable, seed: int,
 
 
 def final_clustering(config: PipelineConfig, signals: SignalTable):
-    """Cluster the full dataset of ``signals`` at the true class count, with
-    a fresh memo of all its rows that reads that table.
+    """Cluster the full dataset of ``signals`` at the true class count,
+    with a memo of all its rows that reads that table and stores no stage
+    output, so the fit holds one stage's output at a time.
 
     Returns the LinkageTree and its ARI, AMI and FM scores, cut at the true
     class count; the fitted pipeline and its features are freed on return.
@@ -788,7 +802,7 @@ def final_clustering(config: PipelineConfig, signals: SignalTable):
     if config.task != "clustering":
         raise InvalidConfigError("final_clustering requires a clustering config")
     data = signals.data
-    tree = fit_pipeline(config, FoldMemo(signals, np.arange(data.n_samples))).model
+    tree = fit_pipeline(config, _UnsharedMemo(signals, np.arange(data.n_samples))).model
     true = data.labels
     pred = models.cut_tree(tree, len(set(true)))
     return tree, {"ari": adjusted_rand(true, pred),

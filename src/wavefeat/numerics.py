@@ -4,8 +4,14 @@
 matrix (n > m) is first reduced to the m x m triangle ``R^T`` of the QR
 factorization ``a^T = Q R``: ``a a^T = R^T R``, so ``R^T`` has the same left
 singular factor and singular values, and the SVD never touches the long
-side.  Two conventions make repeated runs on identical input
-bit-reproducible, which filter-bank training relies on:
+side.  A long side of more than ``QR_BLOCK_ROWS`` is reduced by row blocks
+(TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012):
+each block of ``a^T`` goes to a batched QR, ``QR_BATCH`` blocks per call,
+and the stacked triangles are reduced the same way until one block is left.
+No call copies the whole block, and every QR reads a copy of its blocks, so
+R does not depend on the layout of ``a``.  Two conventions make repeated
+runs on identical input bit-reproducible, which filter-bank training relies
+on:
 
 * sign canonicalization: the largest-magnitude entry of every left singular
   vector is non-negative (ties broken by lowest row index);
@@ -21,6 +27,8 @@ import numpy as np
 from .errors import InvalidInputError
 
 _NULLSPACE_RTOL = 1e-12
+QR_BLOCK_ROWS = 256  # rows of the tall side per QR of a wide matrix
+QR_BATCH = 32  # blocks per batched np.linalg.qr call
 
 
 def _require_finite_matrix(a: np.ndarray) -> np.ndarray:
@@ -61,6 +69,23 @@ def _full_left_factor(u_thin: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.concatenate([kept, _canonical_completion(kept, m)], axis=1)
 
 
+def _tall_r(t: np.ndarray) -> np.ndarray:
+    """The triangle R of ``t = Q R`` for a tall N x k block, by row blocks
+    of at least ``QR_BLOCK_ROWS`` and twice k, so that each pass at least
+    halves the rows left."""
+    k = t.shape[1]
+    rows = max(QR_BLOCK_ROWS, 2 * k)
+    while t.shape[0] > rows:
+        full = t.shape[0] // rows * rows
+        step = QR_BATCH * rows
+        parts = [np.linalg.qr(t[lo:min(lo + step, full)].reshape(-1, rows, k),
+                              mode="r").reshape(-1, k) for lo in range(0, full, step)]
+        if full < t.shape[0]:
+            parts.append(np.linalg.qr(t[full:], mode="r"))
+        t = np.concatenate(parts)
+    return np.linalg.qr(t, mode="r")
+
+
 def svd_left(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Square (m x m) left singular factor and the min(m, n) singular values,
     sorted non-increasing, of an m x n matrix.
@@ -70,6 +95,6 @@ def svd_left(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     a = _require_finite_matrix(a)
     if a.shape[1] > a.shape[0]:
-        a = np.linalg.qr(a.T, mode="r").T
+        a = _tall_r(a.T).T
     u_thin, s, _ = np.linalg.svd(a, full_matrices=False)
     return _flip_column_signs(_full_left_factor(u_thin, s)), s

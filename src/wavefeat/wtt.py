@@ -18,14 +18,17 @@ the next.  A level is then one matrix product, ``block @ u`` forward and
 coefficients of a signal are one flat array along its last axis: the
 details of levels 1..d-1, then the core.  The bank's ranks fix every
 block's length, so the inverse takes the flat array and the bank.  The
-forward copies each level's details straight into that preallocated
-(batch, n) array, and drops each level's input once the product is taken
-and the product once its core is copied out, so it holds under three
-times its output besides the input.
+forward runs all levels on ``FORWARD_BLOCK_ROWS`` signals at a time and
+copies each level's details straight into that preallocated (batch, n)
+array, so besides the input it holds its output and the products of one
+row block.
 
 Banks are trained on a stack of signals (the stack is treated as one extra
 slowest mode whose filter is discarded; one signal is a stack of one), and
-then applied to any signal of the same length.
+then applied to any signal of the same length.  Training copies the stack
+into one flat buffer and writes each level's product back over the rows
+that level has read, ``TRAIN_BLOCK_ROWS`` rows at a time, so it holds one
+copy of its input.
 """
 from __future__ import annotations
 
@@ -35,6 +38,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .numerics import svd_left
+
+TRAIN_BLOCK_ROWS = 4096  # rows of a level's block per product in training
+FORWARD_BLOCK_ROWS = 64  # signals per pass of the forward's levels
 
 
 def _check_pow2(n: int) -> int:
@@ -75,8 +81,8 @@ def train_group_filters(signals: np.ndarray, rank: int) -> WttFilterBank:
     group mode; the filter belonging to that mode is never used, so the
     resulting bank applies to any single signal of the shared length.  A
     single signal is a stack of one.  Each level's unfolding is held as
-    its transpose, a row-major (columns, rows) block (see the module
-    docstring).
+    its transpose, a row-major (columns, rows) block at the start of one
+    buffer (see the module docstring).
     """
     signals = np.asarray(signals, dtype=float)
     if signals.ndim != 2:
@@ -88,13 +94,20 @@ def train_group_filters(signals: np.ndarray, rank: int) -> WttFilterBank:
     # trailing group mode of size m: tail products gain a factor of m
     ranks = _clipped_ranks(rank, d, [2 ** (d - k - 1) * m for k in range(d - 1)])
     filters = []
-    a = signals
+    buf = np.empty(m * n)
+    buf.reshape(m, n)[...] = signals
+    size = m * n  # the level's block is buf[:size]
     r_prev = 1
     for r_k in ranks:
-        a = a.reshape(-1, r_prev * 2)
+        a = buf[:size].reshape(-1, r_prev * 2)
         u, _ = svd_left(a.T)
         filters.append(u)
-        a = (a @ u)[:, :r_k]
+        # output row i lands at i * r_k <= i * (r_prev * 2), over rows
+        # already read; the whole filter keeps the product's bits
+        for lo in range(0, len(a), TRAIN_BLOCK_ROWS):
+            block = a[lo:lo + TRAIN_BLOCK_ROWS]
+            buf[lo * r_k:(lo + len(block)) * r_k] = (block @ u)[:, :r_k].ravel()
+        size = len(a) * r_k
         r_prev = r_k
     return WttFilterBank(tuple(filters), tuple(ranks), n)
 
@@ -110,26 +123,23 @@ def wtt_forward(x: np.ndarray, bank: WttFilterBank) -> np.ndarray:
     if x.shape[-1] != n:
         raise InvalidInputError(
             f"signal length {x.shape[-1]} does not match bank length {n}")
-    a = x.reshape(-1, n)
-    batch = a.shape[0]
-    out = None  # allocated at the first level with details
-    start = 0
-    for u, r_k in zip(bank.filters, bank.ranks):
-        rows = u.shape[0]
-        b = (a.reshape(-1, rows) @ u).reshape(batch, -1, rows)
-        a = None  # the level's input is not needed past its product
-        if r_k < rows:
-            if out is None:
-                out = np.empty((batch, n))
-            stop = start + b.shape[1] * (rows - r_k)
-            # splitting the last axis of a column slice is a view of out
-            out[:, start:stop].reshape(batch, -1, rows - r_k)[...] = b[..., r_k:]
-            start = stop
-        a = np.ascontiguousarray(b[..., :r_k])
-        b = None
-    if out is None:
-        out = np.empty((batch, n))
-    out[:, start:] = a.reshape(batch, -1)
+    signals = x.reshape(-1, n)
+    out = np.empty(signals.shape)
+    for first in range(0, len(signals), FORWARD_BLOCK_ROWS):
+        a = signals[first:first + FORWARD_BLOCK_ROWS]
+        dest = out[first:first + FORWARD_BLOCK_ROWS]
+        batch = len(a)
+        start = 0
+        for u, r_k in zip(bank.filters, bank.ranks):
+            rows = u.shape[0]
+            b = (a.reshape(-1, rows) @ u).reshape(batch, -1, rows)
+            if r_k < rows:
+                stop = start + b.shape[1] * (rows - r_k)
+                # splitting the last axis of a column slice is a view of out
+                dest[:, start:stop].reshape(batch, -1, rows - r_k)[...] = b[..., r_k:]
+                start = stop
+            a = b[..., :r_k]
+        dest[:, start:] = a.reshape(batch, -1)
     return out.reshape(x.shape)
 
 

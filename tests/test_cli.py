@@ -183,7 +183,7 @@ def test_unordered_grid_in_csv_dataset_exits_3(tmp_path, capsys, kind):
     data.write_text("\n".join(lines) + "\n")
     assert cli.main(["cluster", "--data", str(data), "--folds", "2",
                      "--out-dir", str(tmp_path / "out")]) == 3
-    assert "wavenumber grid must be strictly monotone" in capsys.readouterr().err
+    assert f"{data}: wavenumber grid must be strictly monotone" in capsys.readouterr().err
 
 
 def test_unordered_grid_in_json_dataset_exits_3(tmp_path, capsys):
@@ -194,7 +194,7 @@ def test_unordered_grid_in_json_dataset_exits_3(tmp_path, capsys):
     data.write_text(json.dumps(doc))
     assert cli.main(["cluster", "--data", str(data), "--folds", "2",
                      "--out-dir", str(tmp_path / "out")]) == 3
-    assert "wavenumber grid must be strictly monotone" in capsys.readouterr().err
+    assert f"{data}: wavenumber grid must be strictly monotone" in capsys.readouterr().err
 
 
 def test_synth_config_unknown_key_exits_2(tmp_path, capsys):
@@ -487,6 +487,19 @@ def test_bad_fold_or_repeat_count_exits_2_before_reading_data(
     assert f"argument {flag}: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gridsearch", "cluster"])
+def test_more_folds_than_samples_exits_2_before_writing(tmp_path, capsys, command):
+    # 15 samples: 15 folds are leave-one-out, 16 cannot be split
+    data = _tiny_dataset(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main([command, "--data", str(data), "--folds", "16",
+                     "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: --folds 16 exceeds the 15 samples of {data}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 WTT_RANK = {"kind": "wtt", "rank": 2.5}

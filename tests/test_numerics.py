@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from wavefeat.errors import InvalidInputError
+from wavefeat import numerics
 from wavefeat.numerics import svd_left
 
 
@@ -112,3 +113,60 @@ class TestSvdInvariants:
         u1, _ = svd_left(base)
         u2, _ = svd_left(np.repeat(base, 3, axis=1))
         assert np.allclose(u1, u2, atol=1e-12)
+
+
+def _unblocked_left(a):
+    """svd_left as it was before the blocked QR: one QR of the whole tall
+    side, then the same SVD, completion and signs."""
+    r = np.linalg.qr(a.T, mode="r").T if a.shape[1] > a.shape[0] else a
+    u_thin, s, _ = np.linalg.svd(r, full_matrices=False)
+    return numerics._flip_column_signs(numerics._full_left_factor(u_thin, s)), s
+
+
+ROWS = numerics.QR_BLOCK_ROWS
+
+
+class TestBlockedQr:
+    # the long side: a multiple of the block and of the batch, one row past
+    # a block, one row past a batch, below a block; k = 1 and k = 12
+    @pytest.mark.parametrize("k, n", [
+        (3, 4 * ROWS), (3, ROWS + 1), (3, numerics.QR_BATCH * ROWS + 1), (3, ROWS - 5),
+        (1, 5 * ROWS + 7), (12, 40 * ROWS + 3)])
+    def test_matches_one_qr_of_the_whole_block(self, k, n):
+        a = np.random.default_rng(k * n).standard_normal((k, n))
+        r = numerics._tall_r(a.T)
+        r0 = np.linalg.qr(a.T, mode="r")
+        assert r.shape == (k, k) and np.allclose(np.triu(r), r)
+        gram = r0.T @ r0
+        assert np.max(np.abs(r.T @ r - gram)) <= 1e-12 * np.max(np.abs(gram))
+        (u, s), (u0, s0) = svd_left(a), _unblocked_left(a)
+        assert np.max(np.abs(s - s0)) <= 1e-12 * s0[0]
+        assert np.max(np.abs(u - u0)) <= 1e-12
+
+    def test_rank_deficient_tall_input_is_completed(self):
+        # rank 2 of 5 rows over several passes: the data-determined columns
+        # agree, and the completion of both is the canonical one
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 70 * ROWS + 9))
+        (u, s), (u0, s0) = svd_left(a), _unblocked_left(a)
+        assert np.all(s[2:] <= 1e-12 * s[0])
+        assert np.max(np.abs(s[:2] - s0[:2])) <= 1e-12 * s0[0]
+        assert np.max(np.abs(u - u0)) <= 1e-12
+        assert np.max(np.abs(u.T @ u - np.eye(5))) <= 1e-12
+        assert np.max(np.abs(u[:, 2:].T @ a)) <= 1e-12 * s[0]
+
+    def test_repeated_calls_and_layouts_give_the_same_bits(self):
+        a = np.random.default_rng(13).standard_normal((4, 50 * ROWS + 3))
+        u, s = svd_left(a)
+        for copy in (a.copy(), np.asfortranarray(a), np.ascontiguousarray(a.T).T):
+            u2, s2 = svd_left(copy)
+            assert u2.tobytes() == u.tobytes() and s2.tobytes() == s.tobytes()
+
+    def test_no_qr_reads_more_than_a_block(self, monkeypatch):
+        shapes = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr",
+                            lambda x, mode: shapes.append(x.shape) or qr(x, mode=mode))
+        svd_left(np.random.default_rng(14).standard_normal((2, 200 * ROWS + 1)))
+        assert shapes and all(shape[-2] <= ROWS for shape in shapes)
+        assert all(len(shape) == 2 or shape[0] <= numerics.QR_BATCH for shape in shapes)

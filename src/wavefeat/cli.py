@@ -7,6 +7,14 @@ run manifest; optionally dump the wavelet filter registry).
 
 Exit codes: 0 ok, 2 usage/config error or an output that cannot be written,
 3 data error, 4 numerical failure.
+
+Every command runs numpy's BLAS on one thread: importing the package sets
+OPENBLAS_NUM_THREADS=1 before numpy loads, overriding whatever the launching
+shell set.  A product summed by more threads rounds differently, so the
+output bytes would otherwise follow the shell; and the study's blocks are
+too small to gain from more threads.  A library caller that imported numpy
+before the package keeps its own setting.  BLAS builds other than OpenBLAS
+(MKL, Accelerate) read other variables and are not covered.
 """
 from __future__ import annotations
 
@@ -26,9 +34,9 @@ import numpy as np
 
 from . import __version__, dataio, dwt, models, synth
 from .errors import (DataFormatError, InvalidConfigError, InvalidDatasetError,
-                     InvalidInputError, NumericalError)
+                     InvalidInputError, NumericalError, SplitError)
 from .grids import grid_for_task, load_grid_document, load_json_config
-from .harness import (DwtSpec, FoldMemo, PipelineConfig, SignalTable,
+from .harness import (DwtSpec, FoldMemo, PipelineConfig, SignalTable, checked_split,
                       final_clustering, grid_search, repeated_cv, spec_from_dict)
 
 DERIV_NAMES = {0: "f", 1: "f'", 2: "f''"}
@@ -171,17 +179,19 @@ def _require_classes(args, data, task: str) -> None:
 
 
 def _search(args, task: str) -> tuple:
-    """The start of a search command: load the data, check its classes and
-    its sample count against ``--folds``, expand the task's grid, build the
-    command's one signal table, run the grid search and write its
-    leaderboard.  Nothing is written before the checks pass.  Returns
-    (grid, table, result)."""
+    """The start of a search command: load the data, check its classes, its
+    sample count against ``--folds`` and the grid search's split, expand the
+    task's grid, build the command's one signal table, run the grid search
+    and write its leaderboard.  Nothing is written before the checks pass.
+    Returns (grid, table, result)."""
     data = _load_data(args)
     _require_classes(args, data, task)
     if args.folds > data.n_samples:
         raise InvalidConfigError(f"--folds {args.folds} exceeds the {data.n_samples} "
                                  f"samples of {args.data}")
     grid = grid_for_task(load_grid_document(args.config), task)
+    # the split grid_search draws, checked before the output directory exists
+    checked_split(data, args.folds, args.seed, task, args.stratify)
     os.makedirs(args.out_dir, exist_ok=True)
     signals = SignalTable(data)
     result = grid_search(grid, signals, seed=args.seed, k=args.folds,
@@ -483,6 +493,13 @@ def main(argv=None) -> int:
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except SplitError as exc:
+        # only the search commands split; a clustering fold fails only for
+        # want of rows, which more folds can cure and --stratify cannot
+        hint = "more folds" if args.command == "cluster" else "--stratify or fewer folds"
+        print(f"usage error: {args.data}: --folds {args.folds}: {exc}; try {hint}",
+              file=sys.stderr)
+        return 2
     except (InvalidConfigError, InvalidInputError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

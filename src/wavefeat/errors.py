@@ -23,6 +23,12 @@ class InvalidInputError(WavefeatError, ValueError):
     """Raised when operation inputs violate a documented precondition."""
 
 
+class SplitError(InvalidInputError):
+    """Raised when a fold of a k-fold split leaves rows that no model can
+    fit on: fewer than 2, or for classification rows of fewer than 2
+    classes."""
+
+
 class UnsupportedWaveletError(InvalidInputError):
     """Raised when a (family, order) pair is not in the filter registry."""
 

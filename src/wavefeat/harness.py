@@ -62,7 +62,7 @@ import numpy as np
 from . import dwt as dwt_mod
 from . import models, wtt
 from .errors import (InvalidConfigError, InvalidInputError, NumericalError,
-                     is_count, is_number)
+                     SplitError, is_count, is_number)
 from .features import FeatureMap, extract_features, magnitude_quantile
 from .metrics import (accuracy, adjusted_mutual_info, adjusted_rand,
                       f1_weighted, fowlkes_mallows)
@@ -295,6 +295,25 @@ def kfold_split(n: int, k: int, seed: int, labels=None,
             buckets[(j + offset) % k].append(int(sample))
         offset += idx.size % k
     return [np.sort(np.array(b, dtype=int)) for b in buckets]
+
+
+def checked_split(data: LabeledDataset, k: int, seed: int, task: str,
+                  stratify: bool = False) -> list[np.ndarray]:
+    """``kfold_split`` of ``data``, whose every fold leaves rows to fit on:
+    at least 2, and for a classification ``task`` of at least 2 classes.
+    Otherwise SplitError names the first fold that does not, counted from 1.
+    Both ``grid_search`` and ``repeated_cv`` split through this."""
+    folds = kfold_split(data.n_samples, k, seed, labels=data.labels,
+                        stratify=stratify)
+    labels = np.asarray(data.labels, dtype=object)
+    for i, fold in enumerate(folds, start=1):
+        fitting = np.delete(labels, fold)
+        where = f"fold {i} of {k} at seed {seed} leaves"
+        if fitting.size < 2:
+            raise SplitError(f"{where} {fitting.size} of {data.n_samples} rows to fit on")
+        if task == "classification" and len(set(fitting)) < 2:
+            raise SplitError(f"{where} {fitting.size} rows of 1 class to fit on")
+    return folds
 
 
 # ----------------------------------------------------------------------
@@ -759,9 +778,7 @@ def grid_search(grid: list[PipelineConfig], signals: SignalTable, seed: int,
         raise InvalidConfigError("grid mixes classification and clustering configs")
     task = tasks.pop()
     metric = SELECTION_METRIC[task]
-    data = signals.data
-    folds = kfold_split(data.n_samples, k, seed,
-                        labels=data.labels, stratify=stratify)
+    folds = checked_split(signals.data, k, seed, task, stratify)
     reports, counts = _cross_validate(grid, signals, [folds], seed)
     order = sorted(range(len(grid)), key=lambda i: (-reports[i].means[metric], i))
     leaderboard = [reports[i] for i in order]
@@ -785,9 +802,8 @@ def repeated_cv(winners: list[PipelineConfig], signals: SignalTable, seed: int,
     per config, in the order given."""
     if any(config.task != "classification" for config in winners):
         raise InvalidConfigError("repeated_cv applies to classification configs")
-    data = signals.data
-    splits = [kfold_split(data.n_samples, k, seed + rep, labels=data.labels,
-                          stratify=stratify) for rep in range(repeats)]
+    splits = [checked_split(signals.data, k, seed + rep, "classification", stratify)
+              for rep in range(repeats)]
     return _cross_validate(winners, signals, splits, seed)[0]
 
 

@@ -1,5 +1,8 @@
 """Tests for the command-line entry points."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -502,6 +505,58 @@ def test_more_folds_than_samples_exits_2_before_writing(tmp_path, capsys, comman
     assert not out.exists()
 
 
+def _rows_of(tmp_path, data, rows: list[int], name: str) -> Path:
+    """A copy of the dataset ``data`` with its rows ``rows`` (0-based), in
+    that order."""
+    header, *lines = data.read_text().splitlines()
+    subset = tmp_path / name
+    subset.write_text("\n".join([header] + [lines[i] for i in rows]) + "\n")
+    return subset
+
+
+LDA_GRID = {"schema": "wavefeat-grid", "classification": {
+    "preprocess": {"derivative_order": 0, "center": True}, "model": {"kind": "lda"}}}
+
+
+def test_gridsearch_fold_of_one_class_exits_2_before_writing(tmp_path, capsys):
+    # classes of 4, 1 and 1, the lone rows first and fifth: at seed 0 a
+    # 2-fold split puts both in one fold, whose fitting rows are all class_0
+    data = _rows_of(tmp_path, _tiny_dataset(tmp_path), [5, 0, 1, 2, 10, 3], "six.csv")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(LDA_GRID))
+    args = ["gridsearch", "--data", str(data), "--config", str(grid), "--folds", "2",
+            "--repeats", "1"]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main([*args, "--seed", "0", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"usage error: {data}: --folds 2: fold 2 of 2 at seed 0 leaves "
+                   "3 rows of 1 class to fit on; try --stratify or fewer folds\n")
+    assert not out.exists()
+    # stratified folds give each fold a lone row
+    assert cli.main([*args, "--seed", "0", "--stratify", "--out-dir", str(out)]) == 0
+    # the grid search's split at seed 8 fits; repeated CV's at seed 9 does
+    # not, and the grid search's leaderboard is all the run leaves
+    capsys.readouterr()
+    late = tmp_path / "late"
+    assert cli.main([*args, "--seed", "8", "--out-dir", str(late)]) == 2
+    assert "fold 2 of 2 at seed 9 leaves 3 rows of 1 class" in capsys.readouterr().err
+    assert sorted(os.listdir(late)) == ["leaderboard_classification.tsv"]
+
+
+def test_cluster_fold_of_one_row_exits_2_before_writing(tmp_path, capsys):
+    # three spectra in 2 folds: the fold of 2 leaves 1 row to cluster
+    data = _rows_of(tmp_path, _tiny_dataset(tmp_path), [0, 5, 10], "three.csv")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["cluster", "--data", str(data), "--folds", "2",
+                     "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"usage error: {data}: --folds 2: fold 1 of 2 at seed 0 leaves "
+                   "1 of 3 rows to fit on; try more folds\n")
+    assert not out.exists()
+
+
 WTT_RANK = {"kind": "wtt", "rank": 2.5}
 DWT = {"kind": "dwt", "family": "daubechies", "order": 4, "mode": "periodization"}
 
@@ -746,3 +801,42 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("cannot write: ")
     assert "Traceback" not in err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads"
+
+
+def _launch(args: list[str], threads: str) -> subprocess.CompletedProcess:
+    """``args`` in a fresh interpreter launched with OPENBLAS_NUM_THREADS set
+    to ``threads``, the package's source first on its path."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), path]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True)
+
+
+@pytest.mark.parametrize("imports, expected", [("wavefeat", "1"), ("numpy, wavefeat", "2")],
+                         ids=["package-first", "numpy-first"])
+def test_package_imported_before_numpy_sets_one_blas_thread(imports, expected):
+    code = f"import os, {imports}; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _launch(["-c", code], "2").stdout == expected + "\n"
+
+
+def test_cluster_output_does_not_depend_on_the_launching_thread_count(tmp_path):
+    # the 500-spectrum workload: its raw block's dendrogram rounded by the
+    # thread count when the launching shell chose it
+    data = tmp_path / "data.csv"
+    _launch(["-m", "wavefeat.cli", "synth", "--seed", "7", "--config",
+             str(WORKLOADS / "synth_large.json"), "--out", str(data)], "1")
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        _launch(["-m", "wavefeat.cli", "cluster", "--data", str(data), "--seed", "7",
+                 "--config", str(WORKLOADS / "cluster_large_grid.json"),
+                 "--folds", "2", "--out-dir", str(out)], threads)
+        runs[threads] = {path.name: path.read_bytes() for path in out.iterdir()
+                         if path.name != "manifest.json"}
+    assert "dendrogram_original_d0.json" in runs["1"]
+    assert runs["1"] == runs["2"]

@@ -514,16 +514,13 @@ def _rows_of(tmp_path, data, rows: list[int], name: str) -> Path:
     return subset
 
 
-LDA_GRID = {"schema": "wavefeat-grid", "classification": {
-    "preprocess": {"derivative_order": 0, "center": True}, "model": {"kind": "lda"}}}
-
-
 def test_gridsearch_fold_of_one_class_exits_2_before_writing(tmp_path, capsys):
     # classes of 4, 1 and 1, the lone rows first and fifth: at seed 0 a
     # 2-fold split puts both in one fold, whose fitting rows are all class_0
     data = _rows_of(tmp_path, _tiny_dataset(tmp_path), [5, 0, 1, 2, 10, 3], "six.csv")
     grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps(LDA_GRID))
+    grid.write_text(json.dumps({"schema": "wavefeat-grid", "classification": {
+        "preprocess": {"derivative_order": 0, "center": True}, "model": {"kind": "lda"}}}))
     args = ["gridsearch", "--data", str(data), "--config", str(grid), "--folds", "2",
             "--repeats", "1"]
     out = tmp_path / "out"

@@ -178,11 +178,12 @@ def _require_classes(args, data, task: str) -> None:
             f"{args.data}: {task} needs at least 2 classes, found {n_classes}")
 
 
-def _search(args, task: str) -> tuple:
+def _search(args, task: str, repeats: int) -> tuple:
     """The start of a search command: load the data, check its classes, its
-    sample count against ``--folds`` and the grid search's split, expand the
-    task's grid, build the command's one signal table, run the grid search
-    and write its leaderboard.  Nothing is written before the checks pass.
+    sample count against ``--folds`` and the split of the grid search and
+    of each of ``repeats`` repeated-CV runs, expand the task's grid, build
+    the command's one signal table, run the grid search and write its
+    leaderboard.  Nothing is written before the checks pass.
     Returns (grid, table, result)."""
     data = _load_data(args)
     _require_classes(args, data, task)
@@ -190,8 +191,10 @@ def _search(args, task: str) -> tuple:
         raise InvalidConfigError(f"--folds {args.folds} exceeds the {data.n_samples} "
                                  f"samples of {args.data}")
     grid = grid_for_task(load_grid_document(args.config), task)
-    # the split grid_search draws, checked before the output directory exists
-    checked_split(data, args.folds, args.seed, task, args.stratify)
+    # the splits grid_search (--seed) and repeated CV (--seed + 1 + repeat)
+    # draw, checked before the output directory exists
+    for seed in range(args.seed, args.seed + 1 + repeats):
+        checked_split(data, args.folds, seed, task, args.stratify)
     os.makedirs(args.out_dir, exist_ok=True)
     signals = SignalTable(data)
     result = grid_search(grid, signals, seed=args.seed, k=args.folds,
@@ -221,7 +224,7 @@ def _write_run_manifest(args, grid, result, t_start: float, fields: dict) -> Non
 
 def cmd_gridsearch(args) -> int:
     t_start = time.perf_counter()
-    grid, signals, result = _search(args, "classification")
+    grid, signals, result = _search(args, "classification", args.repeats)
 
     # winners per (model kind, feature space, derivative), then repeated CV
     winners: dict = {}
@@ -267,7 +270,7 @@ def cmd_gridsearch(args) -> int:
 
 def cmd_cluster(args) -> int:
     t_start = time.perf_counter()
-    grid, signals, result = _search(args, "clustering")
+    grid, signals, result = _search(args, "clustering", 0)
 
     winners: dict = {}
     for report in result.leaderboard:

@@ -20,15 +20,15 @@ the ordered list ``STAGES``:
 Each stage has ``fit`` (fitting block -> state) and ``apply(state, block)``.
 ``fit_pipeline`` fits the list on the fitting rows of a ``FoldMemo`` only,
 and applies every stage but the model to them and, in a classification
-fold, to the held-out rows.  ``FittedPipeline.features`` and ``predict``
-take any block through the signal and the same list, so train and test
-cannot diverge.  A ``SignalTable`` owns one dataset and computes each of
-its signals once, on all rows; a command builds one table, and its grid
-search, repeated CV and final clusterings all read it.  Each fold gathers
-its rows out of the table in one copy; a fit of all rows in order, as a
-final clustering is, reads the table's block itself.  A final clustering's
-one config shares no prefix with another, so its memo stores no stage
-output, and the fit holds one stage's output once the next has read it.
+fold, to the held-out rows: one ``_fit_stage`` applies each stage to both
+blocks, so train and test cannot diverge.  A ``SignalTable`` owns one
+dataset and computes each of its signals once, on all rows; a command
+builds one table, and its grid search, repeated CV and final clusterings
+all read it.  Each fold gathers its rows out of the table in one copy; a
+fit of all rows in order, as a final clustering is, reads the table's block
+itself.  A final clustering's one config shares no prefix with another, so
+its memo stores no stage output, and the fit holds one stage's output once
+the next has read it.
 
 A stage's key is the key of the stage before it plus the config fields the
 stage reads, so two configs with equal keys share everything up to that
@@ -42,7 +42,7 @@ no result depends on whether a stage was shared.  HAC configs that differ
 only in linkage also share one distance matrix per (features key,
 affinity).  A clustering fold fits its configs in one stack call of
 ``fit_pipeline``: every config fits its stages through its distance
-matrix, and one stack call of ``models.hac_fit`` links all the matrices,
+matrix, and one call of ``models.hac_fit`` links all the matrices,
 side by side when the walks are at least as many as the fold's rows.  Each
 tree is scored by ARI alone, the selection metric; the final clusterings
 also report AMI and FM.  ``repeated_cv`` runs all repeats of the winners
@@ -402,19 +402,10 @@ class _UnsharedMemo(FoldMemo):
 
 @dataclass(frozen=True, eq=False)
 class Preprocessor:
-    """Fitted preprocessing: derivative -> resample -> scaler -> abs."""
+    """Fitted preprocessing of a signal block: scaler -> abs."""
 
-    wavenumbers: np.ndarray
     config: PreprocessConfig
-    # the power-of-two grid, for any decomposition; None keeps the input grid
-    target: np.ndarray | None
-    scaler: ScalerStats | None = None
-
-    def resampled(self, block) -> np.ndarray:
-        """The signal of ``block``: derivative, then the resample."""
-        y = derivative_matrix(self.wavenumbers, np.asarray(block, dtype=float),
-                              self.config.derivative_order)
-        return y if self.target is None else resample_matrix(self.wavenumbers, y, self.target)
+    scaler: ScalerStats | None
 
     def scaled(self, y: np.ndarray) -> np.ndarray:
         y = apply_scaler(y, self.config, self.scaler)
@@ -422,11 +413,9 @@ class Preprocessor:
 
 
 def _fit_preprocess(config, fold, key, y) -> Preprocessor:
-    """Every decomposition reads the power-of-two signal."""
-    signals = fold.signals
-    target = None if config.decomposition is None else signals.target
-    return Preprocessor(signals.data.wavenumbers, config.preprocess, target,
-                        fit_scaler(y, config.preprocess))
+    """The scaler fitted on the fitting rows' signal ``y``, which the table
+    resampled onto its power-of-two grid for any decomposition."""
+    return Preprocessor(config.preprocess, fit_scaler(y, config.preprocess))
 
 
 def _fit_decompose(config, fold, key, y):
@@ -477,9 +466,7 @@ def _fit_model(config, fold, key, feats):
 def _apply_model(model, feats: np.ndarray) -> list:
     if isinstance(model, models.LdaModel):
         return models.lda_predict(model, feats)
-    if isinstance(model, models.LrModel):
-        return models.lr_predict(model, feats)
-    raise InvalidConfigError("clustering pipelines have no predictor")
+    return models.lr_predict(model, feats)
 
 
 class Stage(NamedTuple):
@@ -508,7 +495,8 @@ STAGES = (
 
 @dataclass
 class FittedPipeline:
-    """One fitted state per stage of ``STAGES``, applicable to new signals."""
+    """One fitted state per stage of ``STAGES``, fitted on a memo's fitting
+    rows, and the features of the memo's blocks."""
 
     config: PipelineConfig
     states: tuple
@@ -520,15 +508,6 @@ class FittedPipeline:
     def model(self):
         """LdaModel, LrModel, or the LinkageTree of the fitting block."""
         return self.states[3]
-
-    def features(self, block: np.ndarray) -> np.ndarray:
-        x = self.states[0].resampled(block)
-        for stage, state in zip(STAGES[:-1], self.states):
-            x = stage.apply(state, x)
-        return x
-
-    def predict(self, block: np.ndarray) -> list:
-        return STAGES[-1].apply(self.model, self.features(block))
 
 
 def _signal_rows(full: np.ndarray, idx: np.ndarray, resampled: bool) -> np.ndarray:
@@ -601,10 +580,10 @@ def fit_pipeline(config: PipelineConfig | list, memo: FoldMemo) -> FittedPipelin
     A clustering config's model stage fits the distance matrix of the
     fitting rows, and ``models.hac_fit`` links it into the LinkageTree that
     is the model.  ``config`` may also be a list of clustering configs, a
-    stack: each fits its stages in turn, one stack call of
-    ``models.hac_fit`` links all their matrices, and one FittedPipeline per
-    config comes back, without features (``train_features`` is None) so
-    that a grid's configs do not hold all their features at once.
+    stack: each fits its stages in turn, one call of ``models.hac_fit``
+    links all their matrices, and one FittedPipeline per config comes back,
+    without features (``train_features`` is None) so that a grid's configs
+    do not hold all their features at once.
 
     The warnings raised by the fits and the linking are recorded in
     ``FittedPipeline.warnings`` instead of shown; those of a stack's
@@ -615,8 +594,7 @@ def fit_pipeline(config: PipelineConfig | list, memo: FoldMemo) -> FittedPipelin
             states, blocks = _fit_states(config, memo)
             if config.task == "clustering":
                 m = config.model
-                states[-1] = models.hac_fit(blocks[0], m.linkage, m.affinity,
-                                            distances=states[-1])
+                states[-1] = models.hac_fit([states[-1]], [m.linkage], [m.affinity])[0]
         # blocks: the features of the fitting rows, then of any held-out rows
         return FittedPipeline(config, tuple(states), *blocks, warnings=caught)
     configs = list(config)
@@ -628,9 +606,9 @@ def fit_pipeline(config: PipelineConfig | list, memo: FoldMemo) -> FittedPipelin
             states = _fit_states(c, memo)[0]
         fits.append((states, caught))
     with _recording() as linked:
-        trees = models.hac_fit(None, [c.model.linkage for c in configs],
-                               [c.model.affinity for c in configs],
-                               distances=[states[-1] for states, _ in fits])
+        trees = models.hac_fit([states[-1] for states, _ in fits],
+                               [c.model.linkage for c in configs],
+                               [c.model.affinity for c in configs])
     return [FittedPipeline(c, (*states[:-1], tree), None, warnings=caught + linked)
             for c, (states, caught), tree in zip(configs, fits, trees)]
 

@@ -23,17 +23,17 @@ returns.  ``hac_fit`` runs Muellner's algorithms (arXiv:1109.2378) in numpy:
 Prim's minimum spanning tree for single linkage and the nearest-neighbour
 chain for the others, with scipy's floating-point operations and tie-breaks,
 so its merges are byte-identical to scipy's ``linkage`` and no process
-imports scipy to cluster.  Its stack form links K matrices of one size in
-one call.  A chain walk is sequential, but the walks of a stack are
+imports scipy to cluster.  It links K precomputed matrices of one size in
+one call.  A chain walk is sequential, but the walks of a call are
 independent, so when there are at least as many chain walks as rows they
-advance side by side, one numpy call per step for all of them; a smaller
-stack runs its walks one by one, which costs less there.
+advance side by side, one numpy call per step for all of them; fewer walks
+run one by one, which costs less there.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -712,10 +712,10 @@ class LinkageTree:
     Leaves are 0..m-1; merge i creates node m+i.  node_a < node_b.
     """
 
-    merges: list = field(default_factory=list)
-    n_leaves: int = 0
-    affinity: str = "euclidean"
-    linkage: str = "average"
+    merges: list
+    n_leaves: int
+    affinity: str
+    linkage: str
 
 
 def _root(parent: list, i: int) -> int:
@@ -924,23 +924,17 @@ def _check_distances(d: np.ndarray) -> None:
         raise NumericalError("the distance matrix has non-finite entries")
 
 
-def hac_fit(x: np.ndarray | None, linkage: str | list,
-            affinity: str | list = "euclidean",
-            distances: np.ndarray | list | None = None) -> LinkageTree | list:
-    """Agglomerate with the requested linkage; the tree is deterministic for
-    a given input.
+def hac_fit(distances: list, linkages: list, affinities: list) -> list:
+    """Agglomerate each of K distance matrices of one size with its linkage;
+    the K LinkageTrees come back as a list, each deterministic for its
+    matrix and equal to what that matrix alone gives.
 
-    ``distances`` is a precomputed ``pairwise_distances(x, affinity)``, a
-    symmetric matrix.  Ward runs on euclidean distances and its heights are
+    Each matrix is a precomputed ``pairwise_distances(x, affinity)``,
+    symmetric.  Ward runs on euclidean distances and its heights are
     sqrt(2 * increase in within-cluster sum of squares).  A distance matrix
     with a non-finite entry, or a linkage distance that overflows, raises
-    NumericalError.
-
-    Stack form: ``linkage`` and ``affinity`` are sequences of K names,
-    ``distances`` is K matrices of one size (``x`` is not read), and the K
-    LinkageTrees come back as a list, each equal to what its matrix alone
-    gives.  When the complete, average and ward walks of the stack number
-    at least m, the matrix size, they run side by side
+    NumericalError.  When the complete, average and ward walks number at
+    least m, the matrix size, they run side by side
     (``_lockstep_chain_walks``), which shares numpy's per-call cost of each
     step among them; fewer walks run one by one, which is faster there.
     Single linkage always runs one walk at a time.
@@ -957,27 +951,16 @@ def hac_fit(x: np.ndarray | None, linkage: str | list,
     wins.  The merges are then sorted by height with a stable mergesort and
     relabelled with union-find, as scipy does.
     """
-    if not isinstance(linkage, str):
-        return _hac_stack(list(linkage), list(affinity), distances)
-    _check_linkage(linkage, affinity)
-    d = pairwise_distances(x, affinity) if distances is None else distances
-    return _hac_stack([linkage], [affinity], [d])[0]
-
-
-def _hac_stack(linkages: list, affinities: list, distances) -> list:
-    """The stack form of ``hac_fit``."""
-    if distances is None:
-        raise InvalidInputError("the stack form of hac_fit takes distances")
     mats = [np.asarray(d, dtype=float) for d in distances]
     if not len(linkages) == len(affinities) == len(mats) > 0:
         raise InvalidInputError(
-            "a stack needs one linkage, affinity and distance matrix per tree")
+            "hac_fit needs one linkage, affinity and distance matrix per tree")
     for linkage, affinity, d in zip(linkages, affinities, mats):
         _check_linkage(linkage, affinity)
         _check_distances(d)
     m = mats[0].shape[0]
     if any(d.shape[0] != m for d in mats):
-        raise InvalidInputError("the matrices of a stack must have one size")
+        raise InvalidInputError("the distance matrices must have one size")
     # the complete, average and ward walks, grouped by linkage
     chained = sorted((k for k, linkage in enumerate(linkages) if linkage != "single"),
                      key=lambda k: CHAIN_LINKAGES.index(linkages[k]))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavefeat import cli, harness
+from wavefeat import cli, dwt, harness
 
 
 def test_gridsearch_manifest_records_runtime_and_solver_outcome(tmp_path, capsys):
@@ -164,6 +164,21 @@ def test_peak_rss_counts_kib_on_linux_and_bytes_on_macos(monkeypatch):
     assert cli._peak_rss_mb() == 3 << 10
     monkeypatch.setattr(cli.sys, "platform", "darwin")
     assert cli._peak_rss_mb() == 3
+
+
+@pytest.mark.parametrize("with_run", [False, True], ids=["alone", "with-run-dir"])
+def test_report_writes_the_filter_registry(tmp_path, capsys, with_run):
+    registry = tmp_path / "registry.tsv"
+    argv = ["report", "--registry", str(registry)]
+    if with_run:
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"command": "cluster", "wall_time_seconds": 2.5}))
+        argv += ["--run-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert registry.read_text() == dwt.dump_registry()
+    out = capsys.readouterr().out
+    assert out.startswith(f"wrote filter registry to {registry}\n")
+    assert ("wall time: 2.5s, peak RSS -\n" in out) == with_run
 
 
 def test_report_renders_a_manifest_without_peak_rss(tmp_path, capsys):
@@ -533,12 +548,12 @@ def test_gridsearch_fold_of_one_class_exits_2_before_writing(tmp_path, capsys):
     # stratified folds give each fold a lone row
     assert cli.main([*args, "--seed", "0", "--stratify", "--out-dir", str(out)]) == 0
     # the grid search's split at seed 8 fits; repeated CV's at seed 9 does
-    # not, and the grid search's leaderboard is all the run leaves
+    # not, and is checked with it, before anything is written
     capsys.readouterr()
     late = tmp_path / "late"
     assert cli.main([*args, "--seed", "8", "--out-dir", str(late)]) == 2
     assert "fold 2 of 2 at seed 9 leaves 3 rows of 1 class" in capsys.readouterr().err
-    assert sorted(os.listdir(late)) == ["leaderboard_classification.tsv"]
+    assert not late.exists()
 
 
 def test_cluster_fold_of_one_row_exits_2_before_writing(tmp_path, capsys):

@@ -173,11 +173,12 @@ def test_cross_validate_scores_equal_fresh_fits_on_raw_held_out_rows(data):
     for config, report in zip(grid, reports):
         for fold, row in zip(folds, report.per_fold):
             rest = np.setdiff1d(np.arange(data.n_samples), fold)
-            fitted = _fit(config, data, rest)
+            fitted = _fit(config, data, rest, fold)
             scores = {}
-            for part, idx in (("train", rest), ("test", fold)):
+            for part, idx, feats in (("train", rest, fitted.train_features),
+                                     ("test", fold, fitted.held_out_features)):
                 true = [data.labels[i] for i in idx]
-                pred = fitted.predict(data.intensities[idx])
+                pred = harness.STAGES[-1].apply(fitted.model, feats)
                 scores[f"{part}_accuracy"] = accuracy(true, pred)
                 scores[f"{part}_f1"] = f1_weighted(true, pred)
             assert row == scores, config.label()
@@ -305,17 +306,6 @@ def test_held_out_rows_do_not_reach_the_fitted_state(data, config):
     _assert_identical(a.states, b.states)
     _assert_identical(a.train_features, b.train_features)
     assert a.states[0].scaler is not None and a.states[2].tau is not None
-    if config.task == "classification":
-        block = data.intensities[test_idx]
-        assert a.predict(block) == b.predict(block)
-
-
-@pytest.mark.parametrize("config", LEAKAGE_CONFIGS, ids=lambda c: c.label())
-def test_applying_the_stages_to_the_fitting_rows_repeats_the_fit(data, config):
-    rows = np.arange(1, data.n_samples)
-    fitted = _fit(config, data, rows)
-    again = fitted.features(data.intensities[rows])
-    assert again.tobytes() == fitted.train_features.tobytes()
 
 
 @pytest.mark.parametrize("config", LEAKAGE_CONFIGS, ids=lambda c: c.label())
@@ -328,10 +318,14 @@ def test_signal_rows_are_the_rows_processed_alone(data, config, monkeypatch):
                         lambda y, *args: seen.append(y) or apply(y, *args))
     fold = kfold_split(data.n_samples, 4, 1)[0]
     rest = np.setdiff1d(np.arange(data.n_samples), fold)
-    fitted = _fit(config, data, rest, fold)
+    _fit(config, data, rest, fold)
     assert len(seen) == 2  # the fitting rows, then the held-out rows
     for y, idx in zip(seen, (rest, fold)):
-        alone = fitted.states[0].resampled(data.intensities[idx])
+        # the table of a dataset that holds these rows alone
+        subset = LabeledDataset(data.wavenumbers, data.intensities[idx],
+                                [data.labels[i] for i in idx])
+        alone = SignalTable(subset).block(config.preprocess.derivative_order,
+                                          config.decomposition is not None)
         assert y.strides == alone.strides
         assert y.tobytes("A") == alone.tobytes("A")
 
@@ -399,13 +393,6 @@ def test_memo_hit_returns_the_same_arrays(data):
     assert fresh.train_features.tobytes() == second.train_features.tobytes()
 
 
-def test_clustering_pipeline_has_no_predictor(data):
-    fitted = _fit(LEAKAGE_CONFIGS[2], data, np.arange(data.n_samples))
-    assert fitted.model.n_leaves == data.n_samples
-    with pytest.raises(InvalidConfigError):
-        fitted.predict(data.intensities[:2])
-
-
 def test_a_stack_of_clustering_configs_fits_like_each_alone(data):
     rows = np.arange(data.n_samples)
     configs = [LEAKAGE_CONFIGS[2], dataclasses.replace(
@@ -416,6 +403,7 @@ def test_a_stack_of_clustering_configs_fits_like_each_alone(data):
         alone = _fit(config, data, rows)
         assert fitted.config == config and fitted.train_features is None
         assert fitted.model.merges == alone.model.merges
+        assert fitted.model.n_leaves == alone.model.n_leaves == data.n_samples
         assert fitted.model.linkage == config.model.linkage
     with pytest.raises(InvalidConfigError):
         _fit([LEAKAGE_CONFIGS[2], LEAKAGE_CONFIGS[0]], data, rows)

@@ -795,25 +795,30 @@ def _hac_by_definition(x, linkage):
     return merges
 
 
+def _hac(x, linkage, affinity="euclidean"):
+    """The tree of the points ``x``: hac_fit on a stack of one matrix."""
+    return M.hac_fit([M.pairwise_distances(x, affinity)], [linkage], [affinity])[0]
+
+
 class TestHac:
     @pytest.mark.parametrize("linkage", M.LINKAGES)
     def test_matches_definition_on_random_points(self, linkage):
         # random points have no tied heights, so the tree is unique
         for seed in (20, 21, 22):
             x = np.random.default_rng(seed).standard_normal((14, 3))
-            got = M.hac_fit(x, linkage).merges
+            got = _hac(x, linkage).merges
             want = _hac_by_definition(x, linkage)
             assert [(a, b, c) for a, b, _, c in got] == [(a, b, c) for a, b, _, c in want]
             assert [m[2] for m in got] == pytest.approx([m[2] for m in want], rel=1e-10)
 
     def test_collinear_single_linkage(self):
-        tree = M.hac_fit(np.array([[0.0], [1.0], [10.0]]), "single")
+        tree = _hac(np.array([[0.0], [1.0], [10.0]]), "single")
         assert tree.merges[0] == (0, 1, 1.0, 2)
         assert tree.merges[1][2] == pytest.approx(9.0)
 
     def test_two_points(self):
         for linkage in ("single", "complete", "average", "ward"):
-            tree = M.hac_fit(np.array([[0.0], [3.0]]), linkage)
+            tree = _hac(np.array([[0.0], [3.0]]), linkage)
             assert len(tree.merges) == 1
             assert tree.merges[0][2] == pytest.approx(3.0)
 
@@ -829,7 +834,7 @@ class TestHac:
     ])
     def test_heights_by_hand(self, linkage, heights):
         # points 0, 1, 3, 7: {0, 1} first, then 3 joins it, then 7
-        tree = M.hac_fit(np.array([[0.0], [1.0], [3.0], [7.0]]), linkage)
+        tree = _hac(np.array([[0.0], [1.0], [3.0], [7.0]]), linkage)
         assert [m[:2] for m in tree.merges] == [(0, 1), (2, 4), (3, 5)]
         assert [m[3] for m in tree.merges] == [2, 3, 4]
         assert [m[2] for m in tree.merges] == pytest.approx(heights, rel=1e-12)
@@ -840,19 +845,19 @@ class TestHac:
                        rng.normal(20, 0.5, (12, 2)),
                        rng.normal([0, 40], 0.5, (13, 2))])
         labels = [0] * 15 + [1] * 12 + [2] * 13
-        tree = M.hac_fit(x, "ward", "euclidean")
+        tree = _hac(x, "ward", "euclidean")
         assert adjusted_rand(labels, M.cut_tree(tree, 3)) == 1.0
 
     def test_ward_requires_euclidean(self):
         with pytest.raises(InvalidConfigError):
-            M.hac_fit(np.eye(3), "ward", "cosine")
+            _hac(np.eye(3), "ward", "cosine")
 
     def test_heights_monotone(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((20, 4))
         for linkage, aff in (("single", "euclidean"), ("complete", "manhattan"),
                              ("average", "cosine"), ("ward", "euclidean")):
-            tree = M.hac_fit(x, linkage, aff)
+            tree = _hac(x, linkage, aff)
             heights = [m[2] for m in tree.merges]
             assert all(heights[i] <= heights[i + 1] + 1e-12
                        for i in range(len(heights) - 1)), linkage
@@ -860,9 +865,9 @@ class TestHac:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((25, 3))
-        base = M.cut_tree(M.hac_fit(x, "average", "manhattan"), 4)
+        base = M.cut_tree(_hac(x, "average", "manhattan"), 4)
         perm = rng.permutation(25)
-        permuted = M.cut_tree(M.hac_fit(x[perm], "average", "manhattan"), 4)
+        permuted = M.cut_tree(_hac(x[perm], "average", "manhattan"), 4)
         undone = np.empty(25, dtype=int)
         undone[perm] = permuted
         assert adjusted_rand(base, list(undone)) == 1.0
@@ -870,7 +875,7 @@ class TestHac:
     def test_deterministic_tie_break(self):
         # four corners of a square: first merge must pick ids (0, 1)
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        tree = M.hac_fit(x, "single")
+        tree = _hac(x, "single")
         assert tree.merges[0][:2] == (0, 1)
 
 
@@ -881,7 +886,7 @@ def _assert_scipy_merges(x, linkage, affinity):
     from scipy.spatial.distance import squareform
     d = M.pairwise_distances(x, affinity)
     want = scipy_linkage(squareform(d, checks=False), method=linkage)
-    got = M.hac_fit(x, linkage, affinity, distances=d).merges
+    got = M.hac_fit([d], [linkage], [affinity])[0].merges
     assert [(a, b, c) for a, b, _, c in got] == [
         (int(a), int(b), int(c)) for a, b, _, c in want]
     assert np.array_equal(np.array([m[2] for m in got]).view(np.uint64),
@@ -899,12 +904,12 @@ def _assert_stack_merges(xs, linkages, affinities):
     from scipy.cluster.hierarchy import linkage as scipy_linkage
     from scipy.spatial.distance import squareform
     mats = [M.pairwise_distances(x, aff) for x, aff in zip(xs, affinities)]
-    trees = M.hac_fit(None, linkages, affinities, distances=mats)
+    trees = M.hac_fit(mats, linkages, affinities)
     assert len(trees) == len(mats)
     for tree, d, linkage, affinity in zip(trees, mats, linkages, affinities):
         assert (tree.n_leaves, tree.linkage, tree.affinity) == (
             d.shape[0], linkage, affinity)
-        alone = M.hac_fit(None, linkage, affinity, distances=d)
+        alone = M.hac_fit([d], [linkage], [affinity])[0]
         assert tree.merges == alone.merges
         want = scipy_linkage(squareform(d, checks=False), method=linkage)
         assert [(a, b, c) for a, b, _, c in tree.merges] == [
@@ -944,14 +949,14 @@ class TestHacMatchesScipy:
         d = M.pairwise_distances(np.eye(4), "euclidean")
         d[1, 2] = d[2, 1] = bad
         with pytest.raises(NumericalError):
-            M.hac_fit(None, "average", distances=d)
+            M.hac_fit([d], ["average"], ["euclidean"])
 
     def test_overflowing_linkage_distance_raises(self):
         # the average of 1.5e308 and 1.7e308 overflows in nx dx + ny dy
         d = np.array([[0.0, 1.0, 1.5e308], [1.0, 0.0, 1.7e308],
                       [1.5e308, 1.7e308, 0.0]])
         with pytest.raises(NumericalError), pytest.warns(RuntimeWarning):
-            M.hac_fit(None, "average", distances=d)
+            M.hac_fit([d], ["average"], ["euclidean"])
 
     # the same cases as stacks of K matrices in one call
     @pytest.mark.parametrize("points", ["random", "integer grid"])
@@ -992,7 +997,7 @@ class TestHacMatchesScipy:
                     for _ in range(k)]
             mats[-1][1, 2] = mats[-1][2, 1] = np.nan
             with pytest.raises(NumericalError):
-                M.hac_fit(None, ["average"] * k, ["euclidean"] * k, distances=mats)
+                M.hac_fit(mats, ["average"] * k, ["euclidean"] * k)
 
     def test_one_overflowing_walk_raises(self):
         # the average of 1.5e308 and 1.7e308 overflows in nx dx + ny dy
@@ -1002,17 +1007,20 @@ class TestHacMatchesScipy:
         for mats in ([huge], [tame, tame, huge, tame]):
             k = len(mats)
             with pytest.raises(NumericalError), pytest.warns(RuntimeWarning):
-                M.hac_fit(None, ["average"] * k, ["euclidean"] * k, distances=mats)
+                M.hac_fit(mats, ["average"] * k, ["euclidean"] * k)
 
     def test_stack_arguments_are_checked(self):
         d = M.pairwise_distances(np.eye(3), "euclidean")
         with pytest.raises(InvalidInputError):
-            M.hac_fit(None, ["average", "ward"], ["euclidean"], distances=[d, d])
+            M.hac_fit([d, d], ["average", "ward"], ["euclidean"])
         with pytest.raises(InvalidInputError):
-            M.hac_fit(None, ["average"] * 2, ["euclidean"] * 2,
-                      distances=[d, np.zeros((2, 2))])
+            M.hac_fit([d, np.zeros((2, 2))], ["average"] * 2, ["euclidean"] * 2)
+        # an empty stack, a non-square matrix and a 1 x 1 matrix
+        for mats in ([], [np.zeros((2, 3))], [np.zeros((1, 1))]):
+            with pytest.raises(InvalidInputError):
+                M.hac_fit(mats, ["average"] * len(mats), ["euclidean"] * len(mats))
         with pytest.raises(InvalidConfigError):
-            M.hac_fit(None, ["ward"], ["cosine"], distances=[d])
+            M.hac_fit([d], ["ward"], ["cosine"])
 
 
 class TestCutTree:
@@ -1020,7 +1028,7 @@ class TestCutTree:
     def tree(self):
         rng = np.random.default_rng(16)
         x = np.vstack([rng.normal(0, 0.3, (5, 2)), rng.normal(8, 0.3, (5, 2))])
-        return M.hac_fit(x, "average")
+        return _hac(x, "average")
 
     def test_all_singletons(self, tree):
         assert M.cut_tree(tree, 10) == list(range(10))
@@ -1056,7 +1064,7 @@ class TestCutTree:
 
 class TestDendrogramExport:
     def test_two_leaves(self):
-        tree = M.hac_fit(np.array([[0.0], [2.0]]), "complete")
+        tree = _hac(np.array([[0.0], [2.0]]), "complete")
         doc = M.dendrogram_export(tree, ["a", "b"])
         assert doc["n_leaves"] == 2
         kids = doc["root"]["children"]
@@ -1066,7 +1074,7 @@ class TestDendrogramExport:
     def test_heights_non_decreasing_rootward(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((12, 3))
-        tree = M.hac_fit(x, "complete")
+        tree = _hac(x, "complete")
         doc = M.dendrogram_export(tree, [str(i) for i in range(12)])
 
         def check(node):
@@ -1080,11 +1088,11 @@ class TestDendrogramExport:
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(18)
-        tree = M.hac_fit(rng.standard_normal((8, 2)), "ward", "euclidean")
+        tree = _hac(rng.standard_normal((8, 2)), "ward", "euclidean")
         doc = M.dendrogram_export(tree, [f"s{i}" for i in range(8)])
         assert json.loads(json.dumps(doc)) == doc
 
     def test_name_count_mismatch(self):
-        tree = M.hac_fit(np.array([[0.0], [2.0]]), "single")
+        tree = _hac(np.array([[0.0], [2.0]]), "single")
         with pytest.raises(InvalidInputError):
             M.dendrogram_export(tree, ["only-one"])

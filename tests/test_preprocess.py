@@ -179,8 +179,9 @@ class TestResamplePow2:
             (config,) = expand_grid({
                 "preprocess": {}, "decomposition": decomposition,
                 "model": {"kind": "hac", "affinity": "euclidean", "linkage": "average"}})
-            fitted = fit_pipeline(config, FoldMemo(SignalTable(data), np.arange(4)))
-            assert fitted.states[0].target is None
+            signals = SignalTable(data)
+            fitted = fit_pipeline(config, FoldMemo(signals, np.arange(4)))
+            assert signals.target is None
             assert fitted.train_features.shape == (4, 1024)
 
     def test_linear_reproduction(self):
@@ -315,7 +316,7 @@ class TestTakeAbs:
     def _abs(y):
         """The preprocessing of a take_abs config on a one-row block."""
         y = np.asarray(y, dtype=float)
-        pre = Preprocessor(np.arange(float(y.size)), PreprocessConfig(take_abs=True), None)
+        pre = Preprocessor(PreprocessConfig(take_abs=True), None)
         return pre.scaled(y[None, :])[0]
 
     def test_examples(self):

@@ -36,8 +36,9 @@ from . import __version__, dataio, dwt, models, synth
 from .errors import (DataFormatError, InvalidConfigError, InvalidDatasetError,
                      InvalidInputError, NumericalError, SplitError)
 from .grids import grid_for_task, load_grid_document, load_json_config
-from .harness import (DwtSpec, FoldMemo, PipelineConfig, SignalTable, checked_split,
-                      final_clustering, grid_search, repeated_cv, spec_from_dict)
+from .harness import (DwtSpec, FoldMemo, PipelineConfig, SignalTable, check_dwt_levels,
+                      checked_split, final_clustering, grid_search, repeated_cv,
+                      spec_from_dict)
 
 DERIV_NAMES = {0: "f", 1: "f'", 2: "f''"}
 
@@ -182,8 +183,9 @@ def _search(args, task: str, repeats: int) -> tuple:
     """The start of a search command: load the data, check its classes, its
     sample count against ``--folds`` and the split of the grid search and
     of each of ``repeats`` repeated-CV runs, expand the task's grid, build
-    the command's one signal table, run the grid search and write its
-    leaderboard.  Nothing is written before the checks pass.
+    the command's one signal table, check every DWT config's level against
+    it, run the grid search and write its leaderboard.  Nothing is written
+    before the checks pass.
     Returns (grid, table, result)."""
     data = _load_data(args)
     _require_classes(args, data, task)
@@ -195,8 +197,9 @@ def _search(args, task: str, repeats: int) -> tuple:
     # draw, checked before the output directory exists
     for seed in range(args.seed, args.seed + 1 + repeats):
         checked_split(data, args.folds, seed, task, args.stratify)
-    os.makedirs(args.out_dir, exist_ok=True)
     signals = SignalTable(data)
+    check_dwt_levels(grid, signals)
+    os.makedirs(args.out_dir, exist_ok=True)
     result = grid_search(grid, signals, seed=args.seed, k=args.folds,
                          stratify=args.stratify)
     _write_leaderboard(os.path.join(args.out_dir, f"leaderboard_{task}.tsv"), result)

@@ -1,21 +1,21 @@
 """Orthonormal two-channel wavelet filter banks: registry and multilevel
 transform in periodization.
 
-Convention (fixed once, validated by the round-trip and energy tests): a
-signal of odd length is first made even by repeating its last sample.
-Analysis filters the even-length signal circularly,
-``v[t] = sum_j f[j] x[(t - j) mod n]``, and keeps the odd phase,
-``c[k] = v[2k+1]``, so each branch stores ``ceil(n/2)`` coefficients.
-Synthesis upsamples by two, convolves circularly with the reconstruction
-pair and sums the branches.  Every registered wavelet is orthogonal, so on a
-power-of-two length the multilevel transform is an orthonormal map, and the
-table stores only its ``dec_lo``: ``lookup_wavelet`` derives the other three.
+Convention (fixed once, validated by the round-trip and energy tests): the
+signal length is a power of two, as the WTT's is; the harness resamples
+every decomposition's input onto that grid.  Analysis filters the signal
+circularly, ``v[t] = sum_j f[j] x[(t - j) mod n]``, and keeps the odd phase,
+``c[k] = v[2k+1]``, so each branch stores ``n/2`` coefficients.  Synthesis
+upsamples by two, convolves circularly with the reconstruction pair and
+sums the branches.  Every registered wavelet is orthogonal, so the
+multilevel transform is an orthonormal map, and the table stores only its
+``dec_lo``: ``lookup_wavelet`` derives the other three.
 
 All transforms operate along the last axis, so a whole (n_samples, n_points)
 block can be decomposed in one call.  A multilevel transform is one flat
-array: the approximation, then the details coarsest first.  The signal
-length fixes every block's length, so the inverse takes the flat array and
-needs no other bookkeeping.
+array of the signal's length: the approximation, then the details coarsest
+first.  Each level halves the length, so the inverse takes the flat array
+and needs no other bookkeeping.
 """
 from __future__ import annotations
 
@@ -105,25 +105,18 @@ def dump_registry() -> str:
 def _analyse_into(x: np.ndarray, w: WaveletSpec, lo: np.ndarray, hi: np.ndarray) -> None:
     """One analysis step of x, written into ``lo`` and ``hi``.
 
-    Output i reads sample ``(2i + 1 - j) mod 2k`` of the even-length signal
-    at tap j, k being the output length.  Outputs ``L/2 - 1`` to
-    ``n // 2 - 1`` read inside x, so their windows are views of it.  Only
-    the outputs whose windows wrap round the start, and for an odd length
-    the last output, which reads the repeated last sample, read a copy: of
-    the at most ``2L - 4`` samples their windows hold.  Every window has
-    reversed strides, so numpy sums each output tap by tap in the same
-    order, whatever its block or layout.
+    Output i reads sample ``(2i + 1 - j) mod n`` of x at tap j.  Outputs
+    ``L/2 - 1`` to ``n/2 - 1`` read inside x, so their windows are views of
+    it.  Only the outputs whose windows wrap round the start read a copy:
+    of the ``2L - 4`` samples their windows hold.  Every window has reversed
+    strides, so numpy sums each output tap by tap in the same order,
+    whatever its block or layout.
     """
     L, n = w.filter_length, x.shape[-1]
-    k = lo.shape[-1]
     h = L // 2 - 1
     parts = [(slice(h, n // 2), x)]
     if h:
-        wrap = np.minimum(np.arange(2 - L, L - 2) % (2 * k), n - 1)
-        parts.append((slice(0, h), x[..., wrap]))
-    if n % 2:
-        last = np.minimum(np.arange(n - L + 1, n + 1), n - 1)
-        parts.append((slice(k - 1, k), x[..., last]))
+        parts.append((slice(0, h), x[..., np.arange(2 - L, L - 2) % n]))
     for out_part, src in parts:
         # every second window of src, reversed: tap j of window i holds
         # src[2i + L - 1 - j]
@@ -132,41 +125,17 @@ def _analyse_into(x: np.ndarray, w: WaveletSpec, lo: np.ndarray, hi: np.ndarray)
         np.matmul(win, w.dec_hi, out=hi[..., out_part])
 
 
-def dwt_single(x: np.ndarray, w: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
-    """One analysis step: filter + downsample along the last axis.
-
-    Returns the approximation and the details, ``ceil(n/2)`` each.  Their
-    windows are views of x, apart from a copy of the few samples that the
-    edge outputs read (see ``_analyse_into``), so no block is copied.
-    """
-    x = np.asarray(x, dtype=float)
-    L, n = w.filter_length, x.shape[-1]
-    if n < L:
-        raise InvalidInputError(f"signal length {n} shorter than filter length {L}")
-    shape = x.shape[:-1] + ((n + 1) // 2,)
-    lo, hi = np.empty(shape), np.empty(shape)
-    _analyse_into(x, w, lo, hi)
-    return lo, hi
-
-
-def idwt_single(approx: np.ndarray, detail: np.ndarray, w: WaveletSpec,
-                out_length: int) -> np.ndarray:
-    """One synthesis step, trimming to the stored input length.
+def _synthesise(a: np.ndarray, d: np.ndarray, w: WaveletSpec) -> np.ndarray:
+    """One synthesis step: k approximations and k details give 2k samples.
 
     Tap j adds ``a[i] * rec_lo[j] + d[i] * rec_hi[j]`` to output sample
-    ``(2i + 2 - L + j) mod n``: one parity class, rotated, which two slice
+    ``(2i + 2 - L + j) mod 2k``: one parity class, rotated, which two slice
     adds cover, so each sample sums its taps in increasing j.  Every tap's
     products are formed in the same two buffers, allocated once per call.
     """
-    a = np.asarray(approx, dtype=float)
-    d = np.asarray(detail, dtype=float)
-    if a.shape != d.shape:
-        raise InvalidInputError("approx/detail shapes differ")
     L = w.filter_length
     k = a.shape[-1]
     ne = 2 * k
-    if not out_length <= ne:
-        raise InvalidInputError("inconsistent bookkeeping lengths")
     v_lo, v_hi = np.empty(a.shape), np.empty(a.shape)
     out = np.zeros(a.shape[:-1] + (ne,))
     for j in range(L):
@@ -177,7 +146,7 @@ def idwt_single(approx: np.ndarray, detail: np.ndarray, w: WaveletSpec,
         v += np.multiply(d, w.rec_hi[j], out=v_hi)
         half[..., rot:] += v[..., :k - rot]
         half[..., :rot] += v[..., k - rot:]
-    return out[..., :out_length]
+    return out
 
 
 def max_level(n: int, w: WaveletSpec) -> int:
@@ -188,7 +157,7 @@ def max_level(n: int, w: WaveletSpec) -> int:
     return int(math.floor(math.log2(n / denom)))
 
 
-def _check_level(n: int, w: WaveletSpec, level: int) -> None:
+def check_level(n: int, w: WaveletSpec, level: int) -> None:
     lmax = max_level(n, w)
     if lmax < 1:
         raise InvalidInputError(f"signal length {n} too short for filter {w.name}")
@@ -199,13 +168,13 @@ def _check_level(n: int, w: WaveletSpec, level: int) -> None:
 
 def _step_lengths(n: int, w: WaveletSpec, level: int) -> list[int]:
     """The input length of each analysis step of a length-n signal, finest
-    first, then the length of the last approximation: each step maps length
-    k to ``ceil(k/2)``."""
-    _check_level(n, w, level)
-    lengths = [n]
-    for _ in range(level):
-        lengths.append((lengths[-1] + 1) // 2)
-    return lengths
+    first, then the length of the last approximation: each step halves a
+    power-of-two length."""
+    if n & (n - 1):
+        raise InvalidInputError(
+            f"signal length {n} is not a power of two; resample first")
+    check_level(n, w, level)
+    return [n >> step for step in range(level + 1)]
 
 
 def wavedec(x: np.ndarray, w: WaveletSpec, level: int) -> np.ndarray:
@@ -221,7 +190,7 @@ def wavedec(x: np.ndarray, w: WaveletSpec, level: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     lengths = _step_lengths(x.shape[-1], w, level)
-    out = np.empty(x.shape[:-1] + (lengths[-1] + sum(lengths[1:]),))
+    out = np.empty(x.shape)
     signals, flat = x.reshape(-1, x.shape[-1]), out.reshape(-1, out.shape[-1])
     for first in range(0, len(signals), DEC_BLOCK_ROWS):
         cur = signals[first:first + DEC_BLOCK_ROWS]
@@ -235,21 +204,14 @@ def wavedec(x: np.ndarray, w: WaveletSpec, level: int) -> np.ndarray:
     return out
 
 
-def waverec(vec: np.ndarray, w: WaveletSpec, level: int, n: int) -> np.ndarray:
-    """Invert :func:`wavedec` of a length-n signal, restoring n samples.
-
-    Each analysis step maps length k to ``ceil(k/2)``, so n gives every
-    block's length.
-    """
+def waverec(vec: np.ndarray, w: WaveletSpec, level: int) -> np.ndarray:
+    """Invert :func:`wavedec`: the flat array is as long as the signal, and
+    each level's blocks are half the length of the one it came from."""
     vec = np.asarray(vec, dtype=float)
-    lengths = _step_lengths(n, w, level)
-    if vec.shape[-1] != lengths[-1] + sum(lengths[1:]):
-        raise InvalidInputError(
-            f"flat length {vec.shape[-1]} does not match level-{level} "
-            f"blocks of a length-{n} signal")
+    lengths = _step_lengths(vec.shape[-1], w, level)
     start = lengths[-1]
     cur = vec[..., :start]
-    for k, out_len in zip(lengths[:0:-1], lengths[-2::-1]):
-        cur = idwt_single(cur, vec[..., start:start + k], w, out_len)
+    for k in lengths[:0:-1]:
+        cur = _synthesise(cur, vec[..., start:start + k], w)
         start += k
     return cur

@@ -95,6 +95,15 @@ class DwtSpec:
             raise InvalidConfigError(
                 f"level must be an integer >= 1 or null, got {self.level!r}")
 
+    def wavelet_and_level(self, n: int) -> tuple:
+        """The (wavelet, level) of a length-n signal, the level being the
+        deepest the signal allows when the config's is null; a level the
+        signal cannot take raises."""
+        w = dwt_mod.lookup_wavelet(self.family, self.order)
+        level = dwt_mod.max_level(n, w) if self.level is None else self.level
+        dwt_mod.check_level(n, w, level)
+        return w, level
+
 
 @dataclass(frozen=True)
 class WttSpec:
@@ -347,6 +356,15 @@ class SignalTable:
         return self._blocks[key]
 
 
+def check_dwt_levels(grid: list, signals: SignalTable) -> None:
+    """Raise for the first DWT config of ``grid`` whose level the table's
+    power-of-two signal cannot take, before any config is fitted."""
+    n = (signals.data.wavenumbers if signals.target is None else signals.target).size
+    for spec in dict.fromkeys(config.decomposition for config in grid):
+        if isinstance(spec, DwtSpec):
+            spec.wavelet_and_level(n)
+
+
 class FoldMemo:
     """One fold of the dataset of ``signals``: its rows (``rows``: the
     fitting rows ``train_idx``, then any held-out rows), the signal table it
@@ -426,9 +444,7 @@ def _fit_decompose(config, fold, key, y):
         return None
     if isinstance(spec, WttSpec):
         return wtt.train_group_filters(y, spec.rank)
-    w = dwt_mod.lookup_wavelet(spec.family, spec.order)
-    level = dwt_mod.max_level(y.shape[-1], w) if spec.level is None else spec.level
-    return w, level
+    return spec.wavelet_and_level(y.shape[-1])
 
 
 def _apply_decompose(state, y: np.ndarray) -> np.ndarray:

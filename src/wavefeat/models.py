@@ -1015,8 +1015,8 @@ def dendrogram_export(tree: LinkageTree, leaf_names: list) -> dict:
             "count": int(count),
             "children": [nodes.pop(a), nodes.pop(b)],
         }
-    roots = list(nodes.values())
-    root = roots[0] if len(roots) == 1 else {"height": None, "children": roots}
+    # m - 1 merges leave one node: the root
+    (root,) = nodes.values()
     return {
         "affinity": tree.affinity,
         "linkage": tree.linkage,

@@ -611,6 +611,9 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, stage
     assert cli.main([command, "--data", str(data), "--config", str(config),
                      "--folds", "2", "--out-dir", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+    # every value is checked before the output directory is made: a DWT
+    # level against the table's power-of-two signal, the rest at load
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["gridsearch", "cluster"])

@@ -7,6 +7,7 @@ import pytest
 from wavefeat import dwt
 from wavefeat.errors import InvalidInputError, UnsupportedWaveletError
 from wavefeat.harness import DwtSpec
+from wavefeat.preprocess import pow2_grid
 
 SQ2 = np.sqrt(2.0)
 
@@ -51,16 +52,25 @@ class TestRegistry:
             "01773efc154bbfb97dddcb19dcbe6d0af79731c77f80ef9e53135c7966a542be")
 
 
+def _single(x, w):
+    """One analysis step: the approximation and the details of level 1."""
+    c = dwt.wavedec(x, w, 1)
+    k = x.shape[-1] // 2
+    return c[..., :k], c[..., k:]
+
+
 class TestDwtSingle:
+    """One analysis step, taken as ``wavedec`` at level 1."""
+
     def test_constant_haar_periodization(self):
         w = dwt.lookup_wavelet("daubechies", 1)
-        a, d = dwt.dwt_single(np.full(4, 2.0), w)
+        a, d = _single(np.full(4, 2.0), w)
         assert np.allclose(a, [2 * SQ2, 2 * SQ2])
         assert np.allclose(d, 0.0, atol=1e-12)
 
     def test_haar_1234(self):
         w = dwt.lookup_wavelet("daubechies", 1)
-        a, d = dwt.dwt_single(np.array([1.0, 2, 3, 4]), w)
+        a, d = _single(np.array([1.0, 2, 3, 4]), w)
         assert np.allclose(a, [3 / SQ2, 7 / SQ2])
         assert np.allclose(np.abs(d), [1 / SQ2, 1 / SQ2])
 
@@ -68,27 +78,21 @@ class TestDwtSingle:
         rng = np.random.default_rng(0)
         w = dwt.lookup_wavelet("daubechies", 1)
         x = rng.standard_normal(32)
-        a, d = dwt.dwt_single(x, w)
+        a, d = _single(x, w)
         assert abs(np.sum(a ** 2) + np.sum(d ** 2) - np.sum(x ** 2)) <= 1e-10
 
-    def test_odd_length_repeats_the_last_sample(self):
-        w = dwt.lookup_wavelet("daubechies", 2)
-        x = np.random.default_rng(6).standard_normal((2, 9))
-        even = np.concatenate([x, x[:, -1:]], axis=1)
-        for got, want in zip(dwt.dwt_single(x, w), dwt.dwt_single(even, w)):
-            assert np.array_equal(got, want)
-
     def test_output_lengths(self):
+        # the flat array keeps the signal's shape at every level
         for name, order in (("daubechies", 4), ("coiflet", 2), ("symlet", 5)):
             w = dwt.lookup_wavelet(name, order)
-            for n in (44, 45):
-                a, d = dwt.dwt_single(np.zeros(n), w)
-                assert a.shape[-1] == d.shape[-1] == (n + 1) // 2, (name, n)
+            for n in (64, 128):
+                for level in range(1, dwt.max_level(n, w) + 1):
+                    assert dwt.wavedec(np.zeros((2, n)), w, level).shape == (2, n)
 
     def test_too_short(self):
         w = dwt.lookup_wavelet("coiflet", 5)
         with pytest.raises(InvalidInputError):
-            dwt.dwt_single(np.zeros(10), w)
+            dwt.wavedec(np.zeros(16), w, 1)
 
 
 class TestMultilevel:
@@ -97,8 +101,7 @@ class TestMultilevel:
         w = dwt.lookup_wavelet("symlet", 4)
         x = rng.standard_normal(64)
         c = dwt.wavedec(x, w, 1)
-        a, d = dwt.dwt_single(x, w)
-        assert np.array_equal(c, np.concatenate([a, d]))
+        assert np.array_equal(c, np.concatenate(_padded_dwt_single(x, w)))
 
     def test_max_level_haar_1024(self):
         w = dwt.lookup_wavelet("daubechies", 1)
@@ -116,6 +119,17 @@ class TestMultilevel:
             with pytest.raises(InvalidInputError, match=f"signal length {n} too short"):
                 dwt.wavedec(np.zeros(n), w, 1)
 
+    def test_length_not_a_power_of_two(self):
+        # the signal table resamples every decomposition's input onto a
+        # power-of-two grid; any other length is refused, and named
+        w = dwt.lookup_wavelet("daubechies", 2)
+        for n in (50, 801):
+            match = f"signal length {n} is not a power of two; resample first"
+            with pytest.raises(InvalidInputError, match=match):
+                dwt.wavedec(np.zeros((2, n)), w, 1)
+            with pytest.raises(InvalidInputError, match=match):
+                dwt.waverec(np.zeros((2, n)), w, 1)
+
     def test_round_trip_db4_symmetric(self):
         # the name dates from the border-extension modes; the DWT now runs in
         # periodization only, so this is db4's level-3 round trip on 64 points
@@ -123,28 +137,28 @@ class TestMultilevel:
         w = dwt.lookup_wavelet("daubechies", 4)
         x = rng.standard_normal(64)
         c = dwt.wavedec(x, w, 3)
-        assert np.max(np.abs(dwt.waverec(c, w, 3, 64) - x)) <= 1e-10
+        assert np.max(np.abs(dwt.waverec(c, w, 3) - x)) <= 1e-10
 
     @pytest.mark.parametrize("mode", ["periodization"])
     def test_round_trip_modes_sample(self, mode):
-        # every level of a light sample of the registry, on even and odd
-        # lengths; the odd ones repeat their last sample, which the trim drops.
-        # The wavelets come through a config's DWT entry in the one mode left.
+        # every level of a light sample of the registry, on two power-of-two
+        # lengths.  The wavelets come through a config's DWT entry in the one
+        # mode left.
         rng = np.random.default_rng(3)
         for name, order in (("daubechies", 2), ("daubechies", 4), ("symlet", 5),
                             ("coiflet", 1)):
             spec = DwtSpec(name, order, mode)
             w = dwt.lookup_wavelet(spec.family, spec.order)
-            for n in (37, 64):
+            for n in (32, 64):
                 for level in range(1, dwt.max_level(n, w) + 1):
                     x = rng.standard_normal((3, n))
-                    back = dwt.waverec(dwt.wavedec(x, w, level), w, level, n)
+                    back = dwt.waverec(dwt.wavedec(x, w, level), w, level)
                     assert np.max(np.abs(back - x)) <= 1e-10, (name, n, level)
 
     def test_zero_coeffs_zero_signal(self):
         w = dwt.lookup_wavelet("daubechies", 2)
         c = dwt.wavedec(np.zeros(32), w, 2)
-        assert np.max(np.abs(dwt.waverec(c, w, 2, 32))) == 0.0
+        assert np.max(np.abs(dwt.waverec(c, w, 2))) == 0.0
 
     def test_energy_conservation_orthogonal_periodization(self):
         rng = np.random.default_rng(4)
@@ -167,7 +181,7 @@ class TestMultilevel:
     def test_linearity(self):
         rng = np.random.default_rng(5)
         w = dwt.lookup_wavelet("coiflet", 2)
-        x, y = rng.standard_normal((2, 50))
+        x, y = rng.standard_normal((2, 64))
         ca = dwt.wavedec(2.0 * x + 3.0 * y, w, 2)
         cb = 2.0 * dwt.wavedec(x, w, 2) + 3.0 * dwt.wavedec(y, w, 2)
         assert np.max(np.abs(ca - cb)) <= 1e-10
@@ -178,19 +192,21 @@ class TestFlatten:
         w = dwt.lookup_wavelet("daubechies", 1)
         x = np.array([1.0, 2, 3, 4])
         flat = dwt.wavedec(x, w, 1)
-        a, d = dwt.dwt_single(x, w)
+        a, d = _padded_dwt_single(x, w)
         assert flat.shape == (4,)
         assert np.array_equal(flat[:2], a)
         assert np.array_equal(flat[2:], d)
 
     def test_waverec_length_check(self):
+        # the flat array is as long as the signal, so one sample more or
+        # less is not a power of two
         w = dwt.lookup_wavelet("daubechies", 2)
-        x = np.zeros((2, 33))
+        x = np.zeros((2, 32))
         flat = dwt.wavedec(x, w, 2)
-        assert dwt.waverec(flat, w, 2, 33).shape == x.shape
+        assert dwt.waverec(flat, w, 2).shape == x.shape
         for wrong in (flat[..., :-1], np.concatenate([flat, flat[..., :1]], axis=-1)):
-            with pytest.raises(InvalidInputError):
-                dwt.waverec(wrong, w, 2, 33)
+            with pytest.raises(InvalidInputError, match="not a power of two"):
+                dwt.waverec(wrong, w, 2)
 
 
 # The analysis and synthesis steps as first written, with an index-array
@@ -199,20 +215,17 @@ class TestFlatten:
 
 def _reference_dwt_single(x, w):
     L = w.filter_length
-    xe = np.concatenate([x, x[..., -1:]], axis=-1) if x.shape[-1] % 2 else x
-    ne = xe.shape[-1]
-    idx = (2 * np.arange(ne // 2)[:, None] + 1 - np.arange(L)[None, :]) % ne
-    win = xe[..., idx]
+    n = x.shape[-1]
+    idx = (2 * np.arange(n // 2)[:, None] + 1 - np.arange(L)[None, :]) % n
+    win = x[..., idx]
     return win @ w.dec_lo, win @ w.dec_hi
 
 
 def _padded_dwt_single(x, w):
     """The analysis step as it was written before it read its windows from
-    the signal: the even-length signal wrapped by L samples on the left,
-    and output i read from window 2i + 2 of a strided view, reversed."""
+    the signal: the signal wrapped by L samples on the left, and output i
+    read from window 2i + 2 of a strided view, reversed."""
     L = w.filter_length
-    if x.shape[-1] % 2 == 1:
-        x = np.concatenate([x, x[..., -1:]], axis=-1)
     ext = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(L, 0)], mode="wrap")
     win = np.lib.stride_tricks.sliding_window_view(ext, L, axis=-1)[..., 2::2, ::-1]
     return win @ w.dec_lo, win @ w.dec_hi
@@ -227,7 +240,7 @@ def _concatenated_wavedec(x, w, level):
     return np.concatenate([cur] + details[::-1], axis=-1)
 
 
-def _reference_idwt_periodization(a, d, w, out_length):
+def _reference_idwt_periodization(a, d, w):
     L = w.filter_length
     k = a.shape[-1]
     ne = 2 * k
@@ -236,12 +249,12 @@ def _reference_idwt_periodization(a, d, w, out_length):
     for j in range(L):
         pos = (base + j) % ne
         out[..., pos] += a * w.rec_lo[j] + d * w.rec_hi[j]
-    return out[..., :out_length]
+    return out
 
 
-def _reference_idwt_single(a, d, w, out_length):
+def _reference_idwt_single(a, d, w):
     """The synthesis step with a fresh tap product per tap: the strided
-    slice adds of ``dwt.idwt_single``, each fed by ``a * rec_lo[j] +
+    slice adds of ``dwt.waverec``'s step, each fed by ``a * rec_lo[j] +
     d * rec_hi[j]``."""
     L = w.filter_length
     k = a.shape[-1]
@@ -254,21 +267,18 @@ def _reference_idwt_single(a, d, w, out_length):
         v = a * w.rec_lo[j] + d * w.rec_hi[j]
         half[..., rot:] += v[..., :k - rot]
         half[..., :rot] += v[..., k - rot:]
-    return out[..., :out_length]
+    return out
 
 
-def _reference_waverec_periodization(flat, x, w, level):
-    """The inverse of x's flat coefficients, split by the lengths that the
-    analysis steps of x give."""
-    lengths, cur = [x.shape[-1]], x
-    for _ in range(level):
-        cur, _ = dwt.dwt_single(cur, w)
-        lengths.append(cur.shape[-1])
-    sizes = [lengths[-1]] + lengths[:0:-1]  # approx, then details coarsest first
+def _reference_waverec_periodization(flat, w, level):
+    """The inverse of flat level-``level`` coefficients, split by halving
+    the signal's length."""
+    n = flat.shape[-1]
+    sizes = [n >> level] + [n >> step for step in range(level, 0, -1)]
     parts = np.split(flat, np.cumsum(sizes)[:-1], axis=-1)
     cur = parts[0]
-    for det, out_len in zip(parts[1:], lengths[-2::-1]):
-        cur = _reference_idwt_periodization(cur, det, w, out_len)
+    for det in parts[1:]:
+        cur = _reference_idwt_periodization(cur, det, w)
     return cur
 
 
@@ -280,13 +290,18 @@ def _same_bits(got, want):
 _REFERENCE_WAVELETS = [("daubechies", 4), ("daubechies", 1), ("symlet", 5),
                        ("coiflet", 3)]
 
+# the point counts of measured grids; the DWT reads the power-of-two grid
+# that the signal table resamples each onto: 2048, 1024 and 64 points
+GRID_POINTS = [1600, 801, 50]
+
 
 @pytest.fixture(scope="module")
 def spectra_block():
-    """250 rows of random signals per length; the rows of every smaller
-    block in these tests are taken from it."""
+    """250 rows of random signals on the power-of-two grid of each point
+    count; the rows of every smaller block in these tests are taken from it."""
     rng = np.random.default_rng(20)
-    return {n: rng.standard_normal((250, n)) for n in (1600, 801, 50)}
+    return {points: rng.standard_normal((250, pow2_grid(np.arange(points)).size))
+            for points in GRID_POINTS}
 
 
 def _blocks(block):
@@ -297,7 +312,7 @@ def _blocks(block):
 
 
 class TestBitIdenticalToReference:
-    @pytest.mark.parametrize("n", [1600, 801, 50])
+    @pytest.mark.parametrize("n", GRID_POINTS)
     @pytest.mark.parametrize("family,order", _REFERENCE_WAVELETS)
     def test_periodization_analysis(self, spectra_block, n, family, order):
         # The reference runs on the whole block.  On one row, its contiguous
@@ -308,56 +323,52 @@ class TestBitIdenticalToReference:
         block = spectra_block[n]
         want = _reference_dwt_single(block, w)
         for x, rows in _blocks(block):
-            for got, ref in zip(dwt.dwt_single(x, w), want):
+            for got, ref in zip(_single(x, w), want):
                 _same_bits(got, ref[rows])
 
-    @pytest.mark.parametrize("n", [1600, 801, 50])
+    @pytest.mark.parametrize("n", GRID_POINTS)
     @pytest.mark.parametrize("family,order", _REFERENCE_WAVELETS)
     def test_periodization_synthesis(self, spectra_block, n, family, order):
         w = dwt.lookup_wavelet(family, order)
         for x, _ in _blocks(spectra_block[n]):
             a, d = _reference_dwt_single(x, w)
-            _same_bits(dwt.idwt_single(a, d, w, n),
-                       _reference_idwt_periodization(a, d, w, n))
+            _same_bits(dwt.waverec(np.concatenate([a, d], axis=-1), w, 1),
+                       _reference_idwt_periodization(a, d, w))
 
-    @pytest.mark.parametrize("n", [1600, 801, 50])
+    @pytest.mark.parametrize("n", GRID_POINTS)
     def test_synthesis_equals_the_per_tap_products(self, spectra_block, n):
-        # approx and detail as the flat split hands them over: strided
-        # column slices of one block, as well as contiguous rows
+        # waverec hands its step approx and detail as strided column slices
+        # of the flat block; the reference sums contiguous rows the same way
         for family, order in _REFERENCE_WAVELETS:
             w = dwt.lookup_wavelet(family, order)
             for x, _ in _blocks(spectra_block[n]):
-                a, d = dwt.dwt_single(x, w)
-                flat = np.concatenate([a, d], axis=-1)
-                split = flat[..., :a.shape[-1]], flat[..., a.shape[-1]:]
-                for a_, d_ in ((a, d), split):
-                    _same_bits(dwt.idwt_single(a_, d_, w, n),
-                               _reference_idwt_single(a_, d_, w, n))
+                flat = dwt.wavedec(x, w, 1)
+                k = flat.shape[-1] // 2
+                got = dwt.waverec(flat, w, 1)
+                for a_, d_ in ((flat[..., :k], flat[..., k:]),
+                               (flat[..., :k].copy(), flat[..., k:].copy())):
+                    _same_bits(got, _reference_idwt_single(a_, d_, w))
 
-    @pytest.mark.parametrize("n", [1600, 801, 50])
+    @pytest.mark.parametrize("n", GRID_POINTS)
     def test_multilevel_inverse_of_soft_thresholded_coefficients(
             self, spectra_block, n):
         w = dwt.lookup_wavelet("daubechies", 4)
-        level = dwt.max_level(n, w)
         for x, _ in _blocks(spectra_block[n]):
+            level = dwt.max_level(x.shape[-1], w)
             flat = dwt.wavedec(x, w, level)
             shrunk = np.sign(flat) * np.maximum(np.abs(flat) - 0.5, 0.0)
-            _same_bits(dwt.waverec(shrunk, w, level, n),
-                       _reference_waverec_periodization(shrunk, x, w, level))
+            _same_bits(dwt.waverec(shrunk, w, level),
+                       _reference_waverec_periodization(shrunk, w, level))
 
 
 @pytest.mark.parametrize("w", list(dwt.iter_registry()), ids=lambda w: w.name)
 def test_analysis_equals_the_pad_and_concatenate_formula(w):
-    # 1600 and 2000 reach odd lengths at deeper levels (25 from 1600, 125
-    # and 63 from 2000), as do the odd signals; F-ordered blocks read
+    # every level of power-of-two lengths up to 2048; F-ordered blocks read
     # strided windows
     rng = np.random.default_rng(28)
-    L = w.filter_length
-    for n in (L, L + 1, 50, 101, 1600, 2000):
+    for n in (16, 32, 64, 128, 1024, 2048):
         block = rng.standard_normal((2, 3, n))
         for x in (block[0, 0], block[0], block,
                   np.asfortranarray(block[0]), np.asfortranarray(block)):
-            for got, want in zip(dwt.dwt_single(x, w), _padded_dwt_single(x, w)):
-                _same_bits(got, want)
             for level in range(1, dwt.max_level(n, w) + 1):
                 _same_bits(dwt.wavedec(x, w, level), _concatenated_wavedec(x, w, level))

@@ -214,7 +214,7 @@ class TestContrast:
             level = dwt.max_level(256, w)
             c = dwt.wavedec(x, w, level)
             tau = magnitude_quantile(c, 0.9)
-            old = x - dwt.waverec(threshold(c, "soft", tau), w, level, 256)
+            old = x - dwt.waverec(threshold(c, "soft", tau), w, level)
         new = contrast(c, tau)
         for a, b in ((new @ new.T, old @ old.T),
                      (pairwise_distances(new, "euclidean"),

@@ -184,6 +184,24 @@ class TestResamplePow2:
             assert signals.target is None
             assert fitted.train_features.shape == (4, 1024)
 
+    def test_pow2_non_uniform_resampled(self):
+        # 64 points that are not the uniform grid are resampled onto it
+        # before any decomposition: the DWT and WTT read power-of-two
+        # signals only
+        rng = np.random.default_rng(5)
+        wn = np.linspace(0, 1, 64) ** 2
+        data = LabeledDataset(wn, rng.standard_normal((4, 64)), ["a", "b"] * 2)
+        for decomposition in ({"kind": "wtt", "rank": 1},
+                              {"kind": "dwt", "family": "daubechies", "order": 4,
+                               "mode": "periodization"}):
+            (config,) = expand_grid({
+                "preprocess": {}, "decomposition": decomposition,
+                "model": {"kind": "hac", "affinity": "euclidean", "linkage": "average"}})
+            signals = SignalTable(data)
+            fitted = fit_pipeline(config, FoldMemo(signals, np.arange(4)))
+            assert signals.target is not None and signals.target.size == 64
+            assert fitted.train_features.shape == (4, 64)
+
     def test_linear_reproduction(self):
         wn = np.linspace(2000.0, 400.0, 1000)
         grid, out = _resample(wn, 0.5 * wn + 3.0)

@@ -312,36 +312,36 @@ def _blocks(block):
 
 
 class TestBitIdenticalToReference:
-    @pytest.mark.parametrize("n", GRID_POINTS)
+    @pytest.mark.parametrize("points", GRID_POINTS)
     @pytest.mark.parametrize("family,order", _REFERENCE_WAVELETS)
-    def test_periodization_analysis(self, spectra_block, n, family, order):
+    def test_periodization_analysis(self, spectra_block, points, family, order):
         # The reference runs on the whole block.  On one row, its contiguous
         # (k, L) window matrix goes to BLAS gemv, which sums the taps in
         # another order than the per-row products it makes for a block; the
         # strided kernel sums every row as the reference's block rows.
         w = dwt.lookup_wavelet(family, order)
-        block = spectra_block[n]
+        block = spectra_block[points]
         want = _reference_dwt_single(block, w)
         for x, rows in _blocks(block):
             for got, ref in zip(_single(x, w), want):
                 _same_bits(got, ref[rows])
 
-    @pytest.mark.parametrize("n", GRID_POINTS)
+    @pytest.mark.parametrize("points", GRID_POINTS)
     @pytest.mark.parametrize("family,order", _REFERENCE_WAVELETS)
-    def test_periodization_synthesis(self, spectra_block, n, family, order):
+    def test_periodization_synthesis(self, spectra_block, points, family, order):
         w = dwt.lookup_wavelet(family, order)
-        for x, _ in _blocks(spectra_block[n]):
+        for x, _ in _blocks(spectra_block[points]):
             a, d = _reference_dwt_single(x, w)
             _same_bits(dwt.waverec(np.concatenate([a, d], axis=-1), w, 1),
                        _reference_idwt_periodization(a, d, w))
 
-    @pytest.mark.parametrize("n", GRID_POINTS)
-    def test_synthesis_equals_the_per_tap_products(self, spectra_block, n):
+    @pytest.mark.parametrize("points", GRID_POINTS)
+    def test_synthesis_equals_the_per_tap_products(self, spectra_block, points):
         # waverec hands its step approx and detail as strided column slices
         # of the flat block; the reference sums contiguous rows the same way
         for family, order in _REFERENCE_WAVELETS:
             w = dwt.lookup_wavelet(family, order)
-            for x, _ in _blocks(spectra_block[n]):
+            for x, _ in _blocks(spectra_block[points]):
                 flat = dwt.wavedec(x, w, 1)
                 k = flat.shape[-1] // 2
                 got = dwt.waverec(flat, w, 1)
@@ -349,11 +349,11 @@ class TestBitIdenticalToReference:
                                (flat[..., :k].copy(), flat[..., k:].copy())):
                     _same_bits(got, _reference_idwt_single(a_, d_, w))
 
-    @pytest.mark.parametrize("n", GRID_POINTS)
+    @pytest.mark.parametrize("points", GRID_POINTS)
     def test_multilevel_inverse_of_soft_thresholded_coefficients(
-            self, spectra_block, n):
+            self, spectra_block, points):
         w = dwt.lookup_wavelet("daubechies", 4)
-        for x, _ in _blocks(spectra_block[n]):
+        for x, _ in _blocks(spectra_block[points]):
             level = dwt.max_level(x.shape[-1], w)
             flat = dwt.wavedec(x, w, level)
             shrunk = np.sign(flat) * np.maximum(np.abs(flat) - 0.5, 0.0)

@@ -180,34 +180,35 @@ def _require_classes(args, data, task: str) -> None:
 
 
 def _search(args, task: str, repeats: int) -> tuple:
-    """The start of a search command: load the data, check its classes, its
-    sample count against ``--folds`` and the split of the grid search and
-    of each of ``repeats`` repeated-CV runs, expand the task's grid, build
-    the command's one signal table, check every DWT config's level against
-    it, run the grid search and write its leaderboard.  Nothing is written
-    before the checks pass.
-    Returns (grid, table, result)."""
+    """The start of a search command: load the data, check its classes and
+    its sample count against ``--folds``, expand the task's grid, draw the
+    split of the grid search and of each of ``repeats`` repeated-CV runs,
+    build the command's one signal table, check every DWT config's level
+    against it, run the grid search and write its leaderboard.  Nothing is
+    written before the checks pass.
+    Returns (grid, table, result, the repeated-CV splits)."""
     data = _load_data(args)
     _require_classes(args, data, task)
     if args.folds > data.n_samples:
         raise InvalidConfigError(f"--folds {args.folds} exceeds the {data.n_samples} "
                                  f"samples of {args.data}")
     grid = grid_for_task(load_grid_document(args.config), task)
-    # the splits grid_search (--seed) and repeated CV (--seed + 1 + repeat)
-    # draw, checked before the output directory exists
-    for seed in range(args.seed, args.seed + 1 + repeats):
-        checked_split(data, args.folds, seed, task, args.stratify)
+    # each split drawn once, and checked before the output directory exists:
+    # the grid search's at --seed, repeat r's at --seed + 1 + r
+    splits = [checked_split(data, args.folds, seed, task, args.stratify)
+              for seed in range(args.seed, args.seed + 1 + repeats)]
     signals = SignalTable(data)
     check_dwt_levels(grid, signals)
     os.makedirs(args.out_dir, exist_ok=True)
-    result = grid_search(grid, signals, seed=args.seed, k=args.folds,
-                         stratify=args.stratify)
+    result = grid_search(grid, signals, splits[0])
     _write_leaderboard(os.path.join(args.out_dir, f"leaderboard_{task}.tsv"), result)
-    return grid, signals, result
+    return grid, signals, result, splits[1:]
 
 
-def _write_run_manifest(args, grid, result, t_start: float, fields: dict) -> None:
+def _write_run_manifest(args, grid, result, t_start: float, fields: dict,
+                        counters: dict | None = None) -> None:
     """The manifest of a search command: the fields both commands write,
+    with the grid search's counters and the command's own ``counters``,
     then the command's own ``fields``."""
     _write_manifest(args.out_dir, {
         "command": args.command,
@@ -217,7 +218,8 @@ def _write_run_manifest(args, grid, result, t_start: float, fields: dict) -> Non
         "data": {"path": os.path.abspath(args.data), "sha256": _digest(args.data)},
         "grid_size": len(grid),
         "grid_skipped": grid.skipped,
-        "counters": {"fits": result.fits, "memo_hits": result.memo_hits},
+        "counters": {"fits": result.fits, "memo_hits": result.memo_hits,
+                     **(counters or {})},
         "selection_metric": result.selection_metric,
         **fields,
         "wall_time_seconds": time.perf_counter() - t_start,
@@ -227,7 +229,7 @@ def _write_run_manifest(args, grid, result, t_start: float, fields: dict) -> Non
 
 def cmd_gridsearch(args) -> int:
     t_start = time.perf_counter()
-    grid, signals, result = _search(args, "classification", args.repeats)
+    grid, signals, result, splits = _search(args, "classification", args.repeats)
 
     # winners per (model kind, feature space, derivative), then repeated CV
     winners: dict = {}
@@ -241,9 +243,8 @@ def cmd_gridsearch(args) -> int:
     # grid order, so that winners with a common prefix share its fits
     position = {cfg: i for i, cfg in enumerate(grid)}
     keys = sorted(winners, key=lambda key: position[winners[key]])
-    final = dict(zip(keys, repeated_cv([winners[key] for key in keys], signals,
-                                       seed=args.seed + 1, repeats=args.repeats,
-                                       k=args.folds, stratify=args.stratify)))
+    reports, fits, hits = repeated_cv([winners[key] for key in keys], signals, splits)
+    final = dict(zip(keys, reports))
 
     model_kinds = sorted({k[0] for k in final})
     table_paths = []
@@ -257,13 +258,13 @@ def cmd_gridsearch(args) -> int:
             fh.write(_classification_table(cells, mk, spaces))
         table_paths.append(path)
 
+    best = result.leaderboard[0]
     _write_run_manifest(args, grid, result, t_start, {
         "repeats": args.repeats,
-        "best": result.best.to_dict(),
+        "best": best.to_dict(),
         "winners": {f"{k[0]}|{k[1]}|d{k[2]}": rep.to_dict()
                     for k, rep in final.items()},
-    })
-    best = result.best
+    }, {"repeated_cv": {"fits": fits, "memo_hits": hits}})
     print(f"evaluated {len(grid)} configs; best {result.selection_metric}="
           f"{best.means[result.selection_metric]:.4f} for {best.config.label()}")
     for path in table_paths:
@@ -273,7 +274,7 @@ def cmd_gridsearch(args) -> int:
 
 def cmd_cluster(args) -> int:
     t_start = time.perf_counter()
-    grid, signals, result = _search(args, "clustering", 0)
+    grid, signals, result, _ = _search(args, "clustering", 0)
 
     winners: dict = {}
     for report in result.leaderboard:
@@ -344,6 +345,16 @@ def _solver_line(solver: dict, where: str) -> str:
             f"largest duality gap {gap_text}")
 
 
+def _counters_line(counters: dict, run: str, where: str) -> str:
+    """One line of a run's fits and memo hits per stage name."""
+    fits, hits = (_manifest_field(counters, name, dict, where)
+                  for name in ("fits", "memo_hits"))
+    return f"stage fits / memo hits ({run}): " + ", ".join(
+        f"{stage} {_manifest_field(fits, stage, _NUMBER, where + 'fits.')}/"
+        f"{_manifest_field(hits, stage, _NUMBER, where + 'memo_hits.')}"
+        for stage in FoldMemo.NAMES if stage in fits)
+
+
 def cmd_report(args) -> int:
     if args.registry:
         with open(args.registry, "w") as fh:
@@ -391,13 +402,11 @@ def cmd_report(args) -> int:
         series_rows.append((key, score))
     if "counters" in manifest:
         counters = _manifest_field(manifest, "counters", dict, where)
-        fits, hits = (_manifest_field(counters, name, dict, where + "counters.")
-                      for name in ("fits", "memo_hits"))
-        counts = [(stage, fits[stage], _manifest_field(
-                       hits, stage, _NUMBER, where + "counters.memo_hits."))
-                  for stage in FoldMemo.NAMES if stage in fits]
-        print("stage fits / memo hits (grid search): " + ", ".join(
-            f"{stage} {n_fits}/{n_hits}" for stage, n_fits, n_hits in counts))
+        print(_counters_line(counters, "grid search", where + "counters."))
+        if "repeated_cv" in counters:
+            print(_counters_line(
+                _manifest_field(counters, "repeated_cv", dict, where + "counters."),
+                "repeated CV", where + "counters.repeated_cv."))
     for rule, n in sorted(_manifest_field(manifest, "grid_skipped", dict, where,
                                           {}).items()):
         print(f"grid points skipped: {n} ({rule})")

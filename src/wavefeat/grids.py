@@ -97,6 +97,12 @@ def load_grid_document(path: str | None = None) -> dict:
 
 
 def grid_for_task(doc: dict, task: str) -> ConfigGrid:
+    """The configs of the ``task`` section, whose models must be of that task."""
     if task not in doc:
         raise InvalidConfigError(f"grid document has no {task!r} section")
-    return expand_grid(doc[task])
+    grid = expand_grid(doc[task])
+    for config in grid:
+        if config.task != task:
+            raise InvalidConfigError(f"grid section {task!r}: model kind "
+                                     f"{config.model.kind!r} is a {config.task} model")
+    return grid

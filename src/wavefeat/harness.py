@@ -33,21 +33,21 @@ the next has read it.
 A stage's key is the key of the stage before it plus the config fields the
 stage reads, so two configs with equal keys share everything up to that
 stage.  A ``FoldMemo`` holds one fold's rows and, per stage, only the last
-key fitted with its state and outputs.  ``grid_search`` runs folds one
-after another, and configs in grid order inside each.  Grids expand with
-preprocessing slowest, so grid order is a depth-first walk of the prefix
-tree: one live entry per stage catches every repeat, and memory stays at
-one fitted prefix per fold.  A hit returns the arrays the fit computed, so
-no result depends on whether a stage was shared.  HAC configs that differ
-only in linkage also share one distance matrix per (features key,
-affinity).  A clustering fold fits its configs in one stack call of
-``fit_pipeline``: every config fits its stages through its distance
-matrix, and one call of ``models.hac_fit`` links all the matrices,
-side by side when the walks are at least as many as the fold's rows.  Each
-tree is scored by ARI alone, the selection metric; the final clusterings
-also report AMI and FM.  ``repeated_cv`` runs all repeats of the winners
-of a grid search as one run of the same fold loop, so they share each
-fold's memo.
+key fitted with its state and outputs.  ``repeated_cv``, the one fold
+loop, runs folds one after another, and configs in grid order inside each.
+Grids expand with preprocessing slowest, so grid order is a depth-first
+walk of the prefix tree: one live entry per stage catches every repeat,
+and memory stays at one fitted prefix per fold.  A hit returns the arrays
+the fit computed, so no result depends on whether a stage was shared.  HAC
+configs that differ only in linkage also share one distance matrix per
+(features key, affinity).  A clustering fold fits its configs in one
+stack call of ``fit_pipeline``: every config fits its stages through its
+distance matrix, and one call of ``models.hac_fit`` links all the
+matrices, side by side when the walks are at least as many as the fold's
+rows.  Each tree is scored by ARI alone, the selection metric; the final
+clusterings also report AMI and FM.  A grid search is one split of
+``repeated_cv``, and all repeats of the search's winners are one run of
+it, so they share each fold's memo.
 """
 from __future__ import annotations
 
@@ -311,7 +311,7 @@ def checked_split(data: LabeledDataset, k: int, seed: int, task: str,
     """``kfold_split`` of ``data``, whose every fold leaves rows to fit on:
     at least 2, and for a classification ``task`` of at least 2 classes.
     Otherwise SplitError names the first fold that does not, counted from 1.
-    Both ``grid_search`` and ``repeated_cv`` split through this."""
+    The search commands draw every split through this before writing."""
     folds = kfold_split(data.n_samples, k, seed, labels=data.labels,
                         stratify=stratify)
     labels = np.asarray(data.labels, dtype=object)
@@ -522,7 +522,8 @@ class FittedPipeline:
 
     @property
     def model(self):
-        """LdaModel, LrModel, or the LinkageTree of the fitting block."""
+        """LdaModel, LrModel, or in a stack the LinkageTree of the fitting
+        block (a clustering config fitted alone stops at its distance matrix)."""
         return self.states[3]
 
 
@@ -593,13 +594,13 @@ def fit_pipeline(config: PipelineConfig | list, memo: FoldMemo) -> FittedPipelin
     ``fit_pipeline(config, FoldMemo(SignalTable(data), rows))``.  When the
     memo has held-out rows, their features are ``held_out_features``.
 
-    A clustering config's model stage fits the distance matrix of the
-    fitting rows, and ``models.hac_fit`` links it into the LinkageTree that
-    is the model.  ``config`` may also be a list of clustering configs, a
-    stack: each fits its stages in turn, one call of ``models.hac_fit``
-    links all their matrices, and one FittedPipeline per config comes back,
-    without features (``train_features`` is None) so that a grid's configs
-    do not hold all their features at once.
+    One config is the form for classification.  Clustering configs come as
+    a list, a stack: each fits its stages in turn, its model stage fitting
+    the distance matrix of the fitting rows, one call of ``models.hac_fit``
+    links all the matrices into the LinkageTrees that are the models, and
+    one FittedPipeline per config comes back, without features
+    (``train_features`` is None) so that a grid's configs do not hold all
+    their features at once.
 
     The warnings raised by the fits and the linking are recorded in
     ``FittedPipeline.warnings`` instead of shown; those of a stack's
@@ -608,9 +609,6 @@ def fit_pipeline(config: PipelineConfig | list, memo: FoldMemo) -> FittedPipelin
     if isinstance(config, PipelineConfig):
         with _recording() as caught:
             states, blocks = _fit_states(config, memo)
-            if config.task == "clustering":
-                m = config.model
-                states[-1] = models.hac_fit([states[-1]], [m.linkage], [m.affinity])[0]
         # blocks: the features of the fitting rows, then of any held-out rows
         return FittedPipeline(config, tuple(states), *blocks, warnings=caught)
     configs = list(config)
@@ -636,7 +634,6 @@ def fit_pipeline(config: PipelineConfig | list, memo: FoldMemo) -> FittedPipelin
 @dataclass
 class CvReport:
     config: PipelineConfig
-    seed: int | None
     n_folds: int
     n_runs: int
     per_fold: list            # one dict of scores per fit/score run
@@ -651,7 +648,6 @@ class CvReport:
             "config": self.config.to_dict(),
             "label": self.config.label(),
             "task": self.config.task,
-            "seed": self.seed,
             "n_folds": self.n_folds,
             "n_runs": self.n_runs,
             "per_fold": self.per_fold,
@@ -709,39 +705,43 @@ def _fit_and_score_clusterings(grid: list[PipelineConfig], memo: FoldMemo) -> li
     return [(score, share, f.warnings, None) for score, f in zip(scores, fitted)]
 
 
-def _cross_validate(grid: list[PipelineConfig], signals: SignalTable,
-                    splits: list[list[np.ndarray]], seed: int | None
-                    ) -> tuple[list[CvReport], list[tuple]]:
-    """One CvReport per config, in grid order, over the folds of every
-    k-fold split in ``splits`` (one per repeat), and the (fits, hits) counts
-    of each fold's memo.  Every fold reads the table ``signals``.
+def repeated_cv(configs: list[PipelineConfig], signals: SignalTable,
+                splits: list[list[np.ndarray]]) -> tuple[list[CvReport], dict, dict]:
+    """One CvReport per config, in the order given, over the folds of every
+    k-fold split in ``splits``, and the fits and memo hits of each stage
+    name, summed over the folds' memos.  The configs are of one task; give
+    them in grid order, so that those with a common prefix share its fits.
 
-    A config's runtime is the sum of its per-fold times; a shared stage
-    counts towards the config that fitted it first.
+    The folds run one after another, configs in order inside each, sharing
+    the fold's FoldMemo, and every fold reads the table ``signals``.  A
+    config's runtime is the sum of its per-fold times; a shared stage counts
+    towards the config that fitted it first.
     """
-    cells, counts = [], []
+    cells = []
+    fits, hits = dict.fromkeys(FoldMemo.NAMES, 0), dict.fromkeys(FoldMemo.NAMES, 0)
     for folds in splits:
         for fold in folds:
             rest = np.setdiff1d(np.arange(signals.data.n_samples), fold)
-            if grid[0].task == "classification":
+            if configs[0].task == "classification":
                 memo = FoldMemo(signals, rest, fold)
-                cells.append([_fit_and_score(config, memo) for config in grid])
+                cells.append([_fit_and_score(config, memo) for config in configs])
             else:
                 memo = FoldMemo(signals, rest)
-                cells.append(_fit_and_score_clusterings(grid, memo))
-            counts.append((memo.fits, memo.hits))
+                cells.append(_fit_and_score_clusterings(configs, memo))
+            for name in FoldMemo.NAMES:
+                fits[name] += memo.fits[name]
+                hits[name] += memo.hits[name]
     reports = []
-    for config, runs in zip(grid, zip(*cells)):
+    for config, runs in zip(configs, zip(*cells)):
         rows = [run[0] for run in runs]
         reports.append(CvReport(
-            config=config, seed=seed, n_folds=len(splits[0]),
-            n_runs=len(rows), per_fold=rows,
+            config=config, n_folds=len(splits[0]), n_runs=len(rows), per_fold=rows,
             means={name: float(np.mean([r[name] for r in rows])) for name in rows[0]},
             stds={name: float(np.std([r[name] for r in rows])) for name in rows[0]},
             runtime_seconds=sum(run[1] for run in runs),
             warnings=[w for run in runs for w in run[2]],
             lr_fits=[run[3] for run in runs if run[3] is not None]))
-    return reports, counts
+    return reports, fits, hits
 
 
 SELECTION_METRIC = {"classification": "test_accuracy", "clustering": "ari"}
@@ -749,56 +749,21 @@ SELECTION_METRIC = {"classification": "test_accuracy", "clustering": "ari"}
 
 @dataclass
 class GridSearchResult:
-    best: CvReport
     leaderboard: list  # CvReports sorted by selection metric desc, ties by grid order
     selection_metric: str
-    fits: dict = field(default_factory=dict)       # stage -> entries computed
-    memo_hits: dict = field(default_factory=dict)  # stage -> entries reused
+    fits: dict       # stage -> entries computed
+    memo_hits: dict  # stage -> entries reused
 
 
-def grid_search(grid: list[PipelineConfig], signals: SignalTable, seed: int,
-                k: int = 4, stratify: bool = False) -> GridSearchResult:
-    """Exhaustively evaluate a config lattice on the dataset of ``signals``
-    with one fixed seeded split.
-
-    Folds run in the outer loop, configs in grid order inside it, sharing
-    each fold's FoldMemo, and every fold reads the table ``signals``.
-    """
-    grid = list(grid)
-    if not grid:
-        raise InvalidConfigError("empty grid")
-    tasks = {c.task for c in grid}
-    if len(tasks) != 1:
-        raise InvalidConfigError("grid mixes classification and clustering configs")
-    task = tasks.pop()
-    metric = SELECTION_METRIC[task]
-    folds = checked_split(signals.data, k, seed, task, stratify)
-    reports, counts = _cross_validate(grid, signals, [folds], seed)
-    order = sorted(range(len(grid)), key=lambda i: (-reports[i].means[metric], i))
-    leaderboard = [reports[i] for i in order]
-    return GridSearchResult(
-        best=leaderboard[0],
-        leaderboard=leaderboard,
-        selection_metric=metric,
-        fits={n: sum(fits[n] for fits, _ in counts) for n in FoldMemo.NAMES},
-        memo_hits={n: sum(hits[n] for _, hits in counts) for n in FoldMemo.NAMES},
-    )
-
-
-def repeated_cv(winners: list[PipelineConfig], signals: SignalTable, seed: int,
-                repeats: int = 25, k: int = 4,
-                stratify: bool = False) -> list[CvReport]:
-    """Repeat k-fold CV on the dataset of ``signals`` with derived seeds
-    (seed + i); 25 x 4 = 100 runs.
-
-    All repeats are one run of the grid search's fold loop, so ``winners``
-    share each fold's memo; give them in grid order.  Returns one CvReport
-    per config, in the order given."""
-    if any(config.task != "classification" for config in winners):
-        raise InvalidConfigError("repeated_cv applies to classification configs")
-    splits = [checked_split(signals.data, k, seed + rep, "classification", stratify)
-              for rep in range(repeats)]
-    return _cross_validate(winners, signals, splits, seed)[0]
+def grid_search(grid: list[PipelineConfig], signals: SignalTable,
+                folds: list[np.ndarray]) -> GridSearchResult:
+    """``repeated_cv`` of a config lattice, all of one task, over the one
+    split ``folds``, ranked by the task's selection metric."""
+    metric = SELECTION_METRIC[grid[0].task]
+    reports, fits, hits = repeated_cv(grid, signals, [folds])
+    # a stable sort: ties keep grid order
+    leaderboard = sorted(reports, key=lambda report: -report.means[metric])
+    return GridSearchResult(leaderboard, metric, fits, hits)
 
 
 def final_clustering(config: PipelineConfig, signals: SignalTable):
@@ -811,9 +776,9 @@ def final_clustering(config: PipelineConfig, signals: SignalTable):
     """
     if config.task != "clustering":
         raise InvalidConfigError("final_clustering requires a clustering config")
-    data = signals.data
-    tree = fit_pipeline(config, _UnsharedMemo(signals, np.arange(data.n_samples))).model
-    true = data.labels
+    true = signals.data.labels
+    (fitted,) = fit_pipeline([config], _UnsharedMemo(signals, np.arange(len(true))))
+    tree = fitted.model
     pred = models.cut_tree(tree, len(set(true)))
     return tree, {"ari": adjusted_rand(true, pred),
                   "ami": adjusted_mutual_info(true, pred),

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDatasetError, InvalidInputError, is_count
+from .errors import InvalidConfigError, InvalidDatasetError, InvalidInputError, is_count
 
 DERIVATIVE_ORDERS = (0, 1, 2)
 SCALE_AXES = ("feature", "sample")
@@ -81,14 +81,14 @@ class PreprocessConfig:
     def __post_init__(self):
         if not (is_count(self.derivative_order)
                 and self.derivative_order in DERIVATIVE_ORDERS):
-            raise InvalidInputError(f"derivative_order must be one of "
-                                    f"{DERIVATIVE_ORDERS}, got {self.derivative_order!r}")
+            raise InvalidConfigError(f"derivative_order must be one of "
+                                     f"{DERIVATIVE_ORDERS}, got {self.derivative_order!r}")
         for name in ("center", "scale", "take_abs"):
             if not isinstance(getattr(self, name), bool):
-                raise InvalidInputError(
+                raise InvalidConfigError(
                     f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.axis not in SCALE_AXES:
-            raise InvalidInputError(f"axis must be one of {SCALE_AXES}")
+            raise InvalidConfigError(f"axis must be one of {SCALE_AXES}")
 
 
 def _uniform_spacing(wn: np.ndarray) -> float:

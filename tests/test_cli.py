@@ -40,9 +40,16 @@ def test_gridsearch_manifest_records_runtime_and_solver_outcome(tmp_path, capsys
     assert solver["fits_converged"] == 4
     assert 0 < solver["max_n_iter"] <= 100
     assert 0.0 <= solver["max_gap"] <= 1e-9
+    # repeated CV fits each of its 2 winners once per fold of its 2 repeats
+    # of 2 folds, and computes the one signal's preprocess once per fold
+    counters = manifest["counters"]["repeated_cv"]
+    assert counters["fits"]["model"] == 2 * 2 * 2
+    assert counters["fits"]["preprocess"] == counters["memo_hits"]["preprocess"] == 2 * 2
     capsys.readouterr()
     assert cli.main(["report", "--run-dir", str(out)]) == 0
     printed = capsys.readouterr().out
+    assert "stage fits / memo hits (grid search): preprocess 2/2," in printed
+    assert "stage fits / memo hits (repeated CV): preprocess 4/4," in printed
     assert (f"LR fits converged 4/4, Newton steps at most {solver['max_n_iter']}, "
             f"largest duality gap {solver['max_gap']:.1e}") in printed
     assert printed.count("LR fits converged") == 1  # the LDA winner has none
@@ -341,6 +348,13 @@ def test_report_on_a_bad_manifest_exits_3(tmp_path, capsys, text):
     ({"counters": {"fits": 3}}, "counters.fits must be a JSON object"),
     ({"counters": {"fits": {"model": 2}, "memo_hits": {}}},
      "counters.memo_hits.model must be a number"),
+    ({"counters": {"fits": {"model": "2"}, "memo_hits": {"model": 0}}},
+     "counters.fits.model must be a number"),
+    ({"counters": {"fits": {}, "memo_hits": {}, "repeated_cv": [1]}},
+     "counters.repeated_cv must be a JSON object"),
+    ({"counters": {"fits": {}, "memo_hits": {}, "repeated_cv": {
+        "fits": {"model": 8}, "memo_hits": {"model": "0"}}}},
+     "counters.repeated_cv.memo_hits.model must be a number"),
     ({"data": {"sha256": 7}}, "data.sha256 must be a string"),
     ({"winners": {"WTT|d0": {"scores": {"ari": 0.5}}}},
      "winners.WTT|d0.scores.ami must be a number"),
@@ -357,7 +371,7 @@ def test_report_on_a_bad_manifest_exits_3(tmp_path, capsys, text):
         "fits_attempted": 4, "fits_converged": True, "max_n_iter": False}}}},
      "winners.lr|WTT|d0.solver.fits_converged must be a number"),
     ({"peak_rss_mb": False}, "peak_rss_mb must be a number or null"),
-], ids=["winners", "fits", "hits", "sha256", "scores", "means", "skipped", "wall",
+], ids=["winners", "fits", "hits", "fit-count", "cv-counters", "cv-hits", "sha256", "scores", "means", "skipped", "wall",
         "peak-rss", "max-gap", "solver-bool", "peak-rss-bool"])
 def test_report_on_a_manifest_with_a_mistyped_field_exits_3(
         tmp_path, capsys, manifest, message):
@@ -614,6 +628,32 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, stage
     # every value is checked before the output directory is made: a DWT
     # level against the table's power-of-two signal, the rest at load
     assert not (tmp_path / "out").exists()
+
+
+HAC = {"kind": "hac", "affinity": "euclidean", "linkage": "ward"}
+
+
+@pytest.mark.parametrize("command, task, models, kind", [
+    ("gridsearch", "classification", [HAC], "'hac' is a clustering model"),
+    ("cluster", "clustering", [{"kind": "lda"}], "'lda' is a classification model"),
+    ("gridsearch", "classification", [{"kind": "lda"}, HAC],
+     "'hac' is a clustering model"),
+], ids=["classification-hac", "clustering-lda", "classification-mixed"])
+def test_grid_section_with_a_model_of_the_other_task_exits_2(
+        tmp_path, capsys, command, task, models, kind):
+    # the section fixes the task: a clustering search used to run on a
+    # classification section of HAC models and write its leaderboard, and a
+    # mixed section failed after making the output directory
+    data = _tiny_dataset(tmp_path)
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"schema": "wavefeat-grid", task: {
+        "preprocess": {"derivative_order": 0}, "model": models}}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main([command, "--data", str(data), "--config", str(config),
+                     "--folds", "2", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"usage error: grid section '{task}': model kind {kind}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["gridsearch", "cluster"])

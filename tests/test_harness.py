@@ -71,12 +71,12 @@ def _config(decomposition, transform, model, derivative_order=0):
 def test_grid_search_equals_fresh_memo_per_config(data, clustering_grid, grid_name):
     grid = (clustering_grid if grid_name == "clustering"
             else expand_grid(CLASSIFICATION_GRID))
-    result = grid_search(grid, SignalTable(data), seed=2, k=3)
     folds = kfold_split(data.n_samples, 3, 2)
+    result = grid_search(grid, SignalTable(data), folds)
     by_label = {r.config.label(): r for r in result.leaderboard}
     assert len(by_label) == len(grid)
     for config in grid:
-        alone = harness._cross_validate([config], SignalTable(data), [folds], 2)[0][0]
+        alone = repeated_cv([config], SignalTable(data), [folds])[0][0]
         shared = by_label[config.label()]
         assert shared.per_fold == alone.per_fold, config.label()
         assert shared.lr_fits == alone.lr_fits
@@ -101,14 +101,14 @@ def test_clustering_grid_search_equals_one_run_per_config(data, monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(models, "hac_fit", recorded)
-    result = grid_search(grid, SignalTable(data), seed=2, k=3)
+    folds = kfold_split(data.n_samples, 3, 2)
+    result = grid_search(grid, SignalTable(data), folds)
     stacks = calls[:]
     assert [len(trees) for trees in stacks] == [len(grid)] * 3
-    folds = kfold_split(data.n_samples, 3, 2)
     alone = []
     for i, config in enumerate(grid):
         calls.clear()
-        alone.append(harness._cross_validate([config], SignalTable(data), [folds], 2)[0][0])
+        alone.append(repeated_cv([config], SignalTable(data), [folds])[0][0])
         assert [trees[0].merges for trees in calls] == [
             trees[i].merges for trees in stacks], config.label()
     order = sorted(range(len(grid)), key=lambda i: (-alone[i].means["ari"], i))
@@ -120,23 +120,30 @@ def test_clustering_grid_search_equals_one_run_per_config(data, monkeypatch):
 
 def test_repeated_cv_equals_per_config_repeats(data):
     grid = expand_grid(CLASSIFICATION_GRID)
-    reports = repeated_cv(grid, SignalTable(data), seed=5, repeats=2, k=3)
+    splits = [kfold_split(data.n_samples, 3, seed) for seed in (5, 6)]
+    reports, _, _ = repeated_cv(grid, SignalTable(data), splits)
     assert [r.config for r in reports] == list(grid)
     for config, report in zip(grid, reports):
-        alone = [harness._cross_validate([config], SignalTable(data),
-                                         [kfold_split(data.n_samples, 3, 5 + rep)],
-                                         5 + rep)[0][0]
-                 for rep in range(2)]
+        alone = [repeated_cv([config], SignalTable(data), [folds])[0][0]
+                 for folds in splits]
         assert report.per_fold == alone[0].per_fold + alone[1].per_fold, config.label()
         assert report.lr_fits == alone[0].lr_fits + alone[1].lr_fits
         assert report.warnings == alone[0].warnings + alone[1].warnings
-        assert (report.seed, report.n_folds, report.n_runs) == (5, 3, 6)
+        assert (report.n_folds, report.n_runs) == (3, 6)
 
 
-def test_repeated_cv_rejects_a_clustering_winner(data):
-    with pytest.raises(InvalidConfigError):
-        repeated_cv([LEAKAGE_CONFIGS[0], LEAKAGE_CONFIGS[2]], SignalTable(data), seed=0,
-                    repeats=1, k=3)
+@pytest.mark.parametrize("grid_name", ["clustering", "classification"])
+def test_repeated_cv_sums_the_counters_of_its_splits(data, clustering_grid, grid_name):
+    grid = (clustering_grid if grid_name == "clustering"
+            else expand_grid(CLASSIFICATION_GRID))
+    splits = [kfold_split(data.n_samples, 3, seed) for seed in (5, 6)]
+    _, fits, hits = repeated_cv(grid, SignalTable(data), splits)
+    alone = [repeated_cv(grid, SignalTable(data), [folds])[1:] for folds in splits]
+    for i, summed in enumerate((fits, hits)):
+        assert list(summed) == list(FoldMemo.NAMES)
+        assert summed == {name: alone[0][i][name] + alone[1][i][name]
+                          for name in FoldMemo.NAMES}
+    assert fits["model"] == 2 * 3 * len(grid)
 
 
 def test_wtt_trainings_equal_distinct_fold_preprocess_rank_keys(
@@ -150,7 +157,8 @@ def test_wtt_trainings_equal_distinct_fold_preprocess_rank_keys(
 
     monkeypatch.setattr(wtt, "train_group_filters", counted)
     k = 3
-    result = grid_search(clustering_grid, SignalTable(data), seed=2, k=k)
+    result = grid_search(clustering_grid, SignalTable(data),
+                         kfold_split(data.n_samples, k, 2))
     keys = {(c.preprocess, c.decomposition.rank) for c in clustering_grid
             if isinstance(c.decomposition, harness.WttSpec)}
     assert len(calls) == k * len(keys) == 18
@@ -169,7 +177,7 @@ def test_cross_validate_scores_equal_fresh_fits_on_raw_held_out_rows(data):
     # sliced out of column-major table blocks
     grid = expand_grid(CLASSIFICATION_GRID)
     folds = kfold_split(data.n_samples, 3, 2)
-    reports, _ = harness._cross_validate(grid, SignalTable(data), [folds], 2)
+    reports, _, _ = repeated_cv(grid, SignalTable(data), [folds])
     for config, report in zip(grid, reports):
         for fold, row in zip(folds, report.per_fold):
             rest = np.setdiff1d(np.arange(data.n_samples), fold)
@@ -192,8 +200,8 @@ def test_perturbed_held_out_rows_leave_the_fold_fits_unchanged(data):
     perturbed[fold] += rng.normal(0.0, 5.0, size=perturbed[fold].shape)
     other = LabeledDataset(data.wavenumbers, perturbed, data.labels)
     # the signal table of each run covers every row, the perturbed ones too
-    a, _ = harness._cross_validate(grid, SignalTable(data), [[fold]], 2)
-    b, _ = harness._cross_validate(grid, SignalTable(other), [[fold]], 2)
+    a = repeated_cv(grid, SignalTable(data), [[fold]])[0]
+    b = repeated_cv(grid, SignalTable(other), [[fold]])[0]
     for x, y in zip(a, b):
         for name in ("train_accuracy", "train_f1"):
             assert x.per_fold[0][name] == y.per_fold[0][name], x.config.label()
@@ -220,11 +228,12 @@ def test_each_cv_run_computes_each_signal_once(data, clustering_grid, monkeypatc
     monkeypatch.setattr(harness, "resample_matrix", counted_resample)
     if grid_name == "clustering":
         grid = clustering_grid
-        grid_search(grid, SignalTable(data), seed=2, k=3)
+        grid_search(grid, SignalTable(data), kfold_split(data.n_samples, 3, 2))
     else:
         grid = expand_grid(CLASSIFICATION_GRID)
         # one run over both repeats
-        repeated_cv(grid, SignalTable(data), seed=5, repeats=2, k=3)
+        repeated_cv(grid, SignalTable(data),
+                    [kfold_split(data.n_samples, 3, seed) for seed in (5, 6)])
     orders = sorted({c.preprocess.derivative_order for c in grid})
     pow2_orders = {c.preprocess.derivative_order for c in grid
                    if c.decomposition is not None}
@@ -400,7 +409,7 @@ def test_a_stack_of_clustering_configs_fits_like_each_alone(data):
                                                     linkage="ward"))]
     stack = _fit(configs, data, rows)
     for config, fitted in zip(configs, stack):
-        alone = _fit(config, data, rows)
+        (alone,) = _fit([config], data, rows)
         assert fitted.config == config and fitted.train_features is None
         assert fitted.model.merges == alone.model.merges
         assert fitted.model.n_leaves == alone.model.n_leaves == data.n_samples
@@ -425,9 +434,10 @@ FINAL_CONFIGS = [
 def test_final_clustering_cuts_a_fresh_fit_of_all_rows(data, config, shared):
     # a table its grid search has filled, as the cluster command's is
     signals = SignalTable(data)
-    grid_search([config], signals, seed=2, k=3)
+    grid_search([config], signals, kfold_split(data.n_samples, 3, 2))
     tree, scores = harness.final_clustering(config, signals)
-    fresh = _fit(config, data, np.arange(data.n_samples)).model
+    (fresh,) = _fit([config], data, np.arange(data.n_samples))
+    fresh = fresh.model
     assert tree == fresh
     pred = models.cut_tree(fresh, len(set(data.labels)))
     assert scores == {"ari": adjusted_rand(data.labels, pred),
@@ -441,7 +451,7 @@ def test_final_clustering_frees_its_fitted_pipeline(data, monkeypatch):
 
     def recorded(*args, **kwargs):
         result = original(*args, **kwargs)
-        fitted.append(weakref.ref(result))
+        fitted.extend(weakref.ref(f) for f in result)  # a stack of one
         return result
 
     monkeypatch.setattr(harness, "fit_pipeline", recorded)
@@ -463,7 +473,7 @@ def test_linking_warnings_are_recorded_not_shown(data, monkeypatch):
     rows = np.arange(data.n_samples)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a shown warning fails the test
-        alone = _fit(LEAKAGE_CONFIGS[2], data, rows)
+        (alone,) = _fit([LEAKAGE_CONFIGS[2]], data, rows)
         stack = _fit([LEAKAGE_CONFIGS[2]] * 2, data, rows)
     for fitted in [alone, *stack]:
         assert fitted.warnings.count("linkage warning") == 1
@@ -552,7 +562,7 @@ def test_preprocess_value_of_the_wrong_type_raises(fields, message):
     # "center": "no" used to centre the data, and True and 1.0 were read
     # as derivative order 1, labelled dTruec and d1.0c
     doc = {**CLASSIFICATION_GRID, "preprocess": {"derivative_order": 0, **fields}}
-    with pytest.raises(InvalidInputError) as grid_exc:
+    with pytest.raises(InvalidConfigError) as grid_exc:
         expand_grid(doc)
     assert str(grid_exc.value) == message
 

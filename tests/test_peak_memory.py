@@ -111,7 +111,8 @@ def test_a_final_clustering_holds_one_stage_output_at_a_time(decomposition, mode
     assert peak <= 2.5 * full.nbytes + SLACK
     # the same tree and scores as a fit through a memo that stores the stages
     rows = np.arange(data.n_samples)
-    stored = harness.fit_pipeline(config, harness.FoldMemo(signals, rows)).model
+    (stored,) = harness.fit_pipeline([config], harness.FoldMemo(signals, rows))
+    stored = stored.model
     assert tree == stored
     pred = models.cut_tree(stored, len(set(data.labels)))
     assert scores == {"ari": adjusted_rand(data.labels, pred),

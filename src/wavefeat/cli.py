@@ -5,6 +5,9 @@ cross-validated search + repeated CV of the winners), cluster (clustering
 search + full-dataset clustering with dendrogram export), report (render a
 run manifest; optionally dump the wavelet filter registry).
 
+A dataset is one CSV file (see ``dataio``), whatever its name: synth writes
+it and --data reads it.  Grid documents, synth specs and manifests are JSON.
+
 Exit codes: 0 ok, 2 usage/config error or an output that cannot be written,
 3 data error, 4 numerical failure.
 
@@ -119,7 +122,7 @@ def _tuples(value):
 def _load_data(args) -> "dataio.LabeledDataset":
     if not args.data:
         raise InvalidConfigError("--data is required for this command")
-    return dataio.load_dataset(args.data, args.format)
+    return dataio.load_dataset(args.data)
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +144,7 @@ def cmd_synth(args) -> int:
     data = synth.synth_dataset(spec)
     out = args.out or os.path.join(args.out_dir or ".", "dataset.csv")
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-    dataio.save_dataset(out, data, args.format)
+    dataio.save_dataset(out, data)
     print(f"wrote {data.n_samples} samples x {len(data.wavenumbers)} points "
           f"({len(set(data.labels))} classes) to {out}")
     return 0
@@ -458,9 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, needs_data=True):
         if needs_data:
-            p.add_argument("--data", help="dataset file (.csv or .json)")
-        p.add_argument("--format", choices=dataio.FORMATS, default=None,
-                       help="dataset format (default: sniff by extension)")
+            p.add_argument("--data", help="dataset file (CSV)")
         p.add_argument("--config", default=None,
                        help="grid / generator config file (JSON)")
         p.add_argument("--out-dir", default="wavefeat_out")
@@ -476,7 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p_synth, needs_data=False)
     p_synth.add_argument("--seed", type=int, default=None)
-    p_synth.add_argument("--out", default=None, help="output dataset path")
+    p_synth.add_argument("--out", default=None,
+                         help="output dataset path; the file is CSV, whatever its "
+                              "extension (default: OUT_DIR/dataset.csv)")
     p_synth.set_defaults(func=cmd_synth)
 
     p_grid = sub.add_parser("gridsearch",

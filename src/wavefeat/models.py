@@ -683,7 +683,7 @@ def pairwise_distances(x: np.ndarray, affinity: str,
     ``gram`` is a precomputed ``gram_matrix(x)``, which the euclidean and the
     cosine affinity read; manhattan ignores it.  The cosine norms are the
     square roots of its row sums, as ``np.linalg.norm(x, axis=1)`` computes
-    them.
+    them.  A zero row has no cosine distance: a NumericalError names it.
     """
     if affinity not in AFFINITIES:
         raise InvalidConfigError(f"affinity must be one of {AFFINITIES}")
@@ -691,15 +691,20 @@ def pairwise_distances(x: np.ndarray, affinity: str,
     if x.ndim != 2:
         raise InvalidInputError("expected (n_samples, n_features)")
     if affinity == "manhattan":
-        d = np.sum(np.abs(x[:, None, :] - x[None, :, :]), axis=-1)
+        # one row at a time, so the only temporary is (m, n), not (m, m, n)
+        d = np.empty((x.shape[0], x.shape[0]))
+        for i, row in enumerate(x):
+            d[i] = np.abs(row - x).sum(axis=1)
     else:
         g, sq = gram_matrix(x) if gram is None else gram
         if affinity == "euclidean":
             d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * g, 0.0))
         else:
             norms = np.sqrt(sq)
-            if np.any(norms == 0):
-                raise InvalidInputError("cosine affinity undefined for zero vectors")
+            zero = np.flatnonzero(norms == 0)
+            if zero.size:
+                raise NumericalError(f"cosine affinity undefined for zero vectors: "
+                                     f"feature row {zero[0]} of {x.shape[0]} is zero")
             d = 1.0 - np.clip(g / np.outer(norms, norms), -1.0, 1.0)
     np.fill_diagonal(d, 0.0)
     return (d + d.T) / 2.0

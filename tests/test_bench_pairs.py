@@ -68,6 +68,18 @@ def test_higher_is_better_metrics_gain_upwards():
     assert summary["verdict"] == "worse"
 
 
+def test_a_dendrogram_moves_the_output_digest_and_not_the_table_digest():
+    files = {"table_clustering.tsv": "a", "leaderboard_clustering.tsv": "b",
+             "dendrogram_WTT_d0.json": "c"}
+    moved = {**files, "dendrogram_WTT_d0.json": "d"}
+    assert bench_pairs.outputs_digest(files) != bench_pairs.outputs_digest(moved)
+    assert bench_pairs.tables_digest(files) == bench_pairs.tables_digest(moved)
+    # a table that moves moves both
+    table = {**files, "table_clustering.tsv": "e"}
+    assert bench_pairs.tables_digest(files) != bench_pairs.tables_digest(table)
+    assert bench_pairs.tables_digest(None) is None
+
+
 # A driver that runs one child the way run_once runs perfbench/run.py; the
 # child starts a grandchild, as run.py starts child.py, and writes both pids
 DRIVER = """

@@ -22,6 +22,7 @@ def _awkward_dataset():
     return LabeledDataset(wn, x, ["a b", "#1", "c#", "-7"])
 
 
+# a .json name is CSV too: no extension chooses a format
 @pytest.mark.parametrize("name", ["data.csv", "data.json"])
 def test_round_trip_is_bit_exact(tmp_path, name):
     data = _awkward_dataset()
@@ -52,9 +53,7 @@ def test_one_sample_csv_parses_as_one_row(tmp_path):
 
 @pytest.mark.parametrize("name, text", [
     ("one.csv", "label,1,2,3\nx,0.5,1.5,2.5\n"),
-    ("none.json", json.dumps({"schema": "wavefeat-dataset", "version": 1,
-                              "wavenumbers": [1, 2, 3], "samples": []})),
-], ids=["one-sample-csv", "no-sample-json"])
+], ids=["one-sample-csv"])
 def test_fewer_than_2_samples_is_a_data_error_exit_3(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -164,6 +163,7 @@ def test_rows_over_several_blocks_with_blank_lines_load_in_order(tmp_path):
     assert data.intensities.tobytes() == want.tobytes()
 
 
+# a .json name is CSV too: no extension chooses a format
 @pytest.mark.parametrize("name", ["data.csv", "data.json"])
 def test_a_byte_order_mark_is_read_past(tmp_path, name):
     # spreadsheets' "CSV UTF-8" starts the file with one
@@ -173,7 +173,7 @@ def test_a_byte_order_mark_is_read_past(tmp_path, name):
     save_dataset(str(plain), data)
     text = plain.read_bytes()
     assert not text.startswith(codecs.BOM_UTF8)
-    text.decode("utf-8")  # the JSON writer escapes the label to ASCII
+    text.decode("utf-8")
     marked = tmp_path / ("bom-" + name)
     marked.write_bytes(codecs.BOM_UTF8 + text)
     back, want = load_dataset(str(marked)), load_dataset(str(plain))
@@ -182,37 +182,57 @@ def test_a_byte_order_mark_is_read_past(tmp_path, name):
     assert back.intensities.tobytes() == want.intensities.tobytes()
 
 
-@pytest.mark.parametrize("wavenumbers, message", [
-    ("123", '"wavenumbers" must be a list, got str'),
-    (None, '"wavenumbers" must be a list, got NoneType'),
-    ([1, "two", 3], "malformed document"),
-], ids=["string", "null", "word"])
-def test_malformed_structured_wavenumbers_exit_3(tmp_path, capsys, wavenumbers, message):
-    # a string would otherwise be read one character per wavenumber
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": "wavefeat-dataset", "version": 1,
-                                "wavenumbers": wavenumbers, "samples": [
-                                    {"label": "a", "intensities": [1, 2, 3]},
-                                    {"label": "b", "intensities": [4, 5, 6]}]}))
-    assert cli.main(["cluster", "--data", str(path), "--folds", "2",
-                     "--out-dir", str(tmp_path / "out")]) == 3
-    assert f"data error: {path}: {message}" in capsys.readouterr().err
+def _structured(wavenumbers, samples) -> str:
+    """A document of the structured JSON format that earlier versions read
+    and wrote for a .json name, on one line as they wrote it."""
+    return json.dumps({"schema": "wavefeat-dataset", "version": 1,
+                       "wavenumbers": wavenumbers, "samples": samples}) + "\n"
 
 
-@pytest.mark.parametrize("samples, message", [
-    ({"label": "a", "intensities": [1, 2, 3]}, '"samples" must be a list, got dict'),
-    (7, '"samples" must be a list, got int'),
-    ([{"label": "a", "intensities": [1, 2, 3]}, [1, 2, 3]],
-     "sample 1 must be an object, got list"),
-    (["a", "b"], "sample 0 must be an object, got str"),
-    ([{"label": "a", "intensities": 5}, {"label": "b", "intensities": [1, 2, 3]}],
-     "sample 0: intensities must be a list, got int"),
+def _assert_not_a_csv_dataset(tmp_path, capsys, text, command="cluster"):
+    """text as --data exits 3 naming the file as not a CSV dataset, with no
+    traceback and before --out-dir is made."""
+    path, out = tmp_path / "data.json", tmp_path / "out"
+    path.write_text(text)
+    assert cli.main([command, "--data", str(path), "--folds", "2",
+                     "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert (f"data error: {path}: not a CSV dataset: the first column of its "
+            f"header must be 'label'") in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gridsearch", "cluster"])
+def test_a_json_dataset_is_not_a_csv_dataset_exit_3(tmp_path, capsys, command):
+    _assert_not_a_csv_dataset(tmp_path, capsys, _structured(
+        [3.0, 2.0, 1.0], [{"label": c, "intensities": [0.5, 1.5, 2.5]} for c in "abab"]),
+        command)
+
+
+# documents of the structured format, each malformed in one way, that its
+# reader once refused one by one; none of them is read as anything but CSV
+@pytest.mark.parametrize("wavenumbers", ["123", None, [1, "two", 3]],
+                         ids=["string", "null", "word"])
+def test_malformed_structured_wavenumbers_exit_3(tmp_path, capsys, wavenumbers):
+    _assert_not_a_csv_dataset(tmp_path, capsys, _structured(wavenumbers, [
+        {"label": "a", "intensities": [1, 2, 3]}, {"label": "b", "intensities": [4, 5, 6]}]))
+
+
+@pytest.mark.parametrize("samples", [
+    {"label": "a", "intensities": [1, 2, 3]},
+    7,
+    [{"label": "a", "intensities": [1, 2, 3]}, [1, 2, 3]],
+    ["a", "b"],
+    [{"label": "a", "intensities": 5}, {"label": "b", "intensities": [1, 2, 3]}],
 ], ids=["samples-object", "samples-number", "entry-list", "entry-string",
         "intensities-number"])
-def test_malformed_structured_samples_exit_3(tmp_path, capsys, samples, message):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": "wavefeat-dataset", "version": 1,
-                                "wavenumbers": [1, 2, 3], "samples": samples}))
-    assert cli.main(["cluster", "--data", str(path), "--folds", "2",
-                     "--out-dir", str(tmp_path / "out")]) == 3
-    assert f"data error: {path}: {message}" in capsys.readouterr().err
+def test_malformed_structured_samples_exit_3(tmp_path, capsys, samples):
+    _assert_not_a_csv_dataset(tmp_path, capsys, _structured([1, 2, 3], samples))
+
+
+def test_synth_writes_csv_whatever_the_extension(tmp_path):
+    path = tmp_path / "data.json"
+    assert cli.main(["synth", "--out", str(path)]) == 0
+    assert path.read_text().startswith("label,")
+    assert load_dataset(str(path)).n_samples == 80

@@ -740,8 +740,23 @@ class TestPairwiseDistances:
         assert d[0, 1] == pytest.approx(1.0)
 
     def test_cosine_zero_vector(self):
-        with pytest.raises(InvalidInputError):
-            M.pairwise_distances(np.array([[0.0, 0.0], [1.0, 0.0]]), "cosine")
+        # a zero row is a fault of the features, not of an argument
+        with pytest.raises(NumericalError, match="feature row 1 of 2 is zero"):
+            M.pairwise_distances(np.array([[1.0, 0.0], [0.0, 0.0]]), "cosine")
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (7, 9), (33, 1001), (80, 2048)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_manhattan_is_bit_equal_to_the_one_shot_formula(self, m, n, layout):
+        # the (m, m, n) difference of every pair, as it was computed before
+        # the rows were taken one at a time
+        rng = np.random.default_rng(m * n)
+        x = rng.standard_normal((m, 2 * n)) * 10.0 ** rng.integers(-3, 4, (m, 2 * n))
+        x = {"C": x[:, :n].copy(), "F": np.asfortranarray(x[:, :n]),
+             "strided": np.asfortranarray(x)[:, ::2]}[layout]
+        d = np.sum(np.abs(x[:, None, :] - x[None, :, :]), axis=-1)
+        np.fill_diagonal(d, 0.0)
+        want = (d + d.T) / 2.0
+        assert M.pairwise_distances(x, "manhattan").tobytes() == want.tobytes()
 
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(12)

@@ -1,4 +1,4 @@
-"""Bounds on the traced peak memory of the CSV loader, of four kernels and
+"""Bounds on the traced peak memory of the CSV loader, of five kernels and
 of a final clustering of the 500-spectrum clustering run.
 
 tracemalloc counts the buffers numpy allocates, so each bound is a multiple
@@ -76,6 +76,14 @@ def test_gram_matrix_holds_little_more_than_its_output(spectra):
     # (9.7 MiB for 1.9 MiB)
     (g, sq), peak = _traced_peak(models.gram_matrix, spectra)
     assert peak <= g.nbytes + sq.nbytes + SLACK
+
+
+def test_manhattan_distances_hold_two_inputs_not_every_pair(spectra):
+    # 80 spectra, as the default set holds.  The difference of every pair,
+    # an (m, m, n) array, used to take the peak to 200 MiB for 1.3 MiB
+    x = spectra[:80]
+    d, peak = _traced_peak(models.pairwise_distances, x, "manhattan")
+    assert peak <= 2 * x.nbytes + 4 * d.nbytes + SLACK
 
 
 def test_wavedec_holds_under_two_outputs(spectra):

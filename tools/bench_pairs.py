@@ -14,11 +14,16 @@ each tree, for the ``run_seconds`` that ``BENCHMARK.json`` declares; the side
 that runs first alternates from pair to pair.  The JSON file ``--out`` holds
 a list of rounds per workload, and each invocation appends one round, so
 one file keeps every round of a change, reruns at the same or another seed
-included.  A round holds every run's end-to-end metrics and output digests
-(one per command, over its output files), and per metric each side's median
-and quartiles (``statistics.quantiles(values, n=4)``, as
-``perfbench/spread.py``), the pairs each side won (ties count for
-neither) and a verdict, the first of these that holds:
+included.  A round holds every run's end-to-end metrics and two digests per
+command: one over all its output files, and one over its ``table_*.tsv`` and
+``leaderboard_*.tsv`` files alone.  ``outputs_identical`` says whether every
+run of both sides had one output digest, and ``tables_identical`` whether
+they had one table digest; both are printed.  A dendrogram that moves at
+rounding level over an equal tree makes the first false and leaves the
+second true.  Per metric, the round holds each side's median and quartiles
+(``statistics.quantiles(values, n=4)``, as ``perfbench/spread.py``), the
+pairs each side won (ties count for neither) and a verdict, the first of
+these that holds:
 
 - ``gain``: the change wins at least 9 in 10 pairs, and its median is
   better than the parent's by more than the parent's interquartile range;
@@ -37,6 +42,7 @@ removes the temporary directory.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import hashlib
 import io
 import json
@@ -51,6 +57,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TABLES = ("table_*.tsv", "leaderboard_*.tsv")
 
 
 def git(*args: str) -> bytes:
@@ -81,6 +88,14 @@ def outputs_digest(files: dict | None) -> str | None:
     if files is None:
         return None
     return hashlib.sha256(json.dumps(files, sort_keys=True).encode()).hexdigest()
+
+
+def tables_digest(files: dict | None) -> str | None:
+    """``outputs_digest`` over the table and leaderboard entries alone."""
+    if files is None:
+        return None
+    return outputs_digest({name: digest for name, digest in files.items()
+                           if any(fnmatch.fnmatchcase(name, p) for p in TABLES)})
 
 
 def run_in_group(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
@@ -120,7 +135,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "outputs_sha256": [outputs_digest(c.get("sha256")) for c in record["commands"]]}
+            "outputs_sha256": [outputs_digest(c.get("sha256")) for c in record["commands"]],
+            "tables_sha256": [tables_digest(c.get("sha256")) for c in record["commands"]]}
 
 
 def spread(values: list[float]) -> dict:
@@ -197,14 +213,17 @@ def main(argv=None) -> int:
                 file=sys.stderr)
 
     summary = summarize(runs, declared["end_to_end"])
-    digests = {side: {d for r in runs for d in r[side]["outputs_sha256"]} for side in SIDES}
+    identical = {
+        f"{kind}_identical": len({d for r in runs for side in SIDES
+                                  for d in r[side][f"{kind}_sha256"]}) == 1
+        for kind in ("outputs", "tables")}
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.is_file() else {}
     doc.setdefault(args.workload, []).append({
         "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
         "parent": commits["parent"], "change": commits["change"],
         "all_correct": all(r[side]["correct"] for r in runs for side in SIDES),
-        "outputs_identical": len(digests["parent"] | digests["change"]) == 1,
+        **identical,
         "summary": summary, "runs": runs,
     })
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
@@ -214,6 +233,7 @@ def main(argv=None) -> int:
               f"change {s['change']['median']:10.4f} "
               f"[{s['change']['q1']:.4f}, {s['change']['q3']:.4f}]  "
               f"wins {s['change_wins']}/{args.pairs} {s['unit']:5s} {s['verdict']}")
+    print("  ".join(f"{name} {value}" for name, value in identical.items()))
     return 0
 
 
